@@ -2,7 +2,7 @@
 
 Unlike the figure benches (one-shot regenerations), these measure the
 steady-state cost of the operations a deployment calls repeatedly:
-cost evaluation, rounding, LP construction, and query execution.
+cost evaluation, packing and rounding, and query execution.
 
 The ``*_loop`` / ``*_sequential`` / ``*_cold`` variants pin the legacy
 implementation next to its vectorized fast path so ``pytest-benchmark``
@@ -13,7 +13,7 @@ ratios against a committed baseline (``BENCH_5.json``).
 import numpy as np
 import pytest
 
-from repro.core.lp import _build_placement_lp_loop, build_placement_lp, solve_placement_lp
+from repro.core.lp import pack_components
 from repro.core.hashing import random_hash_placement
 from repro.core.importance import top_important
 from repro.core.rounding import _round_trials_loop, round_fractional, round_trials_batched
@@ -42,19 +42,13 @@ def test_perf_importance_ranking(benchmark, study):
     assert len(ranking) == 400
 
 
-def test_perf_lp_build(benchmark, scoped):
-    lp = benchmark(lambda: build_placement_lp(scoped))
-    assert lp.num_variables > 0
-
-
-def test_perf_lp_build_loop(benchmark, scoped):
-    """Legacy row-at-a-time assembly — baseline for test_perf_lp_build."""
-    lp = benchmark(lambda: _build_placement_lp_loop(scoped))
-    assert lp.num_variables > 0
+def test_perf_pack_components(benchmark, scoped):
+    fractional = benchmark(lambda: pack_components(scoped))
+    assert fractional.lower_bound == 0.0
 
 
 def test_perf_rounding(benchmark, scoped):
-    fractional = solve_placement_lp(scoped)
+    fractional = pack_components(scoped)
     rng = np.random.default_rng(0)
     placement, _ = benchmark(lambda: round_fractional(fractional, rng))
     assert placement.assignment.shape == (scoped.num_objects,)
@@ -69,7 +63,7 @@ def test_perf_parallel_rounding(benchmark, scoped, bench_jobs):
     """
     from repro.parallel import parallel_round_best_of
 
-    fractional = solve_placement_lp(scoped)
+    fractional = pack_components(scoped)
     result = benchmark(
         lambda: parallel_round_best_of(
             fractional, trials=8, root_seed=0, jobs=bench_jobs
@@ -94,7 +88,7 @@ def test_perf_engine_query(benchmark, study):
 
 def test_perf_rounding_batched(benchmark, scoped):
     """All 32 trials advanced together as one vectorized sweep."""
-    fractional = solve_placement_lp(scoped)
+    fractional = pack_components(scoped)
     seqs = np.random.SeedSequence(0).spawn(32)
     assignments, _ = benchmark(lambda: round_trials_batched(fractional, seqs))
     assert assignments.shape == (32, scoped.num_objects)
@@ -102,7 +96,7 @@ def test_perf_rounding_batched(benchmark, scoped):
 
 def test_perf_rounding_trial_loop(benchmark, scoped):
     """Same 32 trials, one at a time — baseline for the batched sweep."""
-    fractional = solve_placement_lp(scoped)
+    fractional = pack_components(scoped)
     seqs = np.random.SeedSequence(0).spawn(32)
     assignments, _ = benchmark(lambda: _round_trials_loop(fractional, seqs))
     assert assignments.shape == (32, scoped.num_objects)
@@ -207,7 +201,7 @@ def test_perf_disabled_obs_overhead(scoped):
     previous = obs.current()
     obs.disable()
     try:
-        fractional = solve_placement_lp(scoped)
+        fractional = pack_components(scoped)
         seqs = np.random.SeedSequence(0).spawn(16)
 
         def plain():

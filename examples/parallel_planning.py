@@ -9,8 +9,8 @@ Three properties of the 1.1 Planner API, demonstrated end to end:
    which is byte-compatible with pre-1.1 releases but consumes one
    sequential random stream.
 2. **Plan caching** — pointing ``cache_dir`` at a directory memoizes
-   LP solutions and whole plans by problem fingerprint; a warm replan
-   skips the LP solve entirely.
+   whole plans by problem fingerprint; a warm replan of the same
+   problem is a lookup.
 3. **Observability** — with instrumentation enabled, the run exposes
    cache hit/miss counters and pool-utilization gauges.
 

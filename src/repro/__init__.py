@@ -38,20 +38,18 @@ from repro.core import (
     PlanScope,
     ResourceSpec,
     RoundingResult,
-    WarmStart,
     available_planners,
-    available_strategies,
     best_fit_decreasing_placement,
     build_placement_lp,
     cooccurrence_correlations,
     get_planner,
-    get_strategy,
     greedy_placement,
     hash_node,
     importance_ranking,
     importance_scores,
     diff_placements,
     min_size_pair_cost,
+    pack_components,
     plan,
     random_hash_placement,
     register_planner,
@@ -71,7 +69,6 @@ from repro import obs
 from repro.cluster import Topology, synthetic_topology
 from repro.pg import PGMap
 from repro.exceptions import (
-    CircuitOpenError,
     InfeasibleProblemError,
     PlacementError,
     ProblemDefinitionError,
@@ -81,10 +78,9 @@ from repro.exceptions import (
     TraceFormatError,
 )
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "CircuitOpenError",
     "CorrelationEstimator",
     "ExactSolution",
     "FractionalPlacement",
@@ -111,15 +107,12 @@ __all__ = [
     "RoundingResult",
     "SolverError",
     "Topology",
-    "WarmStart",
     "TraceFormatError",
     "available_planners",
-    "available_strategies",
     "best_fit_decreasing_placement",
     "build_placement_lp",
     "cooccurrence_correlations",
     "get_planner",
-    "get_strategy",
     "greedy_placement",
     "hash_node",
     "obs",
@@ -127,6 +120,7 @@ __all__ = [
     "importance_scores",
     "diff_placements",
     "min_size_pair_cost",
+    "pack_components",
     "plan",
     "random_hash_placement",
     "register_planner",

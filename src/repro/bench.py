@@ -11,10 +11,9 @@ ratio regardless of runner hardware.
 
 Scenarios, by pipeline stage:
 
-* ``plan`` — bulk LP constraint assembly
-  (:func:`~repro.core.lp.build_placement_lp`), the batched randomized
-  rounding sweep (:func:`~repro.core.rounding.round_trials_batched`),
-  and vectorized correlation mining
+* ``plan`` — the batched randomized rounding sweep
+  (:func:`~repro.core.rounding.round_trials_batched`) and vectorized
+  correlation mining
   (:func:`~repro.core.correlation.cooccurrence_correlations`).
 * ``evaluate`` — deduplicated query-log replay
   (:meth:`~repro.search.engine.DistributedSearchEngine.execute_log`).
@@ -67,7 +66,7 @@ from repro.core.correlation import (
     cooccurrence_correlations,
     operation_pairs,
 )
-from repro.core.lp import FractionalPlacement, LPStats, _build_placement_lp_loop, build_placement_lp
+from repro.core.lp import FractionalPlacement, LPStats
 from repro.core.problem import PlacementProblem
 from repro.core.rounding import _round_trials_loop, round_trials_batched
 from repro.experiments.common import CaseStudy, CaseStudyConfig
@@ -82,7 +81,7 @@ SCHEMA = "repro.bench/v1"
 DEFAULT_ARTIFACT = "BENCH_5.json"
 
 #: Scenario tags in pipeline order.
-TAGS = ("plan", "evaluate", "online-ingest", "pg", "rep", "serve", "solve")
+TAGS = ("plan", "evaluate", "online-ingest", "pg", "rep", "serve")
 
 
 @dataclass(frozen=True)
@@ -312,49 +311,9 @@ def _replay_study(seed: int) -> CaseStudy:
     )
 
 
-def _lp_state(program) -> tuple:
-    return (
-        program._var_names,
-        program._lower,
-        program._upper,
-        program._objective,
-        program._rows,
-        program._cols,
-        program._vals,
-        program._senses,
-        program._rhs,
-        program._con_names,
-    )
-
-
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
-
-def _bench_lp_assembly(seed: int, repeats: int) -> BenchCase:
-    problem = _plan_problem(seed)
-    legacy = _build_placement_lp_loop(problem)
-    fast = build_placement_lp(problem)
-    equal = _lp_state(legacy) == _lp_state(fast)
-    legacy_s = _best_of(repeats, lambda: _build_placement_lp_loop(problem))
-    fast_s = _best_of(repeats, lambda: build_placement_lp(problem))
-    return BenchCase(
-        name="lp_assembly",
-        tag="plan",
-        legacy_s=legacy_s,
-        fast_s=fast_s,
-        speedup=legacy_s / fast_s,
-        min_speedup=3.0,
-        equal=equal,
-        detail={
-            "objects": len(problem.object_ids),
-            "nodes": len(problem.node_ids),
-            "pairs": int(problem.pair_index.shape[0]),
-            "rows": legacy.num_constraints,
-            "nonzeros": legacy.num_nonzeros,
-        },
-    )
-
 
 def _bench_rounding(seed: int, repeats: int) -> BenchCase:
     problem = _plan_problem(seed)
@@ -742,150 +701,6 @@ def _bench_pg_expand(seed: int, repeats: int) -> BenchCase:
     )
 
 
-def _solve_problem(
-    seed: int,
-    num_objects: int,
-    num_nodes: int = 8,
-    cluster: int = 12,
-    drift_seed: int | None = None,
-) -> PlacementProblem:
-    """A topic-clustered CCA instance for the solver-backend benches.
-
-    Objects come in co-access clusters of ``cluster`` with dense
-    strong intra-cluster pairs plus one weak cross-cluster pair per
-    object — the workload shape Section 4 mines from real query logs,
-    and the regime where placement actually matters (unlike the
-    uniform-random pairs of :func:`_plan_problem`, which have no good
-    partition to find).  ``drift_seed`` jitters every pair weight by
-    ±15% without touching the pair set: a mild-drift replan instance.
-    """
-    rng = np.random.default_rng(seed)
-    object_ids = [f"s{i:05d}" for i in range(num_objects)]
-    sizes = rng.uniform(0.5, 2.0, size=num_objects)
-    full = num_objects // cluster * cluster
-    a, b = np.triu_indices(cluster, 1)
-    intra = np.concatenate(
-        [np.stack([s + a, s + b], axis=1) for s in range(0, full, cluster)]
-    )
-    intra_weights = rng.uniform(0.5, 1.0, size=intra.shape[0])
-    raw = rng.integers(0, num_objects, size=(2 * num_objects, 2))
-    raw = raw[raw[:, 0] != raw[:, 1]]
-    lo = np.minimum(raw[:, 0], raw[:, 1])
-    hi = np.maximum(raw[:, 0], raw[:, 1])
-    same_cluster = (lo // cluster == hi // cluster) & (hi < full)
-    lo, hi = lo[~same_cluster], hi[~same_cluster]
-    _, keep = np.unique(lo * num_objects + hi, return_index=True)
-    keep = np.sort(keep)[:num_objects]
-    cross = np.stack([lo[keep], hi[keep]], axis=1)
-    cross_weights = rng.uniform(0.01, 0.1, size=cross.shape[0])
-    pair_index = np.concatenate([intra, cross])
-    weights = np.concatenate([intra_weights, cross_weights])
-    if drift_seed is not None:
-        drift = np.random.default_rng(drift_seed)
-        weights = weights * drift.uniform(0.85, 1.15, size=weights.shape[0])
-    pair_costs = np.minimum(sizes[pair_index[:, 0]], sizes[pair_index[:, 1]])
-    capacity = 2.0 * float(sizes.sum()) / num_nodes
-    return PlacementProblem(
-        object_ids,
-        sizes,
-        list(range(num_nodes)),
-        np.full(num_nodes, capacity),
-        pair_index,
-        weights,
-        pair_costs,
-    )
-
-
-def _bench_fo_scale(seed: int, repeats: int) -> BenchCase:
-    # The backend-scaling ablation: HiGHS tops out around the 400-object
-    # exact-scope instance (at 4000 it does not finish in CI time), so
-    # legacy is HiGHS at its largest case and fast is the first-order
-    # backend planning 10x that scope.  Solution quality is gated on
-    # the instance both can solve: fo cost <= 1.10x HiGHS LPRR there
-    # (the ``equal`` gate).
-    from repro.core.strategies import PlanConfig, plan
-
-    config = PlanConfig(seed=seed, use_cache=False)
-    small = _solve_problem(seed, 400)
-    big = _solve_problem(seed, 4000)
-    lprr_small = plan(small, "lprr", config)
-    fo_small = plan(small, "lprr:fo", config)
-    fo_big = plan(big, "lprr:fo", config)
-    cost_ratio = (
-        fo_small.cost / lprr_small.cost if lprr_small.cost > 0 else 1.0
-    )
-    legacy_s = _best_of(repeats, lambda: plan(small, "lprr", config))
-    fast_s = _best_of(repeats, lambda: plan(big, "lprr:fo", config))
-    return BenchCase(
-        name="fo_scale",
-        tag="solve",
-        legacy_s=legacy_s,
-        fast_s=fast_s,
-        speedup=legacy_s / fast_s,
-        min_speedup=5.0,
-        equal=bool(cost_ratio <= 1.10),
-        detail={
-            "highs_objects": small.num_objects,
-            "fo_objects": big.num_objects,
-            "fo_pairs": int(big.pair_index.shape[0]),
-            "scope_factor": big.num_objects // small.num_objects,
-            "lprr_cost_small": round(lprr_small.cost, 6),
-            "fo_cost_small": round(fo_small.cost, 6),
-            "cost_ratio_small": round(cost_ratio, 4),
-            "fo_cost_big": round(fo_big.cost, 6),
-            "fo_iterations": fo_big.diagnostics.get("fo_iterations", 0),
-        },
-    )
-
-
-def _bench_warm_replan(seed: int, repeats: int) -> BenchCase:
-    # The warm-start ablation: after a mild drift (same pairs, +-15%
-    # weights) a warm-started first-order replan must converge in at
-    # most half the cold iterations (the ``equal`` gate) and at least
-    # 1.5x faster in wall time.
-    from repro.core.lp import WarmStart
-    from repro.core.strategies import PlanConfig, plan
-
-    config = PlanConfig(seed=seed, use_cache=False)
-    base = _solve_problem(seed, 4000)
-    drifted = _solve_problem(seed, 4000, drift_seed=seed + 1)
-    warm_start = WarmStart.from_fractional(
-        plan(base, "lprr:fo", config).fractional
-    )
-    warm_config = config.with_options(warm_start=warm_start)
-    cold = plan(drifted, "lprr:fo", config)
-    warm = plan(drifted, "lprr:fo", warm_config)
-    cold_iters = int(cold.diagnostics.get("fo_iterations", 0))
-    warm_iters = int(warm.diagnostics.get("fo_iterations", 0))
-    legacy_s = _best_of(repeats, lambda: plan(drifted, "lprr:fo", config))
-    fast_s = _best_of(repeats, lambda: plan(drifted, "lprr:fo", warm_config))
-    return BenchCase(
-        name="warm_replan",
-        tag="solve",
-        legacy_s=legacy_s,
-        fast_s=fast_s,
-        speedup=legacy_s / fast_s,
-        min_speedup=1.5,
-        equal=bool(
-            warm.diagnostics.get("warm_start") == "hit"
-            and cold_iters > 0
-            and warm_iters <= 0.5 * cold_iters
-        ),
-        detail={
-            "objects": drifted.num_objects,
-            "pairs": int(drifted.pair_index.shape[0]),
-            "cold_iterations": cold_iters,
-            "warm_iterations": warm_iters,
-            "iteration_ratio": round(
-                warm_iters / cold_iters if cold_iters else 0.0, 4
-            ),
-            "cold_cost": round(cold.cost, 6),
-            "warm_cost": round(warm.cost, 6),
-            "warm_hits": warm.diagnostics.get("warm_hits", 0),
-        },
-    )
-
-
 def _bench_rep_spread(seed: int, repeats: int) -> BenchCase:
     from repro.cluster.topology import synthetic_topology
     from repro.core.replication import (
@@ -973,7 +788,6 @@ def run_bench(
             else None
         )
         if "plan" in selected:
-            cases.append(_bench_lp_assembly(seed, repeats))
             cases.append(_bench_rounding(seed, repeats))
             cases.append(_bench_correlation(study, repeats))
         if "evaluate" in selected:
@@ -989,9 +803,6 @@ def run_bench(
             cases.append(_bench_pg_expand(seed, repeats))
         if "rep" in selected:
             cases.append(_bench_rep_spread(seed, repeats))
-        if "solve" in selected:
-            cases.append(_bench_fo_scale(seed, repeats))
-            cases.append(_bench_warm_replan(seed, repeats))
 
     for case in cases:
         obs.gauge(f"bench.{case.name}.speedup").set(case.speedup)

@@ -21,7 +21,8 @@ run report), ``--trace`` (print the span tree), ``--trace-out PATH``
 ``place`` and ``evaluate`` plan through the Planner registry and accept
 ``--jobs N`` (deterministic parallel engine; same placement for every
 N) and ``--cache-dir DIR`` / ``--no-cache`` (content-addressed plan
-cache — a warm replan skips the LP solve); see ``docs/PARALLELISM.md``.
+cache — a replan of an unchanged problem is a lookup); see
+``docs/PARALLELISM.md``.
 
 Run ``repro <subcommand> --help`` for options.
 """
@@ -77,7 +78,7 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "parallel engine: round (and decompose) on N worker processes; "
+            "parallel engine: round on N worker processes; "
             "1 runs the same engine inline, negative means one worker per "
             "CPU, omit for the legacy serial engine"
         ),
@@ -86,7 +87,7 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="content-addressed plan cache; a warm replan skips the LP solve",
+        help="content-addressed plan cache; a replan of an unchanged problem is a lookup",
     )
     parser.add_argument(
         "--no-cache",
@@ -610,13 +611,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
-    """Measure LPRR and first-order optimality gaps on small instances.
+    """Measure the LPRR optimality gap on small instances.
 
     Draws seeded small instances, solves each to proven optimality
     (branch and bound by default, CP-SAT with ``--reference cpsat``
-    when ortools is installed), plans the same instances with HiGHS
-    LPRR and the first-order backend, and prints per-instance cost
-    ratios.  The :class:`~repro.gap.GapReport` — a pure function of
+    when ortools is installed), plans the same instances with LPRR,
+    and prints per-instance cost ratios.  The
+    :class:`~repro.gap.GapReport` — a pure function of
     the seed, byte-identical across runs — goes to ``--out``.
     """
     from repro.gap import run_gap
@@ -970,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
-        "gap", help="optimality gap of LPRR/first-order vs an exact reference"
+        "gap", help="optimality gap of LPRR vs an exact reference"
     )
     p.add_argument("--seed", type=int, default=0, help="instance seed")
     p.add_argument(

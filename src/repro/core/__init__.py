@@ -15,13 +15,19 @@ from repro.core.correlation import (
     two_smallest_correlations,
     union_largest_correlations,
 )
-from repro.core.decompose import UnionFind, component_subproblems, correlation_components
+from repro.core.decompose import UnionFind, component_groups, correlation_components
 from repro.core.exact import ExactSolution, solve_exact
 from repro.core.greedy import greedy_placement
 from repro.core.hashing import hash_node, random_hash_placement
 from repro.core.importance import importance_ranking, importance_scores, top_important
 from repro.core.local_search import local_search_placement
-from repro.core.lp import FractionalPlacement, LPStats, WarmStart, build_placement_lp, solve_placement_lp
+from repro.core.lp import (
+    FractionalPlacement,
+    LPStats,
+    build_placement_lp,
+    pack_components,
+    solve_placement_lp,
+)
 from repro.core.lprr import LPRRPlanner, LPRRResult
 from repro.core.migration import (
     Migration,
@@ -56,16 +62,13 @@ from repro.core.serialization import (
     save_problem,
 )
 from repro.core.strategies import (
-    PlacementStrategy,
     PlanConfig,
     Planner,
     PlanResult,
     PlanScope,
     available_planners,
-    available_strategies,
     best_fit_decreasing_placement,
     get_planner,
-    get_strategy,
     plan,
     register_planner,
     round_robin_placement,
@@ -75,7 +78,6 @@ __all__ = [
     "CorrelationEstimator",
     "ExactSolution",
     "FractionalPlacement",
-    "WarmStart",
     "LPRRPlanner",
     "LPRRResult",
     "Migration",
@@ -85,7 +87,6 @@ __all__ = [
     "Placement",
     "PlacementMap",
     "PlacementProblem",
-    "PlacementStrategy",
     "PlanConfig",
     "PlanResult",
     "PlanScope",
@@ -93,15 +94,13 @@ __all__ = [
     "ReplicatedPlacement",
     "ResourceSpec",
     "available_planners",
-    "available_strategies",
     "best_fit_decreasing_placement",
-    "component_subproblems",
+    "component_groups",
     "correlation_components",
     "build_placement_lp",
     "cooccurrence_correlations",
     "diff_placements",
     "get_planner",
-    "get_strategy",
     "greedy_placement",
     "greedy_replicated_placement",
     "hash_node",
@@ -112,6 +111,7 @@ __all__ = [
     "local_search_placement",
     "load_problem",
     "min_size_pair_cost",
+    "pack_components",
     "plan",
     "random_hash_placement",
     "register_planner",

@@ -1,16 +1,10 @@
-"""Connected-component decomposition of placement problems.
+"""Connected components of the correlation graph.
 
 Two objects interact in the CCA objective only through correlated-pair
 chains, so the correlation graph's connected components are independent
-subproblems *except* for the shared capacity constraint.  Under the
-paper's conservative-capacity regime (factor x average load), the LP
-treats capacity so loosely that solving each component against the same
-conservative capacities and merging is exact in practice — and it turns
-one big LP into many tiny ones, cutting full-vocabulary optimization
-from minutes to seconds.
-
-Singleton components (objects with no correlated partner) skip the LP
-entirely and fall through to the caller's fallback placement.
+*except* for the shared capacity constraint.  That is why the relaxed
+LP's optimum is a packing of whole components into node capacity
+(DESIGN.md §5.1, :func:`repro.core.lp.pack_components`).
 """
 
 from __future__ import annotations
@@ -27,17 +21,18 @@ class UnionFind:
     def __init__(self, size: int):
         if size < 0:
             raise ValueError("size must be nonnegative")
-        self._parent = np.arange(size, dtype=np.int64)
-        self._size = np.ones(size, dtype=np.int64)
+        # Plain lists: scalar access is the whole workload.
+        self._parent = list(range(size))
+        self._size = [1] * size
 
     def find(self, x: int) -> int:
         """Representative of ``x``'s set."""
         root = x
         while self._parent[root] != root:
-            root = int(self._parent[root])
+            root = self._parent[root]
         # Path compression.
         while self._parent[x] != root:
-            self._parent[x], x = root, int(self._parent[x])
+            self._parent[x], x = root, self._parent[x]
         return root
 
     def union(self, a: int, b: int) -> bool:
@@ -59,53 +54,37 @@ class UnionFind:
         return sorted(by_root.values(), key=lambda g: g[0])
 
 
-def correlation_components(problem: PlacementProblem) -> list[list[ObjectId]]:
-    """Connected components of the correlation graph, as object ids.
+def component_groups(problem: PlacementProblem) -> list[np.ndarray]:
+    """Connected components of the correlation graph, as index arrays.
 
     Only pairs with positive objective weight connect objects (zero-
     weight pairs cannot affect any placement's cost).  Components are
-    ordered by total byte size, largest first — the order a solver
-    wants to tackle them in, the best schedule for a worker pool
-    (longest job starts first), and the deterministic order the
-    parallel engine's per-component seed spawning relies on.
+    ordered by total byte size, largest first, ties broken by their
+    smallest object index — the order
+    :func:`~repro.core.lp.pack_components` fills nodes in.
     """
-    with obs.span("decompose", objects=problem.num_objects) as span:
-        dsu = UnionFind(problem.num_objects)
-        for (i, j), weight in zip(problem.pair_index, problem.pair_weights):
-            if weight > 0:
-                dsu.union(int(i), int(j))
-        groups = dsu.groups()
-        groups.sort(key=lambda g: (-float(problem.sizes[g].sum()), g[0]))
+    t = problem.num_objects
+    with obs.span("decompose", objects=t) as span:
+        dsu = UnionFind(t)
+        for i, j in problem.pair_index[problem.pair_weights > 0].tolist():
+            dsu.union(i, j)
+        roots = np.fromiter((dsu.find(x) for x in range(t)), np.int64, t)
+        _, first, labels = np.unique(roots, return_index=True, return_inverse=True)
+        nbytes = np.bincount(labels, weights=problem.sizes, minlength=first.size)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.lexsort((first, -nbytes))] = np.arange(first.size)
+        order = np.argsort(rank[labels], kind="stable")
+        counts = np.bincount(rank[labels], minlength=first.size)
+        groups = np.split(order, np.cumsum(counts)[:-1]) if t else []
         span.set(components=len(groups))
     obs.gauge("decompose.components").set(len(groups))
     if groups:
         obs.gauge("decompose.largest_component").set(len(groups[0]))
-    return [[problem.object_ids[i] for i in group] for group in groups]
+    return groups
 
 
-def component_subproblems(
-    problem: PlacementProblem,
-    capacities: np.ndarray | None = None,
-    min_size: int = 2,
-) -> tuple[list[PlacementProblem], list[ObjectId]]:
-    """Split a problem into per-component subproblems.
-
-    Args:
-        problem: The CCA instance.
-        capacities: Capacity vector every subproblem uses (defaults to
-            the problem's own — conservative capacities shared across
-            components, per the module docstring).
-        min_size: Components smaller than this (typically singletons)
-            are returned as leftovers instead of subproblems.
-
-    Returns:
-        ``(subproblems, leftover_object_ids)``.
-    """
-    subproblems = []
-    leftovers: list[ObjectId] = []
-    for component in correlation_components(problem):
-        if len(component) < min_size:
-            leftovers.extend(component)
-        else:
-            subproblems.append(problem.subproblem(component, capacities=capacities))
-    return subproblems, leftovers
+def correlation_components(problem: PlacementProblem) -> list[list[ObjectId]]:
+    """:func:`component_groups` as lists of object ids."""
+    return [
+        [problem.object_ids[i] for i in group] for group in component_groups(problem)
+    ]

@@ -1,4 +1,4 @@
-"""The linear-programming relaxation of the CCA problem (Figure 4).
+"""The LP relaxation of the CCA problem (Figure 4) and its closed form.
 
 The integer program of the paper uses three variable families:
 
@@ -6,39 +6,56 @@ The integer program of the paper uses three variable families:
 * ``y[i,j,k] = |x[i,k] - x[j,k]|`` for each correlated pair;
 * ``z[i,j] = ½ Σ_k y[i,j,k]`` — the split indicator of a pair.
 
-We relax ``x`` to ``[0, 1]`` and compact the program in two
-optimum-preserving steps:
+Relaxing ``x`` to ``[0, 1]`` makes the optimum trivial (DESIGN.md
+§5.1): every objective term is a pair inside one connected component
+of the correlation graph, so any fractional placement that gives all
+objects of a component the *same* row costs exactly 0.  Whenever such a
+placement fits the capacities, it is an optimum, and the only freedom
+left is each component's row on the transport polytope
+``Σ_c S_c·v_c ≤ c``.  :func:`pack_components` builds one vertex of it
+directly, which is what LPRR hands to Algorithm 2.1.
 
-1. ``z`` is substituted out via its defining equality (8).
-2. Because both objects place fully (``Σ_k x[i,k] = 1``), the positive
-   and negative parts of ``x_i - x_j`` have equal mass over ``k``:
-   ``Σ_k |x[i,k] - x[j,k]| = 2 Σ_k max(0, x[i,k] - x[j,k])``.  So one
-   inequality ``y ≥ x[i,k] - x[j,k]`` per (pair, node) with the *full*
-   pair weight in the objective replaces the paper's two inequalities
-   (6)-(7) with half weight.  The objective minimizes nonnegative-
-   weighted ``y``, so ``y = max(0, x_i - x_j)`` at the optimum and the
-   optimal value is unchanged.
-
-The result is the same LP optimum with ``|E|`` fewer variables and
-``2|E||N| - |E||N|`` fewer rows than the literal Figure 4 program.
+The explicit program stays as the test oracle for that claim:
+:func:`build_placement_lp` assembles Figure 4 (compacted in two
+optimum-preserving steps — ``z`` substituted out, and one
+``y ≥ x[i,k] - x[j,k]`` row per (pair, node) carrying the full pair
+weight, because the positive and negative parts of ``x_i - x_j`` have
+equal mass when both rows sum to 1) and :func:`solve_placement_lp`
+solves it with HiGHS.  Both import the modelling layer, and with it
+scipy, only when called.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
+from repro.core.decompose import component_groups
 from repro.core.problem import PlacementProblem
 from repro.exceptions import InfeasibleProblemError, SolverError
-from repro.lpsolve import LinearProgram, LPStatus, Sense
+
+if TYPE_CHECKING:  # the modelling layer imports scipy; load it on use
+    from repro.lpsolve import LinearProgram
+
+# Relative slack below which a component counts as fitting a node: a
+# float shortfall of this size is not worth a split.
+_FIT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
 class LPStats:
-    """Size and solve statistics for one placement LP (Section 3.1)."""
+    """Size and timing of one fractional placement (Section 3.1).
+
+    For the HiGHS oracle these describe the Figure 4 program.  For
+    :func:`pack_components` no program is built: ``num_variables`` is
+    the ``t × n`` fraction matrix, ``num_nonzeros`` its nonzero
+    fractions, ``num_constraints`` and ``iterations`` are 0, and
+    ``solve_seconds`` is the packing time.
+    """
 
     num_variables: int
     num_constraints: int
@@ -65,10 +82,10 @@ class FractionalPlacement:
             integral communication cost, and by Theorem 2 the exact
             expected cost of the randomized rounding.
         stats: Program size and solve statistics.
-        capacity_duals: Shadow price of each node's capacity row (None
-            for uncapacitated nodes or when the backend provides no
-            duals).  A strongly negative value marks a node whose space
-            binds the optimum — the capacity to grow first.
+        capacity_duals: Shadow price of each node's capacity row, from
+            the HiGHS oracle only (None for uncapacitated nodes and for
+            the closed form).  A strongly negative value marks a node
+            whose space binds the optimum — the capacity to grow first.
     """
 
     problem: PlacementProblem
@@ -90,66 +107,77 @@ class FractionalPlacement:
         return self.fractions.T @ self.problem.sizes
 
 
-@dataclass(frozen=True)
-class WarmStart:
-    """A fractional solution carried between solves (docs/SOLVERS.md).
+def pack_components(problem: PlacementProblem) -> FractionalPlacement:
+    """The closed-form optimum of the relaxed LP (DESIGN.md §5.1).
 
-    Keyed by object and node *ids*, not indices, so a warm start
-    survives scope changes between replans: objects that entered or
-    left the heavy-hitter scope simply miss (and start uniform), while
-    the stable majority resumes from its previous fractions.  Only the
-    first-order backend consumes warm starts; the LP backends ignore
-    them (HiGHS re-factorizes regardless).
+    Walks the correlation components largest-bytes-first
+    (:func:`~repro.core.decompose.component_groups`) and fills nodes in
+    index order up to their capacities — by the tightest dimension
+    when §3.3 resource budgets exist — splitting a component only
+    where it overflows into the next node.  Every object of a
+    component gets the component's row, so the objective is exactly 0,
+    and each node boundary splits at most one component: at most
+    ``n - 1`` components have fractional rows.  With one resource and
+    total capacity covering total size, expected loads never exceed
+    the capacities (Theorem 3).  When resource budgets leave the
+    last node too small, it takes the rest, and the planner's repair
+    is left to find room.
+
+    Raises:
+        InfeasibleProblemError: If a total demand exceeds its total
+            capacity (no fractional placement fits).
     """
-
-    node_ids: tuple[Any, ...]
-    rows: dict[Any, tuple[float, ...]]
-
-    @classmethod
-    def from_fractional(cls, fractional: FractionalPlacement) -> "WarmStart":
-        """Capture a solved relaxation as a reusable warm start."""
-        problem = fractional.problem
-        return cls(
-            node_ids=problem.node_ids,
-            rows={
-                obj: tuple(fractional.fractions[i])
-                for i, obj in enumerate(problem.object_ids)
-            },
+    if problem.is_trivially_infeasible():
+        raise InfeasibleProblemError(
+            f"total object size {problem.total_size:.6g} exceeds "
+            f"total capacity {problem.total_capacity:.6g}"
         )
+    t, n = problem.num_objects, problem.num_nodes
+    with obs.timed("lp.pack", objects=t, nodes=n) as span:
+        groups = component_groups(problem)
+        labels = np.empty(t, dtype=np.int64)
+        for c, members in enumerate(groups):
+            labels[members] = c
+        # One column per dimension: bytes, then each §3.3 resource.
+        dims = [(problem.sizes, problem.capacities)] + [
+            (spec.loads, spec.budgets) for spec in problem.resources
+        ]
+        needs = np.column_stack(
+            [np.bincount(labels, weights=d, minlength=len(groups)) for d, _ in dims]
+        ).tolist()
+        free = np.column_stack([b for _, b in dims]).astype(float).tolist()
+        rows = np.zeros((len(groups), n))
+        k = 0
+        for c, need in enumerate(needs):
+            left = 1.0
+            while left > 0.0:
+                room = min(
+                    (f / q for f, q in zip(free[k], need) if q > 0), default=math.inf
+                )
+                if room >= left - _FIT_SLACK or k == n - 1:
+                    take = left
+                else:
+                    take = room if room > _FIT_SLACK else 0.0
+                if take > 0.0:
+                    rows[c, k] = take
+                    free[k] = [f - take * q for f, q in zip(free[k], need)]
+                    left -= take
+                if left > 0.0:
+                    k += 1
+        fractions = rows[labels]
+        split = int(np.count_nonzero(np.count_nonzero(rows, axis=1) > 1))
+        span.set(components=len(groups), split=split)
+    stats = LPStats(
+        num_variables=t * n,
+        num_constraints=0,
+        num_nonzeros=int(np.count_nonzero(fractions)),
+        solve_seconds=span.duration,
+        iterations=0,
+    )
+    return FractionalPlacement(problem, fractions, 0.0, stats)
 
-    def matrix(self, problem: PlacementProblem) -> tuple[np.ndarray | None, int]:
-        """Map the stored rows onto ``problem``'s index space.
 
-        Returns ``(x0, hits)`` where ``hits`` counts objects whose
-        previous fractions were found; unmatched objects get uniform
-        rows.  Returns ``(None, 0)`` when nothing matches (node set
-        changed entirely, or disjoint objects) — a cold start.
-        """
-        n = problem.num_nodes
-        columns = {node: k for k, node in enumerate(self.node_ids)}
-        node_map = [columns.get(node) for node in problem.node_ids]
-        if all(k is None for k in node_map):
-            return None, 0
-        x0 = np.full((problem.num_objects, n), 1.0 / n)
-        hits = 0
-        for i, obj in enumerate(problem.object_ids):
-            row = self.rows.get(obj)
-            if row is None:
-                continue
-            mapped = np.full(n, 0.0)
-            for k, source in enumerate(node_map):
-                if source is not None and source < len(row):
-                    mapped[k] = row[source]
-            total = mapped.sum()
-            if total > 0:
-                x0[i] = mapped / total
-                hits += 1
-        if hits == 0:
-            return None, 0
-        return x0, hits
-
-
-def build_placement_lp(problem: PlacementProblem) -> LinearProgram:
+def build_placement_lp(problem: PlacementProblem) -> "LinearProgram":
     """Construct the relaxed LP of Figure 4 for ``problem``.
 
     Variable layout: ``x[i,k]`` at index ``i*n + k``; ``y`` variables
@@ -158,11 +186,10 @@ def build_placement_lp(problem: PlacementProblem) -> LinearProgram:
     optimum), matching the paper's restriction to ``r(i,j) > 0``.
 
     All ``O(|E||N|)`` rows are assembled as whole COO blocks through
-    :meth:`~repro.lpsolve.LinearProgram.add_constraints_from_arrays`;
-    the resulting program is identical — same variable and constraint
-    names, same row and triplet order — to the per-row reference
-    :func:`_build_placement_lp_loop`.
+    :meth:`~repro.lpsolve.LinearProgram.add_constraints_from_arrays`.
     """
+    from repro.lpsolve import LinearProgram, Sense
+
     t, n = problem.num_objects, problem.num_nodes
     lp = LinearProgram(f"cca-{t}x{n}")
 
@@ -249,97 +276,20 @@ def build_placement_lp(problem: PlacementProblem) -> LinearProgram:
     return lp
 
 
-def _build_placement_lp_loop(problem: PlacementProblem) -> LinearProgram:
-    """Per-row reference assembly of the Figure 4 LP.
-
-    Kept as the equivalence oracle for :func:`build_placement_lp` (the
-    property tests assert identical program state) and as the "before"
-    side of the ``repro bench`` LP-assembly scenario.
-    """
-    t, n = problem.num_objects, problem.num_nodes
-    lp = LinearProgram(f"cca-{t}x{n}")
-
-    for i in range(t):
-        for k in range(n):
-            lp.add_variable(f"x[{i},{k}]", lower=0.0, upper=1.0)
-
-    active_pairs = np.where(problem.pair_weights > 0)[0]
-    for p in active_pairs:
-        i, j = problem.pair_index[p]
-        weight = problem.pair_weights[p]
-        for k in range(n):
-            lp.add_variable(f"y[{i},{j},{k}]", lower=0.0, objective=weight)
-
-    for i in range(t):
-        lp.add_constraint(
-            [(i * n + k, 1.0) for k in range(n)], Sense.EQ, 1.0, f"assign[{i}]"
-        )
-
-    y_base = t * n
-    for idx, p in enumerate(active_pairs):
-        i, j = problem.pair_index[p]
-        for k in range(n):
-            y_var = y_base + idx * n + k
-            xi, xj = i * n + k, j * n + k
-            lp.add_constraint(
-                [(y_var, 1.0), (xi, -1.0), (xj, 1.0)], Sense.GE, 0.0
-            )
-
-    for k in range(n):
-        cap = problem.capacities[k]
-        if np.isfinite(cap):
-            lp.add_constraint(
-                [(i * n + k, float(problem.sizes[i])) for i in range(t)],
-                Sense.LE,
-                float(cap),
-                f"capacity[{k}]",
-            )
-
-    for spec in problem.resources:
-        for k in range(n):
-            budget = spec.budgets[k]
-            if not np.isfinite(budget):
-                continue
-            terms = [
-                (i * n + k, float(spec.loads[i]))
-                for i in range(t)
-                if spec.loads[i] > 0
-            ]
-            if terms:
-                lp.add_constraint(
-                    terms, Sense.LE, float(budget), f"{spec.name}[{k}]"
-                )
-    return lp
-
-
 def solve_placement_lp(
-    problem: PlacementProblem,
-    backend: str = "auto",
-    time_limit: float | None = None,
-    iteration_limit: int | None = None,
-    warm_start: WarmStart | None = None,
+    problem: PlacementProblem, backend: str = "auto"
 ) -> FractionalPlacement:
-    """Solve the relaxed placement LP and extract the fractional scheme.
+    """Solve the Figure 4 LP with HiGHS: the test oracle.
+
+    Planning never calls this — :func:`pack_components` gives an
+    optimum in closed form.  The tests solve the explicit program to
+    check that claim (objective 0, same feasibility) and to reproduce
+    the paper's formulation.
 
     Args:
         problem: The CCA instance.
-        backend: Relaxation backend name: ``"auto"``, ``"highs"``,
-            ``"highs-ipm"``, or ``"simplex"`` solve the Figure 4 LP
-            exactly; ``"fo"`` runs the first-order projected-gradient
-            solver (:mod:`repro.lpsolve.firstorder`) on the same
-            objective — approximate but 10-100x more scalable and warm-
-            startable.
-        time_limit: Optional solver wall-clock budget in seconds; for
-            LP backends an exceeded budget surfaces as
-            :class:`SolverError`, which the resilient planning chain
-            treats as "try the next backend"; the first-order backend
-            instead returns its current iterate (and loses byte-
-            reproducibility — leave unset for deterministic runs).
-        iteration_limit: Optional solver iteration budget, same
-            semantics for LP backends; caps the first-order backend
-            deterministically.
-        warm_start: Optional previous fractional solution; consumed
-            only by the ``"fo"`` backend (LP backends ignore it).
+        backend: HiGHS method: ``"auto"``, ``"highs"``, or
+            ``"highs-ipm"``.
 
     Returns:
         The optimal :class:`FractionalPlacement`.
@@ -347,20 +297,14 @@ def solve_placement_lp(
     Raises:
         InfeasibleProblemError: If the capacities cannot hold the
             objects (detected up front or reported by the solver).
-        SolverError: On unexpected solver failure, including an
-            exhausted time or iteration budget.
+        SolverError: On unexpected solver failure.
     """
+    from repro.lpsolve import LPStatus
+
     if problem.is_trivially_infeasible():
         raise InfeasibleProblemError(
             f"total object size {problem.total_size:.6g} exceeds "
             f"total capacity {problem.total_capacity:.6g}"
-        )
-    if backend == "fo":
-        return _solve_placement_first_order(
-            problem,
-            time_limit=time_limit,
-            iteration_limit=iteration_limit,
-            warm_start=warm_start,
         )
     with obs.span("lp", objects=problem.num_objects, nodes=problem.num_nodes):
         with obs.span("lp.build"):
@@ -369,11 +313,7 @@ def solve_placement_lp(
         obs.gauge("lp.num_constraints").set(lp.num_constraints)
         obs.gauge("lp.num_nonzeros").set(lp.num_nonzeros)
         with obs.timed("lp.solve", backend=backend) as solve_span:
-            result = lp.solve(
-                backend=backend,
-                time_limit=time_limit,
-                iteration_limit=iteration_limit,
-            )
+            result = lp.solve(backend=backend)
         elapsed = solve_span.duration
         solve_span.set(status=result.status.name, iterations=result.iterations)
         obs.histogram("lp.solve_seconds").observe(elapsed)
@@ -412,94 +352,4 @@ def solve_placement_lp(
     )
     return FractionalPlacement(
         problem, fractions, float(result.objective), stats, capacity_duals
-    )
-
-
-def _solve_placement_first_order(
-    problem: PlacementProblem,
-    time_limit: float | None,
-    iteration_limit: int | None,
-    warm_start: WarmStart | None,
-) -> FractionalPlacement:
-    """Solve the relaxation approximately with the first-order backend.
-
-    The gradient solver works on the compact ``(t, n)`` fractional
-    matrix directly — no ``y`` variables, no explicit rows — so the
-    reported :class:`LPStats` describe that formulation (``t*n``
-    variables, one "constraint" per simplex row and per capacity-like
-    budget).  One semantic caveat: ``lower_bound`` here is the relaxed
-    objective *at the returned iterate*, an upper bound on the true LP
-    optimum rather than a certified lower bound on the integral cost.
-    The optimality-gap harness (``repro gap``) exists to measure what
-    that approximation costs.
-
-    Emits one ``plan.warm_start`` journal record per solve with the
-    warm/cold decision and iteration count.
-    """
-    from repro.lpsolve.firstorder import FirstOrderOptions, solve_first_order
-
-    t, n = problem.num_objects, problem.num_nodes
-    x0 = None
-    hits = 0
-    if warm_start is not None:
-        x0, hits = warm_start.matrix(problem)
-    warm = x0 is not None
-
-    knobs: dict[str, Any] = {"time_limit": time_limit}
-    if iteration_limit is not None:
-        knobs["max_iterations"] = iteration_limit
-    options = FirstOrderOptions(**knobs)
-
-    with obs.span("lp", objects=t, nodes=n, backend="fo"):
-        finite_caps = int(np.isfinite(problem.capacities).sum())
-        budget_rows = sum(
-            int(np.isfinite(spec.budgets).sum()) for spec in problem.resources
-        )
-        obs.gauge("lp.num_variables").set(t * n)
-        obs.gauge("lp.num_constraints").set(t + finite_caps + budget_rows)
-        with obs.timed("lp.solve", backend="fo") as solve_span:
-            solution = solve_first_order(
-                problem.sizes,
-                problem.capacities,
-                problem.pair_index,
-                problem.pair_weights,
-                n,
-                resources=tuple(
-                    (np.asarray(spec.loads), np.asarray(spec.budgets))
-                    for spec in problem.resources
-                ),
-                x0=x0,
-                warm=warm,
-                options=options,
-            )
-        elapsed = solve_span.duration
-        solve_span.set(
-            status="CONVERGED" if solution.converged else "ITERATION_LIMIT",
-            iterations=solution.iterations,
-        )
-        obs.histogram("lp.solve_seconds").observe(elapsed)
-        obs.counter("lp.solves").inc()
-        obs.record(
-            "plan.warm_start",
-            backend="fo",
-            warm="hit" if warm else ("miss" if warm_start is not None else "off"),
-            hits=hits,
-            objects=t,
-            iterations=solution.iterations,
-            converged=solution.converged,
-        )
-
-    stats = LPStats(
-        num_variables=t * n,
-        num_constraints=t + finite_caps + budget_rows,
-        num_nonzeros=int(2 * np.count_nonzero(problem.pair_weights) + t * n),
-        solve_seconds=elapsed,
-        iterations=solution.iterations,
-    )
-    return FractionalPlacement(
-        problem,
-        solution.fractions,
-        float(solution.objective),
-        stats,
-        capacity_duals=solution.duals,
     )

@@ -8,8 +8,11 @@ evaluation (Section 4) runs them:
 2. Place every out-of-scope object by random MD5 hashing.
 3. Build conservative per-node capacities for the in-scope LP — the
    paper uses twice the average per-node load (Section 4.1).
-4. Solve the relaxed LP (Section 2.2) and round it with best-of-``k``
-   randomized rounding (Algorithm 2.1, Section 2.3).
+4. Take an optimum of the relaxed LP (Section 2.2) in closed form —
+   correlation components packed into node capacity
+   (:func:`~repro.core.lp.pack_components`, DESIGN.md §5.1) — and round
+   it with best-of-``k`` randomized rounding (Algorithm 2.1, Section
+   2.3), repairing a draw that overflows the capacities.
 5. Merge the two partial placements into a total placement.
 """
 
@@ -22,16 +25,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import obs
-from repro.core.decompose import component_subproblems
 from repro.core.greedy import greedy_placement
 from repro.core.hashing import hash_node
 from repro.core.importance import top_important
-from repro.core.lp import (
-    FractionalPlacement,
-    LPStats,
-    WarmStart,
-    solve_placement_lp,
-)
+from repro.core.lp import FractionalPlacement, LPStats, pack_components
 from repro.core.placement import Placement
 from repro.core.problem import ObjectId, PlacementProblem
 from repro.core.repair import repair_capacity
@@ -47,10 +44,11 @@ class LPRRResult:
 
     Attributes:
         placement: Total placement over the full problem.
-        scope_objects: Object ids that went through the LP.
+        scope_objects: Object ids that went through the relaxation.
         lp_lower_bound: LP optimum of the scoped subproblem — the
-            expected rounded cost over in-scope pairs (Theorem 2).
-        lp_stats: LP size and solve statistics.
+            expected rounded cost over in-scope pairs (Theorem 2); 0
+            for the packed closed form.
+        lp_stats: Size and packing time of the fractional placement.
         rounding: Details of the randomized-rounding trials.
         effective_capacities: The conservative per-node capacities the
             LP actually used.
@@ -59,12 +57,7 @@ class LPRRResult:
             :func:`repro.core.repair.repair_capacity`.
         from_cache: Whether this result was served from a
             :class:`~repro.parallel.cache.PlanCache` instead of being
-            computed (the LP solve and rounding were skipped).
-        fractional: The scoped fractional solution itself, carried so
-            a later replan can warm-start the first-order backend from
-            it (see :class:`~repro.core.lp.WarmStart`).  ``None`` for
-            decomposed plans and for cached artifacts written before
-            warm-start support.
+            computed (packing and rounding were skipped).
     """
 
     placement: Placement
@@ -75,7 +68,6 @@ class LPRRResult:
     effective_capacities: np.ndarray
     repaired: bool
     from_cache: bool = False
-    fractional: FractionalPlacement | None = None
 
     @property
     def cost(self) -> float:
@@ -97,7 +89,7 @@ class LPRRResult:
 
 
 class LPRRPlanner:
-    """Correlation-aware planner using LP relaxation + randomized rounding.
+    """Correlation-aware planner: relaxation optimum + randomized rounding.
 
     Args:
         scope: Number of most-important objects to optimize; ``None``
@@ -110,56 +102,25 @@ class LPRRPlanner:
         capacity_tolerance: Relative slack when judging a rounding
             trial feasible (Theorem 3 only bounds the *expected* load).
         seed: Seed for the rounding randomness.
-        backend: Relaxation backend (``"auto"``, ``"highs"``,
-            ``"highs-ipm"``, ``"simplex"``, or ``"fo"`` for the
-            first-order solver — see docs/SOLVERS.md).
-        rounding: ``"randomized"`` (default) runs the paper's
-            best-of-``k`` dependent rounding; ``"argmax"`` rounds each
-            row to its largest fraction and repairs capacity greedily
-            — deterministic without a seed, and the natural partner of
-            the ``"fo"`` backend, whose annealed iterates are already
-            near-integral (randomized rounding remains available for
-            any backend combination).
         hash_salt: Salt for the out-of-scope hash placement.
         repair: When True (default), a rounded placement that exceeds
             the effective capacities beyond ``capacity_tolerance`` is
             repaired by minimum-cost migrations (an engineering
             addition beyond the paper; see :mod:`repro.core.repair`).
-        decompose: When True, solve one LP per connected component of
-            the correlation graph instead of one monolithic LP — same
-            results under conservative capacities (components only
-            interact through capacity, which the relaxation treats in
-            expectation), drastically faster at wide scopes.
         jobs: Execution engine selector.  ``None`` (default) is the
-            legacy serial path, byte-identical to pre-parallel releases
-            for the same seed.  Any integer ``>= 1`` selects the
-            deterministic parallel engine: rounding trials (and, with
-            ``decompose``, per-component LPs) use per-task seeds
-            spawned from ``seed``, run inline when ``jobs == 1`` and on
-            a process pool of that size when larger — the placement is
-            identical for every ``jobs`` value.  Negative means one
-            worker per CPU.
+            legacy serial rounding stream.  Any integer ``>= 1``
+            selects the deterministic parallel engine: rounding trials
+            use per-trial seeds spawned from ``seed``, run inline when
+            ``jobs == 1`` and on a process pool of that size when
+            larger — the placement is identical for every ``jobs``
+            value.  Negative means one worker per CPU.
         cache: Optional :class:`~repro.parallel.cache.PlanCache`.  When
-            set, whole plans and LP solutions are memoized by problem
-            fingerprint + configuration signature; a warm replan skips
-            the LP solve entirely and returns a result flagged
-            ``from_cache=True``.  A cached artifact that parses but no
-            longer deserializes (half-written, schema drift) degrades
-            to a miss (``cache.corrupt`` counter) instead of failing
-            the plan.
-        lp_time_limit: Optional LP solver wall-clock budget in seconds;
-            an exhausted budget raises
-            :class:`~repro.exceptions.SolverError` (the resilient
-            planning chain catches it and falls back).
-        lp_iteration_limit: Optional LP solver iteration budget, same
-            semantics.
-        warm_start: Optional :class:`~repro.core.lp.WarmStart` from a
-            previous plan's ``fractional``; consumed only by the
-            ``"fo"`` backend, where it skips the annealing phase and
-            typically converges in a fraction of the cold iterations.
-            A warm-started plan bypasses the plan and LP caches in
-            both directions (its result depends on state outside the
-            cache signature).
+            set, whole plans are memoized by problem fingerprint +
+            configuration signature; a replan of an unchanged problem
+            returns the stored result flagged ``from_cache=True``.  A
+            cached artifact that parses but no longer deserializes
+            (half-written, schema drift) degrades to a miss
+            (``cache.corrupt`` counter) instead of failing the plan.
 
     Example:
         >>> import numpy as np
@@ -180,45 +141,24 @@ class LPRRPlanner:
         rounding_trials: int = 10,
         capacity_tolerance: float = 0.05,
         seed: int | None = None,
-        backend: str = "auto",
         hash_salt: str = "",
         repair: bool = True,
-        decompose: bool = False,
         jobs: int | None = None,
         cache: "PlanCache | None" = None,
-        lp_time_limit: float | None = None,
-        lp_iteration_limit: int | None = None,
-        rounding: str = "randomized",
-        warm_start: WarmStart | None = None,
     ):
         if scope is not None and scope < 1:
             raise ValueError("scope must be positive (or None for full scope)")
         if capacity_factor is not None and capacity_factor <= 0:
             raise ValueError("capacity_factor must be positive")
-        if rounding not in ("randomized", "argmax"):
-            raise ValueError(
-                f"unknown rounding {rounding!r}; use 'randomized' or 'argmax'"
-            )
         self.scope = scope
         self.capacity_factor = capacity_factor
         self.rounding_trials = rounding_trials
         self.capacity_tolerance = capacity_tolerance
         self.seed = seed
-        self.backend = backend
-        self.rounding = rounding
         self.hash_salt = hash_salt
         self.repair = repair
-        self.decompose = decompose
         self.jobs = jobs
         self.cache = cache
-        self.lp_time_limit = lp_time_limit
-        self.lp_iteration_limit = lp_iteration_limit
-        self.warm_start = warm_start
-        # Filled by each _plan call: backend name, warm-start outcome
-        # ("hit"/"miss"/"off"), matched-object count, solver iterations,
-        # and argmax repair moves.  Planner strategies copy this into
-        # PlanResult.diagnostics.
-        self.last_solver_info: dict = {}
 
     def _signature(self) -> str:
         """Canonical configuration signature for cache keying.
@@ -227,7 +167,8 @@ class LPRRPlanner:
         worker-count-independent by construction, so plans computed at
         any parallelism are interchangeable.  The *engine* is included
         because the legacy sequential-stream path and the spawned-seed
-        path round differently for the same seed.
+        path round differently for the same seed, and the relaxation
+        is named so plans rounded from a solver's vertex never match.
         """
         knobs = {
             "scope": self.scope,
@@ -235,37 +176,25 @@ class LPRRPlanner:
             "rounding_trials": self.rounding_trials,
             "capacity_tolerance": self.capacity_tolerance,
             "seed": self.seed,
-            "backend": self.backend,
+            "relaxation": "packed-components",
             "hash_salt": self.hash_salt,
             "repair": self.repair,
-            "decompose": self.decompose,
             # "spawned-seeds-batched" invalidates caches written by the
             # pre-batched engine, whose trials drew rounds one at a time
             # instead of in pre-drawn blocks.
             "engine": "legacy" if self.jobs is None else "spawned-seeds-batched",
         }
-        # Solve limits and non-default rounding join the key only when
-        # set, so existing caches stay valid for the (default)
-        # unlimited randomized configuration.
-        if self.lp_time_limit is not None:
-            knobs["lp_time_limit"] = self.lp_time_limit
-        if self.lp_iteration_limit is not None:
-            knobs["lp_iteration_limit"] = self.lp_iteration_limit
-        if self.rounding != "randomized":
-            knobs["rounding"] = self.rounding
         return json.dumps(knobs, sort_keys=True)
 
     def plan(self, problem: PlacementProblem) -> LPRRResult:
         """Compute a correlation-aware placement for ``problem``.
 
         With a cache configured, a fingerprint hit returns the stored
-        result (``from_cache=True``) without building or solving any
-        LP; otherwise the freshly planned result is stored before
-        returning.  A warm-started plan skips the cache in both
-        directions: its result depends on the previous fractional
-        solution, which is not part of the cache signature.
+        result (``from_cache=True``) without packing or rounding;
+        otherwise the freshly planned result is stored before
+        returning.
         """
-        if self.cache is None or self.warm_start is not None:
+        if self.cache is None:
             return self._plan(problem)
 
         from repro.parallel.cache import problem_fingerprint, signature_key
@@ -291,52 +220,8 @@ class LPRRPlanner:
         self.cache.store("plan", key, result.to_dict())
         return result
 
-    def _solve_lp(self, subproblem: PlacementProblem) -> FractionalPlacement:
-        """Solve the scoped LP, consulting the ``lp`` cache when set.
-
-        LP artifacts are keyed by subproblem + backend only, so a
-        replan with a different seed or trial count still reuses the
-        expensive solve and only re-rounds.  Warm-started solves skip
-        the cache (same reasoning as in :meth:`plan`).
-        """
-        if self.cache is None or self.warm_start is not None:
-            return self._solve_lp_fresh(subproblem)
-
-        from repro.core.serialization import (
-            fractional_from_dict,
-            fractional_to_dict,
-        )
-        from repro.parallel.cache import problem_fingerprint, signature_key
-
-        key = signature_key(
-            problem_fingerprint(subproblem),
-            json.dumps({"backend": self.backend}, sort_keys=True),
-        )
-        doc = self.cache.load("lp", key)
-        if doc is not None:
-            try:
-                with obs.span("lprr.lp.cached", objects=subproblem.num_objects):
-                    return fractional_from_dict(doc, subproblem)
-            except Exception:
-                obs.counter("cache.corrupt").inc()
-                obs.counter("cache.lp.corrupt").inc()
-        fractional = self._solve_lp_fresh(subproblem)
-        self.cache.store("lp", key, fractional_to_dict(fractional))
-        return fractional
-
-    def _solve_lp_fresh(self, subproblem: PlacementProblem) -> FractionalPlacement:
-        return solve_placement_lp(
-            subproblem,
-            backend=self.backend,
-            time_limit=self.lp_time_limit,
-            iteration_limit=self.lp_iteration_limit,
-            warm_start=self.warm_start,
-        )
-
     def _round(self, fractional: FractionalPlacement) -> RoundingResult:
-        """Round per ``self.rounding`` via the engine selected by ``jobs``."""
-        if self.rounding == "argmax":
-            return self._round_argmax(fractional)
+        """Best-of-``k`` rounding via the engine selected by ``jobs``."""
         if self.jobs is None:
             return round_best_of(
                 fractional,
@@ -352,36 +237,6 @@ class LPRRPlanner:
             root_seed=self.seed,
             jobs=self.jobs,
             capacity_tolerance=self.capacity_tolerance,
-        )
-
-    def _round_argmax(self, fractional: FractionalPlacement) -> RoundingResult:
-        """Deterministic rounding: per-row argmax + greedy repair.
-
-        A single trial with no randomness; capacity overflow is
-        repaired greedily along the fractions (see
-        :func:`repro.lpsolve.firstorder.greedy_capacity_repair`), and
-        anything it cannot drain is left to the planner-level repair.
-        """
-        from repro.lpsolve.firstorder import greedy_capacity_repair, round_argmax
-
-        problem = fractional.problem
-        assignment = round_argmax(fractional.fractions)
-        assignment, moves = greedy_capacity_repair(
-            assignment,
-            fractional.fractions,
-            problem.sizes,
-            problem.capacities,
-            tolerance=self.capacity_tolerance,
-        )
-        self.last_solver_info["repair_moves"] = moves
-        placement = Placement(problem, assignment)
-        cost = placement.communication_cost()
-        return RoundingResult(
-            placement=placement,
-            cost=cost,
-            trials=1,
-            trial_costs=(cost,),
-            rounds=0,
         )
 
     def _plan(self, problem: PlacementProblem) -> LPRRResult:
@@ -410,24 +265,8 @@ class LPRRPlanner:
 
             capacities = self._effective_capacities(problem, scoped_ids)
             subproblem = problem.subproblem(scoped_ids, capacities=capacities)
-            self.last_solver_info = {"backend": self.backend}
-            if self.backend == "fo":
-                if self.warm_start is None:
-                    self.last_solver_info["warm_start"] = "off"
-                else:
-                    _, hits = self.warm_start.matrix(subproblem)
-                    self.last_solver_info["warm_start"] = "hit" if hits else "miss"
-                    self.last_solver_info["warm_hits"] = hits
-            fractional = None
-            with obs.span("lprr.lp", decompose=self.decompose):
-                if self.decompose:
-                    rounding, lower_bound, stats = self._plan_decomposed(subproblem)
-                else:
-                    fractional = self._solve_lp(subproblem)
-                    rounding = self._round(fractional)
-                    lower_bound = fractional.lower_bound
-                    stats = fractional.stats
-            self.last_solver_info["iterations"] = stats.iterations
+            fractional = pack_components(subproblem)
+            rounding = self._round(fractional)
             scoped_placement = rounding.placement
             repaired = False
             if self.repair and not scoped_placement.is_feasible(
@@ -461,116 +300,19 @@ class LPRRPlanner:
             placement = Placement(problem, assignment)
             plan_span.set(
                 repaired=repaired,
-                lp_lower_bound=float(lower_bound),
+                lp_lower_bound=fractional.lower_bound,
                 cost=placement.communication_cost(),
             )
         obs.counter("lprr.plans").inc()
         return LPRRResult(
             placement=placement,
             scope_objects=tuple(scoped_ids),
-            lp_lower_bound=lower_bound,
-            lp_stats=stats,
+            lp_lower_bound=fractional.lower_bound,
+            lp_stats=fractional.stats,
             rounding=rounding,
             effective_capacities=capacities,
             repaired=repaired,
-            fractional=fractional,
         )
-
-    def _plan_decomposed(
-        self, subproblem: PlacementProblem
-    ) -> tuple[RoundingResult, float, LPStats]:
-        """Solve and round one LP per correlation component.
-
-        Singleton components (no correlated partner) are hash-placed;
-        component roundings are independent, exactly like the rounding
-        of a monolithic LP whose optimal rows are identical within each
-        component.  With ``jobs`` set, components fan out across the
-        process pool (see :func:`repro.parallel.solve_components`);
-        otherwise the legacy sequential loop runs.
-        """
-        assignment = np.empty(subproblem.num_objects, dtype=np.int64)
-        components, leftovers = component_subproblems(
-            subproblem, capacities=subproblem.capacities
-        )
-        for obj in leftovers:
-            assignment[subproblem.object_index(obj)] = hash_node(
-                obj, subproblem.num_nodes, self.hash_salt
-            )
-
-        lower_bound = 0.0
-        total_vars = total_cons = total_nnz = 0
-        total_seconds = 0.0
-        total_iterations = 0
-        total_rounds = 0
-        # Argmax rounding has no per-trial seed streams to spawn, so
-        # the parallel fan-out buys nothing over the sequential loop.
-        if self.jobs is None or self.rounding == "argmax":
-            base_seed = 0 if self.seed is None else self.seed
-            for index, component in enumerate(components):
-                with obs.span(
-                    "lprr.component", index=index, objects=component.num_objects
-                ):
-                    fractional = self._solve_lp(component)
-                    lower_bound += fractional.lower_bound
-                    total_vars += fractional.stats.num_variables
-                    total_cons += fractional.stats.num_constraints
-                    total_nnz += fractional.stats.num_nonzeros
-                    total_seconds += fractional.stats.solve_seconds
-                    total_iterations += fractional.stats.iterations
-                    if self.rounding == "argmax":
-                        rounding = self._round_argmax(fractional)
-                    else:
-                        rounding = round_best_of(
-                            fractional,
-                            trials=self.rounding_trials,
-                            rng=base_seed + index,
-                            capacity_tolerance=self.capacity_tolerance,
-                        )
-                total_rounds += rounding.rounds
-                for local_i, obj in enumerate(component.object_ids):
-                    assignment[subproblem.object_index(obj)] = (
-                        rounding.placement.assignment[local_i]
-                    )
-        else:
-            from repro.parallel import solve_components
-
-            outcomes = solve_components(
-                components,
-                backend=self.backend,
-                trials=self.rounding_trials,
-                root_seed=self.seed,
-                jobs=self.jobs,
-                capacity_tolerance=self.capacity_tolerance,
-            )
-            for outcome in outcomes:
-                lower_bound += outcome.lower_bound
-                total_vars += outcome.stats.num_variables
-                total_cons += outcome.stats.num_constraints
-                total_nnz += outcome.stats.num_nonzeros
-                total_seconds += outcome.stats.solve_seconds
-                total_iterations += outcome.stats.iterations
-                total_rounds += outcome.rounds
-                for local_i, obj in enumerate(outcome.object_ids):
-                    assignment[subproblem.object_index(obj)] = (
-                        outcome.assignment[local_i]
-                    )
-
-        merged = Placement(subproblem, assignment)
-        stats = LPStats(
-            num_variables=total_vars,
-            num_constraints=total_cons,
-            num_nonzeros=total_nnz,
-            solve_seconds=total_seconds,
-            iterations=total_iterations,
-        )
-        aggregate = RoundingResult(
-            placement=merged,
-            cost=merged.communication_cost(),
-            trials=self.rounding_trials,
-            trial_costs=(merged.communication_cost(),),
-            rounds=total_rounds,
-        )
-        return aggregate, lower_bound, stats
 
     def _effective_capacities(
         self, problem: PlacementProblem, scoped_ids: list[ObjectId]

@@ -1,16 +1,15 @@
 """JSON persistence for problems, placements, and result objects.
 
-Offline optimization (the paper's model: heavy LP runs happen out of
-band) needs durable artifacts: the problem snapshot the optimizer saw
+Offline optimization (the paper's model: planning happens out of band)
+needs durable artifacts: the problem snapshot the optimizer saw
 and the placement it produced.  Both serialize to a stable JSON schema
 with embedded schema-version tags for forward compatibility.
 
 Beyond problems and placements, this module is the single source of
 truth for the ``to_dict()``/``from_dict()`` contract shared by the
 pipeline's result dataclasses — :class:`~repro.core.rounding.RoundingResult`,
-:class:`~repro.core.lprr.LPRRResult`,
-:class:`~repro.search.engine.EvaluationSummary`, and the LP's
-:class:`~repro.core.lp.FractionalPlacement` — so the CLI's JSON output,
+:class:`~repro.core.lprr.LPRRResult`, and
+:class:`~repro.search.engine.EvaluationSummary` — so the CLI's JSON output,
 the plan cache (:mod:`repro.parallel.cache`), and experiment reports
 all speak one schema.  Result documents that embed a placement store it
 as an ``assignment`` array aligned with the problem's object order plus
@@ -34,7 +33,6 @@ from repro.core.resources import ResourceSpec
 from repro.exceptions import TraceFormatError
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid cycles
-    from repro.core.lp import FractionalPlacement
     from repro.core.lprr import LPRRResult
     from repro.core.rounding import RoundingResult
     from repro.search.engine import EvaluationSummary
@@ -45,7 +43,6 @@ PG_MAP_SCHEMA = "repro/pg-map/v1"
 ROUNDING_RESULT_SCHEMA = "repro/rounding-result/v1"
 LPRR_RESULT_SCHEMA = "repro/lprr-result/v1"
 EVALUATION_SUMMARY_SCHEMA = "repro/evaluation-summary/v1"
-FRACTIONAL_SCHEMA = "repro/fractional/v1"
 PLAN_RESULT_SCHEMA = "repro/plan-result/v1"
 
 
@@ -298,11 +295,6 @@ def lprr_result_to_dict(result: "LPRRResult") -> dict:
         "rounding": rounding_result_to_dict(result.rounding),
         **_assignment_fields(result.placement),
     }
-    # Optional: the scoped fractional solution, carried for warm
-    # starts.  Absent on decomposed plans and pre-warm-start artifacts;
-    # from_dict tolerates either.
-    if result.fractional is not None:
-        doc["fractional"] = fractional_to_dict(result.fractional)
     return doc
 
 
@@ -320,9 +312,6 @@ def lprr_result_from_dict(data: dict, problem: PlacementProblem) -> "LPRRResult"
             [_decode_capacity(c) for c in data["effective_capacities"]]
         )
         subproblem = problem.subproblem(scope_objects, capacities=capacities)
-        fractional = None
-        if "fractional" in data:
-            fractional = fractional_from_dict(data["fractional"], subproblem)
         return LPRRResult(
             placement=Placement(
                 problem, np.asarray(data["assignment"], dtype=np.int64)
@@ -333,7 +322,6 @@ def lprr_result_from_dict(data: dict, problem: PlacementProblem) -> "LPRRResult"
             rounding=rounding_result_from_dict(data["rounding"], subproblem),
             effective_capacities=capacities,
             repaired=bool(data["repaired"]),
-            fractional=fractional,
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise TraceFormatError(f"malformed LPRR result: {exc}") from exc
@@ -366,49 +354,3 @@ def evaluation_summary_from_dict(data: dict) -> "EvaluationSummary":
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed evaluation summary: {exc}") from exc
-
-
-def fractional_to_dict(fractional: "FractionalPlacement") -> dict:
-    """A :class:`~repro.core.lp.FractionalPlacement` as a dict.
-
-    Used by the plan cache's ``lp`` artifacts: the fractions matrix is
-    the expensive part of the pipeline, and round-tripping it exactly
-    lets a replan re-round without re-solving.
-    """
-    duals = fractional.capacity_duals
-    return {
-        "schema": FRACTIONAL_SCHEMA,
-        "objects": [str(obj) for obj in fractional.problem.object_ids],
-        "fractions": [[float(x) for x in row] for row in fractional.fractions],
-        "lower_bound": float(fractional.lower_bound),
-        "stats": lp_stats_to_dict(fractional.stats),
-        "capacity_duals": (
-            None if duals is None else [float(d) for d in duals]
-        ),
-    }
-
-
-def fractional_from_dict(
-    data: dict, problem: PlacementProblem
-) -> "FractionalPlacement":
-    """Rebuild a fractional LP solution against its problem."""
-    from repro.core.lp import FractionalPlacement
-
-    _check_schema(data, FRACTIONAL_SCHEMA)
-    _check_objects(data, problem)
-    try:
-        fractions = np.asarray(data["fractions"], dtype=float)
-        if fractions.shape != (problem.num_objects, problem.num_nodes):
-            raise TraceFormatError(
-                f"fractions shape {fractions.shape} does not match problem"
-            )
-        duals = data.get("capacity_duals")
-        return FractionalPlacement(
-            problem=problem,
-            fractions=fractions,
-            lower_bound=float(data["lower_bound"]),
-            stats=lp_stats_from_dict(data["stats"]),
-            capacity_duals=None if duals is None else np.asarray(duals, dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"malformed fractional placement: {exc}") from exc

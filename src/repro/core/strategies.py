@@ -4,8 +4,8 @@ This module is the registry of placement planners and the home of the
 unified planning surface:
 
 * :class:`PlanConfig` — every knob a planning run can carry (scope,
-  seed, rounding trials, LP backend, parallel ``jobs``, plan-cache
-  location), in one frozen dataclass.
+  seed, rounding trials, parallel ``jobs``, plan-cache location), in
+  one frozen dataclass.
 * :class:`PlanResult` — what a planning run returns: the placement plus
   cost, wall-clock, diagnostics, and (for LPRR) the full
   :class:`~repro.core.lprr.LPRRResult`.
@@ -16,18 +16,11 @@ Besides the paper's three strategies (random hashing, greedy, LPRR),
 two classic correlation-oblivious controls are registered — round-robin
 and best-fit-decreasing — so experiments can separate "correlation
 awareness" from mere "load balancing".
-
-The pre-1.1 surface — bare ``PlacementStrategy`` callables mapping a
-problem straight to a :class:`~repro.core.placement.Placement`, looked
-up with :func:`get_strategy` — still works but is deprecated: the thin
-shims here emit :class:`DeprecationWarning` and will be removed two
-minor releases after 1.1 (see ``docs/API.md`` for the policy).  New
-code should use :func:`get_planner` / :func:`plan`.
 """
 
 from __future__ import annotations
 
-import warnings
+import importlib.util
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Protocol
@@ -165,20 +158,10 @@ class PlanConfig:
             of the scoped objects' average per-node load (the paper
             uses 2.0); ``None`` keeps the problem's own capacities.
         capacity_tolerance: Relative slack when judging feasibility.
-        backend: LP backend (``"auto"``, ``"highs"``, ``"highs-ipm"``,
-            or ``"simplex"``).
-        lp_time_limit: Wall-clock budget in seconds handed to the LP
-            backend; an over-budget solve raises
-            :class:`~repro.exceptions.SolverError` instead of hanging.
-            ``None`` means unlimited.
-        lp_iteration_limit: Iteration budget for the LP backend, with
-            the same over-budget behavior.  ``None`` means the
-            backend's default.
-        decompose: Solve one LP per correlation component.
         hash_salt: Salt for hash placements (baseline and out-of-scope).
         repair: Post-repair capacity-violating rounded placements.
-        jobs: Parallelism.  ``None`` selects the legacy serial engine
-            (byte-identical to pre-1.1 output for the same seed); an
+        jobs: Parallelism.  ``None`` selects the legacy serial
+            rounding stream; an
             integer ``>= 1`` selects the deterministic parallel engine,
             whose placements are identical for every ``jobs`` value
             (``1`` = inline serial fallback, ``>1`` = process pool,
@@ -196,11 +179,6 @@ class PlanConfig:
             flat every-node-its-own-domain model.  Replicated plans
             bypass the plan cache (the topology is not part of the
             cache signature).
-        warm_start: A :class:`~repro.core.lp.WarmStart` seeding the
-            first-order backend's fractional iterate; consumed only by
-            ``lprr:fo`` (and ``backend="fo"``), ignored everywhere
-            else.  Warm-started plans bypass the plan and LP caches
-            (the warm start is not part of the cache signature).
     """
 
     scope: int | PlanScope | None = None
@@ -208,10 +186,6 @@ class PlanConfig:
     rounding_trials: int = 10
     capacity_factor: float | None = 2.0
     capacity_tolerance: float = 0.05
-    backend: str = "auto"
-    lp_time_limit: float | None = None
-    lp_iteration_limit: int | None = None
-    decompose: bool = False
     hash_salt: str = ""
     repair: bool = True
     jobs: int | None = None
@@ -219,7 +193,6 @@ class PlanConfig:
     use_cache: bool = True
     replicas: int = 1
     topology: Any | None = None
-    warm_start: Any | None = None
 
     def with_options(self, **changes: Any) -> "PlanConfig":
         """A copy with the given fields replaced."""
@@ -273,14 +246,6 @@ class PlanResult:
     diagnostics: dict[str, Any] = field(default_factory=dict)
     details: Any | None = None
 
-    @property
-    def fractional(self) -> Any | None:
-        """The fractional LP solution when the planner carried one
-        (``lprr``/``lprr:fo`` exact-scope runs), else ``None``.  Used
-        by :class:`~repro.online.controller.OnlinePlanner` to build
-        the next replan's warm start."""
-        return getattr(self.details, "fractional", None)
-
     def to_dict(self) -> dict:
         """JSON-ready form sharing the serialization-module schema."""
         from repro.core.serialization import PLAN_RESULT_SCHEMA
@@ -309,17 +274,10 @@ class Planner(Protocol):
     ) -> PlanResult: ...
 
 
-class PlacementStrategy(Protocol):
-    """Deprecated: the pre-1.1 bare-callable strategy surface."""
-
-    def __call__(self, problem: PlacementProblem) -> Placement: ...
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 _PLANNERS: dict[str, Planner] = {}
-_LEGACY: dict[str, PlacementStrategy] = {}
 
 
 def register_planner(name: str) -> Callable[[Planner], Planner]:
@@ -417,12 +375,15 @@ _simple_planner(
 )
 
 
-def _round_robin(problem: PlacementProblem) -> Placement:
+def round_robin_placement(problem: PlacementProblem) -> Placement:
+    """Assign objects cyclically: object ``i`` to node ``i mod n``."""
     assignment = np.arange(problem.num_objects, dtype=np.int64) % problem.num_nodes
     return Placement(problem, assignment)
 
 
-_simple_planner("round_robin", lambda problem, config: _round_robin(problem))
+_simple_planner(
+    "round_robin", lambda problem, config: round_robin_placement(problem)
+)
 
 
 def best_fit_decreasing_placement(
@@ -516,13 +477,8 @@ def _lprr_planner(
         rounding_trials=config.rounding_trials,
         capacity_tolerance=config.capacity_tolerance,
         seed=config.seed,
-        backend=config.backend,
-        warm_start=config.warm_start if config.backend == "fo" else None,
-        lp_time_limit=config.lp_time_limit,
-        lp_iteration_limit=config.lp_iteration_limit,
         hash_salt=config.hash_salt,
         repair=config.repair,
-        decompose=config.decompose,
         jobs=config.jobs,
         cache=cache,
     )
@@ -537,11 +493,6 @@ def _lprr_planner(
         "jobs": config.jobs,
         "cache": cache_state,
     }
-    if config.backend == "fo":
-        solver_info = planner.last_solver_info
-        diagnostics["warm_start"] = solver_info.get("warm_start", "off")
-        diagnostics["warm_hits"] = solver_info.get("warm_hits", 0)
-        diagnostics["fo_iterations"] = solver_info.get("iterations", 0)
     return _finish("lprr", result.placement, span.duration, diagnostics, result)
 
 
@@ -554,56 +505,6 @@ def _lprr_pg_planner(
     from repro.pg.planner import plan_with_groups
 
     return plan_with_groups(problem, config=config)
-
-
-@register_planner("lprr:fo")
-def _lprr_fo_planner(
-    problem: PlacementProblem, *, config: PlanConfig = PlanConfig()
-) -> PlanResult:
-    """LPRR on the first-order backend: mean-field annealing over the
-    fractional placement, argmax rounding, greedy capacity repair.
-
-    Trades the LP's certified optimum for 10-100x more exact-scope
-    headroom, and accepts ``config.warm_start`` so consecutive online
-    replans skip the annealing phase entirely.
-    """
-    # Imported lazily to avoid a cycle (lprr composes other strategies).
-    from repro.core.lprr import LPRRPlanner
-
-    cache = config.make_cache()
-    planner = LPRRPlanner(
-        scope=config.scope_limit(problem),
-        capacity_factor=config.capacity_factor,
-        rounding_trials=1,
-        capacity_tolerance=config.capacity_tolerance,
-        seed=config.seed,
-        backend="fo",
-        rounding="argmax",
-        warm_start=config.warm_start,
-        lp_time_limit=config.lp_time_limit,
-        lp_iteration_limit=config.lp_iteration_limit,
-        hash_salt=config.hash_salt,
-        repair=config.repair,
-        decompose=config.decompose,
-        jobs=config.jobs,
-        cache=cache,
-    )
-    with obs.timed("plan", planner="lprr:fo") as span:
-        result = planner.plan(problem)
-    cache_state = "off" if cache is None else ("hit" if result.from_cache else "miss")
-    solver_info = planner.last_solver_info
-    diagnostics = {
-        "lp_lower_bound": float(result.lp_lower_bound),
-        "scope": len(result.scope_objects),
-        "repaired": result.repaired,
-        "jobs": config.jobs,
-        "cache": cache_state,
-        "warm_start": solver_info.get("warm_start", "off"),
-        "warm_hits": solver_info.get("warm_hits", 0),
-        "fo_iterations": solver_info.get("iterations", 0),
-        "repair_moves": solver_info.get("repair_moves", 0),
-    }
-    return _finish("lprr:fo", result.placement, span.duration, diagnostics, result)
 
 
 def _exact_cpsat_planner(
@@ -622,11 +523,7 @@ def _exact_cpsat_planner(
     from repro.lpsolve.cpsat_backend import solve_placement_cpsat
 
     with obs.timed("plan", planner="exact:cpsat") as span:
-        solution = solve_placement_cpsat(
-            problem,
-            time_limit=config.lp_time_limit,
-            seed=config.seed,
-        )
+        solution = solve_placement_cpsat(problem, seed=config.seed)
     diagnostics = {
         "status": solution.status,
         "objective_bound": float(solution.objective_bound),
@@ -638,17 +535,17 @@ def _exact_cpsat_planner(
 
 
 def _register_cpsat() -> None:
-    """Register ``exact:cpsat`` only when ortools is importable.
+    """Register ``exact:cpsat`` only when ortools is installed.
 
     The guard keeps ``available_planners()`` honest: every listed
     planner can actually plan.  Without the ``repro[exact]`` extra the
     name simply does not exist (an explicit request then fails with
     the registry's unknown-planner error, and the backend module's
-    install hint is one import away).
+    install hint is one import away).  The probe only looks ortools
+    up, so importing the registry loads neither ortools nor
+    :mod:`repro.lpsolve`.
     """
-    from repro.lpsolve.cpsat_backend import HAS_ORTOOLS
-
-    if HAS_ORTOOLS:
+    if importlib.util.find_spec("ortools") is not None:
         register_planner("exact:cpsat")(_exact_cpsat_planner)
 
 
@@ -806,98 +703,3 @@ def _online_planner(
     from repro.online.controller import heavy_hitter_plan
 
     return heavy_hitter_plan(problem, config=config)
-
-
-# ----------------------------------------------------------------------
-# Deprecated pre-1.1 shims
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see docs/API.md for the "
-        "deprecation policy)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def register_strategy(name: str) -> Callable[[PlacementStrategy], PlacementStrategy]:
-    """Deprecated: register an old-style ``problem -> Placement`` callable.
-
-    The callable is also wrapped into a :class:`Planner` (its config is
-    ignored) so it shows up in :func:`available_planners`.
-    """
-    _deprecated("register_strategy", "register_planner")
-
-    def decorator(func: PlacementStrategy) -> PlacementStrategy:
-        if name in _LEGACY or name in _PLANNERS:
-            raise ValueError(f"strategy {name!r} already registered")
-        _LEGACY[name] = func
-
-        @register_planner(name)
-        def adapter(
-            problem: PlacementProblem, *, config: PlanConfig = PlanConfig()
-        ) -> PlanResult:
-            with obs.timed("plan", planner=name) as span:
-                placement = func(problem)
-            return _finish(name, placement, span.duration)
-
-        return func
-
-    return decorator
-
-
-def get_strategy(name: str) -> PlacementStrategy:
-    """Deprecated: look up a bare ``problem -> Placement`` callable.
-
-    Returns the exact pre-1.1 callable for the built-in names, so
-    legacy callers keep byte-identical behavior.
-    """
-    _deprecated("get_strategy", "get_planner")
-    try:
-        return _LEGACY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown strategy {name!r}; available: {sorted(_LEGACY)}"
-        ) from None
-
-
-def available_strategies() -> list[str]:
-    """Deprecated: names of all old-style strategies."""
-    _deprecated("available_strategies", "available_planners")
-    return sorted(_LEGACY)
-
-
-def round_robin_placement(problem: PlacementProblem) -> Placement:
-    """Assign objects cyclically: object ``i`` to node ``i mod n``."""
-    return _round_robin(problem)
-
-
-def _legacy_lprr(problem: PlacementProblem) -> Placement:
-    from repro.core.lprr import LPRRPlanner
-
-    return LPRRPlanner(seed=0).plan(problem).placement
-
-
-def _legacy_local_search(problem: PlacementProblem) -> Placement:
-    from repro.core.local_search import local_search_placement
-
-    return local_search_placement(problem, rng=0)
-
-
-def _legacy_spectral(problem: PlacementProblem) -> Placement:
-    from repro.core.spectral import spectral_placement
-
-    return spectral_placement(problem)
-
-
-_LEGACY.update(
-    {
-        "hash": random_hash_placement,
-        "greedy": greedy_placement,
-        "round_robin": round_robin_placement,
-        "best_fit_decreasing": best_fit_decreasing_placement,
-        "spectral": _legacy_spectral,
-        "local_search": _legacy_local_search,
-        "lprr": _legacy_lprr,
-    }
-)

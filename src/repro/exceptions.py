@@ -34,14 +34,6 @@ class SolverError(ReproError):
     """The underlying LP solver failed or returned an unusable status."""
 
 
-class CircuitOpenError(ReproError):
-    """A circuit breaker is open and the protected call was rejected.
-
-    Raised by :class:`repro.resilience.CircuitBreaker` when a dependency
-    has failed repeatedly and the cooldown window has not yet elapsed.
-    """
-
-
 class PlacementError(ReproError):
     """A placement is invalid for the problem it is evaluated against."""
 

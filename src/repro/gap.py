@@ -1,4 +1,4 @@
-"""The optimality-gap harness: exact vs LPRR vs first-order.
+"""The optimality-gap harness: exact vs LPRR.
 
 The paper evaluates LPRR only against baselines it dominates (hash,
 greedy), so its distance from the true optimum is an article of faith.
@@ -6,9 +6,8 @@ This module measures it: :func:`run_gap` draws a batch of seeded small
 instances, solves each with a proven-optimal reference — the
 dependency-free branch-and-bound in :mod:`repro.core.exact` by
 default, or CP-SAT (``--reference cpsat``, needs the ``repro[exact]``
-extra) — and plans the same instance with HiGHS LPRR and the
-first-order backend (``lprr:fo``).  The per-instance cost ratios
-``lprr/exact`` and ``fo/exact`` are the optimality gaps.
+extra) — and plans the same instance with LPRR.  The per-instance cost
+ratio ``lprr/exact`` is the optimality gap.
 
 Instances are clustered (topic-style co-access groups plus a sprinkle
 of cross-cluster pairs) because that is the workload shape the paper's
@@ -22,7 +21,7 @@ sorts every key — same-seed runs are byte-identical, which the CI
 ``gap-smoke`` job enforces with a literal byte compare.  A cost of 0
 (everything colocatable) makes a ratio meaningless; those instances
 report ``ratio = 1.0`` when the planner also reached 0, else the
-absolute cost is surfaced in ``*_cost`` for inspection.
+absolute cost is surfaced in ``lprr_cost`` for inspection.
 """
 
 from __future__ import annotations
@@ -36,12 +35,12 @@ from repro import obs
 from repro.core.problem import PlacementProblem
 from repro.core.strategies import PlanConfig, plan
 
-GAP_REPORT_SCHEMA = "repro.gap.report/v1"
+GAP_REPORT_SCHEMA = "repro.gap.report/v2"
 
 
 @dataclass(frozen=True)
 class GapCase:
-    """One instance's exact/LPRR/first-order comparison.
+    """One instance's exact/LPRR comparison.
 
     Attributes:
         index: Instance number within the batch.
@@ -49,17 +48,14 @@ class GapCase:
         nodes: Nodes in the instance.
         pairs: Correlated pairs in the instance.
         exact_cost: The proven-optimal communication cost.
-        lprr_cost: HiGHS LPRR's cost on the same instance.
-        fo_cost: The first-order backend's cost.
+        lprr_cost: LPRR's cost on the same instance.
         lprr_ratio: ``lprr_cost / exact_cost`` (1.0 when both are 0).
             Near-zero optima inflate this wildly; read it together
             with the excess.
-        fo_ratio: ``fo_cost / exact_cost`` (1.0 when both are 0).
         lprr_excess: ``(lprr_cost - exact_cost) / total_weight`` — the
             fraction of all correlated traffic LPRR leaves
             un-colocated beyond what is unavoidable.  Stable even when
             ``exact_cost`` is (near) zero.
-        fo_excess: Same for the first-order backend.
     """
 
     index: int
@@ -68,11 +64,8 @@ class GapCase:
     pairs: int
     exact_cost: float
     lprr_cost: float
-    fo_cost: float
     lprr_ratio: float
-    fo_ratio: float
     lprr_excess: float
-    fo_excess: float
 
     def to_dict(self) -> dict:
         """JSON-ready form (floats rounded for byte stability)."""
@@ -83,11 +76,8 @@ class GapCase:
             "pairs": self.pairs,
             "exact_cost": round(self.exact_cost, 9),
             "lprr_cost": round(self.lprr_cost, 9),
-            "fo_cost": round(self.fo_cost, 9),
             "lprr_ratio": round(self.lprr_ratio, 9),
-            "fo_ratio": round(self.fo_ratio, 9),
             "lprr_excess": round(self.lprr_excess, 9),
-            "fo_excess": round(self.fo_excess, 9),
         }
 
 
@@ -111,29 +101,14 @@ class GapReport:
         return float(np.mean([c.lprr_ratio for c in self.cases]))
 
     @property
-    def mean_fo_ratio(self) -> float:
-        """Mean first-order optimality gap across the batch."""
-        return float(np.mean([c.fo_ratio for c in self.cases]))
-
-    @property
     def max_lprr_ratio(self) -> float:
         """Worst LPRR gap in the batch."""
         return float(max(c.lprr_ratio for c in self.cases))
 
     @property
-    def max_fo_ratio(self) -> float:
-        """Worst first-order gap in the batch."""
-        return float(max(c.fo_ratio for c in self.cases))
-
-    @property
     def mean_lprr_excess(self) -> float:
         """Mean LPRR excess-cost fraction across the batch."""
         return float(np.mean([c.lprr_excess for c in self.cases]))
-
-    @property
-    def mean_fo_excess(self) -> float:
-        """Mean first-order excess-cost fraction across the batch."""
-        return float(np.mean([c.fo_excess for c in self.cases]))
 
     def to_dict(self) -> dict:
         """JSON-ready form."""
@@ -143,11 +118,8 @@ class GapReport:
             "reference": self.reference,
             "instances": len(self.cases),
             "mean_lprr_ratio": round(self.mean_lprr_ratio, 9),
-            "mean_fo_ratio": round(self.mean_fo_ratio, 9),
             "max_lprr_ratio": round(self.max_lprr_ratio, 9),
-            "max_fo_ratio": round(self.max_fo_ratio, 9),
             "mean_lprr_excess": round(self.mean_lprr_excess, 9),
-            "mean_fo_excess": round(self.mean_fo_excess, 9),
             "cases": [c.to_dict() for c in self.cases],
         }
 
@@ -162,24 +134,22 @@ class GapReport:
             f"{self.reference} reference (seed {self.seed})",
             "",
             f"{'inst':>4} {'objs':>5} {'pairs':>6} {'exact':>10} "
-            f"{'lprr':>10} {'fo':>10} {'lprr/opt':>9} {'fo/opt':>9}",
+            f"{'lprr':>10} {'lprr/opt':>9}",
         ]
         for c in self.cases:
             lines.append(
                 f"{c.index:>4} {c.objects:>5} {c.pairs:>6} "
                 f"{c.exact_cost:>10.4f} {c.lprr_cost:>10.4f} "
-                f"{c.fo_cost:>10.4f} {c.lprr_ratio:>9.4f} {c.fo_ratio:>9.4f}"
+                f"{c.lprr_ratio:>9.4f}"
             )
         lines.append("")
         lines.append(
-            f"mean gap: lprr {self.mean_lprr_ratio:.4f}x, "
-            f"fo {self.mean_fo_ratio:.4f}x | "
-            f"max gap: lprr {self.max_lprr_ratio:.4f}x, "
-            f"fo {self.max_fo_ratio:.4f}x"
+            f"mean gap: lprr {self.mean_lprr_ratio:.4f}x | "
+            f"max gap: lprr {self.max_lprr_ratio:.4f}x"
         )
         lines.append(
             f"mean excess (fraction of total pair weight): "
-            f"lprr {self.mean_lprr_excess:.4f}, fo {self.mean_fo_excess:.4f}"
+            f"lprr {self.mean_lprr_excess:.4f}"
         )
         return "\n".join(lines)
 
@@ -231,7 +201,7 @@ def run_gap(
     nodes: int = 3,
     reference: str = "exact",
 ) -> GapReport:
-    """Measure LPRR's and the first-order backend's optimality gaps.
+    """Measure LPRR's optimality gap.
 
     Args:
         seed: Root seed; the whole report is a pure function of it.
@@ -272,7 +242,6 @@ def run_gap(
                 seed=seed, capacity_factor=None, capacity_tolerance=0.0
             )
             lprr_cost = plan(problem, "lprr", config).cost
-            fo_cost = plan(problem, "lprr:fo", config).cost
             total_weight = float(np.sum(problem.pair_weights))
             case = GapCase(
                 index=index,
@@ -281,11 +250,8 @@ def run_gap(
                 pairs=problem.num_pairs,
                 exact_cost=exact_cost,
                 lprr_cost=lprr_cost,
-                fo_cost=fo_cost,
                 lprr_ratio=_ratio(lprr_cost, exact_cost),
-                fo_ratio=_ratio(fo_cost, exact_cost),
                 lprr_excess=(lprr_cost - exact_cost) / max(total_weight, 1e-12),
-                fo_excess=(fo_cost - exact_cost) / max(total_weight, 1e-12),
             )
             cases.append(case)
             obs.record("gap.case", **case.to_dict())

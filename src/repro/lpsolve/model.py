@@ -358,25 +358,13 @@ class LinearProgram:
     # placement LPs while still returning a basic solution.
     AUTO_IPM_THRESHOLD = 50_000
 
-    def solve(
-        self,
-        backend: str = "auto",
-        time_limit: float | None = None,
-        iteration_limit: int | None = None,
-    ) -> LPResult:
-        """Solve the program with the named backend.
+    def solve(self, backend: str = "auto") -> LPResult:
+        """Solve the program with HiGHS.
 
         Args:
             backend: ``"auto"`` (default: HiGHS dual simplex for small
                 programs, interior point for large ones), ``"highs"``,
-                ``"highs-ipm"``, or ``"simplex"`` (the self-contained
-                dense solver; small programs only).
-            time_limit: Abort the solve after this many seconds; the
-                result carries a non-optimal status instead of blocking
-                the caller indefinitely (HiGHS backends only — the
-                dense simplex is bounded by ``iteration_limit``).
-            iteration_limit: Maximum solver iterations before giving up
-                with a non-optimal status.
+                or ``"highs-ipm"``.
         """
         # Imported lazily to keep model-building import-light.
         if backend == "auto":
@@ -388,16 +376,7 @@ class LinearProgram:
         if backend in ("highs", "highs-ipm"):
             from repro.lpsolve.scipy_backend import solve_with_scipy
 
-            return solve_with_scipy(
-                self,
-                method=backend,
-                time_limit=time_limit,
-                iteration_limit=iteration_limit,
-            )
-        if backend == "simplex":
-            from repro.lpsolve.simplex import solve_simplex
-
-            return solve_simplex(self, max_iterations=iteration_limit)
+            return solve_with_scipy(self, method=backend)
         raise SolverError(f"unknown LP backend: {backend!r}")
 
     def __repr__(self) -> str:

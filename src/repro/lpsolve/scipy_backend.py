@@ -18,12 +18,7 @@ _STATUS_MAP = {
 }
 
 
-def solve_with_scipy(
-    lp,
-    method: str = "highs",
-    time_limit: float | None = None,
-    iteration_limit: int | None = None,
-) -> LPResult:
+def solve_with_scipy(lp, method: str = "highs") -> LPResult:
     """Solve ``lp`` with scipy's HiGHS solver.
 
     Args:
@@ -31,9 +26,6 @@ def solve_with_scipy(
         method: scipy method name — ``"highs"`` (automatic, typically
             dual simplex) or ``"highs-ipm"`` (interior point with
             crossover; much faster on the large placement LPs).
-        time_limit: HiGHS wall-clock budget in seconds; an exceeded
-            budget returns an ERROR-status result, not an exception.
-        iteration_limit: HiGHS iteration budget, same semantics.
 
     Returns:
         An :class:`LPResult`; ``status`` reflects the HiGHS outcome.
@@ -47,12 +39,6 @@ def solve_with_scipy(
     a_ub, b_ub, a_eq, b_eq = lp.split_by_sense()
     lower, upper = lp.bounds_arrays()
     bounds = list(zip(lower, np.where(np.isinf(upper), None, upper)))
-    options: dict[str, float] = {}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    if iteration_limit is not None:
-        options["maxiter"] = int(iteration_limit)
-
     try:
         res = linprog(
             c=lp.objective_vector(),
@@ -62,7 +48,6 @@ def solve_with_scipy(
             b_eq=b_eq if b_eq.size else None,
             bounds=bounds,
             method=method,
-            options=options or None,
         )
     except ValueError as exc:  # malformed input surfaced by scipy
         raise SolverError(f"scipy linprog rejected the program: {exc}") from exc

@@ -42,7 +42,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.correlation import PairEstimator
-from repro.core.lp import WarmStart
 from repro.core.migration import select_migrations
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
@@ -67,7 +66,7 @@ def heavy_hitter_plan(
     exactly the objects appearing in some pair — out-of-scope objects
     are hashed by the inner planner and pinned by the controller.
     Planning itself runs through the resilient fallback chain, so a
-    failing LP backend degrades the plan instead of stalling the loop.
+    failing planner degrades the plan instead of stalling the loop.
 
     Args:
         problem: The CCA instance (typically built from sketch
@@ -367,10 +366,6 @@ class OnlinePlanner:
         self._assignment: dict[ObjectId, int] | None = None
         self._pending_target: dict[ObjectId, int] | None = None
         self._total_size = float(sum(self.sizes.values()))
-        # Fractional solution of the last plan, replayed into the next
-        # one when the first-order backend is configured — consecutive
-        # replans then skip the annealing phase (see docs/SOLVERS.md).
-        self._warm_start: WarmStart | None = None
 
     # ------------------------------------------------------------------
     # State views
@@ -415,29 +410,6 @@ class OnlinePlanner:
         return Placement.from_mapping(
             problem, {obj: self._assignment[obj] for obj in problem.object_ids}
         )
-
-    def _planning_config(self) -> PlanConfig:
-        """The planning knobs for this period, warm-started when the
-        first-order backend carried a fractional solution forward."""
-        config = self.config.planning
-        if self._warm_start is not None and config.backend == "fo":
-            config = config.with_options(warm_start=self._warm_start)
-        return config
-
-    def _remember_plan(self, result: PlanResult) -> None:
-        """Keep the plan's fractional solution as the next warm start.
-
-        Only plans that carried one (first-order/exact-scope LPRR)
-        update the stored state; a fallback to greedy or hash leaves
-        the previous warm start in place, which is still the best
-        available iterate.  Warm-start *hits* (the solver actually
-        reused prior fractions) bump ``online.warm_start_hits``.
-        """
-        fractional = result.fractional
-        if fractional is not None:
-            self._warm_start = WarmStart.from_fractional(fractional)
-        if result.diagnostics.get("warm_start") == "hit":
-            obs.counter("online.warm_start_hits").inc()
 
     # ------------------------------------------------------------------
     # Control loop
@@ -568,8 +540,7 @@ class OnlinePlanner:
                 action="observe",
             )
         problem = self._problem(correlations)
-        result = heavy_hitter_plan(problem, config=self._planning_config())
-        self._remember_plan(result)
+        result = heavy_hitter_plan(problem, config=self.config.planning)
         self._assignment = {
             obj: int(node)
             for obj, node in zip(problem.object_ids, result.placement.assignment)
@@ -614,8 +585,7 @@ class OnlinePlanner:
             )
 
         with obs.span("online.replan", period=period.index) as span:
-            result = heavy_hitter_plan(problem, config=self._planning_config())
-            self._remember_plan(result)
+            result = heavy_hitter_plan(problem, config=self.config.planning)
             # Pin every object outside the heavy pairs to where it is:
             # the plan's hash placement of cold objects must not eat the
             # migration budget.

@@ -1,23 +1,20 @@
 """repro.parallel — the parallel planning execution layer.
 
-Three independent levers, all deterministic for a fixed root seed:
+Two independent levers, both deterministic for a fixed root seed:
 
 * **Trial fan-out** — :func:`parallel_round_best_of` runs best-of-``k``
   randomized-rounding trials across a process pool, reducing over
   ``(cost, trial_index)`` so the result is identical for every worker
   count (``jobs=1`` is a poolless inline fallback).
-* **Component fan-out** — :func:`solve_components` solves the
-  correlation graph's per-component LPs concurrently.
-* **Plan cache** — :class:`PlanCache` memoizes LP solutions and whole
-  LPRR results by content fingerprint, so replans of an unchanged
-  problem skip the solve entirely.
+* **Plan cache** — :class:`PlanCache` memoizes whole LPRR results by
+  content fingerprint, so replans of an unchanged problem skip
+  planning entirely.
 
 See ``docs/PARALLELISM.md`` for the worker model, the seeding scheme,
 and cache keying.
 """
 
 from repro.parallel.cache import PlanCache, problem_fingerprint, signature_key
-from repro.parallel.components import ComponentOutcome, solve_components
 from repro.parallel.rounding import (
     TrialOutcome,
     parallel_round_best_of,
@@ -32,7 +29,6 @@ from repro.parallel.runner import (
 from repro.parallel.seeds import spawn_generators, spawn_seed_sequences
 
 __all__ = [
-    "ComponentOutcome",
     "PlanCache",
     "TaskRunner",
     "TrialOutcome",
@@ -43,7 +39,6 @@ __all__ = [
     "resolve_jobs",
     "select_best",
     "signature_key",
-    "solve_components",
     "spawn_generators",
     "spawn_seed_sequences",
 ]

@@ -1,22 +1,19 @@
 """Content-addressed plan cache: problem fingerprint → solved artifact.
 
 Replanning workloads (the ``repro experiment`` sweeps, periodic
-re-optimization against a fresh trace) repeatedly solve LPs for
-problems that have not changed.  The cache keys every artifact by a
-SHA-256 fingerprint of the *content* that determines it — the full
-problem document (objects, sizes, capacities, pairs, resources) plus
-the planner-configuration signature — so a hit is guaranteed to be the
-byte-exact artifact the solver would have produced, and any change to
-the problem or configuration silently misses to a fresh solve.
+re-optimization against a fresh trace) repeatedly plan problems that
+have not changed.  The cache keys every artifact by a SHA-256
+fingerprint of the *content* that determines it — the full problem
+document (objects, sizes, capacities, pairs, resources) plus the
+planner-configuration signature — so a hit is guaranteed to be the
+byte-exact artifact the planner would have produced, and any change to
+the problem or configuration silently misses to a fresh plan.
 
-Two artifact kinds are stored, both as JSON documents from
-:mod:`repro.core.serialization`:
-
-* ``lp`` — a :class:`~repro.core.lp.FractionalPlacement`, keyed by the
-  (sub)problem + backend.  Hits skip the LP solve but re-round, so a
-  changed seed or trial count reuses the expensive half of the pipeline.
-* ``plan`` — a full :class:`~repro.core.lprr.LPRRResult`, keyed by the
-  problem + every planner knob.  Hits skip the entire pipeline.
+Artifacts are JSON documents from :mod:`repro.core.serialization`,
+stored under a *kind*: ``plan`` for a full
+:class:`~repro.core.lprr.LPRRResult` (keyed by the problem + every
+planner knob; hits skip the entire pipeline) and ``pgplan`` for the
+placement-group planner's coarse plans.
 
 Layout: ``<root>/<kind>/<key[:2]>/<key>.json``, written atomically
 (temp file + rename) so concurrent planners can share a cache

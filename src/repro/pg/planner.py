@@ -82,10 +82,7 @@ def _pg_signature(config: PlanConfig, spec: PlanScope) -> str:
             "rounding_trials": config.rounding_trials,
             "capacity_factor": config.capacity_factor,
             "capacity_tolerance": config.capacity_tolerance,
-            "backend": config.backend,
-            "lp_time_limit": config.lp_time_limit,
-            "lp_iteration_limit": config.lp_iteration_limit,
-            "decompose": config.decompose,
+            "relaxation": "packed-components",
             "repair": config.repair,
         },
         sort_keys=True,
@@ -130,10 +127,6 @@ def plan_with_groups(
     spec = resolve_pg_scope(problem, config)
     with obs.timed("plan", planner="lprr:pg") as span:
         cache = config.make_cache()
-        if config.warm_start is not None:
-            # Warm-started aggregate solves depend on state outside the
-            # cache signature; skip the pg cache like LPRR skips its own.
-            cache = None
         key = None
         pg_map = None
         cached: dict | None = None

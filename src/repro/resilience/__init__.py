@@ -10,9 +10,8 @@ Here that pipeline meets failure on purpose —
 * :mod:`repro.resilience.degraded` quantifies what each fault epoch
   does to availability and communication cost, single-copy vs
   replicated;
-* :mod:`repro.resilience.healing` keeps planning alive — retries with
-  backoff, per-backend circuit breakers, and the ``"resilient"``
-  fallback-chain planner;
+* :mod:`repro.resilience.healing` keeps planning alive with the
+  ``"resilient"`` fallback-chain planner;
 * :mod:`repro.resilience.repair` re-places only what a crash lost,
   onto surviving capacity, and re-replicates under-replicated objects
   into the cheapest valid failure domain;
@@ -38,15 +37,7 @@ from repro.resilience.faults import (
     FaultSchedule,
     FaultState,
 )
-from repro.resilience.healing import (
-    CircuitBreaker,
-    FallbackStep,
-    RetryPolicy,
-    backend_breaker,
-    plan_with_fallbacks,
-    reset_backend_breakers,
-    retry_with_backoff,
-)
+from repro.resilience.healing import FallbackStep, plan_with_fallbacks
 from repro.resilience.repair import (
     RepairOutcome,
     ReplicaRepairOutcome,
@@ -59,7 +50,6 @@ __all__ = [
     "FAULT_KINDS",
     "HEAL_DOMAIN",
     "ChaosConfig",
-    "CircuitBreaker",
     "ClusterView",
     "DegradedReport",
     "Epoch",
@@ -71,14 +61,10 @@ __all__ = [
     "ModeStats",
     "RepairOutcome",
     "ReplicaRepairOutcome",
-    "RetryPolicy",
-    "backend_breaker",
     "mode_stats",
     "plan_with_fallbacks",
     "re_replicate",
     "replace_lost_objects",
-    "reset_backend_breakers",
-    "retry_with_backoff",
     "run_chaos",
     "synthetic_scenario",
 ]

@@ -1,241 +1,25 @@
-"""Self-healing planning: retries, circuit breakers, fallback chains.
+"""Self-healing planning: the ``"resilient"`` fallback chain.
 
-Three composable defenses against a planning pipeline that can fail:
+:func:`plan_with_fallbacks` tries LPRR, then the one-pass streaming
+partitioner (``stream:greedy``), then greedy, then hash.  The first
+success wins; every attempt — successes and failures — is recorded in
+``PlanResult.diagnostics["fallback_chain"]`` so a degraded plan is
+never silent about how it was produced.
 
-* :func:`retry_with_backoff` — re-run a transient operation a bounded
-  number of times with exponentially growing (injectable) sleeps.
-* :class:`CircuitBreaker` — after repeated failures of a dependency,
-  stop calling it for a cooldown window (*open*), then let one probe
-  through (*half-open*) before trusting it again (*closed*).  Keeps a
-  flaky LP backend from stalling every plan with a doomed attempt.
-* :func:`plan_with_fallbacks` — the ``"resilient"`` planner: try LPRR
-  on the configured backend, then the dependency-free first-order
-  backend (``lprr:fo``), then LPRR on the self-contained simplex,
-  then greedy, then hash.  The first success wins; every attempt —
-  successes, failures, and circuit-open skips — is recorded in
-  ``PlanResult.diagnostics["fallback_chain"]`` so a degraded plan is
-  never silent about how it was produced.
-
-Metrics: ``retry.attempts``, ``circuit.opened`` / ``circuit.rejected``
-/ ``circuit.closed``, ``planner.fallbacks`` and
-``planner.fallback.exhausted``.
+Metrics: ``planner.fallbacks`` and ``planner.fallback.exhausted``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any
 
 from repro import obs
 from repro.core.problem import PlacementProblem
 from repro.core.strategies import PlanConfig, PlanResult, plan
-from repro.exceptions import CircuitOpenError
 
-T = TypeVar("T")
-
-
-# ----------------------------------------------------------------------
-# Retry with backoff
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How often and how patiently to retry a transient operation.
-
-    Attributes:
-        attempts: Total tries, including the first (must be >= 1).
-        base_delay_s: Sleep before the first retry.
-        multiplier: Backoff growth factor per retry.
-        max_delay_s: Ceiling on any single sleep.
-    """
-
-    attempts: int = 3
-    base_delay_s: float = 0.05
-    multiplier: float = 2.0
-    max_delay_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("attempts must be at least 1")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("delays must be nonnegative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-
-    def delays(self) -> Iterator[float]:
-        """The sleep before each retry (``attempts - 1`` values)."""
-        delay = self.base_delay_s
-        for _ in range(self.attempts - 1):
-            yield min(delay, self.max_delay_s)
-            delay *= self.multiplier
-
-
-def retry_with_backoff(
-    fn: Callable[[], T],
-    *,
-    policy: RetryPolicy | None = None,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-) -> T:
-    """Call ``fn`` until it succeeds or the policy is exhausted.
-
-    Args:
-        fn: Zero-argument operation to run.
-        policy: Retry budget and backoff shape (default
-            :class:`RetryPolicy`).
-        retry_on: Exception types that trigger a retry; anything else
-            propagates immediately.
-        sleep: Sleep function — injectable so tests run instantly.
-        on_retry: Optional hook called as ``on_retry(attempt, exc)``
-            before each sleep (attempt is 1-based).
-
-    Returns:
-        Whatever ``fn`` returns on its first success.
-
-    Raises:
-        The last exception, when every attempt failed.
-    """
-    policy = policy or RetryPolicy()
-    delays = list(policy.delays())
-    last: BaseException | None = None
-    for attempt in range(policy.attempts):
-        try:
-            return fn()
-        except retry_on as exc:
-            last = exc
-            if attempt == policy.attempts - 1:
-                break
-            obs.counter("retry.attempts").inc()
-            if on_retry is not None:
-                on_retry(attempt + 1, exc)
-            if delays[attempt] > 0:
-                sleep(delays[attempt])
-    assert last is not None
-    raise last
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-class CircuitBreaker:
-    """Classic three-state breaker around a failure-prone dependency.
-
-    *closed* (normal): calls pass through; consecutive failures are
-    counted.  *open*: after ``failure_threshold`` consecutive failures,
-    calls are rejected without running for ``reset_after_s`` seconds.
-    *half-open*: once the cooldown elapses, exactly one probe call is
-    allowed; success closes the breaker, failure re-opens it.
-
-    Args:
-        name: Label used in metrics and error messages.
-        failure_threshold: Consecutive failures that trip the breaker.
-        reset_after_s: Cooldown before a half-open probe is allowed.
-        clock: Monotonic time source — injectable so tests control it.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self,
-        name: str,
-        failure_threshold: int = 3,
-        reset_after_s: float = 60.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        self.name = name
-        self.failure_threshold = failure_threshold
-        self.reset_after_s = reset_after_s
-        self._clock = clock
-        self._failures = 0
-        self._state = self.CLOSED
-        self._opened_at = 0.0
-
-    @property
-    def state(self) -> str:
-        """Current state, advancing *open* to *half-open* on cooldown."""
-        if (
-            self._state == self.OPEN
-            and self._clock() - self._opened_at >= self.reset_after_s
-        ):
-            self._state = self.HALF_OPEN
-        return self._state
-
-    def allow(self) -> bool:
-        """Whether a call may proceed right now."""
-        return self.state != self.OPEN
-
-    def record_success(self) -> None:
-        """Note a successful call; closes the breaker."""
-        if self._state != self.CLOSED:
-            obs.counter("circuit.closed").inc()
-            obs.record("circuit.closed", circuit=self.name)
-        self._failures = 0
-        self._state = self.CLOSED
-
-    def record_failure(self) -> None:
-        """Note a failed call; may trip the breaker open."""
-        self._failures += 1
-        if self._state == self.HALF_OPEN or self._failures >= self.failure_threshold:
-            if self._state != self.OPEN:
-                obs.counter("circuit.opened").inc()
-                obs.record(
-                    "circuit.opened",
-                    circuit=self.name,
-                    failures=self._failures,
-                )
-            self._state = self.OPEN
-            self._opened_at = self._clock()
-
-    def call(self, fn: Callable[[], T]) -> T:
-        """Run ``fn`` under the breaker.
-
-        Raises:
-            CircuitOpenError: When the breaker is open.
-        """
-        if not self.allow():
-            obs.counter("circuit.rejected").inc()
-            raise CircuitOpenError(
-                f"circuit {self.name!r} is open "
-                f"({self._failures} consecutive failures)"
-            )
-        try:
-            result = fn()
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
-
-
-# Shared per-backend breakers used by the resilient planner: a backend
-# that keeps failing is skipped for a cooldown instead of being probed
-# by every plan.
-_BACKEND_BREAKERS: dict[str, CircuitBreaker] = {}
-
-
-def backend_breaker(backend: str) -> CircuitBreaker:
-    """The process-wide breaker guarding one LP backend."""
-    if backend not in _BACKEND_BREAKERS:
-        _BACKEND_BREAKERS[backend] = CircuitBreaker(f"lp.{backend}")
-    return _BACKEND_BREAKERS[backend]
-
-
-def reset_backend_breakers() -> None:
-    """Forget all backend breaker state (test isolation hook)."""
-    _BACKEND_BREAKERS.clear()
-
-
-# ----------------------------------------------------------------------
-# Fallback-chain planning
-# ----------------------------------------------------------------------
-# Beyond this many LP variables the dense simplex fallback would be
-# slower than useful; the chain skips straight to greedy.
-SIMPLEX_FALLBACK_MAX_VARIABLES = 4000
+# Chain heads: a plan from one of these is not degraded.
+_CORRELATION_AWARE = ("lprr", "lprr:pg", "lprr:rep")
 
 
 @dataclass(frozen=True)
@@ -243,7 +27,7 @@ class FallbackStep:
     """One attempt in the fallback chain.
 
     Attributes:
-        step: Chain label, e.g. ``"lprr:auto"`` or ``"greedy"``.
+        step: Chain label, e.g. ``"lprr"`` or ``"greedy"``.
         outcome: ``"ok"``, ``"failed"``, or ``"skipped"``.
         detail: Error message for failures, reason for skips, empty for
             successes.
@@ -258,230 +42,49 @@ class FallbackStep:
         return {"step": self.step, "outcome": self.outcome, "detail": self.detail}
 
 
-def _lp_variables(problem: PlacementProblem, config: PlanConfig) -> int:
-    """Rough LP size: (objects + pairs) * nodes, after scoping."""
-    objects = problem.num_objects
-    limit = config.scope_limit(problem)
-    if limit is not None:
-        objects = min(objects, limit)
-    return (objects + problem.num_pairs) * problem.num_nodes
-
-
-def _coarse_lp_variables(problem: PlacementProblem, config: PlanConfig) -> int:
-    """Rough LP size of the pg planner's coarse problem."""
-    spec = config.scope_spec
-    coarse = min(problem.num_objects, spec.groups + spec.important)
-    pairs = min(problem.num_pairs, coarse * (coarse - 1) // 2)
-    return (coarse + pairs) * problem.num_nodes
-
-
 def plan_with_fallbacks(
-    problem: PlacementProblem,
-    *,
-    config: PlanConfig | None = None,
-    breakers: bool = True,
+    problem: PlacementProblem, *, config: PlanConfig | None = None
 ) -> PlanResult:
     """Plan with graceful degradation instead of failure.
 
-    The chain, in order: LPRR on the configured backend; ``lprr:fo``
-    (the pure-NumPy first-order backend, skipped when the configured
-    backend already *is* ``fo``); LPRR on the self-contained
-    ``simplex`` backend (skipped when the configured backend already
-    *is* simplex, or when the LP is too large for the dense solver);
-    ``stream:greedy``; ``greedy``; ``hash``.  Placement-group scopes
-    (``PlanScope.pg``) swap the LPRR steps for ``lprr:pg`` on the same
-    backends, sized against the coarse problem.  Replicated configs
-    (``config.replicas > 1``) swap the whole chain for the
-    failure-domain-aware one: ``lprr:rep:<backend>`` →
-    ``lprr:rep:simplex`` → ``rep:greedy`` (spread-greedy) →
-    ``rep:hash`` (spread-hash) — every step honors the domain spread
-    constraints, so even the deepest fallback never stacks two copies
-    in one rack.  The first planner to succeed supplies the placement;
-    the full attempt log lands in ``diagnostics["fallback_chain"]``
-    and the winning planner's name in ``diagnostics["delegate"]``.
-
-    LP attempts run under per-backend circuit breakers (see
-    :func:`backend_breaker`), so a backend that has failed repeatedly
-    is skipped — and marked ``"skipped"`` in the chain — until its
-    cooldown passes.
-
-    Args:
-        problem: The CCA instance to place.
-        config: Planning knobs; LP time and iteration limits apply to
-            the LPRR attempts.
-        breakers: Disable to bypass the shared circuit breakers
-            (attempts then always run).
+    The chain, in order: ``lprr``, ``stream:greedy``, ``greedy``,
+    ``hash``.  Placement-group scopes (``PlanScope.pg``) start with
+    ``lprr:pg`` instead.  Replicated configs (``config.replicas > 1``)
+    plan through the failure-domain-aware chain ``lprr:rep`` →
+    ``rep:greedy`` (spread-greedy) → ``rep:hash`` (spread-hash) —
+    every step honors the domain spread constraints, so even the
+    deepest fallback never stacks two copies in one rack.  The first
+    planner to succeed supplies the placement; the full attempt log
+    lands in ``diagnostics["fallback_chain"]`` and the winning
+    planner's name in ``diagnostics["delegate"]``.
 
     Raises:
         ReproError: Only if *every* step in the chain fails, which
             requires even ``hash`` placement to fail.
     """
     config = config or PlanConfig()
+    if config.replicas > 1:
+        names = ["lprr:rep", "rep:greedy", "rep:hash"]
+    else:
+        head = "lprr:pg" if config.scope_spec.kind == "pg" else "lprr"
+        names = [head, "stream:greedy", "greedy", "hash"]
     chain: list[FallbackStep] = []
-
-    def attempt(step: str, backend: str | None, run: Callable[[], PlanResult]):
-        guarded = run
-        if backend is not None and breakers:
-            breaker = backend_breaker(backend)
-            if not breaker.allow():
-                chain.append(
-                    FallbackStep(step, "skipped", "circuit open")
-                )
-                obs.record(
-                    "plan.attempt", step=step, outcome="skipped",
-                    detail="circuit open",
-                )
-                return None
-            guarded = lambda: breaker.call(run)  # noqa: E731
-        try:
-            result = guarded()
-        except Exception as exc:  # noqa: BLE001 — the chain is the handler
-            chain.append(
-                FallbackStep(step, "failed", f"{type(exc).__name__}: {exc}")
-            )
-            obs.counter("planner.fallbacks").inc()
-            obs.record(
-                "plan.attempt", step=step, outcome="failed",
-                detail=f"{type(exc).__name__}: {exc}",
-            )
-            return None
-        chain.append(FallbackStep(step, "ok"))
-        obs.record("plan.attempt", step=step, outcome="ok", detail="")
-        return result
-
+    result: PlanResult | None = None
     with obs.span("plan.resilient", objects=problem.num_objects) as span:
-        if config.replicas > 1:
-            # Replicated configs plan through the domain-aware chain;
-            # every step enforces the same replica spread constraints.
-            steps = [
-                (
-                    f"lprr:rep:{config.backend}",
-                    config.backend,
-                    lambda: plan(problem, "lprr:rep", config),
-                )
-            ]
-            if config.backend != "simplex":
-                if _lp_variables(problem, config) <= SIMPLEX_FALLBACK_MAX_VARIABLES:
-                    steps.append(
-                        (
-                            "lprr:rep:simplex",
-                            "simplex",
-                            lambda: plan(
-                                problem,
-                                "lprr:rep",
-                                config.with_options(backend="simplex"),
-                            ),
-                        )
-                    )
-                else:
-                    chain.append(
-                        FallbackStep(
-                            "lprr:rep:simplex",
-                            "skipped",
-                            "problem too large for dense simplex",
-                        )
-                    )
-            steps.append(
-                ("rep:greedy", None, lambda: plan(problem, "rep:greedy", config))
-            )
-            steps.append(
-                ("rep:hash", None, lambda: plan(problem, "rep:hash", config))
-            )
-        elif config.scope_spec.kind == "pg":
-            # Placement-group scopes plan through lprr:pg; the chain's
-            # simplex retry targets the same coarse problem.
-            steps: list[tuple[str, str | None, Callable[[], PlanResult]]] = [
-                (
-                    f"lprr:pg:{config.backend}",
-                    config.backend,
-                    lambda: plan(problem, "lprr:pg", config),
-                )
-            ]
-            if config.backend != "simplex":
-                if (
-                    _coarse_lp_variables(problem, config)
-                    <= SIMPLEX_FALLBACK_MAX_VARIABLES
-                ):
-                    steps.append(
-                        (
-                            "lprr:pg:simplex",
-                            "simplex",
-                            lambda: plan(
-                                problem,
-                                "lprr:pg",
-                                config.with_options(backend="simplex"),
-                            ),
-                        )
-                    )
-                else:
-                    chain.append(
-                        FallbackStep(
-                            "lprr:pg:simplex",
-                            "skipped",
-                            "coarse problem too large for dense simplex",
-                        )
-                    )
-        else:
-            steps = [
-                (
-                    f"lprr:{config.backend}",
-                    config.backend,
-                    lambda: plan(problem, "lprr", config),
-                )
-            ]
-            if config.backend != "fo":
-                # The first-order backend has no library dependency and
-                # no LP-size ceiling, so it backstops every exact
-                # backend before the dense simplex retry.
-                steps.append(
-                    (
-                        "lprr:fo",
-                        "fo",
-                        lambda: plan(problem, "lprr:fo", config),
-                    )
-                )
-            if config.backend != "simplex":
-                if _lp_variables(problem, config) <= SIMPLEX_FALLBACK_MAX_VARIABLES:
-                    steps.append(
-                        (
-                            "lprr:simplex",
-                            "simplex",
-                            lambda: plan(
-                                problem,
-                                "lprr",
-                                config.with_options(backend="simplex"),
-                            ),
-                        )
-                    )
-                else:
-                    chain.append(
-                        FallbackStep(
-                            "lprr:simplex",
-                            "skipped",
-                            "problem too large for dense simplex",
-                        )
-                    )
-        if config.replicas <= 1:
-            # The streaming tier sits below LPRR: one pass over the pair
-            # list, no LP, so it survives backend outages that take both
-            # LP steps down while still being correlation-aware (unlike
-            # greedy's pair scan it also balances load as it goes).
-            steps.append(
-                (
-                    "stream:greedy",
-                    None,
-                    lambda: plan(problem, "stream:greedy", config),
-                )
-            )
-            steps.append(("greedy", None, lambda: plan(problem, "greedy", config)))
-            steps.append(("hash", None, lambda: plan(problem, "hash", config)))
-
-        result: PlanResult | None = None
-        for step, backend, run in steps:
-            if result is None:
-                result = attempt(step, backend, run)
-            else:
-                chain.append(FallbackStep(step, "skipped", "already planned"))
+        for name in names:
+            if result is not None:
+                chain.append(FallbackStep(name, "skipped", "already planned"))
+                continue
+            try:
+                result = plan(problem, name, config)
+            except Exception as exc:  # noqa: BLE001 — the chain is the handler
+                detail = f"{type(exc).__name__}: {exc}"
+                chain.append(FallbackStep(name, "failed", detail))
+                obs.counter("planner.fallbacks").inc()
+                obs.record("plan.attempt", step=name, outcome="failed", detail=detail)
+                continue
+            chain.append(FallbackStep(name, "ok"))
+            obs.record("plan.attempt", step=name, outcome="ok", detail="")
         if result is None:
             obs.counter("planner.fallback.exhausted").inc()
             obs.record(
@@ -491,11 +94,12 @@ def plan_with_fallbacks(
                 chain=[s.to_dict() for s in chain],
             )
             raise chain_error(chain)
+        degraded = result.planner not in _CORRELATION_AWARE
         span.set(delegate=result.planner, attempts=len(chain))
         obs.record(
             "plan.fallback",
             delegate=result.planner,
-            degraded=result.planner not in ("lprr", "lprr:fo", "lprr:pg", "lprr:rep"),
+            degraded=degraded,
             chain=[s.to_dict() for s in chain],
         )
 
@@ -503,7 +107,7 @@ def plan_with_fallbacks(
         **result.diagnostics,
         "delegate": result.planner,
         "fallback_chain": [s.to_dict() for s in chain],
-        "degraded": result.planner not in ("lprr", "lprr:fo", "lprr:pg", "lprr:rep"),
+        "degraded": degraded,
     }
     return replace(result, planner="resilient", diagnostics=diagnostics)
 

@@ -163,7 +163,7 @@ class TestMetricsRoundTrip:
         assert bytes_hist["count"] == queries
         assert bytes_hist["sum"] == total_bytes
         # The full pipeline ran, so planning metrics are present too.
-        assert doc["metrics"]["histograms"]["lp.solve_seconds"]["count"] >= 1
+        assert doc["metrics"]["histograms"]["planner.plan_seconds"]["count"] >= 1
         assert doc["metrics"]["histograms"]["rounding.trial_cost"]["count"] >= 1
 
         def names(span):
@@ -174,7 +174,7 @@ class TestMetricsRoundTrip:
         (root,) = doc["spans"]
         spanned = set(names(root))
         assert root["name"] == "evaluate"
-        assert {"lprr.plan", "lp.solve", "rounding", "replay"} <= spanned
+        assert {"lprr.plan", "lp.pack", "rounding", "replay"} <= spanned
         # --trace prints the same tree on stderr.
         assert "lprr.plan" in captured.err
         assert "replay" in captured.err
@@ -214,8 +214,8 @@ class TestMetricsRoundTrip:
         )
         assert code == 0
         text = prom.read_text()
-        assert "# TYPE lp_solve_seconds summary" in text
-        assert "lp_solve_seconds_count" in text
+        assert "# TYPE planner_plan_seconds summary" in text
+        assert "planner_plan_seconds_count" in text
         assert "# TYPE lprr_plans_total counter" in text
 
 

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.decompose import (
-    UnionFind,
-    component_subproblems,
-    correlation_components,
-)
+from repro.core.decompose import UnionFind, correlation_components
+from repro.core.lp import solve_placement_lp
 from repro.core.lprr import LPRRPlanner
 from repro.core.problem import PlacementProblem
+from repro.core.rounding import round_best_of
 
 
 class TestUnionFind:
@@ -83,31 +81,6 @@ class TestComponents:
         assert [set(c) for c in correlation_components(p)] == [{"b"}, {"a"}]
 
 
-class TestComponentSubproblems:
-    def test_split_and_leftovers(self, problem):
-        subs, leftovers = component_subproblems(problem)
-        assert {tuple(sorted(map(str, s.object_ids))) for s in subs} == {
-            ("a", "b", "c"),
-            ("d", "e"),
-        }
-        assert set(leftovers) == {"f", "g"}
-
-    def test_pairs_preserved_within_components(self, problem):
-        subs, _ = component_subproblems(problem)
-        total_pairs = sum(s.num_pairs for s in subs)
-        positive = int((problem.pair_weights > 0).sum())
-        assert total_pairs == positive
-
-    def test_capacity_override(self, problem):
-        subs, _ = component_subproblems(problem, capacities=np.array([9.0, 9.0, 9.0]))
-        assert all(s.capacities.tolist() == [9.0, 9.0, 9.0] for s in subs)
-
-    def test_min_size_keeps_small_components(self, problem):
-        subs, leftovers = component_subproblems(problem, min_size=1)
-        assert leftovers == []
-        assert len(subs) == 4
-
-
 class TestDecomposedPlanner:
     def test_matches_monolithic_quality(self):
         rng = np.random.default_rng(0)
@@ -123,16 +96,17 @@ class TestDecomposedPlanner:
             objects, {k: total for k in range(6)}, correlations
         )
 
-        mono = LPRRPlanner(
-            seed=0, rounding_trials=10, capacity_factor=None
-        ).plan(problem)
+        # LPRR packs the LP per component; the monolithic HiGHS solve
+        # of the same relaxation is the oracle it must match.
+        oracle = solve_placement_lp(problem)
+        mono = round_best_of(oracle, trials=10, rng=0)
         deco = LPRRPlanner(
-            seed=0, rounding_trials=10, capacity_factor=None, decompose=True
+            seed=0, rounding_trials=10, capacity_factor=None
         ).plan(problem)
         # Both colocate every clique: zero cost.
         assert mono.cost == pytest.approx(0.0)
         assert deco.cost == pytest.approx(0.0)
-        assert deco.lp_lower_bound == pytest.approx(mono.lp_lower_bound, abs=1e-6)
+        assert deco.lp_lower_bound == pytest.approx(oracle.lower_bound, abs=1e-6)
 
     def test_decomposed_respects_capacity_via_repair(self):
         objects = {f"o{i}": 1.0 for i in range(12)}
@@ -141,28 +115,7 @@ class TestDecomposedPlanner:
         }
         problem = PlacementProblem.build(objects, 4, correlations)
         result = LPRRPlanner(
-            seed=1, decompose=True, capacity_factor=1.1, rounding_trials=10
+            seed=1, capacity_factor=1.1, rounding_trials=10
         ).plan(problem)
         loads = result.placement.node_loads()
         assert loads.max() <= 1.1 * problem.total_size / 4 * 1.1 + 1e-9
-
-    def test_stats_aggregate_components(self):
-        p = PlacementProblem.build(
-            {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
-            2,
-            {("a", "b"): 0.5, ("c", "d"): 0.5},
-        )
-        deco = LPRRPlanner(seed=0, decompose=True).plan(p)
-        mono = LPRRPlanner(seed=0).plan(p)
-        # Same variable totals: the x and y blocks split cleanly.
-        assert deco.lp_stats.num_variables == mono.lp_stats.num_variables
-
-    def test_singletons_hash_placed(self):
-        p = PlacementProblem.build(
-            {"a": 1.0, "b": 1.0, "lonely": 1.0}, 4, {("a", "b"): 0.5}
-        )
-        from repro.core.hashing import hash_node
-
-        result = LPRRPlanner(seed=0, decompose=True, hash_salt="s").plan(p)
-        expected = hash_node("lonely", 4, "s")
-        assert result.placement.assignment[p.object_index("lonely")] == expected

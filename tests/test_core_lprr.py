@@ -1,5 +1,10 @@
 """Tests for the end-to-end LPRR planner (repro.core.lprr)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,48 +135,27 @@ class TestCapacityModes:
         assert result.effective_capacities[0] >= 100.0
 
 
-class TestFractionalSerialization:
-    """LPRRResult carries its fractional solution through round trips."""
-
-    def test_round_trip_preserves_fractional(self):
-        from repro.core.lprr import LPRRResult
-
-        problem = clustered_problem()
-        result = LPRRPlanner(seed=0, backend="fo", rounding="argmax").plan(
-            problem
+class TestImportFootprint:
+    def test_planning_never_loads_the_lp_solver(self):
+        # The closed form replaced the LP solve, so neither the HiGHS
+        # modelling layer nor scipy.optimize may load on the planning
+        # path.  A fresh interpreter: this suite imports both itself.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "problem = repro.PlacementProblem.build(\n"
+            "    {'a': 1.0, 'b': 1.0, 'c': 2.0}, 2, {('a', 'b'): 0.5}\n"
+            ")\n"
+            "repro.plan(problem, 'lprr')\n"
+            "print([m for m in ('scipy.optimize', 'repro.lpsolve') if m in sys.modules])\n"
         )
-        assert result.fractional is not None
-        rebuilt = LPRRResult.from_dict(result.to_dict(), problem)
-        np.testing.assert_allclose(
-            rebuilt.fractional.fractions, result.fractional.fractions
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
         )
-        assert np.array_equal(
-            rebuilt.placement.assignment, result.placement.assignment
-        )
-
-    def test_from_dict_tolerates_pre_warm_start_documents(self):
-        from repro.core.lprr import LPRRResult
-
-        problem = clustered_problem()
-        result = LPRRPlanner(seed=0).plan(problem)
-        doc = result.to_dict()
-        doc.pop("fractional", None)
-        rebuilt = LPRRResult.from_dict(doc, problem)
-        assert rebuilt.fractional is None
-        assert rebuilt.cost == pytest.approx(result.cost)
-
-    def test_warm_start_bypasses_plan_cache(self):
-        from repro.core.lp import WarmStart
-
-        problem = clustered_problem()
-        cold = LPRRPlanner(seed=0, backend="fo", rounding="argmax").plan(
-            problem
-        )
-        warm_start = WarmStart.from_fractional(cold.fractional)
-        planner = LPRRPlanner(
-            seed=0, backend="fo", rounding="argmax", warm_start=warm_start
-        )
-        warm = planner.plan(problem)
-        assert planner.last_solver_info["warm_start"] == "hit"
-        assert planner.last_solver_info["warm_hits"] == problem.num_objects
-        assert warm.from_cache is False
+        assert out.stdout.strip() == "[]"

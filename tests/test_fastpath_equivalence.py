@@ -23,9 +23,10 @@ from repro.core.correlation import (
     two_smallest_correlations,
     union_largest_correlations,
 )
-from repro.core.lp import _build_placement_lp_loop, build_placement_lp
+from repro.core.lp import build_placement_lp
 from repro.core.problem import PlacementProblem
 from repro.core.rounding import _round_trials_loop, round_trials_batched
+from repro.lpsolve import LinearProgram, Sense
 from repro.online.sketch import SketchCorrelationEstimator
 from repro.search.documents import Corpus, Document
 from repro.search.engine import DistributedSearchEngine
@@ -200,6 +201,68 @@ def _lp_state(program):
         program._rhs,
         program._con_names,
     )
+
+
+def _build_placement_lp_loop(problem: PlacementProblem) -> LinearProgram:
+    """Per-row reference assembly of the Figure 4 LP.
+
+    The equivalence oracle for :func:`build_placement_lp`: the property
+    test below asserts identical program state.
+    """
+    t, n = problem.num_objects, problem.num_nodes
+    lp = LinearProgram(f"cca-{t}x{n}")
+
+    for i in range(t):
+        for k in range(n):
+            lp.add_variable(f"x[{i},{k}]", lower=0.0, upper=1.0)
+
+    active_pairs = np.where(problem.pair_weights > 0)[0]
+    for p in active_pairs:
+        i, j = problem.pair_index[p]
+        weight = problem.pair_weights[p]
+        for k in range(n):
+            lp.add_variable(f"y[{i},{j},{k}]", lower=0.0, objective=weight)
+
+    for i in range(t):
+        lp.add_constraint(
+            [(i * n + k, 1.0) for k in range(n)], Sense.EQ, 1.0, f"assign[{i}]"
+        )
+
+    y_base = t * n
+    for idx, p in enumerate(active_pairs):
+        i, j = problem.pair_index[p]
+        for k in range(n):
+            y_var = y_base + idx * n + k
+            xi, xj = i * n + k, j * n + k
+            lp.add_constraint(
+                [(y_var, 1.0), (xi, -1.0), (xj, 1.0)], Sense.GE, 0.0
+            )
+
+    for k in range(n):
+        cap = problem.capacities[k]
+        if np.isfinite(cap):
+            lp.add_constraint(
+                [(i * n + k, float(problem.sizes[i])) for i in range(t)],
+                Sense.LE,
+                float(cap),
+                f"capacity[{k}]",
+            )
+
+    for spec in problem.resources:
+        for k in range(n):
+            budget = spec.budgets[k]
+            if not np.isfinite(budget):
+                continue
+            terms = [
+                (i * n + k, float(spec.loads[i]))
+                for i in range(t)
+                if spec.loads[i] > 0
+            ]
+            if terms:
+                lp.add_constraint(
+                    terms, Sense.LE, float(budget), f"{spec.name}[{k}]"
+                )
+    return lp
 
 
 class TestLPAssemblyEquivalence:

@@ -251,9 +251,10 @@ class TestPipelineIntegration:
         inst = obs.enable(obs.Instrumentation())
         LPRRPlanner(seed=0).plan(small_problem())
         names = {s.name for s in inst.tracer.all_spans()}
-        assert {"lprr.plan", "lprr.scope", "lprr.lp", "lp", "lp.build",
-                "lp.solve", "rounding"} <= names
-        assert inst.metrics.histogram("lp.solve_seconds").count == 1
+        assert {"lprr.plan", "lprr.scope", "lp.pack", "decompose",
+                "rounding"} <= names
+        assert not {"lp", "lp.build", "lp.solve"} & names
+        assert len(inst.tracer.find("lp.pack")) == 1
         assert inst.metrics.histogram("rounding.trial_cost").count == 10
         assert inst.metrics.counter("lprr.plans").value == 1
 

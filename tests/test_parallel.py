@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.lp import solve_placement_lp
+from repro.core.lp import pack_components, solve_placement_lp
 from repro.core.lprr import LPRRPlanner, LPRRResult
 from repro.core.problem import PlacementProblem
 from repro.parallel import (
@@ -16,10 +16,8 @@ from repro.parallel import (
     problem_fingerprint,
     resolve_jobs,
     signature_key,
-    solve_components,
     spawn_seed_sequences,
 )
-from repro.core.decompose import component_subproblems
 
 
 @pytest.fixture
@@ -43,24 +41,6 @@ def problem():
 @pytest.fixture
 def fractional(problem):
     return solve_placement_lp(problem)
-
-
-@pytest.fixture
-def clustered_problem():
-    """Disjoint correlation clusters, so decomposition finds components."""
-    rng = np.random.default_rng(9)
-    sizes = {f"c{i:02d}": float(rng.uniform(1, 3)) for i in range(24)}
-    names = sorted(sizes)
-    correlations = {}
-    for c in range(6):
-        members = names[c * 4 : c * 4 + 4]
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                correlations[(a, b)] = float(rng.uniform(0.05, 0.3))
-    capacity = 1.2 * sum(sizes.values()) / 4
-    return PlacementProblem.build(
-        sizes, {k: capacity for k in range(4)}, correlations
-    )
 
 
 class TestSeeds:
@@ -134,30 +114,6 @@ class TestParallelRounding:
             parallel_round_best_of(fractional, trials=0, root_seed=0, jobs=1)
 
 
-class TestParallelComponents:
-    def test_jobs_independent_results(self, clustered_problem):
-        components, _ = component_subproblems(clustered_problem)
-        assert len(components) > 1
-        serial = solve_components(components, trials=4, root_seed=2, jobs=1)
-        pooled = solve_components(components, trials=4, root_seed=2, jobs=2)
-        assert len(serial) == len(pooled) == len(components)
-        for s, p in zip(serial, pooled):
-            assert s.object_ids == p.object_ids
-            assert np.array_equal(s.assignment, p.assignment)
-            assert s.lower_bound == pytest.approx(p.lower_bound)
-
-    def test_planner_decomposed_jobs_equivalence(self, clustered_problem):
-        problem = clustered_problem
-        plans = {
-            jobs: LPRRPlanner(seed=11, decompose=True, jobs=jobs).plan(problem)
-            for jobs in (1, 2)
-        }
-        assert np.array_equal(
-            plans[1].placement.assignment, plans[2].placement.assignment
-        )
-        assert plans[1].cost == pytest.approx(plans[2].cost)
-
-
 class TestPlannerEngines:
     def test_legacy_default_unchanged(self, problem):
         # jobs=None must match the historical sequential-stream rounding
@@ -170,7 +126,7 @@ class TestPlannerEngines:
             capacities=planned.effective_capacities,
         )
         legacy = round_best_of(
-            solve_placement_lp(sub), trials=10, rng=4, capacity_tolerance=0.05
+            pack_components(sub), trials=10, rng=4, capacity_tolerance=0.05
         )
         assert np.array_equal(
             legacy.placement.assignment, planned.rounding.placement.assignment
@@ -212,10 +168,10 @@ class TestPlanCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = PlanCache(tmp_path)
-        cache.store("lp", "a" * 64, {"x": 1})
-        path = cache._path("lp", "a" * 64)
+        cache.store("pgplan", "a" * 64, {"x": 1})
+        path = cache._path("pgplan", "a" * 64)
         path.write_text("{not json", encoding="utf-8")
-        assert cache.load("lp", "a" * 64) is None
+        assert cache.load("pgplan", "a" * 64) is None
 
     def test_clear(self, tmp_path):
         cache = PlanCache(tmp_path)
@@ -247,7 +203,7 @@ class TestPlanCache:
             obs.disable()
         assert result.from_cache
         span_names = {s.name for s in inst.tracer.all_spans()}
-        assert "lp.solve" not in span_names
+        assert "lp.pack" not in span_names
         assert "lprr.plan.cached" in span_names
         assert inst.metrics.counter("cache.hits").value > 0
         assert inst.metrics.counter("cache.plan.hits").value > 0
@@ -279,21 +235,6 @@ class TestPlanCache:
         LPRRPlanner(seed=1, jobs=1, cache=cache).plan(problem)
         legacy = LPRRPlanner(seed=1, jobs=None, cache=cache).plan(problem)
         assert not legacy.from_cache  # legacy stream rounds differently
-
-    def test_lp_cache_reused_across_seeds(self, tmp_path, problem):
-        cache = PlanCache(tmp_path)
-        LPRRPlanner(seed=1, jobs=1, cache=cache).plan(problem)
-        inst = obs.enable(obs.Instrumentation())
-        try:
-            result = LPRRPlanner(seed=2, jobs=1, cache=cache).plan(problem)
-        finally:
-            obs.disable()
-        # Plan missed (different seed) but the LP artifact hit.
-        assert not result.from_cache
-        span_names = {s.name for s in inst.tracer.all_spans()}
-        assert "lp.solve" not in span_names
-        assert "lprr.lp.cached" in span_names
-        assert inst.metrics.counter("cache.lp.hits").value > 0
 
     def test_cached_document_is_json(self, tmp_path, problem):
         planner = LPRRPlanner(seed=1, jobs=1, cache=PlanCache(tmp_path))
@@ -430,15 +371,15 @@ class TestCacheCorruption:
 
     def test_binary_garbage_is_counted_corrupt(self, tmp_path):
         cache = PlanCache(tmp_path)
-        self._entry_path(cache, "lp", "cd" * 32).write_bytes(
+        self._entry_path(cache, "pgplan", "cd" * 32).write_bytes(
             b"\xff\xfe\x00garbage\x80"
         )
         inst = obs.enable(obs.Instrumentation())
         try:
-            assert cache.load("lp", "cd" * 32) is None
+            assert cache.load("pgplan", "cd" * 32) is None
         finally:
             obs.disable()
-        assert inst.metrics.counter("cache.lp.corrupt").value == 1
+        assert inst.metrics.counter("cache.pgplan.corrupt").value == 1
 
     def test_non_object_document_is_counted_corrupt(self, tmp_path):
         cache = PlanCache(tmp_path)

@@ -1,4 +1,6 @@
-"""Tests for the Planner API and the deprecated strategy shims."""
+"""Tests for the Planner API."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,12 +10,9 @@ from repro.core.strategies import (
     PlanConfig,
     PlanResult,
     available_planners,
-    available_strategies,
     get_planner,
-    get_strategy,
     plan,
     register_planner,
-    register_strategy,
 )
 
 
@@ -43,6 +42,24 @@ class TestPlanConfig:
         with pytest.raises(Exception):
             PlanConfig().seed = 5
 
+    def test_fields(self):
+        # 2.0 dropped the solver knobs (backend, lp_time_limit,
+        # lp_iteration_limit, decompose, warm_start) and added none.
+        assert [f.name for f in dataclasses.fields(PlanConfig)] == [
+            "scope",
+            "seed",
+            "rounding_trials",
+            "capacity_factor",
+            "capacity_tolerance",
+            "hash_salt",
+            "repair",
+            "jobs",
+            "cache_dir",
+            "use_cache",
+            "replicas",
+            "topology",
+        ]
+
     def test_make_cache(self, tmp_path):
         config = PlanConfig(cache_dir=tmp_path)
         cache = config.make_cache()
@@ -63,6 +80,7 @@ class TestRegistry:
             "local_search",
         } <= set(names)
         assert names == sorted(names)
+        assert "lprr:fo" not in names
 
     def test_unknown_planner(self):
         with pytest.raises(KeyError, match="unknown planner"):
@@ -116,61 +134,6 @@ class TestPlanResults:
         config = PlanConfig(seed=0, cache_dir=tmp_path)
         assert plan(problem, "lprr", config).diagnostics["cache"] == "miss"
         assert plan(problem, "lprr", config).diagnostics["cache"] == "hit"
-
-
-class TestLegacyShims:
-    def test_get_strategy_warns(self):
-        with pytest.warns(DeprecationWarning, match="get_strategy"):
-            get_strategy("hash")
-
-    def test_available_strategies_warns(self):
-        with pytest.warns(DeprecationWarning, match="available_strategies"):
-            names = available_strategies()
-        assert "lprr" in names
-
-    def test_register_strategy_warns_and_bridges(self, problem):
-        from repro.core.placement import Placement
-
-        def custom(prob):
-            return Placement(
-                prob, np.zeros(prob.num_objects, dtype=np.int64)
-            )
-
-        with pytest.warns(DeprecationWarning, match="register_strategy"):
-            register_strategy("all_on_node_zero")(custom)
-        try:
-            with pytest.warns(DeprecationWarning):
-                assert get_strategy("all_on_node_zero") is custom
-            # Bridged into the planner registry too.
-            result = plan(problem, "all_on_node_zero")
-            assert set(result.placement.assignment) == {0}
-        finally:
-            from repro.core import strategies
-
-            strategies._LEGACY.pop("all_on_node_zero", None)
-            strategies._PLANNERS.pop("all_on_node_zero", None)
-
-    def test_unknown_strategy_message_preserved(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError, match="unknown strategy"):
-                get_strategy("nope")
-
-    def test_legacy_matches_planner_output(self, problem):
-        # The shim returns the exact pre-1.1 callable; for deterministic
-        # strategies its output matches the planner under defaults.
-        for name in ("hash", "round_robin", "best_fit_decreasing"):
-            with pytest.warns(DeprecationWarning):
-                legacy = get_strategy(name)(problem)
-            modern = plan(problem, name).placement
-            assert np.array_equal(legacy.assignment, modern.assignment)
-
-    def test_legacy_lprr_is_seed_zero_planner(self, problem):
-        from repro.core.lprr import LPRRPlanner
-
-        with pytest.warns(DeprecationWarning):
-            legacy = get_strategy("lprr")(problem)
-        direct = LPRRPlanner(seed=0).plan(problem).placement
-        assert np.array_equal(legacy.assignment, direct.assignment)
 
 
 class TestSerializationUnification:

@@ -2,7 +2,9 @@
 
 Each property here spans modules: random problems flow through
 strategies, rounding, repair, and migration, and structural invariants
-must hold for every generated instance.
+must hold for every generated instance.  The paper's Theorems 2 and 3
+run on both relaxation optima: the closed-form packing LPRR plans
+from, and the HiGHS oracle.
 """
 
 import numpy as np
@@ -12,8 +14,9 @@ from hypothesis import strategies as st
 
 from repro.core.greedy import greedy_placement
 from repro.core.hashing import random_hash_placement
+from repro.core.decompose import component_groups
 from repro.core.importance import importance_ranking, top_important
-from repro.core.lp import solve_placement_lp
+from repro.core.lp import pack_components, solve_placement_lp
 from repro.core.migration import diff_placements, select_migrations
 from repro.core.partial import scoped_placement
 from repro.core.placement import Placement
@@ -82,6 +85,64 @@ class TestStrategyInvariants:
         assert top_important(problem, 3) == ranking[:3]
 
 
+@st.composite
+def packable_problems(draw, max_objects=12, max_nodes=5):
+    """One-resource instances whose total capacity covers total size.
+
+    Correlations come in clusters so components of every size occur,
+    including ones larger than a node; node capacities are uneven.
+    """
+    t = draw(st.integers(1, max_objects))
+    n = draw(st.integers(1, max_nodes))
+    seed = draw(st.integers(0, 2**31 - 1))
+    slack = draw(st.floats(1.0, 2.0))
+    rng = np.random.default_rng(seed)
+    sizes = rng.uniform(0.1, 3.0, t)
+    shares = rng.uniform(0.2, 1.0, n)
+    capacities = shares / shares.sum() * sizes.sum() * slack
+    labels = rng.integers(0, max(1, t // 3), t)
+    correlations = {}
+    for i in range(t):
+        for j in range(i + 1, t):
+            if labels[i] == labels[j] and rng.random() < 0.7:
+                correlations[(f"o{i}", f"o{j}")] = float(rng.uniform(0.01, 1.0))
+    return PlacementProblem.build(
+        {f"o{i}": float(sizes[i]) for i in range(t)},
+        {k: float(capacities[k]) for k in range(n)},
+        correlations,
+    )
+
+
+class TestClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=packable_problems())
+    def test_packed_vertex_is_an_lp_optimum(self, problem):
+        packed = pack_components(problem)
+        x = packed.fractions
+        # Rows on the simplex.
+        assert np.all(x >= 0.0)
+        np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-12)
+        # One row per component, and at most n - 1 of them fractional.
+        fractional = 0
+        for members in component_groups(problem):
+            rows = x[members]
+            assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+            fractional += bool(np.count_nonzero(rows[0]) > 1)
+        assert fractional <= problem.num_nodes - 1
+        # Expected loads within the capacities (Theorem 3's premise).
+        scale = problem.total_capacity
+        assert np.all(
+            packed.expected_node_loads() <= problem.capacities + 1e-9 * scale
+        )
+        # Objective 0, which is the HiGHS oracle's optimum too.
+        assert packed.lower_bound == 0.0
+        oracle = solve_placement_lp(problem)
+        assert oracle.lower_bound == pytest.approx(0.0, abs=1e-7)
+
+
+RELAXATIONS = {"closed_form": pack_components, "oracle": solve_placement_lp}
+
+
 class TestLPAndRounding:
     @settings(max_examples=20, deadline=None)
     @given(problem=problems(max_objects=7, max_nodes=3))
@@ -94,10 +155,30 @@ class TestLPAndRounding:
         # Any rounded placement costs at least the LP bound.
         assert placement.communication_cost() >= fractional.lower_bound - 1e-6
 
+    @pytest.mark.parametrize("relax", RELAXATIONS.values(), ids=RELAXATIONS)
+    @settings(max_examples=20, deadline=None)
+    @given(problem=problems(max_objects=7, max_nodes=3), seed=st.integers(0, 1000))
+    def test_theorem2_rounding_cost_is_zero(self, relax, problem, seed):
+        # Theorem 2: the expected rounded cost equals the LP optimum,
+        # which is 0 here, so every draw colocates every pair.
+        fractional = relax(problem)
+        assert fractional.lower_bound == pytest.approx(0.0, abs=1e-7)
+        placement, _ = round_fractional(fractional, rng=seed)
+        assert placement.communication_cost() == pytest.approx(0.0, abs=1e-9)
+
     @settings(max_examples=15, deadline=None)
     @given(problem=problems(max_objects=6, max_nodes=3))
     def test_expected_loads_within_capacity(self, problem):
         fractional = solve_placement_lp(problem)
+        assert np.all(
+            fractional.expected_node_loads() <= problem.capacities + 1e-6
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(problem=problems(max_objects=6, max_nodes=3))
+    def test_expected_loads_within_capacity_closed_form(self, problem):
+        # Theorem 3 on the packed vertex LPRR actually rounds.
+        fractional = pack_components(problem)
         assert np.all(
             fractional.expected_node_loads() <= problem.capacities + 1e-6
         )

@@ -35,7 +35,7 @@ class TestExports:
     def test_top_level_version(self):
         import repro
 
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_core_reexports_through_top_level(self):
         import repro

@@ -11,35 +11,19 @@ from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.core.replication import ReplicatedPlacement
 from repro.core.strategies import PlanConfig, plan
-from repro.exceptions import (
-    CircuitOpenError,
-    PlacementError,
-    SolverError,
-)
+from repro.exceptions import PlacementError, SolverError
 from repro.resilience import (
     ChaosConfig,
-    CircuitBreaker,
     ClusterView,
     FaultEvent,
     FaultSchedule,
     FaultState,
-    RetryPolicy,
-    backend_breaker,
     mode_stats,
     plan_with_fallbacks,
     replace_lost_objects,
-    reset_backend_breakers,
-    retry_with_backoff,
     run_chaos,
     synthetic_scenario,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_breakers():
-    reset_backend_breakers()
-    yield
-    reset_backend_breakers()
 
 
 @pytest.fixture
@@ -205,181 +189,23 @@ class TestModeStats:
 
 
 # ----------------------------------------------------------------------
-# Self-healing: retry, breaker, fallback chain
+# Self-healing: the fallback chain
 # ----------------------------------------------------------------------
-class TestRetry:
-    def test_succeeds_after_transient_failures(self):
-        sleeps = []
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise SolverError("transient")
-            return "ok"
-
-        result = retry_with_backoff(
-            flaky,
-            policy=RetryPolicy(attempts=4, base_delay_s=0.01),
-            retry_on=(SolverError,),
-            sleep=sleeps.append,
-        )
-        assert result == "ok"
-        assert calls["n"] == 3
-        assert sleeps == [0.01, 0.02]  # exponential
-
-    def test_exhausted_raises_last_error(self):
-        def always(): raise SolverError("nope")
-
-        with pytest.raises(SolverError, match="nope"):
-            retry_with_backoff(
-                always,
-                policy=RetryPolicy(attempts=2, base_delay_s=0),
-                sleep=lambda s: None,
-            )
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = {"n": 0}
-
-        def typed():
-            calls["n"] += 1
-            raise KeyError("not transient")
-
-        with pytest.raises(KeyError):
-            retry_with_backoff(typed, retry_on=(SolverError,), sleep=lambda s: None)
-        assert calls["n"] == 1
-
-    def test_delay_capped(self):
-        policy = RetryPolicy(attempts=5, base_delay_s=1.0, max_delay_s=2.0)
-        assert list(policy.delays()) == [1.0, 2.0, 2.0, 2.0]
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-
-
-class TestCircuitBreaker:
-    def _failing(self):
-        raise SolverError("boom")
-
-    def test_opens_after_threshold(self):
-        clock = {"t": 0.0}
-        breaker = CircuitBreaker("x", failure_threshold=2, clock=lambda: clock["t"])
-        for _ in range(2):
-            with pytest.raises(SolverError):
-                breaker.call(self._failing)
-        assert breaker.state == "open"
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "never runs")
-
-    def test_half_open_probe_closes_on_success(self):
-        clock = {"t": 0.0}
-        breaker = CircuitBreaker(
-            "x", failure_threshold=1, reset_after_s=10.0, clock=lambda: clock["t"]
-        )
-        with pytest.raises(SolverError):
-            breaker.call(self._failing)
-        clock["t"] = 11.0
-        assert breaker.state == "half-open"
-        assert breaker.call(lambda: 42) == 42
-        assert breaker.state == "closed"
-
-    def test_half_open_failure_reopens(self):
-        clock = {"t": 0.0}
-        breaker = CircuitBreaker(
-            "x", failure_threshold=3, reset_after_s=5.0, clock=lambda: clock["t"]
-        )
-        for _ in range(3):
-            with pytest.raises(SolverError):
-                breaker.call(self._failing)
-        clock["t"] = 6.0
-        with pytest.raises(SolverError):
-            breaker.call(self._failing)  # half-open probe fails
-        assert breaker.state == "open"
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: 1)
-
-    def test_metrics(self):
-        inst = obs.enable(obs.Instrumentation())
-        try:
-            breaker = CircuitBreaker("m", failure_threshold=1, clock=lambda: 0.0)
-            with pytest.raises(SolverError):
-                breaker.call(self._failing)
-            with pytest.raises(CircuitOpenError):
-                breaker.call(lambda: 1)
-        finally:
-            obs.disable()
-        assert inst.metrics.counter("circuit.opened").value == 1
-        assert inst.metrics.counter("circuit.rejected").value == 1
-
-
 class TestFallbackChain:
     def test_healthy_chain_uses_lprr(self, problem):
         result = plan_with_fallbacks(problem, config=PlanConfig())
         assert result.planner == "resilient"
         assert result.diagnostics["delegate"] == "lprr"
         chain = result.diagnostics["fallback_chain"]
-        assert chain[0] == {"step": "lprr:auto", "outcome": "ok", "detail": ""}
+        assert chain[0] == {"step": "lprr", "outcome": "ok", "detail": ""}
         assert all(s["outcome"] == "skipped" for s in chain[1:])
         assert result.diagnostics["degraded"] is False
 
-    def test_scipy_failure_falls_back_to_first_order(self, problem, monkeypatch):
-        import repro.lpsolve.scipy_backend as scipy_backend
-
-        def broken(*args, **kwargs):
-            raise SolverError("forced scipy failure")
-
-        monkeypatch.setattr(scipy_backend, "solve_with_scipy", broken)
-        result = plan_with_fallbacks(problem, config=PlanConfig())
-        chain = result.diagnostics["fallback_chain"]
-        assert chain[0]["outcome"] == "failed"
-        assert "forced scipy failure" in chain[0]["detail"]
-        assert chain[1] == {"step": "lprr:fo", "outcome": "ok", "detail": ""}
-        assert result.diagnostics["delegate"] == "lprr:fo"
-        assert result.diagnostics["degraded"] is False
-        assert result.placement.is_feasible()
-
-    def test_scipy_and_fo_failure_falls_back_to_simplex(
-        self, problem, monkeypatch
-    ):
-        import repro.lpsolve.firstorder as firstorder
-        import repro.lpsolve.scipy_backend as scipy_backend
-
-        monkeypatch.setattr(
-            scipy_backend,
-            "solve_with_scipy",
-            lambda *a, **k: (_ for _ in ()).throw(SolverError("scipy down")),
-        )
-        monkeypatch.setattr(
-            firstorder,
-            "solve_first_order",
-            lambda *a, **k: (_ for _ in ()).throw(SolverError("fo down")),
-        )
-        result = plan_with_fallbacks(problem, config=PlanConfig())
-        chain = result.diagnostics["fallback_chain"]
-        assert chain[0]["outcome"] == "failed"
-        assert chain[1]["step"] == "lprr:fo"
-        assert chain[1]["outcome"] == "failed"
-        assert chain[2] == {"step": "lprr:simplex", "outcome": "ok", "detail": ""}
-        assert result.diagnostics["delegate"] == "lprr"
-        assert result.placement.is_feasible()
-
-    def test_registered_as_resilient_planner(self, problem, monkeypatch):
-        import repro.lpsolve.scipy_backend as scipy_backend
-
-        monkeypatch.setattr(
-            scipy_backend,
-            "solve_with_scipy",
-            lambda *a, **k: (_ for _ in ()).throw(SolverError("down")),
-        )
+    def test_registered_as_resilient_planner(self, problem):
         result = plan(problem, "resilient", PlanConfig())
         assert result.planner == "resilient"
         assert [s["step"] for s in result.diagnostics["fallback_chain"]] == [
-            "lprr:auto",
-            "lprr:fo",
-            "lprr:simplex",
+            "lprr",
             "stream:greedy",
             "greedy",
             "hash",
@@ -397,58 +223,9 @@ class TestFallbackChain:
         assert result.diagnostics["delegate"] == "stream:greedy"
         assert result.diagnostics["degraded"] is True
         chain = {s["step"]: s["outcome"] for s in result.diagnostics["fallback_chain"]}
-        assert chain["lprr:auto"] == "failed"
-        assert chain["lprr:fo"] == "failed"
-        assert chain["lprr:simplex"] == "failed"
+        assert chain["lprr"] == "failed"
         assert chain["stream:greedy"] == "ok"
         assert chain["greedy"] == "skipped"
-
-    def test_open_breaker_skips_backend(self, problem):
-        breaker = backend_breaker("auto")
-        for _ in range(breaker.failure_threshold):
-            breaker.record_failure()
-        result = plan_with_fallbacks(problem, config=PlanConfig())
-        chain = result.diagnostics["fallback_chain"]
-        assert chain[0] == {
-            "step": "lprr:auto",
-            "outcome": "skipped",
-            "detail": "circuit open",
-        }
-        assert result.diagnostics["delegate"] == "lprr:fo"  # fo carried it
-
-    def test_large_problem_skips_simplex(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        sizes = {f"o{i}": 1.0 for i in range(80)}
-        names = sorted(sizes)
-        corr = {
-            (names[int(a)], names[int(b)]): 1.0
-            for a, b in (
-                sorted(rng.choice(80, size=2, replace=False)) for _ in range(400)
-            )
-        }
-        # (objects + pairs) * nodes far exceeds the simplex-fallback cap.
-        big = PlacementProblem.build(sizes, 24, corr)
-
-        import repro.lpsolve.scipy_backend as scipy_backend
-
-        monkeypatch.setattr(
-            scipy_backend,
-            "solve_with_scipy",
-            lambda *a, **k: (_ for _ in ()).throw(SolverError("down")),
-        )
-        result = plan_with_fallbacks(big, config=PlanConfig())
-        chain = {s["step"]: s for s in result.diagnostics["fallback_chain"]}
-        assert chain["lprr:simplex"]["outcome"] == "skipped"
-        assert "too large" in chain["lprr:simplex"]["detail"]
-        # The first-order backend has no size ceiling, so it carries
-        # the plan where simplex cannot.
-        assert result.diagnostics["delegate"] == "lprr:fo"
-
-    def test_lp_limits_surface_as_solver_error(self, problem):
-        from repro.core.lp import solve_placement_lp
-
-        with pytest.raises(SolverError, match="iteration limit"):
-            solve_placement_lp(problem, backend="simplex", iteration_limit=1)
 
 
 # ----------------------------------------------------------------------
@@ -612,7 +389,7 @@ class TestChaos:
         problem, operations, schedule = self._scenario()
         report = run_chaos(problem, operations, schedule, seed=5)
         assert report.planner == "resilient"
-        assert report.planning["fallback_chain"][0]["step"] == "lprr:auto"
+        assert report.planning["fallback_chain"][0]["step"] == "lprr"
 
     def test_schedule_node_mismatch_rejected(self):
         problem, operations, _ = self._scenario()
@@ -899,7 +676,7 @@ class TestPGDegradedParity:
             )
         )
         report = run_chaos(problem, operations, schedule, config, seed=2)
-        assert report.planning["fallback_chain"][0]["step"] == "lprr:pg:auto"
+        assert report.planning["fallback_chain"][0]["step"] == "lprr:pg"
         assert 0.0 <= report.availability_single <= 1.0
         total_unserved = sum(
             e.single.operations - e.single.servable_operations
