@@ -167,8 +167,7 @@ class LPRRPlanner:
         worker-count-independent by construction, so plans computed at
         any parallelism are interchangeable.  The *engine* is included
         because the legacy sequential-stream path and the spawned-seed
-        path round differently for the same seed, and the relaxation
-        is named so plans rounded from a solver's vertex never match.
+        path round differently for the same seed.
         """
         knobs = {
             "scope": self.scope,
@@ -176,7 +175,6 @@ class LPRRPlanner:
             "rounding_trials": self.rounding_trials,
             "capacity_tolerance": self.capacity_tolerance,
             "seed": self.seed,
-            "relaxation": "packed-components",
             "hash_salt": self.hash_salt,
             "repair": self.repair,
             # "spawned-seeds-batched" invalidates caches written by the

@@ -82,7 +82,6 @@ def _pg_signature(config: PlanConfig, spec: PlanScope) -> str:
             "rounding_trials": config.rounding_trials,
             "capacity_factor": config.capacity_factor,
             "capacity_tolerance": config.capacity_tolerance,
-            "relaxation": "packed-components",
             "repair": config.repair,
         },
         sort_keys=True,
