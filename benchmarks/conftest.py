@@ -6,13 +6,9 @@ up to 48 hours of LP time; EXPERIMENTS.md maps the scales).  Sweep
 results are cached in a session dict so the headline-range benchmark
 can aggregate without re-running the expensive sweeps.
 
-Options (used by the CI bench-smoke job):
-
-* ``--jobs N`` — worker count handed to benchmarks that exercise the
-  parallel engine (default 1; the study itself stays on the legacy
-  engine so headline baselines are untouched).
-* ``--metrics-json PATH`` — collect ``repro.obs`` metrics over the
-  whole session and write a JSON report to PATH.
+Option (used by the CI bench-smoke job): ``--metrics-json PATH``
+collects ``repro.obs`` metrics over the whole session and writes a
+JSON report to PATH.
 """
 
 from __future__ import annotations
@@ -51,23 +47,11 @@ def results_cache() -> dict:
 
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count for parallel-engine benchmarks",
-    )
-    parser.addoption(
         "--metrics-json",
         default=None,
         metavar="PATH",
         help="write a repro.obs metrics report for the session to PATH",
     )
-
-
-@pytest.fixture(scope="session")
-def bench_jobs(request) -> int:
-    """The --jobs option (parallel-engine worker count)."""
-    return request.config.getoption("--jobs")
 
 
 @pytest.fixture(scope="session", autouse=True)

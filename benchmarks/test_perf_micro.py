@@ -16,7 +16,7 @@ import pytest
 from repro.core.lp import pack_components
 from repro.core.hashing import random_hash_placement
 from repro.core.importance import top_important
-from repro.core.rounding import _round_trials_loop, round_fractional, round_trials_batched
+from repro.core.rounding import round_best_of, round_fractional
 from repro.online.sketch import CountMinSketch
 from repro.search.engine import DistributedSearchEngine
 
@@ -54,26 +54,6 @@ def test_perf_rounding(benchmark, scoped):
     assert placement.assignment.shape == (scoped.num_objects,)
 
 
-def test_perf_parallel_rounding(benchmark, scoped, bench_jobs):
-    """Best-of-8 rounding on the engine selected by --jobs.
-
-    Run with ``--jobs 1`` and ``--jobs 2`` to compare inline vs pooled;
-    the resulting placement is identical either way (spawned per-trial
-    seeds), so this also smoke-tests the determinism contract.
-    """
-    from repro.parallel import parallel_round_best_of
-
-    fractional = pack_components(scoped)
-    result = benchmark(
-        lambda: parallel_round_best_of(
-            fractional, trials=8, root_seed=0, jobs=bench_jobs
-        )
-    )
-    assert result.trials == 8
-    baseline = parallel_round_best_of(fractional, trials=8, root_seed=0, jobs=1)
-    assert result.trial_costs == baseline.trial_costs
-
-
 def test_perf_engine_query(benchmark, study):
     placement = study.place_hash(10)
     engine = DistributedSearchEngine(study.index, placement)
@@ -84,22 +64,6 @@ def test_perf_engine_query(benchmark, study):
 
     total = benchmark(run_batch)
     assert total >= 0
-
-
-def test_perf_rounding_batched(benchmark, scoped):
-    """All 32 trials advanced together as one vectorized sweep."""
-    fractional = pack_components(scoped)
-    seqs = np.random.SeedSequence(0).spawn(32)
-    assignments, _ = benchmark(lambda: round_trials_batched(fractional, seqs))
-    assert assignments.shape == (32, scoped.num_objects)
-
-
-def test_perf_rounding_trial_loop(benchmark, scoped):
-    """Same 32 trials, one at a time — baseline for the batched sweep."""
-    fractional = pack_components(scoped)
-    seqs = np.random.SeedSequence(0).spawn(32)
-    assignments, _ = benchmark(lambda: _round_trials_loop(fractional, seqs))
-    assert assignments.shape == (32, scoped.num_objects)
 
 
 def test_perf_log_replay_dedup(benchmark, study):
@@ -182,13 +146,13 @@ def test_perf_sort_key_cold_cache(benchmark, study):
 
 
 def test_perf_disabled_obs_overhead(scoped):
-    """Disabled-path obs calls add no measurable cost to the sweep.
+    """Disabled-path obs calls add no measurable cost to rounding.
 
-    Times ``round_trials_batched`` bare, then the identical sweep
+    Times ``round_best_of`` bare, then the identical rounding
     wrapped in the full set of disabled observability helpers (span,
     counter, histogram, journal record).  When instrumentation is off
-    each helper is one global read, so the wrapped sweep must run at
-    the bare sweep's speed — the assertion allows 25% plus a fixed
+    each helper is one global read, so the wrapped rounding must run
+    at the bare rounding's speed — the assertion allows 25% plus a fixed
     epsilon purely for scheduler noise at these sub-millisecond
     scales.  Not a ``benchmark`` fixture test: the contract is the
     *ratio* between the two variants, which pytest-benchmark cannot
@@ -202,18 +166,17 @@ def test_perf_disabled_obs_overhead(scoped):
     obs.disable()
     try:
         fractional = pack_components(scoped)
-        seqs = np.random.SeedSequence(0).spawn(16)
 
         def plain():
-            return round_trials_batched(fractional, seqs)
+            return round_best_of(fractional, trials=16, rng=0)
 
         def instrumented():
-            with obs.span("sweep", trials=16):
-                assignments, rounds = round_trials_batched(fractional, seqs)
-            obs.counter("sweep.trials").inc(16)
-            obs.histogram("sweep.cost").observe(float(assignments[0, 0]))
-            obs.record("sweep.done", trials=16)
-            return assignments, rounds
+            with obs.span("wrapped", trials=16):
+                result = round_best_of(fractional, trials=16, rng=0)
+            obs.counter("wrapped.trials").inc(16)
+            obs.histogram("wrapped.cost").observe(result.cost)
+            obs.record("wrapped.done", trials=16)
+            return result
 
         def best_of(fn, repeats=7):
             fn()  # warm-up

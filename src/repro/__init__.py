@@ -78,7 +78,7 @@ from repro.exceptions import (
     TraceFormatError,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "CorrelationEstimator",

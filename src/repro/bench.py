@@ -11,9 +11,7 @@ ratio regardless of runner hardware.
 
 Scenarios, by pipeline stage:
 
-* ``plan`` — the batched randomized rounding sweep
-  (:func:`~repro.core.rounding.round_trials_batched`) and vectorized
-  correlation mining
+* ``plan`` — vectorized correlation mining
   (:func:`~repro.core.correlation.cooccurrence_correlations`).
 * ``evaluate`` — deduplicated query-log replay
   (:meth:`~repro.search.engine.DistributedSearchEngine.execute_log`).
@@ -66,12 +64,9 @@ from repro.core.correlation import (
     cooccurrence_correlations,
     operation_pairs,
 )
-from repro.core.lp import FractionalPlacement, LPStats
 from repro.core.problem import PlacementProblem
-from repro.core.rounding import _round_trials_loop, round_trials_batched
 from repro.experiments.common import CaseStudy, CaseStudyConfig
 from repro.online.sketch import CountMinSketch, SketchCorrelationEstimator
-from repro.parallel.seeds import spawn_seed_sequences
 from repro.search.engine import DistributedSearchEngine
 
 #: Artifact schema marker; bump when the JSON layout changes.
@@ -259,42 +254,6 @@ def _peak_rss_kb() -> int:
 # Pinned workloads
 # ----------------------------------------------------------------------
 
-def _plan_problem(seed: int) -> PlacementProblem:
-    """A mid-size capacitated CCA instance with one extra resource."""
-    rng = np.random.default_rng(seed)
-    num_objects, num_pairs = 400, 2600
-    objects = {
-        f"w{i}": float(s)
-        for i, s in enumerate(rng.integers(1, 50, size=num_objects))
-    }
-    ids = list(objects)
-    correlations = {}
-    while len(correlations) < num_pairs:
-        i, j = rng.integers(0, num_objects, size=2)
-        if i == j:
-            continue
-        a, b = (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
-        correlations[(a, b)] = float(rng.uniform(0.01, 1.0))
-    capacity = 2.5 * sum(objects.values()) / 8
-    loads = {o: float(rng.uniform(0.1, 2.0)) for o in ids}
-    return PlacementProblem.build(
-        objects,
-        {k: capacity for k in range(8)},
-        correlations,
-        resources={"cpu": (loads, 2.5 * sum(loads.values()) / 8)},
-    )
-
-
-def _fractional(problem: PlacementProblem, seed: int) -> FractionalPlacement:
-    """A synthetic fractional solution (rounding input, no LP solve)."""
-    rng = np.random.default_rng(seed)
-    fractions = rng.dirichlet(
-        np.full(len(problem.node_ids), 0.5), size=len(problem.object_ids)
-    )
-    stats = LPStats(0, 0, 0, 0.0, 0)
-    return FractionalPlacement(problem, fractions, 0.0, stats)
-
-
 def _replay_study(seed: int) -> CaseStudy:
     """Heavy-repetition search workload (the paper's Zipf logs repeat
     queries far more than this)."""
@@ -314,35 +273,6 @@ def _replay_study(seed: int) -> CaseStudy:
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
-
-def _bench_rounding(seed: int, repeats: int) -> BenchCase:
-    problem = _plan_problem(seed)
-    fractional = _fractional(problem, seed)
-    trials = 256
-    seqs = spawn_seed_sequences(seed, trials)
-    loop_assign, loop_rounds = _round_trials_loop(fractional, seqs)
-    fast_assign, fast_rounds = round_trials_batched(fractional, seqs)
-    equal = bool(
-        np.array_equal(loop_assign, fast_assign)
-        and np.array_equal(loop_rounds, fast_rounds)
-    )
-    legacy_s = _best_of(repeats, lambda: _round_trials_loop(fractional, seqs))
-    fast_s = _best_of(repeats, lambda: round_trials_batched(fractional, seqs))
-    return BenchCase(
-        name="rounding_sweep",
-        tag="plan",
-        legacy_s=legacy_s,
-        fast_s=fast_s,
-        speedup=legacy_s / fast_s,
-        min_speedup=1.5,
-        equal=equal,
-        detail={
-            "trials": trials,
-            "objects": len(problem.object_ids),
-            "nodes": len(problem.node_ids),
-        },
-    )
-
 
 def _mine_loop(trace: Iterable) -> dict:
     """The pre-vectorization correlation miner (baseline)."""
@@ -788,7 +718,6 @@ def run_bench(
             else None
         )
         if "plan" in selected:
-            cases.append(_bench_rounding(seed, repeats))
             cases.append(_bench_correlation(study, repeats))
         if "evaluate" in selected:
             cases.append(_bench_log_replay(study, repeats))

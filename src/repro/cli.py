@@ -19,10 +19,9 @@ run report), ``--trace`` (print the span tree), ``--trace-out PATH``
 ``docs/OBSERVABILITY.md``.
 
 ``place`` and ``evaluate`` plan through the Planner registry and accept
-``--jobs N`` (deterministic parallel engine; same placement for every
-N) and ``--cache-dir DIR`` / ``--no-cache`` (content-addressed plan
-cache — a replan of an unchanged problem is a lookup); see
-``docs/PARALLELISM.md``.
+``--cache-dir DIR`` / ``--no-cache`` (content-addressed plan cache — a
+replan of an unchanged problem is a lookup); see
+``docs/PERFORMANCE.md``.
 
 Run ``repro <subcommand> --help`` for options.
 """
@@ -57,7 +56,6 @@ def _build_study(args: argparse.Namespace) -> CaseStudy:
         seed=args.seed,
     )
     planning = PlanConfig(
-        jobs=getattr(args, "jobs", None),
         cache_dir=getattr(args, "cache_dir", None),
         use_cache=not getattr(args, "no_cache", False),
     )
@@ -72,17 +70,6 @@ def _add_study_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_planner_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "parallel engine: round on N worker processes; "
-            "1 runs the same engine inline, negative means one worker per "
-            "CPU, omit for the legacy serial engine"
-        ),
-    )
     parser.add_argument(
         "--cache-dir",
         metavar="DIR",
@@ -133,7 +120,6 @@ def _plan_config(args: argparse.Namespace) -> PlanConfig:
     return PlanConfig(
         scope=_scope_from_args(args),
         seed=args.seed,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )
@@ -538,7 +524,6 @@ def cmd_pg(args: argparse.Namespace) -> int:
     config = PlanConfig(
         scope=PlanScope.pg(groups=args.groups, important=args.important),
         seed=args.seed,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )

@@ -52,7 +52,6 @@ from repro.core.rounding import (
     RoundingResult,
     round_best_of,
     round_fractional,
-    round_trials_batched,
 )
 from repro.core.spectral import spectral_placement
 from repro.core.serialization import (
@@ -119,7 +118,6 @@ __all__ = [
     "replicate_hash",
     "round_best_of",
     "round_fractional",
-    "round_trials_batched",
     "round_robin_placement",
     "save_placement",
     "save_problem",

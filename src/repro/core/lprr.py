@@ -20,22 +20,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
+from repro.core.cache import PlanCache, problem_fingerprint, signature_key
 from repro.core.greedy import greedy_placement
 from repro.core.hashing import hash_node
 from repro.core.importance import top_important
-from repro.core.lp import FractionalPlacement, LPStats, pack_components
+from repro.core.lp import LPStats, pack_components
 from repro.core.placement import Placement
 from repro.core.problem import ObjectId, PlacementProblem
 from repro.core.repair import repair_capacity
 from repro.core.rounding import RoundingResult, round_best_of
-
-if TYPE_CHECKING:  # imported lazily at runtime (repro.parallel imports core)
-    from repro.parallel.cache import PlanCache
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,7 @@ class LPRRResult:
             capacities and was post-processed by
             :func:`repro.core.repair.repair_capacity`.
         from_cache: Whether this result was served from a
-            :class:`~repro.parallel.cache.PlanCache` instead of being
+            :class:`~repro.core.cache.PlanCache` instead of being
             computed (packing and rounding were skipped).
     """
 
@@ -97,8 +94,13 @@ class LPRRPlanner:
         capacity_factor: Conservative capacity as a multiple of the
             average per-node load of the optimized objects.  The paper
             uses 2.0.  ``None`` uses the problem's own capacities.
-        rounding_trials: Randomized-rounding repetitions; the cheapest
-            capacity-respecting trial wins (Section 2.3).
+        rounding_trials: Randomized-rounding repetitions (Section
+            2.3).  On the packed vertex every draw costs exactly 0;
+            trials differ only in which node each split component
+            lands on, so best-of-``k`` keeps the first
+            capacity-respecting draw.  When no draw fits (20 of the 24
+            ``offline_lprr`` benchmark plans at seed 1), repair decides
+            the plan.
         capacity_tolerance: Relative slack when judging a rounding
             trial feasible (Theorem 3 only bounds the *expected* load).
         seed: Seed for the rounding randomness.
@@ -107,14 +109,7 @@ class LPRRPlanner:
             the effective capacities beyond ``capacity_tolerance`` is
             repaired by minimum-cost migrations (an engineering
             addition beyond the paper; see :mod:`repro.core.repair`).
-        jobs: Execution engine selector.  ``None`` (default) is the
-            legacy serial rounding stream.  Any integer ``>= 1``
-            selects the deterministic parallel engine: rounding trials
-            use per-trial seeds spawned from ``seed``, run inline when
-            ``jobs == 1`` and on a process pool of that size when
-            larger — the placement is identical for every ``jobs``
-            value.  Negative means one worker per CPU.
-        cache: Optional :class:`~repro.parallel.cache.PlanCache`.  When
+        cache: Optional :class:`~repro.core.cache.PlanCache`.  When
             set, whole plans are memoized by problem fingerprint +
             configuration signature; a replan of an unchanged problem
             returns the stored result flagged ``from_cache=True``.  A
@@ -143,8 +138,7 @@ class LPRRPlanner:
         seed: int | None = None,
         hash_salt: str = "",
         repair: bool = True,
-        jobs: int | None = None,
-        cache: "PlanCache | None" = None,
+        cache: PlanCache | None = None,
     ):
         if scope is not None and scope < 1:
             raise ValueError("scope must be positive (or None for full scope)")
@@ -157,18 +151,10 @@ class LPRRPlanner:
         self.seed = seed
         self.hash_salt = hash_salt
         self.repair = repair
-        self.jobs = jobs
         self.cache = cache
 
     def _signature(self) -> str:
-        """Canonical configuration signature for cache keying.
-
-        ``jobs`` itself is excluded: within one engine the result is
-        worker-count-independent by construction, so plans computed at
-        any parallelism are interchangeable.  The *engine* is included
-        because the legacy sequential-stream path and the spawned-seed
-        path round differently for the same seed.
-        """
+        """Canonical configuration signature for cache keying."""
         knobs = {
             "scope": self.scope,
             "capacity_factor": self.capacity_factor,
@@ -177,10 +163,6 @@ class LPRRPlanner:
             "seed": self.seed,
             "hash_salt": self.hash_salt,
             "repair": self.repair,
-            # "spawned-seeds-batched" invalidates caches written by the
-            # pre-batched engine, whose trials drew rounds one at a time
-            # instead of in pre-drawn blocks.
-            "engine": "legacy" if self.jobs is None else "spawned-seeds-batched",
         }
         return json.dumps(knobs, sort_keys=True)
 
@@ -194,8 +176,6 @@ class LPRRPlanner:
         """
         if self.cache is None:
             return self._plan(problem)
-
-        from repro.parallel.cache import problem_fingerprint, signature_key
 
         key = signature_key(problem_fingerprint(problem), self._signature())
         doc = self.cache.load("plan", key)
@@ -217,25 +197,6 @@ class LPRRPlanner:
         result = self._plan(problem)
         self.cache.store("plan", key, result.to_dict())
         return result
-
-    def _round(self, fractional: FractionalPlacement) -> RoundingResult:
-        """Best-of-``k`` rounding via the engine selected by ``jobs``."""
-        if self.jobs is None:
-            return round_best_of(
-                fractional,
-                trials=self.rounding_trials,
-                rng=self.seed,
-                capacity_tolerance=self.capacity_tolerance,
-            )
-        from repro.parallel import parallel_round_best_of
-
-        return parallel_round_best_of(
-            fractional,
-            trials=self.rounding_trials,
-            root_seed=self.seed,
-            jobs=self.jobs,
-            capacity_tolerance=self.capacity_tolerance,
-        )
 
     def _plan(self, problem: PlacementProblem) -> LPRRResult:
         scope = problem.num_objects if self.scope is None else min(
@@ -264,7 +225,12 @@ class LPRRPlanner:
             capacities = self._effective_capacities(problem, scoped_ids)
             subproblem = problem.subproblem(scoped_ids, capacities=capacities)
             fractional = pack_components(subproblem)
-            rounding = self._round(fractional)
+            rounding = round_best_of(
+                fractional,
+                trials=self.rounding_trials,
+                rng=self.seed,
+                capacity_tolerance=self.capacity_tolerance,
+            )
             scoped_placement = rounding.placement
             repaired = False
             if self.repair and not scoped_placement.is_feasible(

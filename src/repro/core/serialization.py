@@ -10,7 +10,7 @@ truth for the ``to_dict()``/``from_dict()`` contract shared by the
 pipeline's result dataclasses — :class:`~repro.core.rounding.RoundingResult`,
 :class:`~repro.core.lprr.LPRRResult`, and
 :class:`~repro.search.engine.EvaluationSummary` — so the CLI's JSON output,
-the plan cache (:mod:`repro.parallel.cache`), and experiment reports
+the plan cache (:mod:`repro.core.cache`), and experiment reports
 all speak one schema.  Result documents that embed a placement store it
 as an ``assignment`` array aligned with the problem's object order plus
 the stringified object ids for validation; ``from_dict`` therefore

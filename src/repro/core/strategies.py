@@ -4,8 +4,8 @@ This module is the registry of placement planners and the home of the
 unified planning surface:
 
 * :class:`PlanConfig` — every knob a planning run can carry (scope,
-  seed, rounding trials, parallel ``jobs``, plan-cache location), in
-  one frozen dataclass.
+  seed, rounding trials, plan-cache location), in one frozen
+  dataclass.
 * :class:`PlanResult` — what a planning run returns: the placement plus
   cost, wall-clock, diagnostics, and (for LPRR) the full
   :class:`~repro.core.lprr.LPRRResult`.
@@ -23,20 +23,18 @@ from __future__ import annotations
 import importlib.util
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import Any, Callable, Protocol
 
 import numpy as np
 
 from repro import obs
+from repro.core.cache import PlanCache
 from repro.core.greedy import greedy_placement
 from repro.core.hashing import random_hash_placement
 from repro.core.partial import scoped_placement
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.exceptions import InfeasibleProblemError
-
-if TYPE_CHECKING:  # lazy at runtime: repro.parallel imports repro.core
-    from repro.parallel.cache import PlanCache
 
 
 # ----------------------------------------------------------------------
@@ -140,10 +138,10 @@ class PlanConfig:
     """Everything a planning run can be told, in one value.
 
     The defaults reproduce the paper's evaluation setup (conservative
-    2x-average capacities, 10 rounding trials, 5% capacity tolerance)
-    on the legacy serial engine.  Planners ignore knobs they have no
-    use for — ``hash`` reads only ``hash_salt``, the classic controls
-    read nothing — so one config can drive a whole strategy comparison.
+    2x-average capacities, 10 rounding trials, 5% capacity tolerance).
+    Planners ignore knobs they have no use for — ``hash`` reads only
+    ``hash_salt``, the classic controls read nothing — so one config
+    can drive a whole strategy comparison.
 
     Attributes:
         scope: What to optimize exactly: an ``int`` (the top-``scope``
@@ -154,18 +152,17 @@ class PlanConfig:
             pre-1.6 configs behave identically.
         seed: Root seed for every stochastic choice the planner makes.
         rounding_trials: Best-of-``k`` randomized-rounding repetitions.
+            On LPRR's packed vertex every draw costs exactly 0; trials
+            differ only in which node each split component lands on,
+            so the first capacity-respecting draw is kept.  When no
+            draw fits (20 of the 24 ``offline_lprr`` benchmark plans
+            at seed 1), repair decides the plan.
         capacity_factor: Conservative per-node capacity as a multiple
             of the scoped objects' average per-node load (the paper
             uses 2.0); ``None`` keeps the problem's own capacities.
         capacity_tolerance: Relative slack when judging feasibility.
         hash_salt: Salt for hash placements (baseline and out-of-scope).
         repair: Post-repair capacity-violating rounded placements.
-        jobs: Parallelism.  ``None`` selects the legacy serial
-            rounding stream; an
-            integer ``>= 1`` selects the deterministic parallel engine,
-            whose placements are identical for every ``jobs`` value
-            (``1`` = inline serial fallback, ``>1`` = process pool,
-            negative = one worker per CPU).
         cache_dir: Directory for the content-addressed plan cache;
             ``None`` disables caching.
         use_cache: Master switch; ``False`` ignores ``cache_dir``.
@@ -188,7 +185,6 @@ class PlanConfig:
     capacity_tolerance: float = 0.05
     hash_salt: str = ""
     repair: bool = True
-    jobs: int | None = None
     cache_dir: str | Path | None = None
     use_cache: bool = True
     replicas: int = 1
@@ -213,12 +209,10 @@ class PlanConfig:
         :meth:`PlanScope.limit`)."""
         return self.scope_spec.limit(problem)
 
-    def make_cache(self) -> "PlanCache | None":
+    def make_cache(self) -> PlanCache | None:
         """The :class:`PlanCache` this config asks for, or ``None``."""
         if self.cache_dir is None or not self.use_cache:
             return None
-        from repro.parallel.cache import PlanCache
-
         return PlanCache(self.cache_dir)
 
 
@@ -233,7 +227,7 @@ class PlanResult:
         elapsed_seconds: Wall-clock of the planning run.
         diagnostics: Planner-specific facts worth reporting — e.g. for
             LPRR: ``lp_lower_bound``, ``repaired``, ``cache``
-            (``"hit"``/``"miss"``/``"off"``), ``jobs``.
+            (``"hit"``/``"miss"``/``"off"``).
         details: The planner's full native result when it has one
             (:class:`~repro.core.lprr.LPRRResult` for ``lprr``),
             else ``None``.
@@ -479,7 +473,6 @@ def _lprr_planner(
         seed=config.seed,
         hash_salt=config.hash_salt,
         repair=config.repair,
-        jobs=config.jobs,
         cache=cache,
     )
     with obs.timed("plan", planner="lprr") as span:
@@ -490,7 +483,6 @@ def _lprr_planner(
         "scope": len(result.scope_objects),
         "rounding_trials": result.rounding.trials,
         "repaired": result.repaired,
-        "jobs": config.jobs,
         "cache": cache_state,
     }
     return _finish("lprr", result.placement, span.duration, diagnostics, result)

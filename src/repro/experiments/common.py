@@ -60,9 +60,8 @@ class CaseStudy:
         planning: Base :class:`~repro.core.strategies.PlanConfig` for
             every placement this study computes.  The workload seed and
             per-call scope/trials are overlaid on it, so setting e.g.
-            ``planning=PlanConfig(jobs=4, cache_dir="...")`` parallelizes
-            and caches the whole experiment grid without touching any
-            figure code.  The default is the legacy serial engine.
+            ``planning=PlanConfig(cache_dir="...")`` caches the whole
+            experiment grid without touching any figure code.
     """
 
     config: CaseStudyConfig

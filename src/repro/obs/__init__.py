@@ -1,12 +1,12 @@
 """repro.obs — spans, metrics, journal, and exportable run reports.
 
-The observability layer for the LPRR pipeline: a nesting span tracer
-that survives the ``TaskRunner`` process boundary, a metrics registry
-(counters, gauges, histograms with exact or reservoir percentiles), a
-bounded deterministic flight-recorder journal, and exporters (JSON,
-Prometheus text, Chrome ``trace_event``, console tree).  Stdlib-only,
-thread-safe, and free when disabled — instrumented code pays one
-global read per call site until :func:`enable` is invoked.
+The observability layer for the LPRR pipeline: a nesting span tracer,
+a metrics registry (counters, gauges, histograms with exact or
+reservoir percentiles), a bounded deterministic flight-recorder
+journal, and exporters (JSON, Prometheus text, Chrome
+``trace_event``, console tree).  Stdlib-only, thread-safe, and free
+when disabled — instrumented code pays one global read per call site
+until :func:`enable` is invoked.
 
 Typical use::
 
@@ -53,7 +53,6 @@ from repro.obs.span import (
     Tracer,
     detached_span,
     span_from_payload,
-    span_to_payload,
 )
 
 __all__ = [
@@ -82,7 +81,6 @@ __all__ = [
     "render_span_tree",
     "span",
     "span_from_payload",
-    "span_to_payload",
     "timed",
     "to_chrome_trace",
     "to_json",

@@ -93,11 +93,7 @@ def render_trace_report(roots: Sequence[Span]) -> str:
     lines.append("")
     lines.append("critical path:")
     for depth, span in enumerate(critical_path(roots)):
-        pid = span.attributes.get("pid")
-        where = f"  [worker pid={pid}]" if pid is not None else ""
-        lines.append(
-            f"  {'  ' * depth}{span.name}  {span.duration * 1000:.1f}ms{where}"
-        )
+        lines.append(f"  {'  ' * depth}{span.name}  {span.duration * 1000:.1f}ms")
     return "\n".join(lines)
 
 

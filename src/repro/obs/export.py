@@ -8,8 +8,8 @@ Four consumers, four formats:
   (histograms become summaries with ``quantile`` labels; label values
   are escaped per the format);
 * :func:`to_chrome_trace` — the Chrome ``trace_event`` JSON that
-  ``chrome://tracing`` and Perfetto load, one timeline track per
-  worker process (the ``--trace-out`` payload);
+  ``chrome://tracing`` and Perfetto load (the ``--trace-out``
+  payload);
 * :func:`render_span_tree` — a human-readable tree for the terminal,
   the ``--trace`` output.
 """
@@ -145,46 +145,29 @@ def to_chrome_trace(
 
     Loads in ``chrome://tracing`` and https://ui.perfetto.dev.  Each
     span becomes one complete event (``ph: "X"``, microsecond ``ts`` /
-    ``dur`` relative to the earliest span).  Track assignment: spans on
-    the main process render on thread 0; a subtree rooted at a span
-    carrying a ``pid`` attribute — stitched back from a ``TaskRunner``
-    worker — renders on its own track named after that worker, so a
-    ``jobs=2`` run shows per-worker timelines side by side.
+    ``dur`` relative to the earliest span), all on one ``main`` track.
     """
     roots = list(source.roots) if isinstance(source, Tracer) else list(source)
     starts = [s.start_time for root in roots for s in root.walk()]
     origin = min(starts) if starts else 0.0
 
     events: list[dict[str, Any]] = []
-    tids: dict[str, int] = {}
-
-    def tid_for(track: str) -> int:
-        if track not in tids:
-            tids[track] = len(tids)
-        return tids[track]
-
-    def emit(span: Span, track: str) -> None:
-        if "pid" in span.attributes:
-            track = f"worker pid={span.attributes['pid']}"
-        end = span.end_time if span.end_time is not None else span.start_time
-        events.append(
-            {
-                "name": span.name,
-                "ph": "X",
-                "pid": 0,
-                "tid": tid_for(track),
-                "ts": round((span.start_time - origin) * 1e6, 3),
-                "dur": round((end - span.start_time) * 1e6, 3),
-                "args": {
-                    k: v for k, v in sorted(span.attributes.items())
-                },
-            }
-        )
-        for child in span.children:
-            emit(child, track)
-
     for root in roots:
-        emit(root, "main")
+        for span in root.walk():
+            end = span.end_time if span.end_time is not None else span.start_time
+            events.append(
+                {
+                    "name": span.name,
+                    "ph": "X",
+                    "pid": 0,
+                    "tid": 0,
+                    "ts": round((span.start_time - origin) * 1e6, 3),
+                    "dur": round((end - span.start_time) * 1e6, 3),
+                    "args": {
+                        k: v for k, v in sorted(span.attributes.items())
+                    },
+                }
+            )
 
     metadata: list[dict[str, Any]] = [
         {
@@ -194,14 +177,14 @@ def to_chrome_trace(
             "args": {"name": "repro"},
         }
     ]
-    for track, tid in tids.items():
+    if events:
         metadata.append(
             {
                 "name": "thread_name",
                 "ph": "M",
                 "pid": 0,
-                "tid": tid,
-                "args": {"name": track},
+                "tid": 0,
+                "args": {"name": "main"},
             }
         )
     document = {

@@ -30,7 +30,7 @@ class Counter:
     """A monotonically increasing count (events, bytes, trials).
 
     ``labels`` are optional exposition-format key/value pairs (e.g.
-    ``{"case": "rounding_sweep"}``); they distinguish instruments sharing
+    ``{"case": "log_replay"}``); they distinguish instruments sharing
     a name and are rendered — escaped — by the Prometheus exporter.
     """
 

@@ -62,10 +62,9 @@ class Span:
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly representation of the subtree.
 
-        ``start``/``end`` are ``time.perf_counter`` readings — on Linux
-        that is CLOCK_MONOTONIC, shared across processes on the same
-        host, which is what lets worker spans land on the parent's
-        timeline (see :func:`span_from_payload`).
+        ``start``/``end`` are ``time.perf_counter`` readings, so a
+        subtree rebuilt with :func:`span_from_payload` keeps its
+        timeline.
         """
         end = self.end_time if self.end_time is not None else time.perf_counter()
         return {
@@ -184,47 +183,18 @@ class Tracer:
         """All recorded spans with the given name."""
         return [s for s in self.all_spans() if s.name == name]
 
-    def attach(self, span: Span, parent: Span | None = None) -> None:
-        """Graft an already-finished span (tree) into this tracer.
-
-        This is the receiving half of cross-process propagation: the
-        parent deserializes a worker's span payload with
-        :func:`span_from_payload` and attaches it — under the innermost
-        open span on this thread (or an explicit ``parent``), else as a
-        new root.
-        """
-        if parent is None:
-            parent = self.current()
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            with self._lock:
-                self.roots.append(span)
-
     def reset(self) -> None:
         """Drop all recorded spans (open stacks are untouched)."""
         with self._lock:
             self.roots.clear()
 
 
-def span_to_payload(span: Span) -> dict[str, Any]:
-    """A finished span tree as a plain, pickle/JSON-safe dict.
-
-    This is the shipping half of cross-process propagation: a
-    ``TaskRunner`` worker finishes its local spans, serializes the
-    roots with this, and returns them alongside the task result.
-    """
-    span.finish()
-    return span.to_dict()
-
-
 def span_from_payload(payload: dict[str, Any]) -> Span:
-    """Rebuild a :class:`Span` tree from :func:`span_to_payload` output.
+    """Rebuild a :class:`Span` tree from :meth:`Span.to_dict` output.
 
-    ``start``/``end`` are restored verbatim.  Both sides read
-    ``time.perf_counter`` (CLOCK_MONOTONIC on Linux — one clock per
-    host, not per process), so a rebuilt worker span sits correctly on
-    the parent's timeline.  Payloads from older metrics documents that
+    This is how saved metrics documents load back into spans
+    (:func:`repro.obs.analytics.spans_from_document`).  ``start``/``end``
+    are restored verbatim.  Payloads from older metrics documents that
     lack ``start``/``end`` still load; they get a zero-based timeline
     preserving durations.
     """

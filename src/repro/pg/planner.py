@@ -28,6 +28,7 @@ import json
 import numpy as np
 
 from repro import obs
+from repro.core.cache import problem_fingerprint, signature_key
 from repro.core.migration import (
     MigrationPlan,
     diff_placements,
@@ -69,11 +70,7 @@ def resolve_pg_scope(
 
 
 def _pg_signature(config: PlanConfig, spec: PlanScope) -> str:
-    """Cache signature covering every knob a pg plan depends on.
-
-    ``jobs`` is deliberately absent — the parallel engine guarantees
-    identical placements for every jobs value.
-    """
+    """Cache signature covering every knob a pg plan depends on."""
     return json.dumps(
         {
             "scope": spec.signature(),
@@ -130,11 +127,6 @@ def plan_with_groups(
         pg_map = None
         cached: dict | None = None
         if cache is not None:
-            from repro.parallel.cache import (
-                problem_fingerprint,
-                signature_key,
-            )
-
             key = signature_key(
                 problem_fingerprint(problem), _pg_signature(config, spec)
             )
@@ -150,7 +142,6 @@ def plan_with_groups(
             "groups": spec.groups,
             "nonempty_groups": grouping.nonempty_groups,
             "important": len(grouping.exact_ids),
-            "jobs": config.jobs,
         }
         if pg_map is not None:
             diagnostics["cache"] = "hit"

@@ -167,14 +167,17 @@ class ServeReport:
 def build_scenario(
     config: LoadgenConfig,
 ) -> tuple[InvertedIndex, list[TimedQuery], QueryLog]:
-    """Index, drifting stream, and warmup log for one seeded scenario."""
-    vocabulary = [f"w{i:06d}" for i in range(config.vocabulary)]
+    """Index, drifting stream, and warmup log for one seeded scenario.
+
+    Queries draw from the indexed vocabulary: a word the corpus never
+    used has no postings, so it cannot be placed.
+    """
     corpus = generate_corpus(
         config.documents, config.vocabulary, seed=config.seed
     )
     index = InvertedIndex.from_corpus(corpus)
     model = QueryWorkloadModel(
-        vocabulary, num_topics=config.topics, seed=config.seed
+        index.vocabulary, num_topics=config.topics, seed=config.seed
     )
     shifted = model.drifted(config.shift_fraction, seed=config.seed + 1)
     half = config.duration_s / 2.0

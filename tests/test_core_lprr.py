@@ -136,10 +136,10 @@ class TestCapacityModes:
 
 
 class TestImportFootprint:
-    def test_planning_never_loads_the_lp_solver(self):
-        # The closed form replaced the LP solve, so neither the HiGHS
-        # modelling layer nor scipy.optimize may load on the planning
-        # path.  A fresh interpreter: this suite imports both itself.
+    @staticmethod
+    def _loaded_after_plan(config: str, modules: tuple[str, ...]) -> str:
+        """Plan in a fresh interpreter (this suite imports a lot itself)
+        and print which of ``modules`` ended up in ``sys.modules``."""
         src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "import sys\n"
@@ -147,8 +147,8 @@ class TestImportFootprint:
             "problem = repro.PlacementProblem.build(\n"
             "    {'a': 1.0, 'b': 1.0, 'c': 2.0}, 2, {('a', 'b'): 0.5}\n"
             ")\n"
-            "repro.plan(problem, 'lprr')\n"
-            "print([m for m in ('scipy.optimize', 'repro.lpsolve') if m in sys.modules])\n"
+            f"repro.plan(problem, 'lprr', {config})\n"
+            f"print([m for m in {modules!r} if m in sys.modules])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(src))
         out = subprocess.run(
@@ -158,4 +158,23 @@ class TestImportFootprint:
             check=True,
             env=env,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_planning_never_loads_the_lp_solver(self):
+        # The closed form replaced the LP solve, so neither the HiGHS
+        # modelling layer nor scipy.optimize may load on the planning
+        # path.
+        assert (
+            self._loaded_after_plan(
+                "repro.PlanConfig()", ("scipy.optimize", "repro.lpsolve")
+            )
+            == "[]"
+        )
+
+    def test_cached_planning_never_loads_a_process_pool(self, tmp_path):
+        # Rounding runs in-process, so a plan through the plan cache
+        # must not pull in the process-pool machinery either.
+        config = f"repro.PlanConfig(cache_dir={str(tmp_path)!r})"
+        modules = ("multiprocessing", "concurrent.futures.process")
+        assert self._loaded_after_plan(config, modules) == "[]"
+        assert list(tmp_path.rglob("*.json"))  # the plan was cached

@@ -26,6 +26,15 @@ def uniform_fractional():
     return p, make_fractional(p, [[0.5, 0.5], [0.5, 0.5]])
 
 
+@pytest.fixture
+def split_fractional():
+    """Distinct rows, so trials split pairs differently and costs vary."""
+    p = PlacementProblem.build(
+        {"a": 1.0, "b": 1.0, "c": 1.0}, 2, {("a", "b"): 1.0, ("b", "c"): 0.5}
+    )
+    return make_fractional(p, [[0.7, 0.3], [0.4, 0.6], [0.2, 0.8]])
+
+
 class TestRoundFractional:
     def test_places_every_object(self, uniform_fractional):
         _, frac = uniform_fractional
@@ -116,6 +125,21 @@ class TestRoundBestOf:
         _, frac = uniform_fractional
         result = round_best_of(frac, trials=1, rng=0)
         assert result.cost_std == 0.0
+
+    def test_cost_is_the_best_trials_cost(self, split_fractional):
+        result = round_best_of(split_fractional, trials=8, rng=7)
+        assert len(set(result.trial_costs)) > 1  # trials genuinely differ
+        assert result.cost == result.trial_costs[result.best_trial]
+
+    def test_without_tolerance_winner_is_earliest_minimum(self, split_fractional):
+        result = round_best_of(split_fractional, trials=8, rng=6)
+        cheapest = min(result.trial_costs)
+        # At this seed the first trial is not the cheapest and the
+        # cheapest cost is tied across later trials.
+        assert result.trial_costs[0] > cheapest
+        assert result.trial_costs.count(cheapest) > 1
+        assert result.cost == cheapest
+        assert result.best_trial == result.trial_costs.index(cheapest)
 
     def test_zero_trials_rejected(self, uniform_fractional):
         _, frac = uniform_fractional

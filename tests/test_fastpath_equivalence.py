@@ -1,11 +1,11 @@
 """Property tests: every vectorized fast path is byte-identical to its loop.
 
-PR 5 added batched engines behind existing APIs — bulk LP constraint
-assembly, batched randomized rounding, deduplicating query-log replay,
-vectorized Count-Min ingestion, and chunked correlation mining.  Each
-one promises *byte-identical* output to the legacy per-item loop under
-fixed seeds; these hypothesis suites hold them to it, including dict
-insertion order and the type-gate fallbacks of the miner.
+Batched engines sit behind existing APIs — bulk LP constraint
+assembly, deduplicating query-log replay, vectorized Count-Min
+ingestion, and chunked correlation mining.  Each one promises
+*byte-identical* output to the legacy per-item loop under fixed seeds;
+these hypothesis suites hold them to it, including dict insertion
+order and the type-gate fallbacks of the miner.
 """
 
 import json
@@ -25,7 +25,6 @@ from repro.core.correlation import (
 )
 from repro.core.lp import build_placement_lp
 from repro.core.problem import PlacementProblem
-from repro.core.rounding import _round_trials_loop, round_trials_batched
 from repro.lpsolve import LinearProgram, Sense
 from repro.online.sketch import SketchCorrelationEstimator
 from repro.search.documents import Corpus, Document
@@ -272,28 +271,6 @@ class TestLPAssemblyEquivalence:
         assert _lp_state(build_placement_lp(problem)) == _lp_state(
             _build_placement_lp_loop(problem)
         )
-
-
-class TestRoundingEquivalence:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        problem=_problems(max_objects=8, max_nodes=4),
-        trials=st.integers(1, 8),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_batched_sweep_matches_per_trial_loop(self, problem, trials, seed):
-        from repro.core.lp import FractionalPlacement, LPStats
-
-        rng = np.random.default_rng(seed)
-        fractions = rng.dirichlet(
-            np.full(len(problem.node_ids), 0.5), size=len(problem.object_ids)
-        )
-        fractional = FractionalPlacement(problem, fractions, 0.0, LPStats(0, 0, 0, 0.0, 0))
-        seqs = np.random.SeedSequence(seed).spawn(trials)
-        fast_assign, fast_rounds = round_trials_batched(fractional, seqs)
-        loop_assign, loop_rounds = _round_trials_loop(fractional, seqs)
-        np.testing.assert_array_equal(fast_assign, loop_assign)
-        np.testing.assert_array_equal(fast_rounds, loop_rounds)
 
 
 # ----------------------------------------------------------------------

@@ -483,17 +483,19 @@ class TestLabels:
 
 
 class TestSpanPayloads:
+    """``Span.to_dict`` -> ``span_from_payload``: the metrics-document path."""
+
     def test_round_trip_preserves_tree_and_timeline(self):
-        from repro.obs.span import span_from_payload, span_to_payload
+        from repro.obs.span import span_from_payload
 
         tracer = Tracer()
-        with tracer.span("root", pid=42) as root:
+        with tracer.span("root", step=0) as root:
             with tracer.span("child", step=1):
                 pass
-        payload = span_to_payload(root)
+        payload = json.loads(json.dumps(root.to_dict()))
         rebuilt = span_from_payload(payload)
         assert rebuilt.name == "root"
-        assert rebuilt.attributes == {"pid": 42}
+        assert rebuilt.attributes == {"step": 0}
         assert rebuilt.start_time == root.start_time
         assert rebuilt.end_time == root.end_time
         (child,) = rebuilt.children
@@ -501,12 +503,10 @@ class TestSpanPayloads:
         assert child.start_time >= rebuilt.start_time
 
     def test_payload_is_json_safe(self):
-        from repro.obs.span import span_to_payload
-
         tracer = Tracer()
         with tracer.span("root") as root:
             pass
-        json.dumps(span_to_payload(root))  # must not raise
+        json.dumps(root.to_dict())  # must not raise
 
     def test_legacy_payload_without_start_end_loads(self):
         from repro.obs.span import span_from_payload
@@ -516,28 +516,6 @@ class TestSpanPayloads:
         )
         assert span.duration == 1.5
 
-    def test_attach_grafts_under_current_span(self):
-        from repro.obs.span import span_from_payload, span_to_payload
-
-        worker = Tracer()
-        with worker.span("worker-root"):
-            pass
-        payload = span_to_payload(worker.roots[0])
-        parent = Tracer()
-        with parent.span("parent"):
-            parent.attach(span_from_payload(payload))
-        (root,) = parent.roots
-        assert [c.name for c in root.children] == ["worker-root"]
-
-    def test_attach_without_open_span_becomes_root(self):
-        from repro.obs.span import Span
-
-        tracer = Tracer()
-        orphan = Span("orphan")
-        orphan.finish()
-        tracer.attach(orphan)
-        assert [s.name for s in tracer.roots] == ["orphan"]
-
 
 class TestChromeTrace:
     def _forest(self):
@@ -545,7 +523,7 @@ class TestChromeTrace:
         with tracer.span("root"):
             with tracer.span("local"):
                 pass
-            with tracer.span("rounding.worker", pid=1234):
+            with tracer.span("rounding", trials=4):
                 with tracer.span("inner"):
                     pass
         return tracer
@@ -558,27 +536,13 @@ class TestChromeTrace:
         events = doc["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
         assert {e["name"] for e in complete} == {
-            "root", "local", "rounding.worker", "inner",
+            "root", "local", "rounding", "inner",
         }
         for e in complete:
             assert e["ts"] >= 0 and e["dur"] >= 0 and e["pid"] == 0
-
-    def test_worker_subtree_gets_its_own_track(self):
-        from repro.obs.export import to_chrome_trace
-
-        doc = json.loads(to_chrome_trace(self._forest()))
-        events = doc["traceEvents"]
-        by_name = {e["name"]: e for e in events if e["ph"] == "X"}
-        assert by_name["root"]["tid"] == by_name["local"]["tid"]
-        worker_tid = by_name["rounding.worker"]["tid"]
-        assert worker_tid != by_name["root"]["tid"]
-        assert by_name["inner"]["tid"] == worker_tid  # inherits the track
-        names = {
-            e["tid"]: e["args"]["name"]
-            for e in events
-            if e["name"] == "thread_name"
-        }
-        assert names[worker_tid] == "worker pid=1234"
+        assert {e["tid"] for e in complete} == {0}
+        tracks = [e["args"]["name"] for e in events if e["name"] == "thread_name"]
+        assert tracks == ["main"]
 
     def test_empty_forest_still_valid(self):
         from repro.obs.export import to_chrome_trace

@@ -28,14 +28,13 @@ def problem():
 class TestPlanConfig:
     def test_defaults_select_legacy_engine(self):
         config = PlanConfig()
-        assert config.jobs is None
         assert config.cache_dir is None
         assert config.make_cache() is None
 
     def test_with_options(self):
-        config = PlanConfig().with_options(scope=10, jobs=2)
+        config = PlanConfig().with_options(scope=10, rounding_trials=3)
         assert config.scope == 10
-        assert config.jobs == 2
+        assert config.rounding_trials == 3
         assert config.seed == 0  # untouched
 
     def test_frozen(self):
@@ -44,7 +43,8 @@ class TestPlanConfig:
 
     def test_fields(self):
         # 2.0 dropped the solver knobs (backend, lp_time_limit,
-        # lp_iteration_limit, decompose, warm_start) and added none.
+        # lp_iteration_limit, decompose, warm_start) and 3.0 dropped
+        # jobs; neither added any.
         assert [f.name for f in dataclasses.fields(PlanConfig)] == [
             "scope",
             "seed",
@@ -53,7 +53,6 @@ class TestPlanConfig:
             "capacity_tolerance",
             "hash_salt",
             "repair",
-            "jobs",
             "cache_dir",
             "use_cache",
             "replicas",
@@ -106,7 +105,7 @@ class TestPlanResults:
     def test_lprr_diagnostics(self, problem):
         result = plan(problem, "lprr", PlanConfig(seed=0))
         assert result.diagnostics["cache"] == "off"
-        assert result.diagnostics["jobs"] is None
+        assert "jobs" not in result.diagnostics
         assert "lp_lower_bound" in result.diagnostics
         assert result.details is not None
         assert result.details.rounding.trials == 10
@@ -122,13 +121,6 @@ class TestPlanResults:
         assert len(doc["assignment"]) == problem.num_objects
         assert doc["objects"] == [str(o) for o in problem.object_ids]
         assert "details" in doc
-
-    def test_parallel_config(self, problem):
-        serial = plan(problem, "lprr", PlanConfig(seed=5, jobs=1))
-        pooled = plan(problem, "lprr", PlanConfig(seed=5, jobs=2))
-        assert np.array_equal(
-            serial.placement.assignment, pooled.placement.assignment
-        )
 
     def test_cache_diagnostics(self, problem, tmp_path):
         config = PlanConfig(seed=0, cache_dir=tmp_path)

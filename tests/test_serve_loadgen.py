@@ -95,6 +95,21 @@ class TestBuildScenario:
         assert any(t < half for t in times)
         assert any(t >= half for t in times)
 
+    def test_queries_only_use_indexed_words(self):
+        # At seed 3 a one-document corpus misses 4 of 100 words.  A
+        # query over a missed word has no postings to place, so planning
+        # would reject it as an unknown object.
+        config = small_config(vocabulary=100, documents=1)
+        index, stream, warmup = build_scenario(config)
+        indexed = set(index.vocabulary)
+        assert len(indexed) < config.vocabulary
+        queried = {w for timed in stream for w in timed.query.keywords}
+        queried |= {w for query in warmup for w in query.keywords}
+        assert queried <= indexed
+        report = run_loadgen(config)
+        assert report.completed + sum(report.shed.values()) == report.offered
+        assert report.swaps == config.swaps
+
 
 class TestOnPublishHook:
     def test_hook_feeds_snapshots(self):
