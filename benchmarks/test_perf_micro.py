@@ -17,7 +17,7 @@ from repro.core.lp import pack_components
 from repro.core.hashing import random_hash_placement
 from repro.core.importance import top_important
 from repro.core.rounding import round_best_of, round_fractional
-from repro.online.sketch import CountMinSketch
+from repro.online.sketch import CountMinSketch, SpaceSavingPairs
 from repro.search.engine import DistributedSearchEngine
 
 
@@ -111,6 +111,19 @@ def test_perf_cm_ingest_loop(benchmark, ingest_pairs):
 
     sketch = benchmark(run)
     assert sketch.total == len(ingest_pairs)
+
+
+def test_perf_space_saving_full(benchmark, ingest_pairs):
+    """Space-Saving ingest at a capacity the stream keeps full."""
+    def run():
+        tracker = SpaceSavingPairs(capacity=128)
+        for pair in ingest_pairs:
+            tracker.add(pair)
+        return tracker
+
+    tracker = benchmark(run)
+    assert tracker.total == len(ingest_pairs)
+    assert tracker.evictions > 0
 
 
 def test_perf_sort_key_warm_cache(benchmark, study):

@@ -29,6 +29,7 @@ length, and everything round-trips through ``to_dict``/``from_dict``
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import warnings
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -114,7 +115,7 @@ class CountMinSketch:
 
     def add(self, key: Hashable, count: float = 1.0) -> None:
         """Increment ``key`` by ``count`` (must be nonnegative)."""
-        if count < 0:
+        if not count >= 0:
             raise ValueError("count must be nonnegative")
         for row, idx in enumerate(self._indices(key)):
             self._cells[row, idx] += count
@@ -149,7 +150,7 @@ class CountMinSketch:
             count_list = [float(c) for c in counts]
             if len(count_list) != len(keys):
                 raise ValueError("counts must match the number of keys")
-            if any(c < 0 for c in count_list):
+            if not all(c >= 0 for c in count_list):
                 raise ValueError("count must be nonnegative")
         cols = np.fromiter(
             (idx for key in keys for idx in self._cached_indices(key)),
@@ -256,8 +257,14 @@ class SpaceSavingPairs:
     pair whose true count exceeds ``total / capacity`` is tracked, and
     ``count - error <= true count <= count`` for every tracked pair.
 
-    Eviction ties break on the pair's ``repr`` so runs are
-    deterministic regardless of hash randomization.
+    Eviction ties break on the pair's ``repr``, then on insertion
+    order, so runs are deterministic regardless of hash randomization.
+    The victim comes off a lazy min-heap holding one
+    ``(count at push, repr, insertion seq, pair)`` item per tracked
+    pair: counts only grow between :meth:`scale` calls, so an item
+    whose stored count is stale is re-pushed with the current count
+    when it surfaces, and the first current item is the minimum.
+    Eviction costs amortized O(log capacity) per pair.
     """
 
     def __init__(self, capacity: int = 256):
@@ -265,13 +272,15 @@ class SpaceSavingPairs:
             raise ValueError("capacity must be at least 1")
         self.capacity = int(capacity)
         self._entries: dict[Pair, list[float]] = {}  # pair -> [count, error]
+        self._heap: list[tuple[float, str, int, Pair]] = []
+        self._seq = 0
         self._total = 0.0
         self.max_tracked = 0
         self.evictions = 0
 
     def add(self, pair: Pair, count: float = 1.0) -> None:
         """Fold one observation of ``pair`` into the summary."""
-        if count < 0:
+        if not count >= 0:
             raise ValueError("count must be nonnegative")
         self._total += count
         entry = self._entries.get(pair)
@@ -279,17 +288,20 @@ class SpaceSavingPairs:
             entry[0] += count
         elif len(self._entries) < self.capacity:
             self._entries[pair] = [count, 0.0]
+            heapq.heappush(self._heap, (count, repr(pair), self._seq, pair))
+            self._seq += 1
         else:
-            # Victim = min by (count, repr).  Scan counts numerically
-            # first and compute repr only for ties — the repr of every
-            # tracked pair per eviction was the ingest hot spot.
-            lowest = min(entry[0] for entry in self._entries.values())
-            victim = min(
-                (p for p, entry in self._entries.items() if entry[0] == lowest),
-                key=repr,
-            )
-            floor = self._entries.pop(victim)[0]
+            heap = self._heap
+            while True:
+                stored, key, seq, victim = heap[0]
+                floor = self._entries[victim][0]
+                if stored == floor:
+                    break
+                heapq.heapreplace(heap, (floor, key, seq, victim))
+            del self._entries[victim]
             self._entries[pair] = [floor + count, floor]
+            heapq.heapreplace(heap, (floor + count, repr(pair), self._seq, pair))
+            self._seq += 1
             self.evictions += 1
         self.max_tracked = max(self.max_tracked, len(self._entries))
 
@@ -320,12 +332,20 @@ class SpaceSavingPairs:
             raise ValueError("scale factor must be in [0, 1]")
         if factor == 0.0:
             self._entries.clear()
+            self._heap = []
             self._total = 0.0
             return
         for entry in self._entries.values():
             entry[0] *= factor
             entry[1] *= factor
         self._total *= factor
+        # Rebuild at the current counts: rounding can make distinct
+        # counts equal, so the old heap order need not hold.
+        self._heap = [
+            (self._entries[pair][0], key, seq, pair)
+            for _stored, key, seq, pair in self._heap
+        ]
+        heapq.heapify(self._heap)
 
     @property
     def total(self) -> float:
@@ -352,12 +372,22 @@ class SpaceSavingPairs:
         """Rebuild a tracker from :meth:`to_dict` output.
 
         JSON turns tuple pairs into lists; they come back as tuples.
+        Entries keep their serialized order as their insertion order.
         """
         tracker = cls(capacity=doc["capacity"])
         for raw_pair, count, error in doc["entries"]:
-            tracker._entries[tuple(raw_pair)] = [float(count), float(error)]
+            pair = tuple(raw_pair)
+            if pair in tracker._entries:
+                raise ValueError(f"serialized entries repeat pair {pair!r}")
+            count = float(count)
+            if not count >= 0:
+                raise ValueError("count must be nonnegative")
+            tracker._entries[pair] = [count, float(error)]
+            tracker._heap.append((count, repr(pair), tracker._seq, pair))
+            tracker._seq += 1
         if len(tracker._entries) > tracker.capacity:
             raise ValueError("serialized entries exceed capacity")
+        heapq.heapify(tracker._heap)
         tracker._total = float(doc["total"])
         tracker.max_tracked = int(doc["max_tracked"])
         tracker.evictions = int(doc["evictions"])

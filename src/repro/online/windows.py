@@ -96,9 +96,10 @@ def tumbling_periods(
             after it.
 
     Raises:
-        ValueError: On a non-positive window, when a timestamp runs
-            backwards (the slicing would silently misfile operations),
-            or when a timestamp precedes an explicit ``origin_s``.
+        ValueError: On a non-positive window, on a NaN or infinite
+            timestamp, when a timestamp runs backwards (the slicing
+            would silently misfile operations), or when a timestamp
+            precedes an explicit ``origin_s``.
     """
     if window_s <= 0:
         raise ValueError("window_s must be positive")
@@ -108,6 +109,8 @@ def tumbling_periods(
     last_time: float | None = None
     for item in stream:
         timed = as_timed_operation(item)
+        if not math.isfinite(timed.time_s):
+            raise ValueError(f"stream timestamp {timed.time_s!r} is not finite")
         if last_time is None:
             if origin_s is not None and timed.time_s < origin_s:
                 raise ValueError(

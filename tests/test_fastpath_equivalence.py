@@ -2,10 +2,11 @@
 
 Batched engines sit behind existing APIs — bulk LP constraint
 assembly, deduplicating query-log replay, vectorized Count-Min
-ingestion, and chunked correlation mining.  Each one promises
-*byte-identical* output to the legacy per-item loop under fixed seeds;
-these hypothesis suites hold them to it, including dict insertion
-order and the type-gate fallbacks of the miner.
+ingestion, heap-based Space-Saving eviction, and chunked correlation
+mining.  Each one promises *byte-identical* output to the legacy
+per-item loop under fixed seeds; these hypothesis suites hold them to
+it, including dict insertion order and the type-gate fallbacks of the
+miner.
 """
 
 import json
@@ -26,7 +27,7 @@ from repro.core.correlation import (
 from repro.core.lp import build_placement_lp
 from repro.core.problem import PlacementProblem
 from repro.lpsolve import LinearProgram, Sense
-from repro.online.sketch import SketchCorrelationEstimator
+from repro.online.sketch import SketchCorrelationEstimator, SpaceSavingPairs
 from repro.search.documents import Corpus, Document
 from repro.search.engine import DistributedSearchEngine
 from repro.search.index import InvertedIndex
@@ -157,6 +158,130 @@ class TestSketchIngestEquivalence:
             incremental.to_dict(), sort_keys=False
         )
         _assert_same_mapping(batched.correlations(), incremental.correlations())
+
+
+# ----------------------------------------------------------------------
+# Space-Saving eviction
+# ----------------------------------------------------------------------
+
+class _SpaceSavingScan:
+    """The linear-scan Space-Saving tracker: two passes per eviction.
+
+    Victim = the first entry in insertion order among those minimal by
+    ``(count, repr)``.  ``round_trip`` applies what ``to_dict`` then
+    ``from_dict`` (optionally through JSON) does to the state: entries
+    come back as tuples, in ``items()`` order.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = {}  # pair -> [count, error]
+        self.total = 0.0
+        self.max_tracked = 0
+        self.evictions = 0
+
+    def add(self, pair, count):
+        self.total += count
+        entry = self.entries.get(pair)
+        if entry is not None:
+            entry[0] += count
+        elif len(self.entries) < self.capacity:
+            self.entries[pair] = [count, 0.0]
+        else:
+            lowest = min(entry[0] for entry in self.entries.values())
+            victim = min(
+                (p for p, entry in self.entries.items() if entry[0] == lowest),
+                key=repr,
+            )
+            floor = self.entries.pop(victim)[0]
+            self.entries[pair] = [floor + count, floor]
+            self.evictions += 1
+        self.max_tracked = max(self.max_tracked, len(self.entries))
+
+    def scale(self, factor):
+        if factor == 0.0:
+            self.entries.clear()
+            self.total = 0.0
+            return
+        for entry in self.entries.values():
+            entry[0] *= factor
+            entry[1] *= factor
+        self.total *= factor
+
+    def items(self):
+        return sorted(
+            ((pair, float(c), float(e)) for pair, (c, e) in self.entries.items()),
+            key=lambda row: (-row[1], repr(row[0])),
+        )
+
+    def round_trip(self, via_json):
+        rows = [[list(p), c, e] for p, c, e in self.items()]
+        if via_json:
+            rows = json.loads(json.dumps(rows))
+        self.entries = {tuple(p): [float(c), float(e)] for p, c, e in rows}
+
+
+class _Faceless(str):
+    """An object id with an empty repr.
+
+    Every pair of them has the repr ``"(, )"``, which sorts before the
+    repr of every pair of ints, so faceless pairs are the victims
+    whenever their count is lowest and ties among them fall through to
+    insertion order.  A JSON round trip turns them into plain strings;
+    a round trip without JSON keeps them.
+    """
+
+    def __repr__(self):
+        return ""
+
+
+_SS_UNIVERSE = [(0, 1), (0, 2), (1, 2), (2, 3)] + [
+    (_Faceless(f"f{i}"), _Faceless(f"f{i + 1}")) for i in (0, 2, 4)
+]
+
+
+@st.composite
+def _ss_steps(draw):
+    kind = draw(st.sampled_from(["add"] * 8 + ["scale", "round_trip"]))
+    if kind == "add":
+        return kind, draw(st.sampled_from(_SS_UNIVERSE)), draw(
+            st.sampled_from([0.5, 1.0, 2.0])
+        )
+    if kind == "scale":
+        return kind, draw(st.sampled_from([0.0, 0.5, 0.7, 1.0]))
+    return kind, draw(st.booleans())
+
+
+class TestSpaceSavingEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 4),
+        steps=st.lists(_ss_steps(), min_size=20, max_size=80),
+    )
+    def test_heap_eviction_matches_linear_scan(self, capacity, steps):
+        tracker = SpaceSavingPairs(capacity)
+        reference = _SpaceSavingScan(capacity)
+        for step in steps:
+            if step[0] == "add":
+                tracker.add(step[1], step[2])
+                reference.add(step[1], step[2])
+            elif step[0] == "scale":
+                tracker.scale(step[1])
+                reference.scale(step[1])
+            else:
+                doc = tracker.to_dict()
+                if step[1]:
+                    doc = json.loads(json.dumps(doc))
+                tracker = SpaceSavingPairs.from_dict(doc)
+                reference.round_trip(step[1])
+            assert tracker.items() == reference.items()
+            assert tracker.evictions == reference.evictions
+            assert tracker.max_tracked == reference.max_tracked
+            assert tracker.total == reference.total
+            for pair in _SS_UNIVERSE:
+                entry = reference.entries.get(pair, [0.0, 0.0])
+                assert tracker.count(pair) == entry[0]
+                assert tracker.error(pair) == entry[1]
 
 
 # ----------------------------------------------------------------------

@@ -82,8 +82,11 @@ class TestCountMinSketch:
             a.merge(b)
 
     def test_negative_count_raises(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            CountMinSketch().add("a", -1.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                CountMinSketch().add("a", bad)
+            with pytest.raises(ValueError, match="nonnegative"):
+                CountMinSketch().update_many(["a", "b"], [1.0, bad])
 
     def test_round_trip(self):
         sketch = CountMinSketch(width=8, depth=2, seed=5)
@@ -141,6 +144,14 @@ class TestSpaceSavingPairs:
         assert rows[0][0] == ("a", "b")
         assert rows[1][0] == ("b", "c")
 
+    def test_negative_count_raises(self):
+        tracker = SpaceSavingPairs(capacity=2)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                tracker.add(("a", "b"), bad)
+        assert len(tracker) == 0
+        assert tracker.total == 0.0
+
     def test_scale_zero_clears(self):
         tracker = SpaceSavingPairs(capacity=4)
         tracker.add(("a", "b"))
@@ -158,6 +169,20 @@ class TestSpaceSavingPairs:
         assert restored.items() == tracker.items()
         assert restored.total == tracker.total
         assert restored.evictions == tracker.evictions
+
+    def test_from_dict_rejects_malformed_entries(self):
+        doc = {
+            "capacity": 4,
+            "total": 3.0,
+            "max_tracked": 2,
+            "evictions": 0,
+            "entries": [[["a", "b"], 2.0, 0.0], [["a", "b"], 1.0, 0.0]],
+        }
+        with pytest.raises(ValueError, match="repeat pair"):
+            SpaceSavingPairs.from_dict(doc)
+        doc["entries"] = [[["a", "b"], float("nan"), 0.0]]
+        with pytest.raises(ValueError, match="nonnegative"):
+            SpaceSavingPairs.from_dict(doc)
 
 
 class TestSketchCorrelationEstimator:
@@ -251,6 +276,14 @@ class TestWindows:
     def test_non_monotonic_raises(self):
         stream = [TimedOperation(5.0, ("a", "b")), TimedOperation(4.0, ("c", "d"))]
         with pytest.raises(ValueError, match="non-decreasing"):
+            list(tumbling_periods(stream, 10.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_timestamp_raises(self, bad, position):
+        stream = [TimedOperation(5.0, ("a", "b")), TimedOperation(6.0, ("c", "d"))]
+        stream[position] = TimedOperation(bad, ("x", "y"))
+        with pytest.raises(ValueError, match=f"timestamp {bad!r} is not finite"):
             list(tumbling_periods(stream, 10.0))
 
     def test_epoch_timestamps_anchor_first_window(self):
