@@ -6,8 +6,8 @@ cost evaluation, packing and rounding, and query execution.
 
 The ``*_loop`` / ``*_sequential`` / ``*_cold`` variants pin the legacy
 implementation next to its vectorized fast path so ``pytest-benchmark``
-output shows the speedup directly; ``repro bench`` tracks the same
-ratios against a committed baseline (``BENCH_5.json``).
+output shows the speedup directly.  End-to-end timing is
+``perfbench/run.py``.
 """
 
 import numpy as np

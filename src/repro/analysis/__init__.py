@@ -5,18 +5,6 @@ Skewness (Figure 2A), stability (Figure 2B), importance dominance
 """
 
 from repro.analysis.asciiplot import ascii_chart, sparkline
-from repro.analysis.comparison import (
-    ComparisonResult,
-    StrategyOutcome,
-    compare_strategies,
-)
-from repro.analysis.diagnostics import (
-    MoveSuggestion,
-    RegretPair,
-    best_moves,
-    node_cut_weights,
-    regret_pairs,
-)
 from repro.analysis.dominance import DominanceCurves, dominance_curves
 from repro.analysis.reporting import format_series, format_table, normalize_to
 from repro.analysis.skewness import pair_probability_curve, skew_ratio
@@ -30,24 +18,16 @@ from repro.analysis.traffic import (
 
 __all__ = [
     "BalanceReport",
-    "ComparisonResult",
-    "MoveSuggestion",
-    "StrategyOutcome",
-    "RegretPair",
     "DominanceCurves",
     "StabilityReport",
     "ascii_chart",
     "balance_report",
-    "best_moves",
-    "compare_strategies",
     "dominance_curves",
     "format_series",
     "link_utilization",
-    "node_cut_weights",
     "format_table",
     "normalize_to",
     "pair_probability_curve",
-    "regret_pairs",
     "sender_balance",
     "skew_ratio",
     "sparkline",

@@ -9,7 +9,6 @@ Subcommands::
     repro chaos        — seeded fault-injection run with a degraded report
     repro online       — streaming control loop over a drifting query stream
     repro pg           — plan a synthetic scenario through placement groups
-    repro bench        — fast-vs-legacy benchmark suite (tracked baseline)
     repro trace        — analyze a journal or metrics artifact from a run
 
 Instrumented subcommands accept ``--metrics-out PATH`` (machine-readable
@@ -542,59 +541,6 @@ def cmd_pg(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the tracked fast-vs-legacy benchmark suite.
-
-    Times every vectorized hot path against the legacy loop it
-    replaced on pinned seeded workloads (see :mod:`repro.bench`),
-    verifies byte-identical output, and reports speedups.  With
-    ``--compare BASELINE`` the run fails (exit 1) when any speedup
-    ratio falls more than ``--tolerance`` below the baseline artifact
-    or a case's absolute floor — wall times are machine-specific, so
-    only ratios are compared.
-    """
-    from repro.bench import BenchReport, run_bench
-
-    tags = args.tags.split(",") if args.tags else None
-    try:
-        report = run_bench(seed=args.seed, repeats=args.repeats, tags=tags)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for case in report.cases:
-        marker = "ok" if case.equal else "DIVERGED"
-        floor = f" (floor {case.min_speedup:.1f}x)" if case.min_speedup else ""
-        print(
-            f"{case.name:20s} [{case.tag}] legacy {case.legacy_s:.3f}s "
-            f"fast {case.fast_s:.3f}s speedup {case.speedup:.2f}x{floor} {marker}"
-        )
-    print(f"peak RSS {report.peak_rss_kb} KiB")
-    if args.out:
-        report.save(args.out)
-        print(f"wrote bench report to {args.out}", file=sys.stderr)
-    if args.compare:
-        try:
-            baseline = BenchReport.load(args.compare)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot load baseline {args.compare}: {exc}", file=sys.stderr)
-            return 2
-        problems = report.compare(baseline, tolerance=args.tolerance)
-        obs.record(
-            "bench.compare",
-            baseline=args.compare,
-            tolerance=args.tolerance,
-            regressions=len(problems),
-        )
-        if problems:
-            for line in problems:
-                print(f"REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.compare}", file=sys.stderr)
-    elif any(not case.equal for case in report.cases):
-        return 1
-    return 0
-
-
 def cmd_gap(args: argparse.Namespace) -> int:
     """Measure the LPRR optimality gap on small instances.
 
@@ -925,35 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_planner_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_pg)
-
-    p = sub.add_parser(
-        "bench", help="fast-vs-legacy benchmark suite with tracked baseline"
-    )
-    p.add_argument("--seed", type=int, default=0, help="workload seed")
-    p.add_argument("--repeats", type=int, default=3, help="timing repeats")
-    p.add_argument(
-        "--tags",
-        default=None,
-        help=(
-            "comma-separated stages to run "
-            "(plan,evaluate,online-ingest,pg,rep,serve,solve)"
-        ),
-    )
-    p.add_argument("--out", metavar="PATH", default=None, help="write report JSON")
-    p.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        default=None,
-        help="fail on speedup regressions vs this artifact",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional speedup drop vs the baseline",
-    )
-    _add_obs_args(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "gap", help="optimality gap of LPRR vs an exact reference"

@@ -8,9 +8,7 @@ The cluster places objects according to a placement scheme and executes
 multi-object operations, accounting every byte moved between nodes.
 """
 
-from repro.cluster.adaptive import AdaptivePlacer, ReplanDecision
 from repro.cluster.cluster import Cluster, OperationResult
-from repro.cluster.failures import AvailabilityReport, fail_nodes, worst_single_failure
 from repro.cluster.network import NetworkModel
 from repro.cluster.node import StorageNode
 from repro.cluster.topology import (
@@ -22,18 +20,13 @@ from repro.cluster.topology import (
 )
 
 __all__ = [
-    "AdaptivePlacer",
-    "AvailabilityReport",
     "Cluster",
     "DOMAIN_KINDS",
     "FailureDomain",
     "NetworkModel",
     "OperationResult",
-    "ReplanDecision",
     "StorageNode",
     "Topology",
-    "fail_nodes",
     "parse_topology_spec",
     "synthetic_topology",
-    "worst_single_failure",
 ]

@@ -555,7 +555,7 @@ class PairEstimator(Protocol):
     Implemented exactly by :class:`CorrelationEstimator` and in bounded
     memory by
     :class:`~repro.online.sketch.SketchCorrelationEstimator`; the
-    adaptive placer and the online controller accept either.
+    online controller accepts either.
     """
 
     @property

@@ -78,29 +78,6 @@ def spread_violations(
     return np.flatnonzero(clash)
 
 
-def _spread_violations_loop(
-    assignment: np.ndarray, domain_ids: np.ndarray
-) -> np.ndarray:
-    """Reference per-row loop for :func:`spread_violations`.
-
-    Kept as the benchmark suite's legacy oracle (``repro bench --tags
-    rep``); the vectorized form must match it exactly.
-    """
-    assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.ndim != 2 or assignment.shape[1] < 2:
-        return np.empty(0, dtype=np.int64)
-    bad: list[int] = []
-    for i in range(assignment.shape[0]):
-        seen: set[int] = set()
-        for node in assignment[i]:
-            domain = int(domain_ids[int(node)])
-            if domain in seen:
-                bad.append(i)
-                break
-            seen.add(domain)
-    return np.asarray(bad, dtype=np.int64)
-
-
 class ReplicatedPlacement:
     """An assignment of ``R`` replicas of every object to nodes.
 

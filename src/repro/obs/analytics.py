@@ -469,13 +469,4 @@ def render_journal_report(records: Sequence[dict]) -> str:
                 f"bytes={p.get('bytes_moved')}"
             )
 
-    bench = [r for r in records if r.get("kind") == "bench.case"]
-    if bench:
-        lines.append("")
-        lines.append("bench cases:")
-        for case in bench:
-            lines.append(
-                f"  {case.get('case'):<20} speedup {case.get('speedup')}x "
-                f"(fast {case.get('fast_s')}s vs legacy {case.get('legacy_s')}s)"
-            )
     return "\n".join(lines)

@@ -7,8 +7,7 @@ placement-group granularity: group the tail
 problem through the ordinary ``"lprr"`` planner, then expand the
 answer back to an object-level placement.  The LP sees ``K + M``
 "objects" regardless of the real object count, which is what makes
-million-object problems plannable on a laptop (see ``docs/SCALE.md``
-and the ``pg`` bench case).
+million-object problems plannable on a laptop (see ``docs/SCALE.md``).
 
 Plans cache under their own ``pgplan`` kind, keyed by the full
 problem's fingerprint plus every grouping and LPRR knob — a PG plan
@@ -268,7 +267,7 @@ def repair_lost_groups(
     :class:`~repro.resilience.repair.RepairOutcome` shape — so chaos
     and availability tooling consume PG repairs unchanged.
     """
-    from repro.cluster.failures import fail_nodes
+    from repro.resilience import ClusterView, mode_stats
     from repro.resilience.repair import RepairOutcome
 
     failed_set = {node for node in failed}
@@ -288,6 +287,10 @@ def repair_lost_groups(
         for node in sorted(failed_set, key=repr):
             new_map = new_map.remove_node(node)
         after = new_map.expand(problem, grouping)
+        view = ClusterView(
+            problem.num_nodes,
+            down=frozenset(problem.node_index(node) for node in failed_set),
+        )
         plan_ = diff_placements(before, after)
         moved = np.flatnonzero(before.assignment != after.assignment)
         obs.record(
@@ -301,10 +304,10 @@ def repair_lost_groups(
         placement=after,
         failed_nodes=tuple(sorted(failed_set, key=repr)),
         lost_objects=tuple(problem.object_ids[i] for i in moved),
-        availability_before=fail_nodes(
-            before, failed_set, operations
+        availability_before=mode_stats(
+            before, view, operations
         ).operation_availability,
-        availability_after=fail_nodes(
-            after, failed_set, operations
+        availability_after=mode_stats(
+            after, view, operations
         ).operation_availability,
     )

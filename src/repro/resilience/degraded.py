@@ -104,8 +104,17 @@ def mode_stats(
 
     Returns:
         The epoch's :class:`ModeStats`.
+
+    Raises:
+        ValueError: If ``view`` describes a cluster of a different size
+            than the placement's problem.
     """
     problem = placement.problem
+    if view.num_nodes != problem.num_nodes:
+        raise ValueError(
+            f"view has {view.num_nodes} nodes but the placement has "
+            f"{problem.num_nodes}"
+        )
     copies = copy_sets(placement)
     groups = view.groups()
     live = [

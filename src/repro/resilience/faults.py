@@ -110,6 +110,9 @@ class FaultEvent:
 class ClusterView:
     """Immutable snapshot of cluster health.
 
+    Every ``down``, ``slow`` and ``isolated`` index must lie in
+    ``[0, num_nodes)``; construction raises ``ValueError`` otherwise.
+
     Attributes:
         num_nodes: Total node count.
         down: Indices of crashed nodes.
@@ -127,6 +130,15 @@ class ClusterView:
     slow: frozenset[int] = frozenset()
     isolated: frozenset[int] = frozenset()
     down_domains: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        for name in ("down", "slow", "isolated"):
+            for k in getattr(self, name):
+                if not 0 <= k < self.num_nodes:
+                    raise ValueError(
+                        f"{name} references unknown node index {k} "
+                        f"(num_nodes={self.num_nodes})"
+                    )
 
     @property
     def healthy(self) -> bool:

@@ -25,14 +25,14 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.cluster.failures import fail_nodes
 from repro.core.migration import MigrationPlan, diff_placements
 from repro.core.placement import Placement
 from repro.exceptions import PlacementError
+from repro.resilience.degraded import mode_stats
+from repro.resilience.faults import ClusterView
 
 if TYPE_CHECKING:
     from repro.core.replication import ReplicatedPlacement
-    from repro.resilience.faults import ClusterView
 
 NodeId = Hashable
 ObjectId = Hashable
@@ -127,7 +127,8 @@ def replace_lost_objects(
         raise PlacementError("every node failed; nothing to repair onto")
 
     operations = [tuple(op) for op in operations]
-    before = fail_nodes(placement, failed_set, operations)
+    view = ClusterView(problem.num_nodes, down=frozenset(failed_idx))
+    before = mode_stats(placement, view, operations)
 
     assignment = placement.assignment.copy()
     lost = sorted(
@@ -171,7 +172,7 @@ def replace_lost_objects(
 
     repaired = Placement(problem, assignment)
     plan = diff_placements(placement, repaired)
-    after = fail_nodes(repaired, failed_set, operations)
+    after = mode_stats(repaired, view, operations)
     obs.counter("repair.objects_replaced").inc(len(lost))
     obs.histogram("repair.bytes").observe(plan.bytes_moved)
 
@@ -268,7 +269,6 @@ def re_replicate(
         PlacementError: When every node is down.
     """
     from repro.core.replication import ReplicatedPlacement
-    from repro.resilience.degraded import mode_stats
 
     problem = replicated.problem
     down = set(view.down)

@@ -1,10 +1,10 @@
 """Timestamped query streams with diurnal load patterns.
 
-The latency simulator and the adaptive placer both consume traffic over
-*time*; this module turns a query model into a timestamped stream whose
-arrival rate follows a configurable diurnal curve (real search traffic
-peaks mid-day and troughs at night), and slices streams into periods
-for the control loop.
+The latency simulator and the online control loop both consume traffic
+over *time*; this module turns a query model into a timestamped stream
+whose arrival rate follows a configurable diurnal curve (real search
+traffic peaks mid-day and troughs at night), and slices streams into
+periods for the control loop.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def split_stream_by_window(
     """Slice a stream into consecutive fixed-length windows.
 
     Empty trailing windows are not produced; empty windows in the
-    middle of the stream are (the adaptive placer sees quiet periods).
+    middle of the stream are (a control loop sees quiet periods).
 
     Raises:
         ValueError: On a non-positive window, or when a timestamp runs

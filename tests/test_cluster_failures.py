@@ -1,13 +1,17 @@
-"""Tests for failure analysis (repro.cluster.failures)."""
+"""Tests for availability when nodes crash (repro.resilience.mode_stats).
+
+With no partition, ``mode_stats`` over ``ClusterView(num_nodes,
+down=failed)`` loses an object when every copy sits on a failed node and
+serves an operation unless one of its known objects is lost.
+"""
 
 import numpy as np
 import pytest
 
-from repro.cluster.failures import fail_nodes, worst_single_failure
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.core.replication import ReplicatedPlacement
-from repro.exceptions import ProblemDefinitionError
+from repro.resilience import ClusterView, mode_stats
 
 
 @pytest.fixture
@@ -29,93 +33,106 @@ def replicated(problem):
     )
 
 
+def _crash_stats(placement, failed, operations=()):
+    view = ClusterView(placement.problem.num_nodes, down=frozenset(failed))
+    return mode_stats(placement, view, operations)
+
+
 class TestFailNodes:
     def test_no_failure_full_availability(self, single):
-        report = fail_nodes(single, [], [("a", "b")])
-        assert report.object_availability == 1.0
-        assert report.operation_availability == 1.0
-        assert report.lost_objects == ()
+        stats = _crash_stats(single, [], [("a", "b")])
+        assert stats.object_availability == 1.0
+        assert stats.operation_availability == 1.0
+        assert stats.lost_objects == 0
 
     def test_single_copy_loses_node_contents(self, single):
-        report = fail_nodes(single, [0])
-        assert set(report.lost_objects) == {"a", "b"}
-        assert report.surviving_objects == 2
-        assert report.object_availability == pytest.approx(0.5)
+        stats = _crash_stats(single, [0], [("a",), ("b",), ("c",), ("d",)])
+        assert stats.lost_objects == 2
+        assert stats.object_availability == pytest.approx(0.5)
+        # Exactly a and b, the contents of node 0, are lost.
+        servable = [
+            _crash_stats(single, [0], [(obj,)]).servable_operations for obj in "abcd"
+        ]
+        assert servable == [0, 0, 1, 1]
 
     def test_operations_requiring_lost_objects_unservable(self, single):
         trace = [("a", "b"), ("c",), ("c", "d"), ("a", "c")]
-        report = fail_nodes(single, [0], trace)
-        assert report.total_operations == 4
-        assert report.servable_operations == 2
-        assert report.operation_availability == pytest.approx(0.5)
+        stats = _crash_stats(single, [0], trace)
+        assert stats.operations == 4
+        assert stats.servable_operations == 2
+        assert stats.operation_availability == pytest.approx(0.5)
 
     def test_replication_survives_single_failure(self, replicated):
         trace = [("a", "b"), ("c", "d")]
         for node in (0, 1, 2):
-            report = fail_nodes(replicated, [node], trace)
-            assert report.lost_objects == ()
-            assert report.operation_availability == 1.0
+            stats = _crash_stats(replicated, [node], trace)
+            assert stats.lost_objects == 0
+            assert stats.operation_availability == 1.0
 
     def test_replication_double_failure_loses_objects(self, replicated):
-        report = fail_nodes(replicated, [0, 1], [("a",), ("c",)])
-        assert "a" in report.lost_objects  # copies on 0 and 1
-        assert report.operation_availability == pytest.approx(0.5)
+        stats = _crash_stats(replicated, [0, 1], [("a",), ("c",)])
+        assert stats.lost_objects == 1  # a: copies on 0 and 1
+        assert stats.operation_availability == pytest.approx(0.5)
 
     def test_unknown_objects_in_operations_ignored(self, single):
-        report = fail_nodes(single, [0], [("zzz",), ("zzz", "c")])
-        assert report.servable_operations == 2
+        stats = _crash_stats(single, [0], [("zzz",), ("zzz", "c")])
+        assert stats.servable_operations == 2
 
     def test_unknown_node_rejected(self, single):
-        with pytest.raises(ProblemDefinitionError):
-            fail_nodes(single, ["ghost"])
+        with pytest.raises(ValueError, match="down references unknown node"):
+            _crash_stats(single, [7])
 
     def test_empty_trace(self, single):
-        report = fail_nodes(single, [0])
-        assert report.operation_availability == 1.0
+        stats = _crash_stats(single, [0])
+        assert stats.operations == 0
+        assert stats.operation_availability == 1.0
+        assert stats.lost_objects == 2
 
 
-class TestWorstSingleFailure:
-    def test_finds_most_loaded_node(self, single):
-        # Node 0 holds both "a" and "b"; every op touches one of them.
-        trace = [("a", "c"), ("b", "d"), ("a", "b")]
-        report = worst_single_failure(single, trace)
-        assert report.failed_nodes == (0,)
-        assert report.operation_availability == 0.0
+def _crash_reference(placement, failed, operations):
+    """Availability with ``failed`` node indices crashed, no partition.
 
-    def test_replicated_placement_robust(self, replicated):
-        trace = [("a", "b"), ("c", "d"), ("a", "d")]
-        report = worst_single_failure(replicated, trace)
-        assert report.operation_availability == 1.0
+    An object is lost when every copy sits on a failed node.  An
+    operation is servable unless one of its known objects is lost;
+    unknown ids are ignored.  Returns ``(operation availability, object
+    availability, lost objects)``.
+    """
+    problem = placement.problem
+    rows = placement.assignment.reshape(problem.num_objects, -1)
+    copies = {
+        obj: {int(k) for k in row} for obj, row in zip(problem.object_ids, rows)
+    }
+    lost = {obj for obj, nodes in copies.items() if nodes <= set(failed)}
+    total = servable = 0
+    for operation in operations:
+        total += 1
+        if not any(obj in lost for obj in operation if obj in copies):
+            servable += 1
+    operation_availability = servable / total if total else 1.0
+    object_availability = (len(copies) - len(lost)) / len(copies)
+    return operation_availability, object_availability, len(lost)
 
 
 def _random_instance(rng, num_objects=12, num_nodes=4, num_ops=20):
-    """A random problem, single placement, a replicated placement whose
-    first copy matches the single one (second copy guaranteed distinct),
-    and a trace."""
+    """A random problem, a single-copy placement, a replicated placement
+    whose first copy matches it (second copy always on another node),
+    and a trace in which some operations name unknown ids."""
     objects = {f"o{i}": float(rng.integers(1, 5)) for i in range(num_objects)}
     names = sorted(objects)
     correlations = {}
     for _ in range(num_objects):
         i, j = sorted(rng.choice(num_objects, size=2, replace=False))
-        if i != j:
-            correlations[(names[int(i)], names[int(j)])] = float(
-                rng.uniform(0.1, 0.9)
-            )
+        correlations[(names[int(i)], names[int(j)])] = float(rng.uniform(0.1, 0.9))
     problem = PlacementProblem.build(objects, num_nodes, correlations)
     assignment = rng.integers(0, num_nodes, size=num_objects)
     single = Placement(problem, assignment)
-    # Second copy on a different node than the first, always.
-    spare = (assignment + 1 + rng.integers(0, num_nodes - 1, num_objects)) % (
-        num_nodes
-    )
-    spare = np.where(spare == assignment, (assignment + 1) % num_nodes, spare)
-    replicated = ReplicatedPlacement(
-        problem, np.stack([assignment, spare], axis=1)
-    )
+    spare = (assignment + rng.integers(1, num_nodes, size=num_objects)) % num_nodes
+    replicated = ReplicatedPlacement(problem, np.stack([assignment, spare], axis=1))
+    vocabulary = names + ["ghost", 7]
     trace = [
         tuple(
-            names[int(k)]
-            for k in rng.choice(num_objects, size=int(rng.integers(1, 4)))
+            vocabulary[int(k)]
+            for k in rng.choice(len(vocabulary), size=int(rng.integers(1, 4)))
         )
         for _ in range(num_ops)
     ]
@@ -125,62 +142,71 @@ def _random_instance(rng, num_objects=12, num_nodes=4, num_ops=20):
 class TestAvailabilityProperties:
     """Property-style checks of the availability math."""
 
-    def test_empty_failure_set_is_full_availability(self):
+    def test_matches_reference(self):
         rng = np.random.default_rng(0)
+        for _ in range(60):
+            num_nodes = int(rng.integers(2, 7))
+            problem, single, replicated, trace = _random_instance(
+                rng, num_nodes=num_nodes
+            )
+            count = int(rng.integers(0, num_nodes + 1))
+            failed = {int(k) for k in rng.choice(num_nodes, size=count, replace=False)}
+            for placement in (single, replicated):
+                stats = _crash_stats(placement, failed, trace)
+                assert (
+                    stats.operation_availability,
+                    stats.object_availability,
+                    stats.lost_objects,
+                ) == _crash_reference(placement, failed, trace)
+
+    def test_empty_failure_set_is_full_availability(self):
+        rng = np.random.default_rng(1)
         for _ in range(10):
             _, single, replicated, trace = _random_instance(rng)
             for placement in (single, replicated):
-                report = fail_nodes(placement, [], trace)
-                assert report.object_availability == 1.0
-                assert report.operation_availability == 1.0
-                assert report.lost_objects == ()
+                stats = _crash_stats(placement, set(), trace)
+                assert stats.object_availability == 1.0
+                assert stats.operation_availability == 1.0
+                assert stats.lost_objects == 0
 
     def test_all_nodes_failed_is_zero_availability(self):
-        rng = np.random.default_rng(1)
+        rng = np.random.default_rng(2)
         for _ in range(10):
             problem, single, replicated, trace = _random_instance(rng)
-            everyone = list(range(problem.num_nodes))
+            # An operation naming no known object stays servable.
+            known = [op for op in trace if set(op) & set(problem.object_ids)]
+            everyone = set(range(problem.num_nodes))
             for placement in (single, replicated):
-                report = fail_nodes(placement, everyone, trace)
-                assert report.object_availability == 0.0
-                assert len(report.lost_objects) == problem.num_objects
-                # Only object-free operations (none here: every op
-                # names at least one object) could still be served.
-                assert report.operation_availability == 0.0
+                stats = _crash_stats(placement, everyone, known)
+                assert stats.object_availability == 0.0
+                assert stats.lost_objects == problem.num_objects
+                assert stats.operation_availability == 0.0
 
     def test_replication_never_hurts(self):
         """For every random failure set, a replicated placement whose
         first copy equals the single-copy placement is at least as
         available — object- and operation-wise."""
-        rng = np.random.default_rng(2)
+        rng = np.random.default_rng(3)
         for _ in range(50):
             problem, single, replicated, trace = _random_instance(rng)
-            failure_count = int(rng.integers(0, problem.num_nodes + 1))
-            failed = list(
-                rng.choice(problem.num_nodes, size=failure_count, replace=False)
-            )
-            single_report = fail_nodes(single, failed, trace)
-            replicated_report = fail_nodes(replicated, failed, trace)
-            assert (
-                replicated_report.object_availability
-                >= single_report.object_availability
-            )
-            assert (
-                replicated_report.operation_availability
-                >= single_report.operation_availability
-            )
-            assert set(replicated_report.lost_objects) <= set(
-                single_report.lost_objects
-            )
+            count = int(rng.integers(0, problem.num_nodes + 1))
+            failed = {
+                int(k) for k in rng.choice(problem.num_nodes, size=count, replace=False)
+            }
+            one = _crash_stats(single, failed, trace)
+            two = _crash_stats(replicated, failed, trace)
+            assert two.object_availability >= one.object_availability
+            assert two.operation_availability >= one.operation_availability
+            assert two.lost_objects <= one.lost_objects
 
     def test_availability_monotone_in_failures(self):
         """Failing more nodes never helps."""
-        rng = np.random.default_rng(3)
+        rng = np.random.default_rng(4)
         for _ in range(20):
             problem, single, _, trace = _random_instance(rng)
-            order = list(rng.permutation(problem.num_nodes))
+            order = [int(k) for k in rng.permutation(problem.num_nodes)]
             previous = 1.0
             for k in range(problem.num_nodes + 1):
-                report = fail_nodes(single, order[:k], trace)
-                assert report.operation_availability <= previous + 1e-12
-                previous = report.operation_availability
+                stats = _crash_stats(single, order[:k], trace)
+                assert stats.operation_availability <= previous
+                previous = stats.operation_availability

@@ -8,7 +8,6 @@ from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.core.replication import (
     ReplicatedPlacement,
-    _spread_violations_loop,
     greedy_replicated_placement,
     hash_replicated_placement,
     replicate_hash,
@@ -16,6 +15,25 @@ from repro.core.replication import (
     spread_violations,
 )
 from repro.exceptions import PlacementError, ReplicationError
+
+
+def _spread_violations_loop(
+    assignment: np.ndarray, domain_ids: np.ndarray
+) -> np.ndarray:
+    """Reference per-row loop for :func:`spread_violations`."""
+    assignment = np.asarray(assignment, dtype=np.int64)
+    if assignment.ndim != 2 or assignment.shape[1] < 2:
+        return np.empty(0, dtype=np.int64)
+    bad: list[int] = []
+    for i in range(assignment.shape[0]):
+        seen: set[int] = set()
+        for node in assignment[i]:
+            domain = int(domain_ids[int(node)])
+            if domain in seen:
+                bad.append(i)
+                break
+            seen.add(domain)
+    return np.asarray(bad, dtype=np.int64)
 
 
 @pytest.fixture

@@ -444,9 +444,14 @@ class TestMigrationAndRepair:
         assert outcome.plan.num_moves == 0
         assert outcome.availability_before == 1.0
 
+    def test_repair_of_unknown_node_raises(self, problem):
+        pg_map = plan(problem, "lprr:pg", PG_CONFIG).details
+        with pytest.raises(PlacementError, match="unknown node"):
+            repair_lost_groups(problem, pg_map, {"ghost"})
+
 
 # ----------------------------------------------------------------------
-# Raw-constructor scale path (small-scale stand-in for the bench case)
+# Raw-constructor scale path (small-scale stand-in for a million objects)
 # ----------------------------------------------------------------------
 class TestScalePath:
     def test_pg_plan_over_raw_constructor_problem(self):

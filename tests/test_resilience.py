@@ -136,6 +136,12 @@ class TestClusterView:
     def test_all_down_no_groups(self):
         assert ClusterView(2, down=frozenset({0, 1})).groups() == ()
 
+    @pytest.mark.parametrize("field", ["down", "slow", "isolated"])
+    @pytest.mark.parametrize("index", [-1, 4, 7])
+    def test_out_of_range_index_rejected(self, field, index):
+        with pytest.raises(ValueError, match=f"{field} references unknown node"):
+            ClusterView(4, **{field: frozenset({0, index})})
+
 
 # ----------------------------------------------------------------------
 # Degraded-mode analytics
@@ -186,6 +192,11 @@ class TestModeStats:
         )
         assert stats.degraded_cost == pytest.approx(1.0)  # (a, b): 0.5 * 2
         assert stats.cost_inflation == pytest.approx(1.0)  # over zero healthy
+
+    @pytest.mark.parametrize("num_nodes", [2, 4, 5])
+    def test_view_of_another_cluster_rejected(self, placement, num_nodes):
+        with pytest.raises(ValueError, match="view has"):
+            mode_stats(placement, ClusterView(num_nodes), [("a", "b")])
 
 
 # ----------------------------------------------------------------------
