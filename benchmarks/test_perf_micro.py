@@ -4,10 +4,9 @@ Unlike the figure benches (one-shot regenerations), these measure the
 steady-state cost of the operations a deployment calls repeatedly:
 cost evaluation, packing and rounding, and query execution.
 
-The ``*_loop`` / ``*_sequential`` / ``*_cold`` variants pin the legacy
-implementation next to its vectorized fast path so ``pytest-benchmark``
-output shows the speedup directly.  End-to-end timing is
-``perfbench/run.py``.
+The ``*_loop`` variant pins the legacy implementation next to its
+vectorized fast path so ``pytest-benchmark`` output shows the speedup
+directly.  End-to-end timing is ``perfbench/run.py``.
 """
 
 import numpy as np
@@ -18,7 +17,7 @@ from repro.core.hashing import random_hash_placement
 from repro.core.importance import top_important
 from repro.core.rounding import round_best_of, round_fractional
 from repro.online.sketch import CountMinSketch, SpaceSavingPairs
-from repro.search.engine import DistributedSearchEngine
+from repro.search.engine import DistributedSearchEngine, QueryProfile
 
 
 @pytest.fixture(scope="module")
@@ -66,17 +65,17 @@ def test_perf_engine_query(benchmark, study):
     assert total >= 0
 
 
-def test_perf_log_replay_dedup(benchmark, study):
-    """Deduplicating replay: each distinct keyword tuple runs once."""
-    engine = DistributedSearchEngine(study.index, study.place_hash(10))
-    stats = benchmark(lambda: engine.execute_log(study.log, dedup=True))
-    assert stats.queries == len(study.log)
+def test_perf_profile_compile(benchmark, study):
+    """Compile the study log: group, sort and intersect once."""
+    profile = benchmark(lambda: QueryProfile(study.index, study.log))
+    assert len(profile.inverse) == len(study.log)
 
 
-def test_perf_log_replay_sequential(benchmark, study):
-    """One-at-a-time replay — baseline for the deduplicating path."""
+def test_perf_profile_replay(benchmark, study):
+    """Replay a compiled log against one placement: a gather and sums."""
+    profile = QueryProfile(study.index, study.log)
     engine = DistributedSearchEngine(study.index, study.place_hash(10))
-    stats = benchmark(lambda: engine.execute_log(study.log, dedup=False))
+    stats = benchmark(lambda: engine.replay(profile))
     assert stats.queries == len(study.log)
 
 
@@ -124,38 +123,6 @@ def test_perf_space_saving_full(benchmark, ingest_pairs):
     tracker = benchmark(run)
     assert tracker.total == len(ingest_pairs)
     assert tracker.evictions > 0
-
-
-def test_perf_sort_key_warm_cache(benchmark, study):
-    """Query execution with the per-engine sort-key cache warm.
-
-    Together with the ``_cold_cache`` variant this isolates the win
-    from caching each word's ``(df, word)`` execution sort key: the
-    keys are pure functions of the index, so one engine serving many
-    queries pays the tuple construction once per word, not per query.
-    """
-    engine = DistributedSearchEngine(study.index, study.place_hash(10))
-    queries = [q for q in study.log][:200]
-    engine.execute_log(queries)  # warm the cache
-
-    def run_batch():
-        return sum(engine.execute(q).hops for q in queries)
-
-    total = benchmark(run_batch)
-    assert total >= 0
-
-
-def test_perf_sort_key_cold_cache(benchmark, study):
-    """Same batch with the sort-key cache cleared before every pass."""
-    engine = DistributedSearchEngine(study.index, study.place_hash(10))
-    queries = [q for q in study.log][:200]
-
-    def run_batch():
-        engine._sort_key_cache.clear()
-        return sum(engine.execute(q).hops for q in queries)
-
-    total = benchmark(run_batch)
-    assert total >= 0
 
 
 def test_perf_disabled_obs_overhead(scoped):

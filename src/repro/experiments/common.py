@@ -16,7 +16,11 @@ from typing import Any
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.core.strategies import PlanConfig, PlanResult, get_planner
-from repro.search.engine import DistributedSearchEngine, build_placement_problem
+from repro.search.engine import (
+    DistributedSearchEngine,
+    QueryProfile,
+    build_placement_problem,
+)
 from repro.search.index import InvertedIndex
 from repro.search.query import QueryLog
 from repro.workloads.corpus_gen import generate_corpus
@@ -71,6 +75,7 @@ class CaseStudy:
     log_period2: QueryLog
     planning: PlanConfig = field(default_factory=PlanConfig)
     _problems: dict = field(default_factory=dict, repr=False)
+    _profile: QueryProfile | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(
@@ -157,10 +162,13 @@ class CaseStudy:
 
         This mirrors the paper's methodology: the prototype executes
         the full trace against the placed indices and logs every
-        inter-node transfer.
+        inter-node transfer.  The log is compiled once per study, so
+        each placement costs one gather over the compiled profile.
         """
+        if self._profile is None:
+            self._profile = QueryProfile(self.index, self.log)
         engine = DistributedSearchEngine(self.index, placement)
-        return engine.execute_log(self.log).total_bytes
+        return engine.replay(self._profile).total_bytes
 
 
 @lru_cache(maxsize=4)

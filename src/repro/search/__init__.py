@@ -14,6 +14,7 @@ from repro.search.engine import (
     EngineStats,
     EvaluationSummary,
     QueryExecution,
+    QueryProfile,
 )
 from repro.search.index import InvertedIndex, page_id
 from repro.search.indexio import load_index, save_index
@@ -37,6 +38,7 @@ __all__ = [
     "ReplicatedSearchEngine",
     "QueryExecution",
     "QueryLog",
+    "QueryProfile",
     "STOPWORDS",
     "TimingModel",
     "is_stopword",

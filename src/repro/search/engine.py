@@ -16,7 +16,7 @@ the final ranked results to the user is excluded, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,31 +75,16 @@ class EngineStats:
 
     def record(self, execution: QueryExecution, sender_bytes: list[tuple[NodeId, int]]) -> None:
         """Fold one execution into the totals."""
-        self.record_repeated(execution, sender_bytes, 1)
-
-    def record_repeated(
-        self,
-        execution: QueryExecution,
-        sender_bytes: list[tuple[NodeId, int]],
-        count: int,
-    ) -> None:
-        """Fold ``count`` identical executions into the totals.
-
-        All statistics are integer sums, so this is exactly equivalent
-        to calling :meth:`record` ``count`` times — it is how the
-        deduplicating replay path accounts repeated queries.
-        """
-        self.queries += count
-        self.total_bytes += execution.bytes_transferred * count
-        self.total_hops += execution.hops * count
+        self.queries += 1
+        self.total_bytes += execution.bytes_transferred
+        self.total_hops += execution.hops
         if not execution.served:
-            self.unserved_queries += count
+            self.unserved_queries += 1
         elif execution.is_local:
-            self.local_queries += count
+            self.local_queries += 1
         for node, sent in sender_bytes:
-            self.per_node_bytes_sent[node] = (
-                self.per_node_bytes_sent.get(node, 0) + sent * count
-            )
+            total = self.per_node_bytes_sent.get(node, 0)
+            self.per_node_bytes_sent[node] = total + sent
 
     def record_rejected(self, count: int = 1) -> None:
         """Account queries shed *before* reaching the engine.
@@ -197,6 +182,96 @@ class EvaluationSummary:
         return evaluation_summary_from_dict(data)
 
 
+class QueryProfile:
+    """A query log compiled once against an index, replayable anywhere.
+
+    A replay's only placement-dependent step is the keyword -> node
+    lookup, so everything else is computed here once and
+    :meth:`DistributedSearchEngine.replay` evaluates a placement by a
+    gather and a few per-query sums.  Distinct query ``q`` executes
+    positions ``offsets[q]:offsets[q + 1]``; position ``p`` is a hop
+    from position ``src[p]`` to ``dst[p]`` shipping ``shipped[p]``
+    bytes, taken when their nodes differ.
+
+    Args:
+        index: The inverted index the log runs against.
+        log: A :class:`QueryLog`, an iterable of :class:`Query` or
+            keyword sequences, or a ``TraceColumns`` (read by rows).  A
+            bare ``str`` query raises ``TypeError`` rather than split
+            into one-character keywords.
+        mode: ``"intersection"`` pipelines ``p - 1 -> p``; ``"union"``
+            moves every index to its query's last, largest one.
+
+    Attributes:
+        queries, counts: Distinct queries in first-occurrence order and
+            their multiplicities; ``inverse`` maps log positions to them.
+        words, codes: The indexed keywords the log queries, and each
+            position's word code, ``(df, word)``-ordered per query.
+        owner: Distinct-query id of each position.
+        shipped: ``8·|w₀∩…∩w_{p−1}|`` (intersection) or ``8·df``
+            (union) per position; ``scanned`` is ``8·df``.
+    """
+
+    def __init__(
+        self,
+        index: InvertedIndex,
+        log: QueryLog | Iterable[Query | Sequence[str]],
+        mode: str = "intersection",
+    ):
+        if mode not in ("intersection", "union"):
+            raise ValueError(f"unknown query mode {mode!r}")
+        self.index = index
+        self.mode = mode
+        ids: dict[tuple[str, ...], int] = {}
+        vocab: dict[str, int] = {}
+        queries, inverse, codes, shipped, offsets = [], [], [], [], [0]
+        with obs.span("replay.compile", mode=mode) as compile_span:
+            for query in log:
+                if not isinstance(query, Query):
+                    if isinstance(query, str):
+                        raise TypeError(f"query {query!r} is a str, not keywords")
+                    query = Query(tuple(query))
+                qid = ids.setdefault(query.keywords, len(ids))
+                inverse.append(qid)
+                if qid < len(queries):
+                    continue
+                queries.append(query)
+                words = [w for w in dict.fromkeys(query.keywords) if w in index]
+                words.sort(key=lambda w: (index.document_frequency(w), w))
+                codes.extend(vocab.setdefault(w, len(vocab)) for w in words)
+                offsets.append(len(codes))
+                if mode == "union" or not words:
+                    continue
+                # Hop p ships w₀∩…∩w_{p−1}: a two-word chain intersects
+                # nothing, and an empty prefix ends the chain.
+                result = index.postings(words[0])
+                shipped.append(0)
+                for p in range(1, len(words)):
+                    if p > 1 and result.size:
+                        postings = index.postings(words[p - 1])
+                        result = np.intersect1d(result, postings, assume_unique=True)
+                    shipped.append(ITEM_BYTES * int(result.size))
+
+            self.queries = tuple(queries)
+            self.inverse = np.asarray(inverse, dtype=np.int64)
+            self.counts = np.bincount(self.inverse, minlength=len(queries))
+            self.words = tuple(vocab)
+            self.offsets = np.asarray(offsets, dtype=np.int64)
+            self.codes = np.asarray(codes, dtype=np.int64)
+            self.owner = np.repeat(np.arange(len(queries)), np.diff(self.offsets))
+            sizes = np.array([index.size_bytes(w) for w in vocab], dtype=np.int64)
+            self.scanned = sizes[self.codes]
+            positions = np.arange(len(codes))
+            if mode == "intersection":
+                first = self.offsets[:-1][self.owner]
+                self.src, self.dst = positions - (positions > first), positions
+                self.shipped = np.asarray(shipped, dtype=np.int64)
+            else:
+                self.src, self.dst = positions, (self.offsets[1:] - 1)[self.owner]
+                self.shipped = self.scanned
+            compile_span.set(queries=len(inverse), unique_queries=len(queries))
+
+
 class DistributedSearchEngine:
     """Keyword indices spread over nodes, with a lookup table.
 
@@ -204,8 +279,9 @@ class DistributedSearchEngine:
         index: The (logically global) inverted index.
         placement: Where each keyword's index lives — either a
             :class:`~repro.core.placement.Placement` over keyword
-            objects or a plain keyword -> node mapping.  Keywords
-            absent from the mapping are treated as unindexed.
+            objects or a plain keyword -> node mapping.  Unindexed
+            keywords are skipped; an indexed one without a node raises
+            ``ValueError`` when a query touches it.
     """
 
     def __init__(
@@ -218,69 +294,17 @@ class DistributedSearchEngine:
             self.lookup: dict[str, NodeId] = placement.to_mapping()
         else:
             self.lookup = dict(placement)
-        # Per-index-build cache of each word's execution sort key.
-        # Document frequencies are fixed for the life of the engine, so
-        # re-deriving ``(df, word)`` on every query only re-hashes the
-        # same strings; the cache fills lazily on first use of a word.
-        self._sort_key_cache: dict[str, tuple[int, str]] = {}
 
     def node_of(self, keyword: str) -> NodeId | None:
         """The node hosting ``keyword``'s index, or None if unplaced."""
         return self.lookup.get(keyword)
-
-    def _sort_key(self, word: str) -> tuple[int, str]:
-        """Cached ``(document_frequency, word)`` execution order key."""
-        key = self._sort_key_cache.get(word)
-        if key is None:
-            key = (self.index.document_frequency(word), word)
-            self._sort_key_cache[word] = key
-        return key
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def execute(self, query: Query | Iterable[str]) -> QueryExecution:
         """Run one multi-keyword query and account its communication."""
-        execution, _ = self._execute_with_senders(query)
-        return execution
-
-    def _execute_with_senders(
-        self, query: Query | Iterable[str]
-    ) -> tuple[QueryExecution, list[tuple[NodeId, int]]]:
-        if not isinstance(query, Query):
-            query = Query(tuple(query))
-        words = [w for w in dict.fromkeys(query.keywords) if w in self.index]
-        senders: list[tuple[NodeId, int]] = []
-        if not words:
-            return QueryExecution(query, 0, 0, 0, 0), senders
-
-        words.sort(key=self._sort_key)
-        targets = [self.lookup.get(w) for w in words]
-        nodes = set(targets)
-        nodes.discard(None)
-
-        result = self.index.postings(words[0])
-        current_node = targets[0]
-        transferred = 0
-        hops = 0
-        for word, target in zip(words[1:], targets[1:]):
-            if target is not None and target != current_node:
-                shipped = ITEM_BYTES * int(result.size)
-                transferred += shipped
-                if shipped:
-                    senders.append((current_node, shipped))
-                hops += 1
-                current_node = target
-            result = np.intersect1d(result, self.index.postings(word), assume_unique=True)
-
-        execution = QueryExecution(
-            query=query,
-            result_count=int(result.size),
-            bytes_transferred=transferred,
-            nodes_contacted=len(nodes),
-            hops=hops,
-        )
-        return execution, senders
+        return self._execute_one(query, "intersection")
 
     def execute_union(self, query: Query | Iterable[str]) -> QueryExecution:
         """Run one OR-semantics query (Section 3.2's union model).
@@ -288,117 +312,39 @@ class DistributedSearchEngine:
         Every queried index ships to the node of the largest one, which
         merges locally; each mover costs its full index size.
         """
-        if not isinstance(query, Query):
-            query = Query(tuple(query))
-        words = [w for w in dict.fromkeys(query.keywords) if w in self.index]
-        if not words:
-            return QueryExecution(query, 0, 0, 0, 0)
-        words.sort(key=self._sort_key)
-        largest = words[-1]
-        coordinator = self.lookup.get(largest)
-        nodes = {self.lookup.get(w) for w in words}
-        nodes.discard(None)
-        transferred = 0
-        hops = 0
-        for word in words[:-1]:
-            source = self.lookup.get(word)
-            if source is not None and source != coordinator:
-                transferred += ITEM_BYTES * self.index.document_frequency(word)
-                hops += 1
-        result = self.index.union(words)
-        return QueryExecution(
-            query=query,
-            result_count=int(result.size),
-            bytes_transferred=transferred,
-            nodes_contacted=len(nodes),
-            hops=hops,
-        )
+        return self._execute_one(query, "union")
 
     def execute_log(
         self,
-        log: QueryLog | Iterable[Query],
+        log: QueryLog | Iterable[Query | Sequence[str]],
         mode: str = "intersection",
-        dedup: bool = True,
     ) -> EngineStats:
-        """Run every query of a log and aggregate statistics.
+        """Compile ``log`` (see :class:`QueryProfile`) and :meth:`replay` it.
 
-        The engine's lookup table and index are fixed for the life of
-        a replay, so a query's execution is a pure function of its
-        keyword tuple.  The default batched path therefore executes
-        each *distinct* keyword tuple once and folds it into the
-        statistics with its multiplicity — Zipf-distributed logs
-        repeat queries heavily, so this cuts the dominant per-query
-        intersection work by the log's repetition factor while
-        producing exactly the statistics of the one-at-a-time replay
-        (all aggregates are integer sums over executions).
-
-        Args:
-            log: Queries to execute.
-            mode: ``"intersection"`` (AND semantics, default) or
-                ``"union"`` (OR semantics).
-            dedup: When False, execute every query individually (the
-                legacy loop — the equivalence oracle and bench
-                baseline for the batched path).
-
-        A :class:`~repro.workloads.traces.TraceColumns` instance is
-        also accepted as ``log``: with ``dedup`` the grouping then runs
-        on the interned code arrays (one ``bytes`` key per operation
-        slice) instead of constructing a :class:`Query` per row, and
-        only each distinct operation materializes a query.  Statistics
-        are identical to replaying ``log.operations()``.
+        To replay one log against many placements, compile it once.
         """
-        if mode not in ("intersection", "union"):
-            raise ValueError(f"unknown query mode {mode!r}")
-        from repro.workloads.traces import TraceColumns
+        return self.replay(QueryProfile(self.index, log, mode))
 
-        stats = EngineStats()
-        bytes_hist = obs.histogram("engine.query.bytes")
-        hops_hist = obs.histogram("engine.query.hops")
-        nodes_hist = obs.histogram("engine.query.nodes_contacted")
-        with obs.span("replay", mode=mode, dedup=dedup) as replay_span:
-            if dedup and isinstance(log, TraceColumns):
-                # Columnar grouping: the code slice's raw bytes are the
-                # group key (codes are an injective id encoding, so two
-                # slices match exactly when the keyword tuples do).
-                ids = log.ids
-                code_groups: dict[bytes, list] = {}
-                for _, codes in log.operation_slices():
-                    key = codes.tobytes()
-                    entry = code_groups.get(key)
-                    if entry is None:
-                        code_groups[key] = [
-                            Query(tuple(ids[c] for c in codes)), 1
-                        ]
-                    else:
-                        entry[1] += 1
-                pairs = [(query, count) for query, count in code_groups.values()]
-                obs.counter("engine.unique_queries").inc(len(pairs))
-            elif dedup:
-                # Keyword tuple -> [representative query, multiplicity],
-                # in first-occurrence order so node accounting fills in
-                # the same order as the sequential replay.
-                groups: dict[tuple[str, ...], list] = {}
-                for query in log:
-                    if not isinstance(query, Query):
-                        query = Query(tuple(query))
-                    entry = groups.get(query.keywords)
-                    if entry is None:
-                        groups[query.keywords] = [query, 1]
-                    else:
-                        entry[1] += 1
-                pairs = [(query, count) for query, count in groups.values()]
-                obs.counter("engine.unique_queries").inc(len(pairs))
-            else:
-                pairs = [(query, 1) for query in log]
-            for query, count in pairs:
-                if mode == "intersection":
-                    execution, senders = self._execute_with_senders(query)
-                else:
-                    execution, senders = self.execute_union(query), []
-                stats.record_repeated(execution, senders, count)
-                bytes_hist.observe_many(execution.bytes_transferred, count)
-                hops_hist.observe_many(execution.hops, count)
-                nodes_hist.observe_many(execution.nodes_contacted, count)
+    def replay(self, profile: QueryProfile) -> EngineStats:
+        """Statistics of executing a compiled log's queries in order.
+
+        ``per_node_bytes_sent`` fills in first-hop order; a union-mode
+        mover charges its own node.  Raises ``ValueError`` if
+        ``profile`` was compiled against another index, or one of its
+        keywords has no node.
+        """
+        if profile.index is not self.index:
+            raise ValueError("the profile was compiled against a different index")
+        names = ("bytes", "hops", "nodes_contacted")
+        histograms = [obs.histogram(f"engine.query.{name}") for name in names]
+        with obs.span("replay", mode=profile.mode) as replay_span:
+            obs.counter("engine.unique_queries").inc(len(profile.queries))
+            stats, per_query = self._evaluate(profile)
+            if obs.is_enabled():
+                counts = profile.counts.tolist()
+                for histogram, values in zip(histograms, per_query):
+                    for value, count in zip(values.tolist(), counts):
+                        histogram.observe_many(value, count)
             replay_span.set(
                 queries=stats.queries,
                 total_bytes=stats.total_bytes,
@@ -409,6 +355,55 @@ class DistributedSearchEngine:
         obs.counter("engine.bytes").inc(stats.total_bytes)
         obs.counter("engine.hops").inc(stats.total_hops)
         return stats
+
+    def _execute_one(self, query: Query | Iterable[str], mode: str) -> QueryExecution:
+        profile = QueryProfile(self.index, [query], mode)
+        transferred, hops, contacted = (int(v[0]) for v in self._evaluate(profile)[1])
+        merge = self.index.intersect if mode == "intersection" else self.index.union
+        count = int(merge(profile.words).size)
+        return QueryExecution(profile.queries[0], count, transferred, contacted, hops)
+
+    def _gather(self, profile: QueryProfile) -> tuple[np.ndarray, list[NodeId]]:
+        """Each position's dense node code, and the node id of each code."""
+        codes: dict[NodeId, int] = {}
+        word_nodes = np.empty(len(profile.words), dtype=np.int64)
+        for k, word in enumerate(profile.words):
+            node = self.lookup.get(word)
+            if node is None:
+                raise ValueError(f"indexed keyword {word!r} has no node")
+            word_nodes[k] = codes.setdefault(node, len(codes))
+        return word_nodes[profile.codes], list(codes)
+
+    def _evaluate(self, profile: QueryProfile) -> tuple[EngineStats, tuple]:
+        """Totals, and bytes, hops and nodes contacted per distinct query."""
+        nodes, node_ids = self._gather(profile)
+        owner, counts = profile.owner, profile.counts
+        num_queries = len(profile.queries)
+        senders = nodes[profile.src]
+        hop = senders != nodes[profile.dst]
+        shipped = np.where(hop, profile.shipped, 0)
+        transferred = np.bincount(owner, weights=shipped, minlength=num_queries)
+        transferred = transferred.astype(np.int64)
+        hops = np.bincount(owner[hop], minlength=num_queries)
+        width = max(len(node_ids), 1)
+        pairs = np.sort(owner * width + nodes)  # one key per (query, node) visit
+        fresh = np.ones(len(pairs), dtype=bool)
+        fresh[1:] = pairs[1:] != pairs[:-1]
+        contacted = np.bincount(pairs[fresh] // width, minlength=num_queries)
+        paid = shipped > 0
+        payers = senders[paid]
+        sent = np.zeros(len(node_ids), dtype=np.int64)
+        np.add.at(sent, payers, shipped[paid] * counts[owner[paid]])
+        stats = EngineStats(
+            queries=int(counts.sum()),
+            total_bytes=int(transferred @ counts),
+            local_queries=int(counts[transferred == 0].sum()),
+            total_hops=int(hops @ counts),
+            per_node_bytes_sent={
+                node_ids[k]: int(sent[k]) for k in dict.fromkeys(payers.tolist())
+            },
+        )
+        return stats, (transferred, hops, contacted)
 
 
 def build_placement_problem(

@@ -48,8 +48,10 @@ class QueryLog:
             self.append(q)
 
     def append(self, query: Query | Sequence[str]) -> None:
-        """Add a query (keyword sequences are wrapped automatically)."""
+        """Add a query (keyword sequences are wrapped; a ``str`` raises TypeError)."""
         if not isinstance(query, Query):
+            if isinstance(query, str):
+                raise TypeError(f"query {query!r} is a str, not keywords")
             query = Query(tuple(str(k).lower() for k in query))
         self._queries.append(query)
 

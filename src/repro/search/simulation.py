@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.placement import Placement
-from repro.search.engine import DistributedSearchEngine
-from repro.search.index import ITEM_BYTES, InvertedIndex
+from repro.search.engine import DistributedSearchEngine, QueryProfile
+from repro.search.index import InvertedIndex
 from repro.search.query import QueryLog
 
 
@@ -95,11 +95,14 @@ def simulate_latencies(
     Each query executes the engine's smallest-first pipelined
     intersection; every hop waits for the sending node's uplink (FCFS
     in stage-request order), pays transfer time, then the receiving
-    node pays scan time for the intersection step.
+    node pays scan time for the intersection step.  Execution order
+    and sizes come from the log's compiled
+    :class:`~repro.search.engine.QueryProfile`.
 
     Args:
         index: The global inverted index.
-        placement: Keyword placement to simulate.
+        placement: Keyword placement to simulate; an indexed keyword of
+            the log that it does not cover raises ``ValueError``.
         log: Queries to replay, in order.
         arrival_rate_qps: Poisson arrival rate.
         timing: Physical timing parameters.
@@ -111,10 +114,14 @@ def simulate_latencies(
     if arrival_rate_qps <= 0:
         raise ValueError("arrival_rate_qps must be positive")
     rng = np.random.default_rng(seed)
-    engine = DistributedSearchEngine(index, placement)
-    lookup = engine.lookup
+    profile = QueryProfile(index, log)
+    nodes, node_ids = DistributedSearchEngine(index, placement)._gather(profile)
     num_nodes = placement.problem.num_nodes
     node_index = {nid: k for k, nid in enumerate(placement.problem.node_ids)}
+    uplink = [node_index[node_ids[c]] for c in nodes.tolist()]
+    offsets = profile.offsets.tolist()
+    shipped = profile.shipped.tolist()
+    scanned = profile.scanned.tolist()
 
     arrivals = np.cumsum(rng.exponential(1.0 / arrival_rate_qps, size=len(log)))
     uplink_free = np.zeros(num_nodes)
@@ -122,31 +129,23 @@ def simulate_latencies(
     latencies = np.empty(len(log))
     makespan = 0.0
 
-    for q, (query, arrival) in enumerate(zip(log, arrivals)):
-        words = [w for w in dict.fromkeys(query.keywords) if w in index]
+    for q, (qid, arrival) in enumerate(zip(profile.inverse.tolist(), arrivals)):
+        lo, hi = offsets[qid], offsets[qid + 1]
         clock = float(arrival)
-        if words:
-            words.sort(key=lambda w: (index.document_frequency(w), w))
-            result = index.postings(words[0])
-            current = lookup.get(words[0])
-            clock += timing.scan_time(ITEM_BYTES * result.size)
-            for word in words[1:]:
-                target = lookup.get(word)
-                postings = index.postings(word)
-                if target is not None and target != current:
-                    shipped = ITEM_BYTES * int(result.size)
-                    if current is not None and shipped:
-                        k = node_index[current]
+        if lo < hi:
+            clock += timing.scan_time(scanned[lo])
+            for p in range(lo + 1, hi):
+                k = uplink[p - 1]
+                if uplink[p] != k:
+                    if shipped[p]:
                         start = max(clock, uplink_free[k])
-                        wire = timing.transfer_time(shipped)
+                        wire = timing.transfer_time(shipped[p])
                         uplink_free[k] = start + wire
                         uplink_busy[k] += wire
                         clock = start + wire
                     else:
                         clock += timing.link_latency_s
-                    current = target
-                result = np.intersect1d(result, postings, assume_unique=True)
-                clock += timing.scan_time(ITEM_BYTES * int(postings.size))
+                clock += timing.scan_time(scanned[p])
         latencies[q] = clock - arrival
         makespan = max(makespan, clock)
 

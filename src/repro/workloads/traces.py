@@ -7,10 +7,11 @@ log (which has its own format in :mod:`repro.search.query`).
 :class:`TraceColumns` is the columnar in-memory form: object ids
 interned to dense integer codes, one flat code array plus operation
 offsets (CSR layout), optionally a timestamp per operation.  Consumers
-with a vectorized path (sketch ingestion, replay dedup) work on the
-code arrays directly; everything else iterates :meth:`TraceColumns.
-operations`, which reproduces the row-oriented trace exactly — the row
-path stays the equivalence oracle for every columnar fast path.
+with a vectorized path (sketch ingestion, pair mining) work on the
+code arrays directly; everything else, query-log replay included,
+iterates :meth:`TraceColumns.operations`, which reproduces the
+row-oriented trace exactly — the row path stays the equivalence oracle
+for every columnar fast path.
 """
 
 from __future__ import annotations
@@ -153,12 +154,6 @@ class TraceColumns:
         for i in range(len(self)):
             lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
             yield tuple(self.ids[c] for c in self.codes[lo:hi])
-
-    def operation_slices(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(operation index, code slice) pairs without materializing ids."""
-        for i in range(len(self)):
-            lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-            yield i, self.codes[lo:hi]
 
     def cooccurrence_pairs(self) -> list[Pair]:
         """Every operation's distinct pairs, in row-path order.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.experiments.common import CaseStudy, CaseStudyConfig
 from repro.experiments.fig2 import SkewStabilityConfig, run_skewness_stability
 from repro.experiments.fig5 import DominanceConfig, run_dominance
@@ -137,6 +138,22 @@ class TestFig7:
 
     def test_lprr_beats_hash_everywhere(self, result):
         assert all(v < 1.0 for v in result.normalized_lprr)
+
+    def test_sweep_compiles_the_log_once(self):
+        study = CaseStudy.build(TINY)
+        previous = obs.current()
+        try:
+            inst = obs.enable(obs.Instrumentation())
+            run_node_sweep(
+                study,
+                NodeSweepConfig(node_counts=(3, 6), scope=80, rounding_trials=2),
+            )
+        finally:
+            obs.disable()
+            if previous is not None:
+                obs.enable(previous)
+        assert len(inst.tracer.find("replay.compile")) == 1
+        assert len(inst.tracer.find("replay")) == 6
 
     def test_savings_range_ordered(self, result):
         lo, hi = result.lprr_saving_range

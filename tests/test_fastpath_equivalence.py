@@ -1,7 +1,7 @@
 """Property tests: every vectorized fast path is byte-identical to its loop.
 
 Batched engines sit behind existing APIs — bulk LP constraint
-assembly, deduplicating query-log replay, vectorized Count-Min
+assembly, query-log replay from a compiled profile, vectorized Count-Min
 ingestion, heap-based Space-Saving eviction, and chunked correlation
 mining.  Each one promises *byte-identical* output to the legacy
 per-item loop under fixed seeds; these hypothesis suites hold them to
@@ -28,10 +28,19 @@ from repro.core.lp import build_placement_lp
 from repro.core.problem import PlacementProblem
 from repro.lpsolve import LinearProgram, Sense
 from repro.online.sketch import SketchCorrelationEstimator, SpaceSavingPairs
+from repro import obs
+from repro.core.placement import Placement
 from repro.search.documents import Corpus, Document
-from repro.search.engine import DistributedSearchEngine
-from repro.search.index import InvertedIndex
-from repro.search.query import Query
+from repro.search.engine import (
+    DistributedSearchEngine,
+    EngineStats,
+    QueryExecution,
+    build_placement_problem,
+)
+from repro.search.index import ITEM_BYTES, InvertedIndex
+from repro.search.query import Query, QueryLog
+from repro.search.simulation import TimingModel, simulate_latencies
+from repro.workloads.traces import TraceColumns
 
 # ----------------------------------------------------------------------
 # Shared strategies
@@ -402,11 +411,151 @@ class TestLPAssemblyEquivalence:
 # Query-log replay
 # ----------------------------------------------------------------------
 
+def _execute_reference(index, lookup, query):
+    """The pre-profile engine: one intersection chain per query.
+
+    Returns the execution and its ``(sender node, bytes)`` list.
+    """
+    if not isinstance(query, Query):
+        query = Query(tuple(query))
+    words = [w for w in dict.fromkeys(query.keywords) if w in index]
+    senders = []
+    if not words:
+        return QueryExecution(query, 0, 0, 0, 0), senders
+    words.sort(key=lambda w: (index.document_frequency(w), w))
+    targets = [lookup.get(w) for w in words]
+    nodes = set(targets)
+    nodes.discard(None)
+    result = index.postings(words[0])
+    current_node = targets[0]
+    transferred = 0
+    hops = 0
+    for word, target in zip(words[1:], targets[1:]):
+        if target is not None and target != current_node:
+            shipped = ITEM_BYTES * int(result.size)
+            transferred += shipped
+            if shipped:
+                senders.append((current_node, shipped))
+            hops += 1
+            current_node = target
+        result = np.intersect1d(result, index.postings(word), assume_unique=True)
+    execution = QueryExecution(query, int(result.size), transferred, len(nodes), hops)
+    return execution, senders
+
+
+def _execute_union_reference(index, lookup, query):
+    """The pre-profile union execution, plus each mover's own charge.
+
+    Charging movers to their node is the one accounting change of the
+    profile replay (the old loop recorded no union senders).
+    """
+    if not isinstance(query, Query):
+        query = Query(tuple(query))
+    words = [w for w in dict.fromkeys(query.keywords) if w in index]
+    senders = []
+    if not words:
+        return QueryExecution(query, 0, 0, 0, 0), senders
+    words.sort(key=lambda w: (index.document_frequency(w), w))
+    coordinator = lookup.get(words[-1])
+    nodes = {lookup.get(w) for w in words}
+    nodes.discard(None)
+    transferred = 0
+    hops = 0
+    for word in words[:-1]:
+        source = lookup.get(word)
+        if source is not None and source != coordinator:
+            shipped = ITEM_BYTES * index.document_frequency(word)
+            transferred += shipped
+            senders.append((source, shipped))
+            hops += 1
+    result = index.union(words)
+    execution = QueryExecution(query, int(result.size), transferred, len(nodes), hops)
+    return execution, senders
+
+
+def _replay_reference(index, lookup, log, mode="intersection"):
+    """The sequential replay: every query executed and recorded in order,
+    with the instrumentation the old ``execute_log`` emitted."""
+    execute = _execute_reference if mode == "intersection" else _execute_union_reference
+    stats = EngineStats()
+    bytes_hist = obs.histogram("engine.query.bytes")
+    hops_hist = obs.histogram("engine.query.hops")
+    nodes_hist = obs.histogram("engine.query.nodes_contacted")
+    queries = [q.keywords if isinstance(q, Query) else tuple(q) for q in log]
+    obs.counter("engine.unique_queries").inc(len(set(queries)))
+    for query in queries:
+        execution, senders = execute(index, lookup, query)
+        stats.record(execution, senders)
+        bytes_hist.observe(execution.bytes_transferred)
+        hops_hist.observe(execution.hops)
+        nodes_hist.observe(execution.nodes_contacted)
+    obs.counter("engine.queries").inc(stats.queries)
+    obs.counter("engine.local_queries").inc(stats.local_queries)
+    obs.counter("engine.bytes").inc(stats.total_bytes)
+    obs.counter("engine.hops").inc(stats.total_hops)
+    return stats
+
+
+def _simulate_reference(index, placement, log, arrival_rate_qps, timing, seed):
+    """The pre-profile latency simulation: one intersection chain per position."""
+    rng = np.random.default_rng(seed)
+    lookup = placement.to_mapping()
+    num_nodes = placement.problem.num_nodes
+    node_index = {nid: k for k, nid in enumerate(placement.problem.node_ids)}
+    arrivals = np.cumsum(rng.exponential(1.0 / arrival_rate_qps, size=len(log)))
+    uplink_free = np.zeros(num_nodes)
+    uplink_busy = np.zeros(num_nodes)
+    latencies = np.empty(len(log))
+    makespan = 0.0
+    for q, (query, arrival) in enumerate(zip(log, arrivals)):
+        words = [w for w in dict.fromkeys(query.keywords) if w in index]
+        clock = float(arrival)
+        if words:
+            words.sort(key=lambda w: (index.document_frequency(w), w))
+            result = index.postings(words[0])
+            current = lookup.get(words[0])
+            clock += timing.scan_time(ITEM_BYTES * result.size)
+            for word in words[1:]:
+                target = lookup.get(word)
+                postings = index.postings(word)
+                if target is not None and target != current:
+                    shipped = ITEM_BYTES * int(result.size)
+                    if current is not None and shipped:
+                        k = node_index[current]
+                        start = max(clock, uplink_free[k])
+                        wire = timing.transfer_time(shipped)
+                        uplink_free[k] = start + wire
+                        uplink_busy[k] += wire
+                        clock = start + wire
+                    else:
+                        clock += timing.link_latency_s
+                    current = target
+                result = np.intersect1d(result, postings, assume_unique=True)
+                clock += timing.scan_time(ITEM_BYTES * int(postings.size))
+        latencies[q] = clock - arrival
+        makespan = max(makespan, clock)
+    return latencies, uplink_busy, float(makespan)
+
+
+def _as_input(queries, form):
+    """The same queries as each accepted log form."""
+    if form == "querylog":
+        return QueryLog(queries)
+    if form == "tuples":
+        return [q.keywords for q in queries]
+    if form == "columns":
+        return TraceColumns.from_operations(q.keywords for q in queries)
+    return list(queries)
+
+
 @st.composite
 def _replay_cases(draw):
+    """Index, complete lookup and queries with repeats and unknown words."""
     seed = draw(st.integers(0, 2**31 - 1))
     num_docs = draw(st.integers(3, 10))
     num_queries = draw(st.integers(0, 30))
+    num_nodes = draw(st.integers(1, 4))
+    str_nodes = draw(st.booleans())
     rng = np.random.default_rng(seed)
     vocab = [f"w{i}" for i in range(8)]
     docs = []
@@ -415,28 +564,92 @@ def _replay_cases(draw):
         words = frozenset(rng.choice(vocab, size=count, replace=False).tolist())
         docs.append(Document(f"d{d}", words))
     index = InvertedIndex.from_corpus(Corpus(docs))
-    lookup = {w: int(rng.integers(0, 3)) for w in index.vocabulary}
-    present = sorted(index.vocabulary)
+    node_ids = [f"n{k}" if str_nodes else k for k in range(num_nodes)]
+    lookup = {w: node_ids[int(rng.integers(0, num_nodes))] for w in index.vocabulary}
+    pool = sorted(index.vocabulary) + ["zz", "yy"]  # two unindexed words
     queries = []
     for _ in range(num_queries):
-        count = int(rng.integers(1, min(4, len(present)) + 1))
-        words = rng.choice(present, size=count, replace=False).tolist()
+        if queries and rng.random() < 0.3:
+            queries.append(queries[int(rng.integers(0, len(queries)))])
+            continue
+        count = int(rng.integers(1, 5))
+        words = rng.choice(pool, size=count, replace=True).tolist()
         queries.append(Query(tuple(words)))
     return index, lookup, queries
 
 
+def _assert_same_stats(fast, reference):
+    assert fast == reference
+    assert list(fast.per_node_bytes_sent) == list(reference.per_node_bytes_sent)
+    assert sum(fast.per_node_bytes_sent.values()) == fast.total_bytes
+
+
 class TestReplayEquivalence:
-    @settings(max_examples=30, deadline=None)
-    @given(case=_replay_cases(), mode=st.sampled_from(["intersection", "union"]))
-    def test_dedup_replay_matches_sequential(self, case, mode):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=_replay_cases(),
+        mode=st.sampled_from(["intersection", "union"]),
+        form=st.sampled_from(["querylog", "queries", "tuples", "columns"]),
+    )
+    def test_dedup_replay_matches_sequential(self, case, mode, form):
         index, lookup, queries = case
         engine = DistributedSearchEngine(index, lookup)
-        fast = engine.execute_log(queries, mode=mode, dedup=True)
-        legacy = engine.execute_log(queries, mode=mode, dedup=False)
-        assert fast.queries == legacy.queries
-        assert fast.total_bytes == legacy.total_bytes
-        assert fast.local_queries == legacy.local_queries
-        assert fast.total_hops == legacy.total_hops
-        assert fast.unserved_queries == legacy.unserved_queries
-        assert fast.per_node_bytes_sent == legacy.per_node_bytes_sent
-        assert list(fast.per_node_bytes_sent) == list(legacy.per_node_bytes_sent)
+        fast = engine.execute_log(_as_input(queries, form), mode=mode)
+        _assert_same_stats(fast, _replay_reference(index, lookup, queries, mode))
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_replay_cases())
+    def test_execute_matches_reference(self, case):
+        index, lookup, queries = case
+        engine = DistributedSearchEngine(index, lookup)
+        for query in queries:
+            assert engine.execute(query) == _execute_reference(index, lookup, query)[0]
+            assert engine.execute_union(query) == (
+                _execute_union_reference(index, lookup, query)[0]
+            )
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_replay_cases(), mode=st.sampled_from(["intersection", "union"]))
+    def test_instrumentation_matches_reference(self, case, mode):
+        index, lookup, queries = case
+        engine = DistributedSearchEngine(index, lookup)
+        previous = obs.current()
+        try:
+            fast = obs.enable(obs.Instrumentation())
+            engine.execute_log(queries, mode=mode)
+            reference = obs.enable(obs.Instrumentation())
+            _replay_reference(index, lookup, queries, mode)
+        finally:
+            obs.disable()
+            if previous is not None:
+                obs.enable(previous)
+        for name in ("bytes", "hops", "nodes_contacted"):
+            key = f"engine.query.{name}"
+            assert fast.metrics.histogram(key).summary() == (
+                reference.metrics.histogram(key).summary()
+            )
+        for name in ("queries", "unique_queries", "local_queries", "bytes", "hops"):
+            key = f"engine.{name}"
+            assert fast.metrics.counter(key).value == reference.metrics.counter(key).value
+        assert [s.name for s in fast.tracer.roots] == ["replay.compile", "replay"]
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_replay_cases(), seed=st.integers(0, 2**16))
+    def test_latency_simulation_matches_reference(self, case, seed):
+        index, lookup, queries = case
+        log = QueryLog(queries)
+        node_ids = sorted(set(lookup.values()), key=str)
+        problem = build_placement_problem(
+            index, log, {n: float("inf") for n in node_ids}
+        )
+        placement = Placement.from_mapping(problem, lookup)
+        timing = TimingModel(bandwidth_bytes_per_s=1e4, link_latency_s=1e-3)
+        report = simulate_latencies(
+            index, placement, log, arrival_rate_qps=500.0, timing=timing, seed=seed
+        )
+        latencies, busy, makespan = _simulate_reference(
+            index, placement, log, 500.0, timing, seed
+        )
+        assert np.array_equal(report.latencies_s, latencies)
+        assert np.array_equal(report.uplink_busy_s, busy)
+        assert report.makespan_s == makespan

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro import obs
 from repro.core.placement import Placement
 from repro.search.documents import Corpus, Document
-from repro.search.engine import DistributedSearchEngine, build_placement_problem
+from repro.search.engine import (
+    DistributedSearchEngine,
+    QueryProfile,
+    build_placement_problem,
+)
 from repro.search.index import ITEM_BYTES, InvertedIndex
 from repro.search.query import Query, QueryLog
 
@@ -120,6 +125,76 @@ class TestEngineStats:
         stats = engine.execute_log(QueryLog())
         assert stats.queries == 0
         assert stats.local_fraction == 0.0
+
+    def test_uncovered_indexed_keyword_rejected(self, index):
+        engine = DistributedSearchEngine(index, {"common": 1, "mid": 2})
+        log = QueryLog([("rare", "common"), ("rare", "mid", "common")])
+        with pytest.raises(ValueError, match="'rare' has no node"):
+            engine.execute_log(log)
+        with pytest.raises(ValueError, match="'rare' has no node"):
+            engine.execute(["rare", "common"])
+
+    def test_bare_string_query_rejected(self, index):
+        engine = DistributedSearchEngine(index, {w: 0 for w in index.vocabulary})
+        with pytest.raises(TypeError, match="not keywords"):
+            engine.execute_log(["b a", "ab"])
+        with pytest.raises(TypeError, match="not keywords"):
+            engine.execute("rare common")
+
+
+class TestQueryProfile:
+    def test_compiled_once_replays_like_execute_log(self, index):
+        log = QueryLog([("rare", "common"), ("common", "mid", "rare")] * 3)
+        profile = QueryProfile(index, log)
+        for lookup in ({"rare": 0, "common": 1, "mid": 1, "other": 1},
+                       {"rare": 0, "common": 0, "mid": 2, "other": 1}):
+            engine = DistributedSearchEngine(index, lookup)
+            assert engine.replay(profile) == engine.execute_log(log)
+
+    def test_distinct_queries_and_multiplicities(self, index):
+        log = QueryLog([("mid", "rare"), ("zzz",), ("mid", "rare"), ("rare", "mid")])
+        profile = QueryProfile(index, log)
+        assert [q.keywords for q in profile.queries] == [
+            ("mid", "rare"), ("zzz",), ("rare", "mid"),
+        ]
+        assert profile.counts.tolist() == [2, 1, 1]
+        assert profile.inverse.tolist() == [0, 1, 0, 2]
+        # Execution order is (df, word): rare (1) before mid (3).
+        assert [profile.words[c] for c in profile.codes] == [
+            "rare", "mid", "rare", "mid",
+        ]
+
+    def test_shipped_bytes_are_running_intersections(self, index):
+        # rare & other are disjoint: the chain empties after two words.
+        profile = QueryProfile(index, [("common", "other", "mid", "rare")])
+        assert [profile.words[c] for c in profile.codes] == [
+            "rare", "other", "mid", "common",
+        ]
+        assert profile.shipped.tolist() == [0, 8, 0, 0]
+        assert profile.scanned.tolist() == [8, 16, 24, 40]
+        union = QueryProfile(index, [("common", "other", "mid", "rare")], "union")
+        assert union.shipped.tolist() == [8, 16, 24, 40]
+
+    def test_each_execute_log_compiles_again(self, index):
+        engine = DistributedSearchEngine(index, {w: 0 for w in index.vocabulary})
+        log = QueryLog([("rare", "common")])
+        previous = obs.current()
+        try:
+            inst = obs.enable(obs.Instrumentation())
+            engine.execute_log(log)
+            engine.execute_log(log)
+        finally:
+            obs.disable()
+            if previous is not None:
+                obs.enable(previous)
+        assert len(inst.tracer.find("replay.compile")) == 2
+        assert len(inst.tracer.find("replay")) == 2
+
+    def test_profile_of_another_index_rejected(self, index):
+        other = InvertedIndex({"rare": [1]})
+        engine = DistributedSearchEngine(index, {w: 0 for w in index.vocabulary})
+        with pytest.raises(ValueError, match="different index"):
+            engine.replay(QueryProfile(other, [("rare",)]))
 
 
 class TestBuildPlacementProblem:

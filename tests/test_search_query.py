@@ -31,6 +31,11 @@ class TestQueryLog:
         log.append(["Car", "Dealer"])
         assert log[0].keywords == ("car", "dealer")
 
+    def test_append_rejects_bare_string(self):
+        # A str is a sequence too: it would become one keyword per char.
+        with pytest.raises(TypeError, match="not keywords"):
+            QueryLog(["ab"])
+
     def test_average_keywords(self):
         log = QueryLog([("a",), ("a", "b"), ("a", "b", "c")])
         assert log.average_keywords() == pytest.approx(2.0)

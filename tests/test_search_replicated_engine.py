@@ -125,6 +125,7 @@ class TestUnionExecution:
         engine = DistributedSearchEngine(index, {"rare": 0, "alpha": 1, "beta": 2})
         stats = engine.execute_log(QueryLog([("rare", "alpha")]), mode="union")
         assert stats.total_bytes == 2 * ITEM_BYTES
+        assert stats.per_node_bytes_sent == {0: 2 * ITEM_BYTES}  # the mover's node
 
     def test_invalid_mode_rejected(self, index):
         engine = DistributedSearchEngine(index, {})

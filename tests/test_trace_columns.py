@@ -14,6 +14,7 @@ from repro.search.documents import Corpus, Document
 from repro.search.engine import DistributedSearchEngine
 from repro.search.query import Query, QueryLog
 from repro.workloads.traces import TraceColumns
+from tests.test_fastpath_equivalence import _replay_reference
 
 
 def row_pairs(operations):
@@ -193,7 +194,8 @@ class TestExecuteLogColumnar:
     def test_columnar_replay_matches_undeduped_replay(self, engine):
         rows = self.queries()
         columns = TraceColumns.from_operations(rows)
-        legacy = engine.execute_log(
-            QueryLog(Query(q) for q in rows), dedup=False
-        )
+        legacy = _replay_reference(engine.index, engine.lookup, rows)
         assert engine.execute_log(columns) == legacy
+        assert list(engine.execute_log(columns).per_node_bytes_sent) == list(
+            legacy.per_node_bytes_sent
+        )
