@@ -2,7 +2,7 @@
 
 Unlike the figure benches (one-shot regenerations), these measure the
 steady-state cost of the operations a deployment calls repeatedly:
-cost evaluation, packing and rounding, and query execution.
+cost evaluation, packing, rounding and repair, and query execution.
 
 The ``*_loop`` variant pins the legacy implementation next to its
 vectorized fast path so ``pytest-benchmark`` output shows the speedup
@@ -15,6 +15,7 @@ import pytest
 from repro.core.lp import pack_components
 from repro.core.hashing import random_hash_placement
 from repro.core.importance import top_important
+from repro.core.repair import repair_capacity
 from repro.core.rounding import round_best_of, round_fractional
 from repro.online.sketch import CountMinSketch, SpaceSavingPairs
 from repro.search.engine import DistributedSearchEngine, QueryProfile
@@ -51,6 +52,18 @@ def test_perf_rounding(benchmark, scoped):
     rng = np.random.default_rng(0)
     placement, _ = benchmark(lambda: round_fractional(fractional, rng))
     assert placement.assignment.shape == (scoped.num_objects,)
+
+
+def test_perf_repair_capacity(benchmark, scoped):
+    """Repair the first rounding draw that overflows its capacities."""
+    fractional = pack_components(scoped)
+    for seed in range(100):
+        draw, _ = round_fractional(fractional, np.random.default_rng(seed))
+        if not draw.is_feasible(0.05):
+            break
+    assert not draw.is_feasible(0.05)
+    repaired = benchmark(lambda: repair_capacity(draw, tolerance=0.05))
+    assert repaired.is_feasible(0.05)
 
 
 def test_perf_engine_query(benchmark, study):

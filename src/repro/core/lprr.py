@@ -19,6 +19,7 @@ evaluation (Section 4) runs them:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,7 +103,8 @@ class LPRRPlanner:
             ``offline_lprr`` benchmark plans at seed 1), repair decides
             the plan.
         capacity_tolerance: Relative slack when judging a rounding
-            trial feasible (Theorem 3 only bounds the *expected* load).
+            trial feasible (Theorem 3 only bounds the *expected* load);
+            must be finite and nonnegative.
         seed: Seed for the rounding randomness.
         hash_salt: Salt for the out-of-scope hash placement.
         repair: When True (default), a rounded placement that exceeds
@@ -144,6 +146,11 @@ class LPRRPlanner:
             raise ValueError("scope must be positive (or None for full scope)")
         if capacity_factor is not None and capacity_factor <= 0:
             raise ValueError("capacity_factor must be positive")
+        if not 0.0 <= capacity_tolerance < math.inf:
+            raise ValueError(
+                f"capacity_tolerance must be finite and nonnegative, "
+                f"got {capacity_tolerance!r}"
+            )
         self.scope = scope
         self.capacity_factor = capacity_factor
         self.rounding_trials = rounding_trials

@@ -14,12 +14,19 @@ implements it at placement-group granularity.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.core.problem import NodeId, ObjectId, PlacementProblem
 from repro.exceptions import PlacementError
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Reject a NaN or infinite relative capacity slack."""
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance!r}")
 
 
 @runtime_checkable
@@ -120,7 +127,12 @@ class Placement:
         Args:
             tolerance: Relative slack: a node only counts as violated
                 when its load exceeds ``capacity * (1 + tolerance)``.
+
+        Raises:
+            ValueError: If ``tolerance`` is NaN or infinite (a NaN
+                limit would pass every node).
         """
+        check_tolerance(tolerance)
         loads = self.node_loads()
         limits = self.problem.capacities * (1.0 + tolerance)
         violated = np.where(loads > limits + 1e-9)[0]
@@ -137,7 +149,12 @@ class Placement:
         )
 
     def resource_violations(self, tolerance: float = 0.0) -> dict[str, dict[NodeId, float]]:
-        """Per-resource nodes whose demand exceeds the budget."""
+        """Per-resource nodes whose demand exceeds the budget.
+
+        Raises:
+            ValueError: If ``tolerance`` is NaN or infinite.
+        """
+        check_tolerance(tolerance)
         result: dict[str, dict[NodeId, float]] = {}
         for spec in self.problem.resources:
             loads = np.bincount(

@@ -10,17 +10,26 @@ slight: it migrates objects off overloaded nodes, always choosing the
 (object, destination) move with the lowest communication-cost increase
 per byte of load relieved, until every node fits.
 
+How a move is chosen: the node furthest over its limit gives up one
+object.  Every object keeps a cached row of move deltas, the cost
+change of moving it from its current node to each node.  A move drops
+only the rows of the moved object's correlated neighbours; a row is
+rebuilt when next needed after such a drop or from another node.  One
+numpy pass over the overloaded node's members then masks the
+destinations with room for the object (bytes and every Section 3.3
+resource), divides the deltas by the object's size, and takes the
+lexicographic minimum of (delta per byte, larger object first, lower
+object index, lower destination index).
+
 This is an engineering addition on top of the paper's algorithm; it
 never runs when the rounded placement already respects capacity.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from repro.core.placement import Placement
+from repro.core.placement import Placement, check_tolerance
 from repro.exceptions import InfeasibleProblemError
 
 
@@ -33,9 +42,9 @@ def repair_capacity(
 
     Args:
         placement: The (possibly overloaded) placement to repair.
-        capacities: Capacity vector to enforce; defaults to the
-            problem's own capacities.  Infinite entries are never
-            considered overloaded.
+        capacities: Capacity vector to enforce, one entry per node;
+            defaults to the problem's own capacities.  Infinite entries
+            are never considered overloaded.
         tolerance: Relative slack — loads up to
             ``capacity * (1 + tolerance)`` are acceptable.
 
@@ -44,12 +53,21 @@ def repair_capacity(
         new repaired placement.
 
     Raises:
+        ValueError: If ``tolerance`` is NaN or infinite, or the
+            capacities are not one value per node or contain NaN.
         InfeasibleProblemError: If the objects cannot fit even in
             principle (total size exceeds total allowed load, or an
             object is larger than every node's allowance).
     """
     problem = placement.problem
+    check_tolerance(tolerance)
     caps = problem.capacities if capacities is None else np.asarray(capacities, float)
+    if caps.shape != (problem.num_nodes,):
+        raise ValueError(
+            f"capacities have shape {caps.shape}, expected ({problem.num_nodes},)"
+        )
+    if np.isnan(caps).any():
+        raise ValueError("capacities contain NaN")
     limits = caps * (1.0 + tolerance)
 
     assignment = placement.assignment.copy()
@@ -70,23 +88,32 @@ def repair_capacity(
             "repair impossible: total object size exceeds total allowed load"
         )
 
-    # Adjacency over correlated pairs for move-cost deltas.
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(problem.num_objects)]
-    for (i, j), weight in zip(problem.pair_index, problem.pair_weights):
-        if weight > 0:
-            adjacency[int(i)].append((int(j), float(weight)))
-            adjacency[int(j)].append((int(i), float(weight)))
+    # Correlated neighbours as CSR; each object's slice lists them in
+    # pair order, the order its deltas are summed in (a zero-weight
+    # pair adds nothing to any of them).
+    heads = problem.pair_index.ravel()
+    order = np.argsort(heads, kind="stable")
+    neighbours = problem.pair_index[:, ::-1].ravel()[order]
+    weights = np.repeat(problem.pair_weights, 2)[order].tolist()
+    bounds = np.searchsorted(heads[order], np.arange(problem.num_objects + 1))
+    has_neighbours = np.diff(bounds) > 0
+    bounds = bounds.tolist()
 
-    def move_delta(obj: int, src: int, dst: int) -> float:
-        """Communication-cost change of moving ``obj`` from src to dst."""
-        delta = 0.0
-        for neighbor, weight in adjacency[obj]:
-            where = assignment[neighbor]
+    # deltas[i, k]: cost change of moving object i from node
+    # row_source[i] to node k.  Rows of objects without neighbours stay 0.
+    deltas = np.zeros((problem.num_objects, problem.num_nodes))
+    row_source = np.full(problem.num_objects, -1)
+
+    def fill_row(obj: int, src: int) -> None:
+        row = deltas[obj]
+        row[:] = 0.0
+        lo, hi = bounds[obj], bounds[obj + 1]
+        for where, weight in zip(assignment[neighbours[lo:hi]].tolist(), weights[lo:hi]):
             if where == src:
-                delta += weight  # newly split
-            elif where == dst:
-                delta -= weight  # newly co-located
-        return delta
+                row += weight  # newly split, wherever obj goes
+            else:
+                row[where] -= weight  # newly co-located there
+        row_source[obj] = src
 
     max_moves = 4 * problem.num_objects
     moves = 0
@@ -101,38 +128,39 @@ def repair_capacity(
             )
         src = int(overloaded[np.argmax(loads[overloaded] - limits[overloaded])])
         members = np.where(assignment == src)[0]
-        # Candidate destinations: nodes with room for at least the
-        # smallest member (re-checked per object below).
-        candidates: list[tuple[float, float, int, int]] = []
-        for obj in members:
-            size = problem.sizes[obj]
-            for dst in range(problem.num_nodes):
-                if dst == src or loads[dst] + size > limits[dst] + 1e-9:
-                    continue
-                if any(
-                    rl[dst] + spec.loads[obj] > rlim[dst] + 1e-9
-                    for rl, rlim, spec in zip(
-                        resource_loads, resource_limits, problem.resources
-                    )
-                ):
-                    continue
-                delta = move_delta(int(obj), src, dst)
-                # Rank by cost increase per byte relieved, preferring
-                # bigger objects on ties (fewer total moves).
-                heapq.heappush(
-                    candidates, (delta / size, -size, int(obj), dst)
-                )
-        if not candidates:
+        stale = (row_source[members] != src) & has_neighbours[members]
+        for obj in members[stale].tolist():
+            fill_row(obj, src)
+
+        # (member, destination) moves that would overflow the destination.
+        size = problem.sizes[members]
+        blocked = loads + size[:, None] > limits + 1e-9
+        for rl, rlim, spec in zip(resource_loads, resource_limits, problem.resources):
+            blocked |= rl + spec.loads[members][:, None] > rlim + 1e-9
+        blocked[:, src] = True
+        rows, dsts = np.nonzero(~blocked)
+        if rows.size == 0:
             raise InfeasibleProblemError(
                 f"capacity repair stuck: no destination can absorb any "
                 f"object of overloaded node index {src}"
             )
-        _, _, obj, dst = heapq.heappop(candidates)
+        # Rank by cost increase per byte relieved, preferring bigger
+        # objects on ties (fewer total moves); np.nonzero's row-major
+        # order breaks the rest by object index, then destination.
+        ratio = deltas[members[rows], dsts] / size[rows]
+        best = ratio == ratio.min()
+        best &= size[rows] == size[rows][best].max()
+        pick = int(np.argmax(best))
+        obj, dst = int(members[rows[pick]]), int(dsts[pick])
+
         assignment[obj] = dst
         loads[src] -= problem.sizes[obj]
         loads[dst] += problem.sizes[obj]
         for rl, spec in zip(resource_loads, problem.resources):
             rl[src] -= spec.loads[obj]
             rl[dst] += spec.loads[obj]
+        # A row depends only on its source and its neighbours' nodes:
+        # the moved object's row stays keyed to the node it left.
+        row_source[neighbours[bounds[obj] : bounds[obj + 1]]] = -1
 
     return Placement(problem, assignment)

@@ -21,6 +21,7 @@ awareness" from mere "load balancing".
 from __future__ import annotations
 
 import importlib.util
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Protocol
@@ -160,7 +161,8 @@ class PlanConfig:
         capacity_factor: Conservative per-node capacity as a multiple
             of the scoped objects' average per-node load (the paper
             uses 2.0); ``None`` keeps the problem's own capacities.
-        capacity_tolerance: Relative slack when judging feasibility.
+        capacity_tolerance: Relative slack when judging feasibility;
+            must be finite and nonnegative (``ValueError`` otherwise).
         hash_salt: Salt for hash placements (baseline and out-of-scope).
         repair: Post-repair capacity-violating rounded placements.
         cache_dir: Directory for the content-addressed plan cache;
@@ -189,6 +191,15 @@ class PlanConfig:
     use_cache: bool = True
     replicas: int = 1
     topology: Any | None = None
+
+    def __post_init__(self) -> None:
+        # The resilient chain falls through on any planning error, so a
+        # bad tolerance must fail here, before planning starts.
+        if not 0.0 <= self.capacity_tolerance < math.inf:
+            raise ValueError(
+                f"capacity_tolerance must be finite and nonnegative, "
+                f"got {self.capacity_tolerance!r}"
+            )
 
     def with_options(self, **changes: Any) -> "PlanConfig":
         """A copy with the given fields replaced."""

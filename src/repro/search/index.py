@@ -18,6 +18,11 @@ from repro.search.documents import Corpus
 
 ITEM_BYTES = 8
 
+# What ``postings`` returns for every unindexed word; read-only because
+# all misses share it.
+_NO_POSTINGS = np.empty(0, dtype=np.uint64)
+_NO_POSTINGS.flags.writeable = False
+
 
 def page_id(doc_id: str) -> int:
     """The 8-byte page ID of a document: truncated MD5 of its id/URL."""
@@ -62,12 +67,14 @@ class InvertedIndex:
         return word in self._postings
 
     def postings(self, word: str) -> np.ndarray:
-        """Sorted page-ID array for ``word`` (empty if unindexed)."""
-        return self._postings.get(word, np.empty(0, dtype=np.uint64))
+        """Sorted page-ID array for ``word`` (a shared read-only empty
+        array if unindexed)."""
+        return self._postings.get(word, _NO_POSTINGS)
 
     def document_frequency(self, word: str) -> int:
         """Number of pages containing ``word``."""
-        return int(self.postings(word).size)
+        ids = self._postings.get(word)
+        return 0 if ids is None else len(ids)
 
     def size_bytes(self, word: str) -> int:
         """Index size of ``word``: 8 bytes per posting."""

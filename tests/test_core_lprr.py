@@ -109,6 +109,11 @@ class TestPartialScope:
         with pytest.raises(ValueError):
             LPRRPlanner(capacity_factor=0.0)
 
+    @pytest.mark.parametrize("tolerance", [-0.01, float("nan"), float("inf")])
+    def test_bad_capacity_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="capacity_tolerance"):
+            LPRRPlanner(capacity_tolerance=tolerance)
+
 
 class TestCapacityModes:
     def test_explicit_capacities_used_when_factor_none(self):

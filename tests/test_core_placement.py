@@ -94,6 +94,17 @@ class TestCapacity:
         )
         assert placement.is_feasible(tolerance=0.5)  # 8 * 1.5 = 12 >= 12
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tolerance_rejected(self, problem, tolerance):
+        # Loads compared against a NaN limit would pass every node.
+        placement = Placement.from_mapping(
+            problem, {"a": "n0", "b": "n0", "c": "n0", "d": "n1"}
+        )
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            placement.capacity_violations(tolerance)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            placement.is_feasible(tolerance)
+
     def test_load_imbalance(self, problem):
         placement = Placement.from_mapping(
             problem, {"a": "n0", "b": "n0", "c": "n0", "d": "n1"}

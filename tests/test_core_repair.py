@@ -95,3 +95,34 @@ class TestRepairCapacity:
         repaired = repair_capacity(placement)
         assert repaired.is_feasible()
         assert repaired.node_object_counts().sum() == 12
+
+    def test_tie_moves_lower_object_to_lower_destination(self):
+        # o0 and o1 both relieve node 1 at zero cost with equal size,
+        # and nodes 0 and 2 both have room: o0 goes to node 0.
+        p = uniform_problem([1.0, 1.0], capacity=1.0, nodes=3)
+        placement = Placement(p, np.array([1, 1]))
+        assert repair_capacity(placement).assignment.tolist() == [0, 1]
+
+
+class TestRepairValidation:
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        p = uniform_problem([1.0, 1.0, 1.0], capacity=2.0)
+        placement = Placement(p, np.array([0, 0, 0]))
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            repair_capacity(placement, tolerance=tolerance)
+
+    @pytest.mark.parametrize("capacities", [[2.0], [2.0, 2.0, 2.0, 2.0], [[2.0, 2.0, 2.0]]])
+    def test_capacities_of_another_shape_rejected(self, capacities):
+        # A length-1 vector used to broadcast to every node.
+        p = uniform_problem([1.0, 1.0, 1.0], capacity=2.0, nodes=3)
+        placement = Placement(p, np.array([0, 0, 0]))
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            repair_capacity(placement, capacities=np.array(capacities))
+
+    def test_nan_capacity_rejected(self):
+        # A NaN limit never counts as overloaded, so node 0 kept load 3.
+        p = uniform_problem([1.0, 1.0, 1.0], capacity=2.0, nodes=3)
+        placement = Placement(p, np.array([0, 0, 0]))
+        with pytest.raises(ValueError, match="NaN"):
+            repair_capacity(placement, capacities=np.array([np.nan, 2.0, 2.0]))

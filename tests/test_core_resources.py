@@ -129,6 +129,15 @@ class TestPlacementEvaluation:
         assert not together.is_feasible()
         assert together.is_feasible(include_resources=False)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        p = make_problem(bandwidth_budget=10.0)
+        together = Placement.from_mapping(
+            p, {"hot1": 0, "hot2": 0, "cold1": 1, "cold2": 1}
+        )
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            together.resource_violations(tolerance)
+
     def test_feasible_when_hot_pair_split(self):
         p = make_problem()
         split = Placement.from_mapping(

@@ -1,15 +1,17 @@
 """Property tests: every vectorized fast path is byte-identical to its loop.
 
 Batched engines sit behind existing APIs — bulk LP constraint
-assembly, query-log replay from a compiled profile, vectorized Count-Min
-ingestion, heap-based Space-Saving eviction, and chunked correlation
-mining.  Each one promises *byte-identical* output to the legacy
+assembly, capacity repair from cached move deltas, query-log replay
+from a compiled profile, vectorized Count-Min ingestion, heap-based
+Space-Saving eviction, and chunked correlation mining.  Each one promises *byte-identical* output to the legacy
 per-item loop under fixed seeds; these hypothesis suites hold them to
 it, including dict insertion order and the type-gate fallbacks of the
 miner.
 """
 
+import heapq
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -26,6 +28,8 @@ from repro.core.correlation import (
 )
 from repro.core.lp import build_placement_lp
 from repro.core.problem import PlacementProblem
+from repro.core.repair import repair_capacity
+from repro.exceptions import InfeasibleProblemError
 from repro.lpsolve import LinearProgram, Sense
 from repro.online.sketch import SketchCorrelationEstimator, SpaceSavingPairs
 from repro import obs
@@ -405,6 +409,174 @@ class TestLPAssemblyEquivalence:
         assert _lp_state(build_placement_lp(problem)) == _lp_state(
             _build_placement_lp_loop(problem)
         )
+
+
+# ----------------------------------------------------------------------
+# Capacity repair
+# ----------------------------------------------------------------------
+
+def _repair_reference(placement, capacities=None, tolerance=0.0):
+    """The pre-cache repair loop: every move rebuilds the whole
+    (member × destination) candidate heap and recomputes each delta."""
+    problem = placement.problem
+    caps = problem.capacities if capacities is None else np.asarray(capacities, float)
+    limits = caps * (1.0 + tolerance)
+
+    assignment = placement.assignment.copy()
+    loads = np.bincount(assignment, weights=problem.sizes, minlength=problem.num_nodes)
+    resource_loads = [
+        np.bincount(assignment, weights=spec.loads, minlength=problem.num_nodes)
+        for spec in problem.resources
+    ]
+    resource_limits = [
+        spec.budgets * (1.0 + tolerance) for spec in problem.resources
+    ]
+    if np.all(loads <= limits + 1e-9):
+        return placement
+    if problem.total_size > np.sum(limits[np.isfinite(limits)]) and np.all(
+        np.isfinite(limits)
+    ):
+        raise InfeasibleProblemError(
+            "repair impossible: total object size exceeds total allowed load"
+        )
+
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(problem.num_objects)]
+    for (i, j), weight in zip(problem.pair_index, problem.pair_weights):
+        if weight > 0:
+            adjacency[int(i)].append((int(j), float(weight)))
+            adjacency[int(j)].append((int(i), float(weight)))
+
+    def move_delta(obj, src, dst):
+        delta = 0.0
+        for neighbor, weight in adjacency[obj]:
+            where = assignment[neighbor]
+            if where == src:
+                delta += weight
+            elif where == dst:
+                delta -= weight
+        return delta
+
+    max_moves = 4 * problem.num_objects
+    moves = 0
+    while True:
+        overloaded = np.where(loads > limits + 1e-9)[0]
+        if overloaded.size == 0:
+            break
+        moves += 1
+        if moves > max_moves:
+            raise InfeasibleProblemError(
+                "capacity repair did not converge; capacities may be too tight"
+            )
+        src = int(overloaded[np.argmax(loads[overloaded] - limits[overloaded])])
+        members = np.where(assignment == src)[0]
+        candidates = []
+        for obj in members:
+            size = problem.sizes[obj]
+            for dst in range(problem.num_nodes):
+                if dst == src or loads[dst] + size > limits[dst] + 1e-9:
+                    continue
+                if any(
+                    rl[dst] + spec.loads[obj] > rlim[dst] + 1e-9
+                    for rl, rlim, spec in zip(
+                        resource_loads, resource_limits, problem.resources
+                    )
+                ):
+                    continue
+                delta = move_delta(int(obj), src, dst)
+                heapq.heappush(candidates, (delta / size, -size, int(obj), dst))
+        if not candidates:
+            raise InfeasibleProblemError(
+                f"capacity repair stuck: no destination can absorb any "
+                f"object of overloaded node index {src}"
+            )
+        _, _, obj, dst = heapq.heappop(candidates)
+        assignment[obj] = dst
+        loads[src] -= problem.sizes[obj]
+        loads[dst] += problem.sizes[obj]
+        for rl, spec in zip(resource_loads, problem.resources):
+            rl[src] -= spec.loads[obj]
+            rl[dst] += spec.loads[obj]
+
+    return Placement(problem, assignment)
+
+
+_CAPACITY = st.one_of(st.just(math.inf), st.integers(0, 12).map(float))
+
+
+@st.composite
+def _repair_cases(draw):
+    """Small integer instances, so ratio and size ties are common.
+
+    Objects start on the first ``spread`` nodes, which overloads them
+    often; capacities mix finite and infinite values, and some cases
+    pass an explicit ``capacities=`` vector over a problem of its own.
+    """
+    t = draw(st.integers(1, 40))
+    n = draw(st.integers(2, 6))
+    ids = [f"o{i}" for i in range(t)]
+    sizes = draw(st.lists(st.integers(1, 4), min_size=t, max_size=t))
+    capacities = draw(st.lists(_CAPACITY, min_size=n, max_size=n))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, t - 1), st.integers(0, t - 1), st.integers(0, 3)),
+            max_size=3 * t,
+        )
+    )
+    correlations = {(ids[i], ids[j]): float(w) for i, j, w in edges if i != j}
+    resources = None
+    if draw(st.booleans()):
+        loads = draw(st.lists(st.integers(0, 3), min_size=t, max_size=t))
+        budgets = draw(st.lists(_CAPACITY, min_size=n, max_size=n))
+        resources = {
+            "cpu": (dict(zip(ids, map(float, loads))), dict(enumerate(budgets)))
+        }
+    problem = PlacementProblem.build(
+        dict(zip(ids, map(float, sizes))),
+        dict(enumerate(capacities)),
+        correlations,
+        resources=resources,
+    )
+    spread = draw(st.integers(1, n))
+    assignment = draw(st.lists(st.integers(0, spread - 1), min_size=t, max_size=t))
+    explicit = draw(
+        st.none() | st.lists(_CAPACITY, min_size=n, max_size=n).map(np.array)
+    )
+    tolerance = draw(st.sampled_from([0.0, 0.05]))
+    return Placement(problem, np.array(assignment)), explicit, tolerance
+
+
+def _repair_outcome(repair, placement, capacities, tolerance):
+    try:
+        result = repair(placement, capacities=capacities, tolerance=tolerance)
+    except InfeasibleProblemError as exc:
+        return type(exc), str(exc)
+    return result is placement, result.assignment.tolist()
+
+
+class TestRepairEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_repair_cases())
+    def test_cached_deltas_match_heap_loop(self, case):
+        placement, capacities, tolerance = case
+        assert _repair_outcome(
+            repair_capacity, placement, capacities, tolerance
+        ) == _repair_outcome(_repair_reference, placement, capacities, tolerance)
+
+    def test_delta_sums_follow_pair_order(self):
+        # a's delta sums 0.1 + 0.2 + 0.3 in pair order, one ulp above
+        # b's 0.6; summed in any other order the two would tie and a,
+        # the lower index, would move.  The big neighbours cannot move.
+        weights = {("a", "n1"): 0.1, ("a", "n2"): 0.2, ("a", "n3"): 0.3, ("b", "m"): 0.6}
+        problem = PlacementProblem.build(
+            {"a": 1.0, "b": 1.0, "n1": 10.0, "n2": 10.0, "n3": 10.0, "m": 10.0},
+            {0: 41.0, 1: 1.0},
+            weights,
+            pair_cost=dict.fromkeys(weights, 1.0),
+        )
+        placement = Placement(problem, np.zeros(6, dtype=np.int64))
+        expected = _repair_reference(placement)
+        assert expected.node_of("b") == 1
+        assert repair_capacity(placement) == expected
 
 
 # ----------------------------------------------------------------------

@@ -59,6 +59,15 @@ class TestPlanConfig:
             "topology",
         ]
 
+    @pytest.mark.parametrize("tolerance", [-0.01, float("nan"), float("inf")])
+    def test_bad_capacity_tolerance_rejected(self, tolerance):
+        # The resilient chain would swallow the error mid-plan, and a NaN
+        # tolerance used to pass every capacity check.
+        with pytest.raises(ValueError, match="capacity_tolerance"):
+            PlanConfig(capacity_tolerance=tolerance)
+        with pytest.raises(ValueError, match="capacity_tolerance"):
+            PlanConfig().with_options(capacity_tolerance=tolerance)
+
     def test_make_cache(self, tmp_path):
         config = PlanConfig(cache_dir=tmp_path)
         cache = config.make_cache()

@@ -119,6 +119,14 @@ class TestInvertedIndex:
         result = index.union(["price", "download"])
         assert sorted(result.tolist()) == sorted(page_id(u) for u in ("url/1", "url/3"))
 
+    def test_unindexed_word_gets_shared_read_only_empty_postings(self, index):
+        miss = index.postings("zzz")
+        assert miss.dtype == np.uint64 and miss.size == 0
+        assert not miss.flags.writeable
+        assert index.postings("qqq") is miss
+        assert index.document_frequency("zzz") == 0
+        assert index.size_bytes("zzz") == 0
+
     def test_explicit_postings_constructor(self):
         idx = InvertedIndex({"w": np.array([5, 3, 5], dtype=np.uint64)})
         assert idx.postings("w").tolist() == [3, 5]
