@@ -74,7 +74,7 @@ def operation_pairs(
     * ``"two_smallest"`` — the two smallest known objects (intersection
       approximation); ties on size break by id repr.
     * ``"union_largest"`` — the largest known object paired with each
-      other one (union approximation).
+      other one, in repr order (union approximation).
 
     Args:
         operation: One operation as an iterable of object ids
@@ -104,10 +104,11 @@ def _pairs_from_distinct(
     """The Section 3.2 reduction over already-deduplicated objects.
 
     ``distinct`` must carry the iteration order of the operation's
-    ``set`` — both the repr sort (ties) and the union pair order depend
-    on it, and the batch miner replays recorded operations through this
-    helper so its fallback path stays byte-identical to the legacy
-    per-operation loop.
+    ``set``: the repr sorts keep that order among equal reprs, and the
+    batch miner replays recorded operations through this helper so its
+    fallback path stays byte-identical to the legacy per-operation
+    loop.  The union pairs follow the other objects' repr order, as the
+    cooccurrence pairs do.
     """
     if mode == "cooccurrence":
         objects = sorted(distinct, key=repr)
@@ -124,7 +125,8 @@ def _pairs_from_distinct(
         known.sort(key=lambda o: (sizes[o], repr(o)))
         return [_canonical(known[0], known[1])]
     largest = max(known, key=lambda o: (sizes[o], repr(o)))
-    return [_canonical(largest, other) for other in known if other != largest]
+    others = sorted(known, key=repr)
+    return [_canonical(largest, other) for other in others if other != largest]
 
 
 #: Operations mined per vectorized batch.  Bounds the miner's working
@@ -349,6 +351,7 @@ def _mine_chunk(
                 parts_y.append(picked[:, 1])
                 parts_pos.append(rows)
         else:  # union_largest
+            repr_rank = ranks["repr_rank"]
             emitted = np.where(known_len >= 2, known_len - 1, 0)
             pair_base = np.concatenate(([0], np.cumsum(emitted)[:-1]))
             for length in np.unique(known_len):
@@ -357,6 +360,8 @@ def _mine_chunk(
                     continue
                 rows = np.flatnonzero(known_len == length)
                 mat = known_flat[known_starts[rows][:, None] + np.arange(length)]
+                order = np.argsort(repr_rank[mat], axis=1)
+                mat = np.take_along_axis(mat, order, axis=1)
                 biggest = np.argmax(size_rank[mat], axis=1)
                 keep = np.arange(length)[None, :] != biggest[:, None]
                 others = mat[keep].reshape(-1, length - 1)

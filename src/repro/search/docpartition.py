@@ -24,7 +24,7 @@ from repro.core.hashing import hash_node
 from repro.search.documents import Corpus
 from repro.search.engine import EngineStats, QueryExecution
 from repro.search.index import ITEM_BYTES, InvertedIndex, page_id
-from repro.search.query import Query, QueryLog
+from repro.search.query import Query, QueryLog, as_query
 
 NodeId = Hashable
 
@@ -105,8 +105,7 @@ class DocumentPartitionedEngine:
         put); broadcastn of the query itself is considered free, as in
         the paper's accounting of small control messages.
         """
-        if not isinstance(query, Query):
-            query = Query(tuple(query))
+        query = as_query(query)
         words = [w for w in dict.fromkeys(query.keywords)]
         fragments: dict[NodeId, np.ndarray] = {}
         for node, local_index in self._indices.items():

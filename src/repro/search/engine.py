@@ -29,7 +29,7 @@ from repro.core.correlation import (
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.search.index import ITEM_BYTES, InvertedIndex
-from repro.search.query import Query, QueryLog
+from repro.search.query import Query, QueryLog, as_query
 
 NodeId = Hashable
 
@@ -208,8 +208,13 @@ class QueryProfile:
         words, codes: The indexed keywords the log queries, and each
             position's word code, ``(df, word)``-ordered per query.
         owner: Distinct-query id of each position.
-        shipped: ``8·|w₀∩…∩w_{p−1}|`` (intersection) or ``8·df``
-            (union) per position; ``scanned`` is ``8·df``.
+        shipped: Bytes the hop into each position ships.  In
+            intersection mode a query's first position ships 0, its
+            second ``8·df(w₀)`` and position ``p ≥ 2``
+            ``8·|w₀∩…∩w_{p−1}|``, counted for every query at once by
+            testing each of w₀'s postings against the following words'
+            (an emptied prefix ships 0 from then on).  In union mode
+            it is ``scanned``, ``8·df``.
     """
 
     def __init__(
@@ -222,54 +227,111 @@ class QueryProfile:
             raise ValueError(f"unknown query mode {mode!r}")
         self.index = index
         self.mode = mode
-        ids: dict[tuple[str, ...], int] = {}
-        vocab: dict[str, int] = {}
-        queries, inverse, codes, shipped, offsets = [], [], [], [], [0]
         with obs.span("replay.compile", mode=mode) as compile_span:
+            ids: dict[tuple[str, ...], int] = {}
+            queries, inverse = [], []
             for query in log:
-                if not isinstance(query, Query):
-                    if isinstance(query, str):
-                        raise TypeError(f"query {query!r} is a str, not keywords")
-                    query = Query(tuple(query))
+                if not isinstance(query, Query):  # skips a call per logged Query
+                    query = as_query(query)
                 qid = ids.setdefault(query.keywords, len(ids))
                 inverse.append(qid)
-                if qid < len(queries):
-                    continue
-                queries.append(query)
-                words = [w for w in dict.fromkeys(query.keywords) if w in index]
-                words.sort(key=lambda w: (index.document_frequency(w), w))
-                codes.extend(vocab.setdefault(w, len(vocab)) for w in words)
-                offsets.append(len(codes))
-                if mode == "union" or not words:
-                    continue
-                # Hop p ships w₀∩…∩w_{p−1}: a two-word chain intersects
-                # nothing, and an empty prefix ends the chain.
-                result = index.postings(words[0])
-                shipped.append(0)
-                for p in range(1, len(words)):
-                    if p > 1 and result.size:
-                        postings = index.postings(words[p - 1])
-                        result = np.intersect1d(result, postings, assume_unique=True)
-                    shipped.append(ITEM_BYTES * int(result.size))
-
+                if qid == len(queries):
+                    queries.append(query)
             self.queries = tuple(queries)
             self.inverse = np.asarray(inverse, dtype=np.int64)
             self.counts = np.bincount(self.inverse, minlength=len(queries))
-            self.words = tuple(vocab)
-            self.offsets = np.asarray(offsets, dtype=np.int64)
-            self.codes = np.asarray(codes, dtype=np.int64)
-            self.owner = np.repeat(np.arange(len(queries)), np.diff(self.offsets))
-            sizes = np.array([index.size_bytes(w) for w in vocab], dtype=np.int64)
-            self.scanned = sizes[self.codes]
-            positions = np.arange(len(codes))
+
+            # Intern every keyword of every distinct query, and rank the
+            # indexed ones by (df, word); unindexed ones share the last rank.
+            interned: dict[str, int] = {}
+            flat = [
+                interned.setdefault(w, len(interned)) for q in queries for w in q.keywords
+            ]
+            names = list(interned)
+            indexed = [w in index for w in names]
+            df = [index.document_frequency(w) for w in names]
+            by_df = sorted(
+                (k for k, known in enumerate(indexed) if known),
+                key=lambda k: (df[k], names[k]),
+            )
+            rank = np.full(len(names), len(by_df), dtype=np.int64)
+            rank[by_df] = np.arange(len(by_df))
+            df, indexed = np.array(df, dtype=np.int64), np.array(indexed, dtype=bool)
+
+            # Each query's positions in execution order: sort by (query,
+            # rank), then drop repeated and unindexed words.
+            flat = np.array(flat, dtype=np.int64)
+            lengths = np.array([len(q.keywords) for q in queries], dtype=np.int64)
+            owner = np.repeat(np.arange(len(queries)), lengths)
+            order = np.lexsort((rank[flat], owner))
+            owner, word = owner[order], flat[order]
+            keep = indexed[word]
+            keep[1:] &= (owner[1:] != owner[:-1]) | (word[1:] != word[:-1])
+            self.owner, word = owner[keep], word[keep]
+            kept = np.bincount(self.owner, minlength=len(queries))
+            self.offsets = np.zeros(len(queries) + 1, dtype=np.int64)
+            kept.cumsum(out=self.offsets[1:])
+
+            # Word codes number the kept words by first appearance.
+            seen, first = np.unique(word, return_index=True)
+            seen = seen[first.argsort()]
+            code_of = np.empty(len(names), dtype=np.int64)
+            code_of[seen] = np.arange(len(seen))
+            self.words = tuple(names[k] for k in seen.tolist())
+            self.codes = code_of[word]
+            code_df = df[seen]
+            self.scanned = (ITEM_BYTES * code_df)[self.codes]
+
+            positions = np.arange(len(word))
             if mode == "intersection":
-                first = self.offsets[:-1][self.owner]
-                self.src, self.dst = positions - (positions > first), positions
-                self.shipped = np.asarray(shipped, dtype=np.int64)
+                heads = self.offsets[:-1][self.owner]
+                self.src, self.dst = positions - (positions > heads), positions
+                self.shipped = self._intersection_bytes(kept, code_df)
             else:
                 self.src, self.dst = positions, (self.offsets[1:] - 1)[self.owner]
                 self.shipped = self.scanned
             compile_span.set(queries=len(inverse), unique_queries=len(queries))
+
+    def _intersection_bytes(self, lengths: np.ndarray, df: np.ndarray) -> np.ndarray:
+        """``8·|w₀∩…∩w_{p−1}|`` per position, given each query's word
+        count and each word code's df.
+
+        Position 0 ships nothing and position 1 ships ``8·df(w₀)``.
+        Deeper prefixes are counted for every query at once: each query
+        with three or more words expands w₀'s postings into candidate
+        documents, and each round keeps the candidates found in the
+        next word's postings, by one ``searchsorted`` over a sorted
+        (word, document) key table.  A candidate that fails stays dead,
+        so an emptied prefix ships 0 from then on.
+        """
+        starts = self.offsets[:-1]
+        counts = np.zeros(len(self.codes), dtype=np.int64)
+        pairs = starts[lengths >= 2]
+        counts[pairs + 1] = df[self.codes[pairs]]
+        deep = lengths >= 3
+        if deep.any():
+            postings = np.concatenate([self.index.postings(w) for w in self.words])
+            # Rank each posting's page ID among the distinct ones.
+            order = postings.argsort()
+            ranked = postings[order]
+            rank = np.empty(len(postings), dtype=np.int64)
+            rank[order] = np.concatenate(([0], (ranked[1:] != ranked[:-1]).cumsum()))
+            table = np.repeat(np.arange(len(df)) * len(postings), df) + rank
+            # One candidate per posting of each deep query's w₀; ``pos``
+            # is the position whose word it is tested against next.
+            heads = self.codes[starts[deep]]
+            width = df[heads]
+            skip = np.repeat(df.cumsum()[heads] - width.cumsum(), width)
+            doc = rank[skip + np.arange(len(skip))]
+            pos = np.repeat(starts[deep] + 1, width)
+            last = np.repeat(self.offsets[1:][deep] - 1, width)
+            while pos.size:
+                key = self.codes[pos] * len(postings) + doc
+                hit = table[np.minimum(table.searchsorted(key), len(table) - 1)] == key
+                hit &= pos < last
+                pos, last, doc = pos[hit] + 1, last[hit], doc[hit]
+                counts += np.bincount(pos, minlength=len(counts))
+        return ITEM_BYTES * counts
 
 
 class DistributedSearchEngine:

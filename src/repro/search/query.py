@@ -39,6 +39,20 @@ class Query:
         return iter(self.keywords)
 
 
+def as_query(query: Query | Iterable[str]) -> Query:
+    """``query`` as a :class:`Query`; keyword sequences are wrapped as is.
+
+    Raises:
+        TypeError: For a bare ``str``, which would otherwise split into
+            one-character keywords.
+    """
+    if isinstance(query, Query):
+        return query
+    if isinstance(query, str):
+        raise TypeError(f"query {query!r} is a str, not keywords")
+    return Query(tuple(query))
+
+
 class QueryLog:
     """An in-memory sequence of queries with summary statistics."""
 
@@ -50,9 +64,7 @@ class QueryLog:
     def append(self, query: Query | Sequence[str]) -> None:
         """Add a query (keyword sequences are wrapped; a ``str`` raises TypeError)."""
         if not isinstance(query, Query):
-            if isinstance(query, str):
-                raise TypeError(f"query {query!r} is a str, not keywords")
-            query = Query(tuple(str(k).lower() for k in query))
+            query = Query(tuple(str(k).lower() for k in as_query(query)))
         self._queries.append(query)
 
     def __len__(self) -> int:

@@ -32,7 +32,7 @@ from repro import obs
 from repro.core.replication import ReplicatedPlacement
 from repro.search.engine import EngineStats, QueryExecution
 from repro.search.index import ITEM_BYTES, InvertedIndex
-from repro.search.query import Query, QueryLog
+from repro.search.query import Query, QueryLog, as_query
 
 NodeId = Hashable
 
@@ -125,8 +125,7 @@ class ReplicatedSearchEngine:
     # ------------------------------------------------------------------
     def execute(self, query: Query | Iterable[str]) -> QueryExecution:
         """Run one query with greedy replica routing over live copies."""
-        if not isinstance(query, Query):
-            query = Query(tuple(query))
+        query = as_query(query)
         alive: dict[str, frozenset[int]] = {}
         for w in dict.fromkeys(query.keywords):
             if w not in self.index:

@@ -31,7 +31,7 @@ from typing import Iterable
 
 from repro import obs
 from repro.search.engine import EngineStats, QueryExecution
-from repro.search.query import Query
+from repro.search.query import Query, as_query
 from repro.serve.admission import (
     DRAINING,
     QUEUE_FULL,
@@ -164,9 +164,12 @@ class QueryRouter:
     # Submission
     # ------------------------------------------------------------------
     async def submit(self, query: Query | Iterable[str]) -> RoutedQuery:
-        """Admit, batch, execute; raises :class:`AdmissionError` if shed."""
-        if not isinstance(query, Query):
-            query = Query(tuple(query))
+        """Admit, batch, execute; raises :class:`AdmissionError` if shed.
+
+        A bare ``str`` query raises ``TypeError`` before admission, so
+        it is never counted as shed.
+        """
+        query = as_query(query)
         loop = asyncio.get_running_loop()
         now = loop.time()
         if self._draining:

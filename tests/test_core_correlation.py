@@ -1,5 +1,10 @@
 """Tests for correlation estimators (repro.core.correlation)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.correlation import (
@@ -162,6 +167,11 @@ class TestOperationPairs:
         pairs = operation_pairs(("a", "b", "c"), "union_largest", sizes)
         assert sorted(pairs) == [("a", "b"), ("a", "c")]
 
+    def test_union_largest_pairs_in_repr_order(self):
+        sizes = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}
+        pairs = operation_pairs(("c", "d", "b", "a"), "union_largest", sizes)
+        assert pairs == [("a", "d"), ("b", "d"), ("c", "d")]
+
     def test_size_modes_require_sizes(self):
         with pytest.raises(ValueError, match="requires object sizes"):
             operation_pairs(("a", "b"), "two_smallest")
@@ -197,3 +207,43 @@ class TestDecay:
     def test_invalid_factor(self):
         with pytest.raises(ValueError, match="decay factor"):
             CorrelationEstimator().decay(1.5)
+
+
+class TestUnionOrderAcrossHashSeeds:
+    # Mines one fixed trace in a fresh interpreter per string-hash seed.
+    # The str trace takes the vectorized miner; the tuple ids trip its
+    # gate, so that trace replays through the per-operation loop.
+    SCRIPT = """
+import numpy as np
+from repro.core.correlation import operation_pairs, union_largest_correlations
+rng = np.random.default_rng(5)
+words = [f"w{i}" for i in range(40)]
+sizes = {w: float(rng.integers(1, 9)) for w in words}
+trace = [
+    tuple(rng.choice(words, size=int(rng.integers(1, 7)), replace=False).tolist())
+    for _ in range(300)
+]
+boxed = [tuple(("k", w) for w in op) for op in trace]
+boxed_sizes = {("k", w): size for w, size in sizes.items()}
+for ops, table in ((trace, sizes), (boxed, boxed_sizes)):
+    print(list(union_largest_correlations(ops, table).items()))
+    print([operation_pairs(op, "union_largest", table) for op in ops])
+"""
+
+    @classmethod
+    def _mine(cls, hash_seed: str) -> str:
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        out = subprocess.run(
+            [sys.executable, "-c", cls.SCRIPT],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        return out.stdout
+
+    def test_union_pairs_do_not_depend_on_the_hash_seed(self):
+        first = self._mine("1")
+        assert first.count("\n") == 4
+        assert first == self._mine("2")

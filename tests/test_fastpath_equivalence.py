@@ -1,8 +1,9 @@
 """Property tests: every vectorized fast path is byte-identical to its loop.
 
 Batched engines sit behind existing APIs — bulk LP constraint
-assembly, capacity repair from cached move deltas, query-log replay
-from a compiled profile, vectorized Count-Min ingestion, heap-based
+assembly, capacity repair from cached move deltas, the columnar
+query-log compile, query-log replay from a compiled profile,
+vectorized Count-Min ingestion, heap-based
 Space-Saving eviction, and chunked correlation mining.  Each one promises *byte-identical* output to the legacy
 per-item loop under fixed seeds; these hypothesis suites hold them to
 it, including dict insertion order and the type-gate fallbacks of the
@@ -39,6 +40,7 @@ from repro.search.engine import (
     DistributedSearchEngine,
     EngineStats,
     QueryExecution,
+    QueryProfile,
     build_placement_problem,
 )
 from repro.search.index import ITEM_BYTES, InvertedIndex
@@ -748,6 +750,127 @@ def _replay_cases(draw):
         words = rng.choice(pool, size=count, replace=True).tolist()
         queries.append(Query(tuple(words)))
     return index, lookup, queries
+
+
+def _compile_reference(index, log, mode="intersection"):
+    """The per-query compile loop: one ``intersect1d`` per hop.
+
+    Returns every :class:`QueryProfile` attribute by name.
+    """
+    ids = {}
+    vocab = {}
+    queries, inverse, codes, shipped, offsets = [], [], [], [], [0]
+    for query in log:
+        if not isinstance(query, Query):
+            if isinstance(query, str):
+                raise TypeError(f"query {query!r} is a str, not keywords")
+            query = Query(tuple(query))
+        qid = ids.setdefault(query.keywords, len(ids))
+        inverse.append(qid)
+        if qid < len(queries):
+            continue
+        queries.append(query)
+        words = [w for w in dict.fromkeys(query.keywords) if w in index]
+        words.sort(key=lambda w: (index.document_frequency(w), w))
+        codes.extend(vocab.setdefault(w, len(vocab)) for w in words)
+        offsets.append(len(codes))
+        if mode == "union" or not words:
+            continue
+        result = index.postings(words[0])
+        shipped.append(0)
+        for p in range(1, len(words)):
+            if p > 1 and result.size:
+                postings = index.postings(words[p - 1])
+                result = np.intersect1d(result, postings, assume_unique=True)
+            shipped.append(ITEM_BYTES * int(result.size))
+
+    out = {"queries": tuple(queries), "words": tuple(vocab)}
+    out["inverse"] = np.asarray(inverse, dtype=np.int64)
+    out["counts"] = np.bincount(out["inverse"], minlength=len(queries))
+    out["offsets"] = np.asarray(offsets, dtype=np.int64)
+    out["codes"] = np.asarray(codes, dtype=np.int64)
+    out["owner"] = np.repeat(np.arange(len(queries)), np.diff(out["offsets"]))
+    sizes = np.array([index.size_bytes(w) for w in vocab], dtype=np.int64)
+    out["scanned"] = sizes[out["codes"]]
+    positions = np.arange(len(codes))
+    if mode == "intersection":
+        first = out["offsets"][:-1][out["owner"]]
+        out["src"], out["dst"] = positions - (positions > first), positions
+        out["shipped"] = np.asarray(shipped, dtype=np.int64)
+    else:
+        out["src"], out["dst"] = positions, (out["offsets"][1:] - 1)[out["owner"]]
+        out["shipped"] = out["scanned"]
+    return out
+
+
+def _assert_same_profile(profile, reference):
+    """Every attribute equal in value, dtype and order."""
+    for name, expected in reference.items():
+        actual = getattr(profile, name)
+        if isinstance(expected, np.ndarray):
+            assert actual.dtype == expected.dtype, name
+            assert actual.shape == expected.shape, name
+            assert np.array_equal(actual, expected), name
+        else:
+            assert actual == expected, name
+
+
+@st.composite
+def _compile_cases(draw):
+    """An index with empty postings and df ties, and a log of 1–7
+    keyword queries with repeats and unindexed words."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    num_docs = draw(st.integers(1, 12))
+    num_queries = draw(st.integers(0, 30))
+    rng = np.random.default_rng(seed)
+    docs = rng.choice(2**40, size=num_docs, replace=False)
+    postings = {}
+    for w in range(8):
+        density = rng.choice([0.0, 0.2, 0.5, 0.9])  # 0.0: empty postings
+        postings[f"w{w}"] = docs[rng.random(num_docs) < density]
+    index = InvertedIndex(postings)
+    pool = sorted(postings) + ["zz", "yy"]  # two unindexed words
+    queries = []
+    for _ in range(num_queries):
+        if queries and rng.random() < 0.3:
+            queries.append(queries[int(rng.integers(0, len(queries)))])
+            continue
+        count = int(rng.integers(1, 8))
+        words = rng.choice(pool, size=count, replace=True).tolist()
+        queries.append(Query(tuple(words)))
+    return index, queries
+
+
+class TestCompileEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=_compile_cases(),
+        mode=st.sampled_from(["intersection", "union"]),
+        form=st.sampled_from(["querylog", "queries", "tuples", "columns"]),
+    )
+    def test_profile_matches_compile_loop(self, case, mode, form):
+        index, queries = case
+        profile = QueryProfile(index, _as_input(queries, form), mode)
+        _assert_same_profile(profile, _compile_reference(index, queries, mode))
+
+    @pytest.mark.parametrize("mode", ["intersection", "union"])
+    def test_empty_log(self, mode):
+        index = InvertedIndex({"a": [1, 2], "b": []})
+        profile = QueryProfile(index, [], mode)
+        _assert_same_profile(profile, _compile_reference(index, [], mode))
+
+    def test_disjoint_smallest_postings_ship_nothing_past_the_first_hop(self):
+        index = InvertedIndex({
+            "w0": [1, 2],
+            "w1": [3, 4, 5],
+            "w2": [1, 2, 3, 4, 5, 6],
+            "w3": list(range(1, 11)),
+        })
+        query = ("w3", "w1", "w2", "w0")
+        profile = QueryProfile(index, [query])
+        assert profile.words == ("w0", "w1", "w2", "w3")
+        assert profile.shipped.tolist() == [0, 2 * ITEM_BYTES, 0, 0]
+        _assert_same_profile(profile, _compile_reference(index, [query]))
 
 
 def _assert_same_stats(fast, reference):

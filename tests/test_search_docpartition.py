@@ -56,6 +56,11 @@ class TestExecution:
         for query in (("common",), ("common", "even"), ("rare", "even")):
             assert engine.total_result_check(global_index, Query(query))
 
+    def test_bare_string_query_rejected(self, engine):
+        with pytest.raises(TypeError, match="not keywords"):
+            engine.execute("rare")
+        assert engine.execute(["rare"]).result_count == 2
+
     def test_single_partition_result_is_local(self, engine):
         # "rare" lives only in d0, d1 -> only node A has fragments.
         execution = engine.execute(["rare"])

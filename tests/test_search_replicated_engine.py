@@ -103,6 +103,17 @@ class TestReplicatedRouting:
         assert stats.queries == 2
         assert stats.local_fraction == 1.0
 
+    def test_bare_string_query_rejected(self):
+        # With "a", "b" and "ab" all indexed, splitting "ab" into
+        # characters would silently answer the query ("a", "b").
+        docs = [Document("d0", frozenset({"a", "b"})), Document("d1", frozenset({"ab"}))]
+        index = InvertedIndex.from_corpus(Corpus(docs))
+        placement = replicated(index, {"a": [0], "b": [1], "ab": [2]})
+        engine = ReplicatedSearchEngine(index, placement)
+        with pytest.raises(TypeError, match="not keywords"):
+            engine.execute("ab")
+        assert engine.execute(["ab"]).result_count == 1
+
 
 class TestUnionExecution:
     def test_union_ships_to_largest(self, index):

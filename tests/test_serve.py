@@ -186,6 +186,13 @@ class TestPlanSnapshot:
         assert snap.version == 1
         assert snap.planner == "test"
 
+    def test_snapshot_engine_rejects_bare_string(self):
+        docs = [Document("d0", frozenset({"a", "b"})), Document("d1", frozenset({"ab"}))]
+        index = InvertedIndex.from_corpus(Corpus(docs))
+        snap = snapshot(index, version=1)
+        with pytest.raises(TypeError, match="not keywords"):
+            snap.engine.execute("ab")
+
 
 class TestPlanHandle:
     def test_swap_returns_previous_and_counts(self, index):
@@ -375,6 +382,19 @@ class TestRouterAdmission:
         assert router.stats.rejected_queries == 3
         assert router.stats.availability == 1.0
         assert router.stats.service_level == pytest.approx(0.25)
+
+    def test_bare_string_rejected_before_admission(self, index):
+        async def main():
+            router = make_router(index, rate=10.0, burst=1.0)
+            with pytest.raises(TypeError, match="not keywords"):
+                await router.submit("alpha")
+            await router.submit(Query(("alpha",)))  # the token is still there
+            return router
+
+        router = run_virtual(main())
+        assert router.shed.total() == 0
+        assert router.stats.rejected_queries == 0
+        assert router.completed == 1
 
 
 class TestEngineStatsRejections:
