@@ -41,7 +41,7 @@ def test_online_mining(benchmark, study):
             heavy_hitters=HEAVY_HITTERS,
             seed=study.config.seed,
         )
-        estimator.observe_all(trace)
+        estimator.observe_trace(trace)
         sketch_problem = PlacementProblem.build(
             sizes,
             NUM_NODES,

@@ -12,27 +12,29 @@ operation to one or more two-object operations:
 * **Union-like** operations are approximated by a sequence of pairs,
   each joining the *largest* requested object with one other object.
 
-All three estimators below take a trace — an iterable of operations,
-each an iterable of object ids — and return a dict mapping canonical
-id pairs to empirical probabilities (pair count / number of operations
-counted).  Every estimator makes exactly **one pass** over the trace,
-so single-use iterables (generators, streaming readers) work without
-materializing the trace in memory: operations are interned and mined
-in vectorized chunks (working set ``O(chunk + distinct pairs)``), and
-any trace the vectorized engine cannot mine exactly falls back to the
-equivalent per-operation loop, so results — including dict insertion
-order — never depend on which engine ran.
+One engine runs that reduction for every consumer: :func:`_mine_chunks`
+makes **one pass** over a trace — an iterable of operations, each an
+iterable of object ids — interning ids and reducing operations in
+vectorized chunks (working set ``O(chunk + distinct pairs)``), so
+single-use iterables (generators, streaming readers) work without
+materializing the trace.  Any trace the vectorized engine cannot reduce
+exactly falls back to the per-operation loop, so results — including
+dict insertion order — never depend on which engine ran.
 
-The per-operation reduction is exposed as :func:`operation_pairs` and
-the incremental surface as the :class:`PairEstimator` protocol, shared
-by the exact :class:`CorrelationEstimator` here and the memory-bounded
-sketch backend in :mod:`repro.online.sketch`.
+The three ``*_correlations`` functions count its chunks into a dict
+mapping canonical id pairs to empirical probabilities (pair count /
+number of operations counted).  The :class:`PairEstimator` protocol is
+the incremental surface, shared by the exact
+:class:`CorrelationEstimator` here and the memory-bounded sketch
+backend in :mod:`repro.online.sketch`; both ingest the same chunks
+through :meth:`~PairEstimator.observe_trace`.  The reduction of a
+single operation is exposed as :func:`operation_pairs`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Hashable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Hashable, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -67,8 +69,8 @@ def operation_pairs(
 ) -> list[Pair]:
     """Reduce one operation to the pairs it contributes (Section 3.2).
 
-    This is the single shared reduction behind every correlation
-    estimator — exact or sketched:
+    Every estimator — exact or sketched — reads the concatenation of
+    these lists over its trace, from the chunked miner below:
 
     * ``"cooccurrence"`` — every distinct pair of the operation.
     * ``"two_smallest"`` — the two smallest known objects (intersection
@@ -86,14 +88,18 @@ def operation_pairs(
     Returns:
         Canonical pairs, possibly empty; each pair appears at most once.
     """
-    if mode != "cooccurrence":
-        if mode not in CorrelationEstimator.MODES:
-            raise ValueError(
-                f"unknown mode {mode!r}; expected one of {CorrelationEstimator.MODES}"
-            )
-        if sizes is None:
-            raise ValueError(f"mode {mode!r} requires object sizes")
+    _check_mode(mode, sizes)
     return _pairs_from_distinct(list(set(operation)), mode, sizes)
+
+
+def _check_mode(mode: str, sizes: Mapping[ObjectId, float] | None) -> None:
+    """Reject an unknown mode, or a size-aware one without sizes."""
+    if mode not in CorrelationEstimator.MODES:
+        raise ValueError(
+            f"unknown mode {mode!r}; expected one of {CorrelationEstimator.MODES}"
+        )
+    if mode != "cooccurrence" and sizes is None:
+        raise ValueError(f"mode {mode!r} requires object sizes")
 
 
 def _pairs_from_distinct(
@@ -105,9 +111,9 @@ def _pairs_from_distinct(
 
     ``distinct`` must carry the iteration order of the operation's
     ``set``: the repr sorts keep that order among equal reprs, and the
-    batch miner replays recorded operations through this helper so its
-    fallback path stays byte-identical to the legacy per-operation
-    loop.  The union pairs follow the other objects' repr order, as the
+    miner replays recorded operations through this helper so its
+    fallback path stays byte-identical to :func:`operation_pairs`.
+    The union pairs follow the other objects' repr order, as the
     cooccurrence pairs do.
     """
     if mode == "cooccurrence":
@@ -162,13 +168,13 @@ class _TraceEncoder:
 
     The vectorized miner operates on integer codes, so correctness
     hinges on the code <-> object mapping preserving every property the
-    legacy loop relies on: value order (for :func:`_canonical`), repr
-    order (for the cooccurrence sort and size tie-breaks), and the
-    first-inserted-key-wins identity of ``Counter`` keys.  Those hold
-    when every id is a ``str``, or every id is an ``int``/``float``
-    (no bools, no NaNs, no cross-type equal values) — anything else
-    trips ``fast`` off and the miner falls back to the exact loop over
-    the recorded operations.
+    per-operation loop relies on: value order (for :func:`_canonical`),
+    repr order (for the cooccurrence sort and size tie-breaks), and the
+    identity of the objects in each emitted pair.  Those hold when every
+    id is a ``str``, or every id is an ``int``/``float`` (no bools, no
+    NaNs, no equal values with different reprs) — anything else trips
+    ``fast`` off and the miner falls back to the exact loop over the
+    recorded operations.
     """
 
     __slots__ = (
@@ -216,10 +222,13 @@ class _TraceEncoder:
                 self.reprs.append(r)
             elif self.fast:
                 stored = self.objects[c]
-                if stored is not obj and type(stored) is not type(obj):
-                    # Equal-but-distinct ids (1 vs True, 1 vs 1.0):
-                    # the Counter key must be the operation's own
-                    # object, not our representative.
+                if stored is not obj and (
+                    type(stored) is not type(obj)
+                    or (type(obj) is float and repr(obj) != self.reprs[c])
+                ):
+                    # Equal-but-distinct ids (1 vs True, 1 vs 1.0,
+                    # 0.0 vs -0.0): the emitted pair must hold the
+                    # operation's own object, not our representative.
                     self.fast = False
             out.append(c)
         return out
@@ -390,102 +399,126 @@ def _mine_chunk(
     return (lo << np.int64(32)) | hi
 
 
-def _single_pass(
+def _decode(keys: np.ndarray, objects: list[ObjectId]) -> Iterator[Pair]:
+    """Packed pair keys -> object pairs, in key order."""
+    lookup = objects.__getitem__
+    return zip(
+        map(lookup, (keys >> 32).tolist()),
+        map(lookup, (keys & 0xFFFFFFFF).tolist()),
+    )
+
+
+def _mine_chunks(
     trace: Iterable[Operation],
     mode: str,
     sizes: Mapping[ObjectId, float] | None,
-    min_support: int,
-) -> PairProbabilities:
-    """Count pairs in one pass; ``trace`` may be a one-shot iterable.
+    enc: _TraceEncoder,
+) -> Iterator[tuple[int, np.ndarray | list[Pair]]]:
+    """Reduce ``trace`` in one pass, yielding ``(operations, pairs)`` chunks.
 
-    Operations are deduplicated and interned as they stream by, then
-    mined in vectorized chunks of :data:`_CHUNK_OPS`; the per-chunk
-    counts fold into one :class:`~collections.Counter` in emission
-    order, so the result — values *and* dict insertion order — is
-    byte-identical to the legacy per-operation loop, which remains the
-    fallback whenever an exactness gate trips (see
-    :class:`_TraceEncoder`).
+    The mode check runs before the first operation is read.  Operations
+    are deduplicated and interned into ``enc`` as they stream by, then
+    reduced in vectorized chunks of :data:`_CHUNK_OPS`.  ``pairs`` is
+    the chunk's packed pair keys over ``enc``'s codes (see
+    :func:`_decode`) in emission order — or, once an exactness gate has
+    tripped (see :class:`_TraceEncoder`), the per-operation loop's
+    list.  Either way the chunks concatenate to the trace's
+    :func:`operation_pairs` stream, duplicates kept.  The gates are
+    sticky, so list chunks only follow key chunks, and the object that
+    tripped one was first seen in its own chunk, never in a key chunk.
     """
-    counts: Counter = Counter()
-    total = 0
-    enc = _TraceEncoder()
+    _check_mode(mode, sizes)
     ranks_cache: dict = {}
-    chunk_ops: list[list[ObjectId]] = []
-    chunk_flat: list[int] = []
-    chunk_lens: list[int] = []
-    # Order-preserving key-space accumulator: parallel (keys, counts)
-    # streams, compacted whenever the raw backlog grows past a bound so
-    # memory stays O(unique pairs + compaction window).
-    key_parts: list[np.ndarray] = []
-    count_parts: list[np.ndarray] = []
-    pending = 0
+    chunk: list[list[ObjectId]] = []
+    flat: list[int] = []
+    lengths: list[int] = []
 
-    def compact() -> None:
-        nonlocal pending
-        keys, sums = _compact_keys(key_parts, count_parts)
-        key_parts[:] = [keys]
-        count_parts[:] = [sums]
-        pending = 0
-
-    def flush() -> None:
-        nonlocal pending
-        if not chunk_lens:
-            return
-        mined = None
+    def mine() -> np.ndarray | list[Pair]:
         if enc.fast_ok():
-            mined = _mine_chunk(
-                np.asarray(chunk_flat, dtype=np.int64),
-                np.asarray(chunk_lens, dtype=np.int64),
+            keys = _mine_chunk(
+                np.asarray(flat, dtype=np.int64),
+                np.asarray(lengths, dtype=np.int64),
                 enc,
                 mode,
                 sizes,
                 ranks_cache,
             )
-        if mined is None:
-            # A gate tripped: this chunk (and, the gates being sticky,
-            # every later one) replays the exact legacy loop over the
-            # recorded per-operation distinct lists.  The gate object
-            # was first seen in this chunk, so earlier vectorized
-            # chunks were unaffected by it.
-            for distinct in chunk_ops:
-                counts.update(_pairs_from_distinct(distinct, mode, sizes))
-        else:
-            key_parts.append(mined)
-            count_parts.append(np.ones(len(mined), dtype=np.int64))
-            pending += len(mined)
-            if pending > _COMPACT_PAIRS:
-                compact()
-        chunk_ops.clear()
-        chunk_flat.clear()
-        chunk_lens.clear()
+            if keys is not None:
+                return keys
+        return [
+            pair
+            for distinct in chunk
+            for pair in _pairs_from_distinct(distinct, mode, sizes)
+        ]
 
     for operation in trace:
-        if total == 0 and mode != "cooccurrence":
-            if mode not in CorrelationEstimator.MODES:
-                raise ValueError(
-                    f"unknown mode {mode!r}; expected one of "
-                    f"{CorrelationEstimator.MODES}"
-                )
-            if sizes is None:
-                raise ValueError(f"mode {mode!r} requires object sizes")
-        total += 1
         distinct = list(set(operation))
-        chunk_ops.append(distinct)
-        chunk_lens.append(len(distinct))
-        chunk_flat.extend(enc.encode(distinct))
-        if len(chunk_lens) >= _CHUNK_OPS:
-            flush()
-    flush()
+        chunk.append(distinct)
+        lengths.append(len(distinct))
+        flat.extend(enc.encode(distinct))
+        if len(chunk) >= _CHUNK_OPS:
+            yield len(chunk), mine()
+            chunk, flat, lengths = [], [], []
+    if chunk:
+        yield len(chunk), mine()
 
+
+def _trace_pairs(
+    trace: Iterable[Operation],
+    mode: str,
+    sizes: Mapping[ObjectId, float] | None,
+) -> tuple[list[Pair], int]:
+    """The trace's :func:`operation_pairs` stream, and its operation count.
+
+    Every pair of every operation, duplicates kept, in trace order: the
+    one ingest of both :class:`PairEstimator` backends.
+    """
+    enc = _TraceEncoder()
+    pairs: list[Pair] = []
+    total = 0
+    for ops, chunk in _mine_chunks(trace, mode, sizes, enc):
+        total += ops
+        pairs.extend(chunk if isinstance(chunk, list) else _decode(chunk, enc.objects))
+    return pairs, total
+
+
+def _count_pairs(
+    trace: Iterable[Operation],
+    mode: str,
+    sizes: Mapping[ObjectId, float] | None,
+    min_support: int,
+) -> PairProbabilities:
+    """Count the mined pairs; ``trace`` may be a one-shot iterable.
+
+    Key chunks accumulate in key space — parallel (keys, counts)
+    streams, compacted whenever the raw backlog grows past
+    :data:`_COMPACT_PAIRS` so memory stays O(unique pairs + compaction
+    window) — and list chunks in a :class:`~collections.Counter`.  The
+    list chunks ran strictly after every key chunk, so their new pairs
+    append behind the key pairs, and the result — values *and* dict
+    insertion order — is byte-identical to one ``Counter.update`` of
+    :func:`operation_pairs` per operation.
+    """
+    enc = _TraceEncoder()
+    counts: Counter = Counter()
+    total = 0
+    key_parts: list[np.ndarray] = []
+    count_parts: list[np.ndarray] = []
+    pending = 0
+    for ops, chunk in _mine_chunks(trace, mode, sizes, enc):
+        total += ops
+        if isinstance(chunk, list):
+            counts.update(chunk)
+            continue
+        key_parts.append(chunk)
+        count_parts.append(np.ones(len(chunk), dtype=np.int64))
+        pending += len(chunk)
+        if pending > _COMPACT_PAIRS:
+            keys, sums = _compact_keys(key_parts, count_parts)
+            key_parts, count_parts, pending = [keys], [sums], 0
     if key_parts:
         keys, sums = _compact_keys(key_parts, count_parts)
-        objects = enc.objects
-        merged: Counter = Counter()
-        for key, count in zip(keys.tolist(), sums.tolist()):
-            merged[(objects[key >> 32], objects[key & 0xFFFFFFFF])] = count
-        # Loop-fallback chunks, if any, ran strictly after every
-        # vectorized chunk, so their new pairs append behind the
-        # vectorized ones — matching the legacy insertion order.
+        merged = Counter(dict(zip(_decode(keys, enc.objects), sums.tolist())))
         merged.update(counts)
         counts = merged
     return _finalize(counts, total, min_support)
@@ -508,7 +541,7 @@ def cooccurrence_correlations(
     Returns:
         Mapping from canonical pairs to empirical probabilities.
     """
-    return _single_pass(trace, "cooccurrence", None, min_support)
+    return _count_pairs(trace, "cooccurrence", None, min_support)
 
 
 def two_smallest_correlations(
@@ -530,7 +563,7 @@ def two_smallest_correlations(
             missing from this mapping are ignored.
         min_support: Drop pairs observed fewer than this many times.
     """
-    return _single_pass(trace, "two_smallest", sizes, min_support)
+    return _count_pairs(trace, "two_smallest", sizes, min_support)
 
 
 def union_largest_correlations(
@@ -550,7 +583,7 @@ def union_largest_correlations(
         sizes: Object sizes used to find the largest.
         min_support: Drop pairs observed fewer than this many times.
     """
-    return _single_pass(trace, "union_largest", sizes, min_support)
+    return _count_pairs(trace, "union_largest", sizes, min_support)
 
 
 @runtime_checkable
@@ -560,7 +593,8 @@ class PairEstimator(Protocol):
     Implemented exactly by :class:`CorrelationEstimator` and in bounded
     memory by
     :class:`~repro.online.sketch.SketchCorrelationEstimator`; the
-    online controller accepts either.
+    online controller accepts either, and feeds it one
+    :meth:`observe_trace` batch per period.
     """
 
     @property
@@ -568,13 +602,27 @@ class PairEstimator(Protocol):
 
     def observe(self, operation: Operation) -> None: ...
 
-    def observe_all(self, trace: Iterable[Operation]) -> None: ...
+    def observe_trace(self, trace: Iterable[Operation]) -> int: ...
 
     def correlations(self, min_support: int = 1) -> PairProbabilities: ...
 
     def top_pairs(self, k: int) -> list[tuple[Pair, float]]: ...
 
     def decay(self, factor: float) -> None: ...
+
+
+def _add_ones(total: float, n: int) -> float:
+    """``total`` after ``n`` sequential ``total += 1.0`` steps, bit for bit.
+
+    One ``+ n`` gives the same float while the running total is an
+    integer small enough that every step is exact; after a decay left
+    it fractional, replay the steps.
+    """
+    if float(total).is_integer() and total + n < 2**53:
+        return total + n
+    for _ in range(n):
+        total += 1.0
+    return total
 
 
 class CorrelationEstimator:
@@ -588,8 +636,8 @@ class CorrelationEstimator:
 
     Example:
         >>> est = CorrelationEstimator(mode="cooccurrence")
-        >>> est.observe(["a", "b"])
-        >>> est.observe(["a", "b", "c"])
+        >>> est.observe_trace([["a", "b"], ["a", "b", "c"]])
+        2
         >>> est.correlations()[("a", "b")]
         1.0
     """
@@ -601,10 +649,7 @@ class CorrelationEstimator:
         mode: str = "cooccurrence",
         sizes: Mapping[ObjectId, float] | None = None,
     ):
-        if mode not in self.MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {self.MODES}")
-        if mode != "cooccurrence" and sizes is None:
-            raise ValueError(f"mode {mode!r} requires object sizes")
+        _check_mode(mode, sizes)
         self.mode = mode
         self.sizes = sizes
         self._counts: Counter = Counter()
@@ -616,42 +661,19 @@ class CorrelationEstimator:
         return int(self._total)
 
     def observe(self, operation: Operation) -> None:
-        """Fold one operation into the estimate."""
-        self._total += 1
-        self._counts.update(operation_pairs(operation, self.mode, self.sizes))
-
-    def observe_all(self, trace: Iterable[Operation]) -> None:
-        """Fold every operation of ``trace`` into the estimate."""
-        for operation in trace:
-            self.observe(operation)
+        """Fold one operation into the estimate (a one-operation trace)."""
+        self.observe_trace((operation,))
 
     def observe_trace(self, trace: Iterable[Operation]) -> int:
-        """Fold a whole trace in one batched pass; returns ops ingested.
+        """Fold a trace into the estimate in one pass; returns ops ingested.
 
-        Produces byte-identical state to :meth:`observe_all`: pairs
-        enter the counter in the same stream order (so dict insertion
-        order matches) and the operation total follows the same float
-        accumulation.  The win is one ``Counter.update`` instead of one
-        per operation — the hot ingest path for periodic replanning.
+        Pairs enter the counter in :func:`operation_pairs` stream order,
+        so dict insertion order is that of one ``Counter.update`` per
+        operation, and the total grows by one ``+= 1`` per operation.
         """
-        pairs: list[Pair] = []
-        ops = 0
-        for operation in trace:
-            ops += 1
-            pairs.extend(operation_pairs(operation, self.mode, self.sizes))
+        pairs, ops = _trace_pairs(trace, self.mode, self.sizes)
         self._counts.update(pairs)
-        # ``observe`` accumulates the total one float += 1 at a time.
-        # A single ``+= ops`` is only guaranteed to match when the
-        # running total is an exact integer small enough that every
-        # intermediate step is representable; after a decay left a
-        # fractional total, replay the per-operation accumulation.
-        if float(self._total).is_integer() and self._total + ops < 2**53:
-            self._total += float(ops)
-        else:
-            total = self._total
-            for _ in range(ops):
-                total += 1
-            self._total = total
+        self._total = _add_ones(self._total, ops)
         return ops
 
     def decay(self, factor: float) -> None:

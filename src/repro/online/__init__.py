@@ -7,8 +7,8 @@ loop over timestamped operation streams:
   seeded Count-Min sketch plus a Space-Saving heavy-hitter tracker,
   combined into :class:`SketchCorrelationEstimator` with provable
   overcount bounds.
-* :mod:`repro.online.windows` — tumbling periods and exponential decay
-  over :class:`~repro.workloads.stream.TimedQuery` /
+* :mod:`repro.online.windows` — tumbling periods over
+  :class:`~repro.workloads.stream.TimedQuery` /
   :class:`TimedOperation` streams.
 * :mod:`repro.online.drift` — replan triggers from top-K pair churn and
   estimated-cost inflation.
@@ -40,7 +40,6 @@ from repro.online.sketch import (
     SpaceSavingPairs,
 )
 from repro.online.windows import (
-    DecayingEstimator,
     StreamPeriod,
     TimedOperation,
     as_timed_operation,
@@ -50,7 +49,6 @@ from repro.online.windows import (
 __all__ = [
     "ONLINE_REPORT_SCHEMA",
     "CountMinSketch",
-    "DecayingEstimator",
     "DriftDecision",
     "DriftDetector",
     "DriftThresholds",

@@ -35,6 +35,7 @@ byte-identical.  Spans (``online.run`` > ``online.period`` >
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -48,7 +49,7 @@ from repro.core.problem import PlacementProblem
 from repro.core.strategies import PlanConfig, PlanResult
 from repro.online.drift import DriftDecision, DriftDetector, DriftThresholds
 from repro.online.sketch import SketchCorrelationEstimator
-from repro.online.windows import DecayingEstimator, StreamPeriod, tumbling_periods
+from repro.online.windows import StreamPeriod, tumbling_periods
 
 ObjectId = Hashable
 
@@ -117,8 +118,8 @@ class OnlineConfig:
         sketch_width: Count-Min row width of the default estimator.
         sketch_depth: Count-Min rows of the default estimator.
         heavy_hitters: Space-Saving capacity (the top-K pair budget).
-        decay: Per-period history multiplier in ``(0, 1]``; 1 never
-            forgets.
+        decay: Per-period history multiplier in ``(0, 1]``, applied to
+            the estimator after each period; 1 never forgets.
         min_support: Minimum (decayed) pair count for an estimate to
             enter the placement problem.
         seed: Seed for the sketch hashing (planning seeds live in
@@ -148,8 +149,10 @@ class OnlineConfig:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be at least 1")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
+        if not (math.isfinite(self.window_s) and self.window_s > 0):
+            raise ValueError(
+                f"window_s must be positive and finite, got {self.window_s!r}"
+            )
         if not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
         if self.budget_fraction < 0:
@@ -361,7 +364,6 @@ class OnlinePlanner:
                 seed=config.seed,
             )
         self.estimator = estimator
-        self._window = DecayingEstimator(estimator, factor=config.decay)
         self._detector = DriftDetector(config.thresholds)
         self._assignment: dict[ObjectId, int] | None = None
         self._pending_target: dict[ObjectId, int] | None = None
@@ -483,7 +485,7 @@ class OnlinePlanner:
             # so they neither crash problem construction nor waste
             # heavy-hitter capacity.  The filtered period then ingests
             # through the batched trace path in one call.
-            self._window.observe_trace(
+            self.estimator.observe_trace(
                 [
                     tuple(obj for obj in operation if obj in self.sizes)
                     for operation in period.operations
@@ -494,7 +496,7 @@ class OnlinePlanner:
             obs.gauge("online.sketch_cells").set(self.memory_cells)
 
             correlations = self._in_universe(
-                self._window.correlations(config.min_support)
+                self.estimator.correlations(config.min_support)
             )
             if self._assignment is None:
                 decision = self._maybe_bootstrap(period, correlations)
@@ -510,7 +512,8 @@ class OnlinePlanner:
             obs.record(
                 "online.period", t=round(period.start_s, 6), **decision.to_dict()
             )
-            self._window.advance_period()
+            if config.decay < 1.0:
+                self.estimator.decay(config.decay)
         if self.on_publish is not None and decision.action in (
             "bootstrap",
             "replan",

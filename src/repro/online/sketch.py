@@ -19,11 +19,12 @@ streaming summaries, both seeded and fully deterministic:
 :class:`SketchCorrelationEstimator` combines the two behind the
 :class:`~repro.core.correlation.PairEstimator` protocol: Space-Saving
 supplies *which* pairs are heavy, the Count-Min estimate tightens
-*how* heavy, and the per-operation pair reduction is the same
-:func:`~repro.core.correlation.operation_pairs` the exact estimators
-use.  Memory is O(width x depth + capacity) cells regardless of stream
-length, and everything round-trips through ``to_dict``/``from_dict``
-(JSON-serializable object ids assumed for the pair tracker).
+*how* heavy, and the pair stream comes from the same miner as the
+exact estimators' (:mod:`repro.core.correlation`).  Memory is
+O(width x depth + capacity) cells regardless of stream length, and
+everything round-trips through ``to_dict``/``from_dict``
+(JSON-serializable object ids assumed for the pair tracker); a
+restore rejects state no valid sketch holds.
 """
 
 from __future__ import annotations
@@ -37,14 +38,18 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.correlation import (
-    CorrelationEstimator,
     PairProbabilities,
-    operation_pairs,
+    _add_ones,
+    _check_mode,
+    _trace_pairs,
 )
 
 ObjectId = Hashable
 Operation = Sequence[ObjectId]
 Pair = tuple[ObjectId, ObjectId]
+
+#: Types whose value fixes their repr (``bool`` is not ``int`` here).
+_FIXED_REPR = (str, int)
 
 
 class CountMinSketch:
@@ -102,9 +107,20 @@ class CountMinSketch:
 
         Streams revisit hot keys constantly (that is the point of the
         heavy-hitter machinery), so the BLAKE2b digest of a repeated
-        key is pure recomputation.  The table is cleared wholesale at
-        capacity — deterministic, and cheaper than LRU bookkeeping.
+        key is pure recomputation.  The cells follow the key's repr,
+        and equal keys can differ in repr (``1`` and ``True``, ``0.0``
+        and ``-0.0``), so only a ``str`` or ``int`` key, or a pair of
+        them, is memoized.  The table is cleared wholesale at capacity
+        — deterministic, and cheaper than LRU bookkeeping.
         """
+        fixed = type(key) in _FIXED_REPR or (
+            type(key) is tuple
+            and len(key) == 2
+            and type(key[0]) in _FIXED_REPR
+            and type(key[1]) in _FIXED_REPR
+        )
+        if not fixed:
+            return tuple(self._indices(key))
         cached = self._index_cache.get(key)
         if cached is None:
             if len(self._index_cache) >= self._INDEX_CACHE_CAPACITY:
@@ -163,12 +179,8 @@ class CountMinSketch:
             (rows, cols),
             np.repeat(np.asarray(count_list, dtype=float), self.depth),
         )
-        if counts is None and float(self._total).is_integer() and (
-            self._total + len(keys) < 2**53
-        ):
-            # All-ones batch onto an integer-valued total: the sum is
-            # exact either way, so skip the element loop.
-            self._total += float(len(keys))
+        if counts is None:
+            self._total = _add_ones(self._total, len(keys))
         else:
             total = self._total
             for c in count_list:
@@ -237,13 +249,23 @@ class CountMinSketch:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "CountMinSketch":
-        """Rebuild a sketch from :meth:`to_dict` output."""
+        """Rebuild a sketch from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: When the cells do not match width/depth, a cell
+                is negative or NaN, or the total is negative or NaN.
+        """
         sketch = cls(width=doc["width"], depth=doc["depth"], seed=doc["seed"])
         cells = np.asarray(doc["cells"], dtype=float)
         if cells.shape != (sketch.depth, sketch.width):
             raise ValueError("serialized cells do not match width/depth")
+        if not (cells >= 0).all():
+            raise ValueError("serialized cells must be nonnegative")
+        total = float(doc["total"])
+        if not total >= 0:
+            raise ValueError(f"serialized total {total!r} must be nonnegative")
         sketch._cells = cells
-        sketch._total = float(doc["total"])
+        sketch._total = total
         return sketch
 
 
@@ -373,6 +395,11 @@ class SpaceSavingPairs:
 
         JSON turns tuple pairs into lists; they come back as tuples.
         Entries keep their serialized order as their insertion order.
+
+        Raises:
+            ValueError: When a pair repeats, the entries exceed the
+                capacity, a count is negative or NaN, or an error lies
+                outside ``[0, count]``.
         """
         tracker = cls(capacity=doc["capacity"])
         for raw_pair, count, error in doc["entries"]:
@@ -382,7 +409,12 @@ class SpaceSavingPairs:
             count = float(count)
             if not count >= 0:
                 raise ValueError("count must be nonnegative")
-            tracker._entries[pair] = [count, float(error)]
+            error = float(error)
+            if not 0 <= error <= count:
+                raise ValueError(
+                    f"error {error!r} of pair {pair!r} is outside [0, {count!r}]"
+                )
+            tracker._entries[pair] = [count, error]
             tracker._heap.append((count, repr(pair), tracker._seq, pair))
             tracker._seq += 1
         if len(tracker._entries) > tracker.capacity:
@@ -399,7 +431,7 @@ class SketchCorrelationEstimator:
 
     Drop-in replacement for the exact
     :class:`~repro.core.correlation.CorrelationEstimator`: same modes,
-    same per-operation pair reduction, same ``correlations`` /
+    same pair stream, same ``correlations`` /
     ``top_pairs`` surface — but state is a Count-Min sketch plus a
     Space-Saving tracker, so memory stays O(width x depth + capacity)
     no matter how many distinct pairs the stream contains.  Reported
@@ -425,12 +457,7 @@ class SketchCorrelationEstimator:
         heavy_hitters: int = 256,
         seed: int = 0,
     ):
-        if mode not in CorrelationEstimator.MODES:
-            raise ValueError(
-                f"unknown mode {mode!r}; expected one of {CorrelationEstimator.MODES}"
-            )
-        if mode != "cooccurrence" and sizes is None:
-            raise ValueError(f"mode {mode!r} requires object sizes")
+        _check_mode(mode, sizes)
         self.mode = mode
         self.sizes = sizes
         self.sketch = CountMinSketch(width=width, depth=depth, seed=seed)
@@ -446,63 +473,24 @@ class SketchCorrelationEstimator:
         return int(self._total_ops)
 
     def observe(self, operation: Operation) -> None:
-        """Fold one operation into both summaries."""
-        self._total_ops += 1
-        for pair in operation_pairs(operation, self.mode, self.sizes):
-            self.sketch.add(pair)
-            self.heavy.add(pair)
-
-    def observe_all(self, trace: Iterable[Operation]) -> None:
-        """Fold every operation of ``trace`` into the estimate."""
-        for operation in trace:
-            self.observe(operation)
+        """Fold one operation into both summaries (a one-operation trace)."""
+        self.observe_trace((operation,))
 
     def observe_trace(self, trace: Iterable[Operation]) -> int:
-        """Fold a whole trace in one batched pass; returns ops ingested.
+        """Fold a trace into both summaries in one pass; returns ops ingested.
 
-        Byte-identical to :meth:`observe_all`: the per-operation pair
-        reduction is unchanged and both summaries see the same pairs
-        in the same stream order, but all Count-Min updates go through
-        the vectorized, hash-memoizing
-        :meth:`CountMinSketch.update_many` instead of one
-        hash-and-scatter per pair.  This is the ingest path the online
-        controller drives once per period.
+        Both summaries see the :func:`~repro.core.correlation.operation_pairs`
+        stream in trace order, the Count-Min updates through the
+        vectorized, hash-memoizing :meth:`CountMinSketch.update_many`,
+        and the operation total grows by one ``+= 1`` per operation.
+        This is the ingest path the online controller drives once per
+        period.
         """
-        pairs: list[Pair] = []
-        ops = 0
-        for operation in trace:
-            ops += 1
-            pairs.extend(operation_pairs(operation, self.mode, self.sizes))
-        return self._ingest_pairs(pairs, ops)
-
-    def observe_columns(self, columns) -> int:
-        """Fold a :class:`~repro.workloads.traces.TraceColumns` trace.
-
-        The columnar fast path: cooccurrence pair extraction runs on
-        the code arrays (:meth:`TraceColumns.cooccurrence_pairs`)
-        instead of the per-operation ``operation_pairs`` loop, then
-        both summaries ingest the identical pair stream — so the
-        result is byte-identical to
-        ``observe_trace(columns.operations())``, which remains the
-        equivalence oracle.  Size-aware modes have no columnar
-        reduction yet and take the oracle path.
-        """
-        if self.mode != "cooccurrence":
-            return self.observe_trace(columns.operations())
-        return self._ingest_pairs(columns.cooccurrence_pairs(), len(columns))
-
-    def _ingest_pairs(self, pairs: list[Pair], ops: int) -> int:
-        """Feed an extracted pair stream to both summaries, in order."""
+        pairs, ops = _trace_pairs(trace, self.mode, self.sizes)
         self.sketch.update_many(pairs)
         for pair in pairs:
             self.heavy.add(pair)
-        if float(self._total_ops).is_integer() and self._total_ops + ops < 2**53:
-            self._total_ops += float(ops)
-        else:
-            total = self._total_ops
-            for _ in range(ops):
-                total += 1.0
-            self._total_ops = total
+        self._total_ops = _add_ones(self._total_ops, ops)
         return ops
 
     def decay(self, factor: float) -> None:
@@ -579,21 +567,24 @@ class SketchCorrelationEstimator:
                 any other id type must pass ``sizes`` here — restoring
                 from the serialized keys alone warns, because the
                 estimator would silently find no known objects.
+
+        Raises:
+            ValueError: For an unknown mode, a size-aware mode without
+                sizes, or summaries :meth:`CountMinSketch.from_dict` or
+                :meth:`SpaceSavingPairs.from_dict` reject.
         """
         estimator = cls.__new__(cls)
         estimator.mode = doc["mode"]
-        if sizes is not None:
-            estimator.sizes = dict(sizes)
-        else:
-            estimator.sizes = doc["sizes"]
-            if estimator.mode != "cooccurrence" and estimator.sizes is not None:
-                warnings.warn(
-                    f"restoring a {estimator.mode!r} estimator from "
-                    "JSON-stringified size keys; pairs over non-string object "
-                    "ids will be dropped — pass sizes= explicitly",
-                    UserWarning,
-                    stacklevel=2,
-                )
+        estimator.sizes = doc["sizes"] if sizes is None else dict(sizes)
+        _check_mode(estimator.mode, estimator.sizes)
+        if sizes is None and estimator.mode != "cooccurrence":
+            warnings.warn(
+                f"restoring a {estimator.mode!r} estimator from "
+                "JSON-stringified size keys; pairs over non-string object "
+                "ids will be dropped — pass sizes= explicitly",
+                UserWarning,
+                stacklevel=2,
+            )
         estimator.sketch = CountMinSketch.from_dict(doc["sketch"])
         estimator.heavy = SpaceSavingPairs.from_dict(doc["heavy"])
         estimator._total_ops = float(doc["total_operations"])

@@ -1,9 +1,10 @@
 """Windowing over timestamped operation streams.
 
 The online control loop consumes traffic over *time*: the stream is cut
-into tumbling (fixed-length, non-overlapping) periods, and at each
-period boundary the correlation estimate can be exponentially decayed
-so correlations that stop occurring age out instead of haunting the
+into tumbling (fixed-length, non-overlapping) periods.  After each
+period the controller decays its correlation estimate by the config's
+factor (:meth:`~repro.core.correlation.PairEstimator.decay`), so
+correlations that stop occurring age out instead of haunting the
 placement forever.
 
 Works directly over :class:`~repro.workloads.stream.TimedQuery`
@@ -16,9 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator
 
-from repro.core.correlation import PairEstimator
 from repro.workloads.stream import TimedQuery
 
 ObjectId = Hashable
@@ -96,13 +96,16 @@ def tumbling_periods(
             after it.
 
     Raises:
-        ValueError: On a non-positive window, on a NaN or infinite
-            timestamp, when a timestamp runs backwards (the slicing
-            would silently misfile operations), or when a timestamp
-            precedes an explicit ``origin_s``.
+        ValueError: On a window that is not positive and finite, on a
+            NaN or infinite ``origin_s`` or timestamp, when a timestamp
+            runs backwards (the slicing would silently misfile
+            operations), or when a timestamp precedes an explicit
+            ``origin_s``.
     """
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
+    if not (math.isfinite(window_s) and window_s > 0):
+        raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
+    if origin_s is not None and not math.isfinite(origin_s):
+        raise ValueError(f"origin_s must be finite, got {origin_s!r}")
     index = 0
     boundary: float | None = None if origin_s is None else origin_s + window_s
     current: list[Operation] = []
@@ -135,90 +138,3 @@ def tumbling_periods(
         current.append(timed.objects)
     if last_time is not None:
         yield StreamPeriod(index, boundary - window_s, boundary, tuple(current))
-
-
-class DecayingEstimator:
-    """A :class:`PairEstimator` aged exponentially at period boundaries.
-
-    Wraps any estimator implementing the protocol; calling
-    :meth:`advance_period` multiplies all history by ``factor``, so an
-    observation's weight after ``p`` further periods is ``factor**p``
-    — a correlation that disappears from the stream halves out of the
-    estimate with half-life ``log(0.5) / log(factor)`` periods.
-
-    Args:
-        estimator: The wrapped estimator (exact or sketch).
-        factor: Per-period decay multiplier in ``(0, 1]``; 1 disables
-            aging (a pure tumbling accumulation).
-    """
-
-    def __init__(self, estimator: PairEstimator, factor: float = 1.0):
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("decay factor must be in (0, 1]")
-        self.estimator = estimator
-        self.factor = factor
-        self.periods_advanced = 0
-
-    def advance_period(self) -> None:
-        """Apply one period's worth of decay to the wrapped history."""
-        if self.factor < 1.0:
-            self.estimator.decay(self.factor)
-        self.periods_advanced += 1
-
-    # ------------------------------------------------------------------
-    # PairEstimator delegation
-    # ------------------------------------------------------------------
-    @property
-    def num_operations(self) -> int:
-        """Discounted operation count of the wrapped estimator."""
-        return self.estimator.num_operations
-
-    def observe(self, operation: Sequence[ObjectId]) -> None:
-        """Fold one operation into the wrapped estimator."""
-        self.estimator.observe(operation)
-
-    def observe_all(self, trace: Iterable[Sequence[ObjectId]]) -> None:
-        """Fold every operation of ``trace`` into the wrapped estimator."""
-        self.estimator.observe_all(trace)
-
-    def observe_trace(self, trace: Iterable[Sequence[ObjectId]]) -> int:
-        """Fold a whole trace via the wrapped batched ingest, if any.
-
-        Estimators exposing ``observe_trace`` (the exact and sketch
-        backends both do) get the vectorized path; anything else falls
-        back to per-operation :meth:`observe` with the same result.
-        """
-        batched = getattr(self.estimator, "observe_trace", None)
-        if batched is not None:
-            return int(batched(trace))
-        ops = 0
-        for operation in trace:
-            self.estimator.observe(operation)
-            ops += 1
-        return ops
-
-    def observe_columns(self, columns) -> int:
-        """Fold a columnar trace via the wrapped columnar ingest.
-
-        Estimators exposing ``observe_columns`` (the sketch backend
-        does) get the vectorized pair extraction of
-        :class:`~repro.workloads.traces.TraceColumns`; anything else
-        replays the row view through :meth:`observe_trace`, which is
-        byte-identical by construction.
-        """
-        batched = getattr(self.estimator, "observe_columns", None)
-        if batched is not None:
-            return int(batched(columns))
-        return self.observe_trace(columns.operations())
-
-    def decay(self, factor: float) -> None:
-        """Explicit extra decay (beyond the per-period factor)."""
-        self.estimator.decay(factor)
-
-    def correlations(self, min_support: int = 1):
-        """Current pair-probability estimates."""
-        return self.estimator.correlations(min_support)
-
-    def top_pairs(self, k: int):
-        """The ``k`` most correlated pairs, descending."""
-        return self.estimator.top_pairs(k)

@@ -11,12 +11,7 @@ producing skewed, temporally stable keyword-pair correlations
 from repro.workloads.adapters import load_aol_query_log, split_log_by_fraction
 from repro.workloads.corpus_gen import generate_corpus
 from repro.workloads.query_gen import QueryWorkloadModel, generate_query_log
-from repro.workloads.stream import (
-    TimedQuery,
-    diurnal_rate,
-    generate_stream,
-    split_stream_by_window,
-)
+from repro.workloads.stream import TimedQuery, diurnal_rate, generate_stream
 from repro.workloads.traces import load_operations, save_operations, split_periods
 from repro.workloads.zipf import ZipfSampler, zipf_probabilities
 
@@ -32,7 +27,6 @@ __all__ = [
     "load_operations",
     "save_operations",
     "split_log_by_fraction",
-    "split_stream_by_window",
     "split_periods",
     "zipf_probabilities",
 ]

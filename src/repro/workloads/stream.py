@@ -3,14 +3,13 @@
 The latency simulator and the online control loop both consume traffic
 over *time*; this module turns a query model into a timestamped stream
 whose arrival rate follows a configurable diurnal curve (real search
-traffic peaks mid-day and troughs at night), and slices streams into
-periods for the control loop.
+traffic peaks mid-day and troughs at night).  The control loop cuts it
+into periods with :func:`repro.online.windows.tumbling_periods`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -79,38 +78,3 @@ def generate_stream(
 
     log = model.generate(len(times), rng=rng)
     return [TimedQuery(time_s, query) for time_s, query in zip(times, log)]
-
-
-def split_stream_by_window(
-    stream: list[TimedQuery], window_s: float
-) -> Iterator[list[TimedQuery]]:
-    """Slice a stream into consecutive fixed-length windows.
-
-    Empty trailing windows are not produced; empty windows in the
-    middle of the stream are (a control loop sees quiet periods).
-
-    Raises:
-        ValueError: On a non-positive window, or when a timestamp runs
-            backwards — out-of-order streams would be silently misfiled
-            into the wrong windows.
-    """
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    if not stream:
-        return
-    current: list[TimedQuery] = []
-    boundary = window_s
-    last_time: float | None = None
-    for timed in stream:
-        if last_time is not None and timed.time_s < last_time:
-            raise ValueError(
-                "stream timestamps must be non-decreasing: got "
-                f"{timed.time_s:g}s after {last_time:g}s"
-            )
-        last_time = timed.time_s
-        while timed.time_s >= boundary:
-            yield current
-            current = []
-            boundary += window_s
-        current.append(timed)
-    yield current

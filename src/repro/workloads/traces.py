@@ -6,12 +6,10 @@ log (which has its own format in :mod:`repro.search.query`).
 
 :class:`TraceColumns` is the columnar in-memory form: object ids
 interned to dense integer codes, one flat code array plus operation
-offsets (CSR layout), optionally a timestamp per operation.  Consumers
-with a vectorized path (sketch ingestion, pair mining) work on the
-code arrays directly; everything else, query-log replay included,
-iterates :meth:`TraceColumns.operations`, which reproduces the
-row-oriented trace exactly — the row path stays the equivalence oracle
-for every columnar fast path.
+offsets (CSR layout), optionally a timestamp per operation.  Iterating
+it (:meth:`TraceColumns.operations`) reproduces the row-oriented trace
+exactly, so it goes wherever a trace does — pair mining, estimator
+ingest and query-log replay included.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.exceptions import TraceFormatError
 
 Operation = tuple[str, ...]
 ObjectId = Hashable
-Pair = tuple[ObjectId, ObjectId]
 
 
 def save_operations(path: str | Path, operations: Iterable[Sequence[str]]) -> int:
@@ -75,12 +72,8 @@ def load_operations(path: str | Path) -> list[Operation]:
 class TraceColumns:
     """A trace as columns: interned codes, CSR offsets, optional times.
 
-    Codes are assigned in *repr order* of the distinct ids — sorting
-    codes numerically inside an operation therefore reproduces the
-    ``sorted(distinct, key=repr)`` step of the row-oriented pair
-    reduction (:func:`repro.core.correlation.operation_pairs`), which
-    is what makes the vectorized :meth:`cooccurrence_pairs` exactly
-    equivalent to the per-operation loop.
+    Codes are assigned in *repr order* of the distinct ids, so the
+    columns of a trace do not depend on the string-hash seed.
 
     Attributes:
         ids: Distinct object ids, index = code, in repr order.
@@ -89,16 +82,12 @@ class TraceColumns:
         offsets: int64 array of length ``len(self) + 1``; operation
             ``i`` spans ``codes[offsets[i]:offsets[i + 1]]``.
         times: Optional float64 per-operation timestamps.
-        all_str: Every id is a plain ``str`` — the gate for fast paths
-            whose code arithmetic assumes value order is total and
-            consistent with the ids' own ordering.
     """
 
     ids: tuple[ObjectId, ...]
     codes: np.ndarray
     offsets: np.ndarray
     times: np.ndarray | None = None
-    all_str: bool = True
 
     @classmethod
     def from_operations(
@@ -111,7 +100,6 @@ class TraceColumns:
         distinct: set[ObjectId] = set()
         for op in ops:
             distinct.update(op)
-        all_str = all(type(obj) is str for obj in distinct)
         ordered = sorted(distinct, key=repr)
         code = {obj: i for i, obj in enumerate(ordered)}
         lengths = np.fromiter(
@@ -140,7 +128,6 @@ class TraceColumns:
             codes=codes,
             offsets=offsets,
             times=time_arr,
-            all_str=all_str,
         )
 
     def __len__(self) -> int:
@@ -150,79 +137,10 @@ class TraceColumns:
         return self.operations()
 
     def operations(self) -> Iterator[tuple[ObjectId, ...]]:
-        """The row-oriented view, exactly as ingested (the oracle)."""
+        """The row-oriented view, exactly as ingested."""
         for i in range(len(self)):
             lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
             yield tuple(self.ids[c] for c in self.codes[lo:hi])
-
-    def cooccurrence_pairs(self) -> list[Pair]:
-        """Every operation's distinct pairs, in row-path order.
-
-        Exactly the concatenation of ``operation_pairs(op,
-        "cooccurrence")`` over :meth:`operations` — same pairs, same
-        canonical orientation, same global order — computed without the
-        per-operation ``set``/``sorted(key=repr)``/comprehension loop.
-        Non-``str`` ids fall back to that loop (code order is only
-        provably repr order for plain strings).
-        """
-        if not self.all_str:
-            from repro.core.correlation import operation_pairs
-
-            out: list[Pair] = []
-            for op in self.operations():
-                out.extend(operation_pairs(op, "cooccurrence"))
-            return out
-        if self.codes.size == 0:
-            return []
-        n_ops = len(self)
-        op_idx = np.repeat(np.arange(n_ops), np.diff(self.offsets))
-        # Distinct codes per operation, sorted (= repr order of ids).
-        order = np.lexsort((self.codes, op_idx))
-        oc, cc = op_idx[order], self.codes[order]
-        keep = np.ones(oc.size, dtype=bool)
-        keep[1:] = (oc[1:] != oc[:-1]) | (cc[1:] != cc[:-1])
-        oc, cc = oc[keep], cc[keep]
-        counts = np.bincount(oc, minlength=n_ops)
-        starts = np.zeros(n_ops + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-
-        # Expand pairs per distinct-count group, then restore global
-        # (operation, within-operation) order so order-sensitive
-        # consumers (Space-Saving eviction, Counter insertion) see the
-        # row path's exact stream.
-        a_parts: list[np.ndarray] = []
-        b_parts: list[np.ndarray] = []
-        o_parts: list[np.ndarray] = []
-        r_parts: list[np.ndarray] = []
-        for length in np.unique(counts):
-            length = int(length)
-            if length < 2:
-                continue
-            members = np.where(counts == length)[0]
-            rows = starts[members][:, None] + np.arange(length)[None, :]
-            mat = cc[rows]
-            a_i, b_i = np.triu_indices(length, k=1)  # row-major: (0,1)..
-            a_parts.append(mat[:, a_i].ravel())
-            b_parts.append(mat[:, b_i].ravel())
-            o_parts.append(np.repeat(members, a_i.size))
-            r_parts.append(np.tile(np.arange(a_i.size), members.size))
-        if not a_parts:
-            return []
-        a = np.concatenate(a_parts)
-        b = np.concatenate(b_parts)
-        restore = np.lexsort((np.concatenate(r_parts), np.concatenate(o_parts)))
-        a, b = a[restore], b[restore]
-        # Canonical orientation is *value* order; codes are repr order.
-        # For plain strings the two agree unless quoting differs, so
-        # rank codes by the ids' own ordering and swap where needed.
-        value_rank = np.empty(len(self.ids), dtype=np.int64)
-        value_rank[
-            sorted(range(len(self.ids)), key=lambda c: self.ids[c])
-        ] = np.arange(len(self.ids))
-        flip = value_rank[a] > value_rank[b]
-        a[flip], b[flip] = b[flip], a[flip]
-        ids = self.ids
-        return [(ids[x], ids[y]) for x, y in zip(a.tolist(), b.tolist())]
 
 
 def split_periods(

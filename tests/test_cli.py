@@ -296,6 +296,12 @@ class TestOnlineCommand:
         assert "online run:" in out
         assert "bounded" in out
 
+    def test_infinite_window_rejected(self):
+        args = list(self.ARGS)
+        args[args.index("--window") + 1] = "inf"
+        with pytest.raises(ValueError, match="window_s"):
+            main(args)
+
     def test_report_byte_identical_across_runs(self, tmp_path, capsys):
         first = tmp_path / "one.json"
         second = tmp_path / "two.json"

@@ -95,7 +95,7 @@ class TestEstimator:
     def test_incremental_matches_batch(self):
         trace = [("a", "b"), ("a", "b", "c"), ("b", "c"), ("d",)]
         est = CorrelationEstimator(mode="cooccurrence")
-        est.observe_all(trace)
+        est.observe_trace(trace)
         assert est.correlations() == cooccurrence_correlations(trace)
         assert est.num_operations == 4
 
@@ -103,19 +103,19 @@ class TestEstimator:
         sizes = {"a": 1.0, "b": 2.0, "c": 3.0}
         trace = [("a", "b", "c"), ("b", "c")]
         est = CorrelationEstimator(mode="two_smallest", sizes=sizes)
-        est.observe_all(trace)
+        est.observe_trace(trace)
         assert est.correlations() == two_smallest_correlations(trace, sizes)
 
     def test_union_mode_matches_batch(self):
         sizes = {"a": 1.0, "b": 2.0, "c": 3.0}
         trace = [("a", "b", "c")]
         est = CorrelationEstimator(mode="union_largest", sizes=sizes)
-        est.observe_all(trace)
+        est.observe_trace(trace)
         assert est.correlations() == union_largest_correlations(trace, sizes)
 
     def test_top_pairs_sorted_descending(self):
         est = CorrelationEstimator()
-        est.observe_all([("a", "b"), ("a", "b"), ("c", "d")])
+        est.observe_trace([("a", "b"), ("a", "b"), ("c", "d")])
         top = est.top_pairs(2)
         assert top[0][0] == ("a", "b")
         assert top[0][1] > top[1][1]
@@ -127,6 +127,20 @@ class TestEstimator:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             CorrelationEstimator(mode="bogus")
+
+    def test_mode_checked_before_the_trace_is_read(self):
+        # An empty trace raises like a non-empty one, and a trace that
+        # cannot be read is never touched.
+        def unread():
+            raise AssertionError("trace read before the mode check")
+            yield
+
+        assert cooccurrence_correlations([]) == {}
+        for fn in (two_smallest_correlations, union_largest_correlations):
+            with pytest.raises(ValueError, match="requires object sizes"):
+                fn([], None)
+            with pytest.raises(ValueError, match="requires object sizes"):
+                fn(unread(), None)
 
 
 class TestSinglePassTraces:
@@ -184,7 +198,7 @@ class TestOperationPairs:
 class TestDecay:
     def test_probabilities_survive_support_shrinks(self):
         est = CorrelationEstimator()
-        est.observe_all([("a", "b")] * 4)
+        est.observe_trace([("a", "b")] * 4)
         est.decay(0.5)
         assert est.correlations()[("a", "b")] == 1.0
         assert est.num_operations == 2
@@ -207,6 +221,24 @@ class TestDecay:
     def test_invalid_factor(self):
         with pytest.raises(ValueError, match="decay factor"):
             CorrelationEstimator().decay(1.5)
+
+    def test_total_after_decay_grows_one_step_per_operation(self):
+        # 1 * 0.7 * 0.7 = 0.48999999999999994; two steps of += 1 give
+        # 2.49, one += 2 gives 2.4899999999999998.
+        from repro.online.sketch import CountMinSketch, SketchCorrelationEstimator
+
+        for est in (CorrelationEstimator(), SketchCorrelationEstimator(width=8, depth=2)):
+            est.observe(("a", "b"))
+            est.decay(0.7)
+            est.decay(0.7)
+            est.observe_trace([("a", "b"), ("a", "c")])
+            assert est.correlations()[("a", "c")] == 1 / 2.49
+        sketch = CountMinSketch(width=8, depth=2)
+        sketch.add("a")
+        sketch.scale(0.7)
+        sketch.scale(0.7)
+        sketch.update_many(["a", "b"])
+        assert sketch.total == 2.49
 
 
 class TestUnionOrderAcrossHashSeeds:

@@ -14,12 +14,14 @@ import heapq
 import json
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import correlation
 from repro.core.correlation import (
     CorrelationEstimator,
     cooccurrence_correlations,
@@ -81,6 +83,44 @@ def _mine_reference(trace, mode="cooccurrence", sizes=None, min_support=1):
     return {p: c / total for p, c in counts.items() if c >= min_support}
 
 
+def _observe_reference(estimator, trace):
+    """The per-operation ingest, the reference for ``observe_trace``.
+
+    ``operation_pairs`` feeds ``Counter.update`` (exact) or
+    ``CountMinSketch.add`` plus ``SpaceSavingPairs.add`` (sketch), and
+    the operation total grows by 1 per operation.
+    """
+    for operation in trace:
+        pairs = operation_pairs(operation, estimator.mode, estimator.sizes)
+        if isinstance(estimator, SketchCorrelationEstimator):
+            estimator._total_ops += 1
+            for pair in pairs:
+                estimator.sketch.add(pair)
+                estimator.heavy.add(pair)
+        else:
+            estimator._total += 1
+            estimator._counts.update(pairs)
+
+
+_MINERS = {
+    "cooccurrence": lambda trace, sizes: cooccurrence_correlations(trace),
+    "two_smallest": two_smallest_correlations,
+    "union_largest": union_largest_correlations,
+}
+
+
+@st.composite
+def _ingest_cases(draw, max_ops=15):
+    """(mode, sizes, batches, decay factor) over fast or gate ids."""
+    ids = draw(st.sampled_from([FAST_IDS, GATE_IDS]))
+    mode = draw(st.sampled_from(CorrelationEstimator.MODES))
+    seed = draw(st.integers(0, 2**31 - 1))
+    sizes = None if mode == "cooccurrence" else _sizes_for(ids, None, np.random.default_rng(seed))
+    batches = draw(st.lists(_traces(ids, max_ops=max_ops), min_size=1, max_size=3))
+    factor = draw(st.sampled_from([1.0, 0.7, 0.5]))
+    return mode, sizes, batches, factor
+
+
 def _assert_same_mapping(fast, legacy):
     assert fast == legacy
     assert list(fast) == list(legacy)  # insertion order is part of the contract
@@ -137,15 +177,37 @@ class TestMiningEquivalence:
         ):
             _assert_same_mapping(fn(trace, sizes), _mine_reference(trace, mode, sizes))
 
-    @settings(max_examples=30, deadline=None)
-    @given(trace=_traces(FAST_IDS, max_ops=15))
-    def test_exact_estimator_observe_trace(self, trace):
-        incremental = CorrelationEstimator()
-        incremental.observe_all(trace)
-        batched = CorrelationEstimator()
-        batched.observe_trace(list(trace))
-        _assert_same_mapping(batched.correlations(), incremental.correlations())
-        assert batched.num_operations == incremental.num_operations
+    def test_signed_zero_ids_keep_their_own_sign(self):
+        # 0.0 == -0.0 with different reprs: the pairs must hold each
+        # operation's own zero, not the first one interned.
+        trace = [(-0.0,), (0.0, 1.0), (-0.0, 2.0), (0.0, 1.0)]
+        assert repr(list(cooccurrence_correlations(trace).items())) == repr(
+            list(_mine_reference(trace).items())
+        )
+        kwargs = dict(width=64, depth=3, heavy_hitters=8, seed=0)
+        batched = SketchCorrelationEstimator(**kwargs)
+        batched.observe_trace(trace)
+        reference = SketchCorrelationEstimator(**kwargs)
+        _observe_reference(reference, trace)
+        assert json.dumps(batched.to_dict()) == json.dumps(reference.to_dict())
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=_ingest_cases())
+    def test_exact_estimator_observe_trace(self, case):
+        mode, sizes, batches, factor = case
+        reference = CorrelationEstimator(mode, sizes)
+        batched = CorrelationEstimator(mode, sizes)
+        for batch in batches:
+            _observe_reference(reference, batch)
+            assert batched.observe_trace(iter(batch)) == len(batch)
+            reference.decay(factor)
+            batched.decay(factor)
+        # repr tells 1 from True and 0.0 from -0.0; order is compared too.
+        assert repr(list(batched._counts.items())) == repr(
+            list(reference._counts.items())
+        )
+        assert batched._total == reference._total
+        _assert_same_mapping(batched.correlations(), reference.correlations())
 
 
 # ----------------------------------------------------------------------
@@ -153,26 +215,65 @@ class TestMiningEquivalence:
 # ----------------------------------------------------------------------
 
 class TestSketchIngestEquivalence:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        trace=_traces(FAST_IDS, max_ops=20),
-        mode=st.sampled_from(["cooccurrence", "two_smallest", "union_largest"]),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_observe_trace_matches_observe_all(self, trace, mode, seed):
-        rng = np.random.default_rng(seed)
-        sizes = None if mode == "cooccurrence" else _sizes_for(FAST_IDS, None, rng)
+    @settings(max_examples=50, deadline=None)
+    @given(case=_ingest_cases(max_ops=20), seed=st.integers(0, 2**31 - 1))
+    def test_observe_trace_matches_reference(self, case, seed):
+        mode, sizes, batches, factor = case
         kwargs = dict(mode=mode, sizes=sizes, width=64, depth=3, heavy_hitters=8, seed=seed)
-        incremental = SketchCorrelationEstimator(**kwargs)
-        incremental.observe_all(trace)
+        reference = SketchCorrelationEstimator(**kwargs)
         batched = SketchCorrelationEstimator(**kwargs)
-        assert batched.observe_trace(list(trace)) == len(trace)
+        for batch in batches:
+            _observe_reference(reference, batch)
+            assert batched.observe_trace(iter(batch)) == len(batch)
+            reference.decay(factor)
+            batched.decay(factor)
         # Full serialized state: sketch table, heavy-hitter entries
         # (including dict order), and the operation total.
         assert json.dumps(batched.to_dict(), sort_keys=False) == json.dumps(
-            incremental.to_dict(), sort_keys=False
+            reference.to_dict(), sort_keys=False
         )
-        _assert_same_mapping(batched.correlations(), incremental.correlations())
+        _assert_same_mapping(batched.correlations(), reference.correlations())
+
+
+# ----------------------------------------------------------------------
+# Chunk seams of the shared miner
+# ----------------------------------------------------------------------
+
+class TestChunkSeams:
+    """Chunks of 3 operations and compaction past 8 raw pairs.
+
+    A trace is a prefix of fast ids followed by fast or gate ids, so it
+    crosses chunk seams, a gate can trip after vectorized chunks, and
+    the key accumulator compacts mid-stream — none of which the default
+    constants (4096 operations, 2**20 pairs) reach on hypothesis-sized
+    traces.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        prefix=_traces(FAST_IDS, max_ops=15),
+        ids=st.sampled_from([FAST_IDS, GATE_IDS]),
+        mode=st.sampled_from(CorrelationEstimator.MODES),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    def test_pair_stream_and_counts_across_seams(self, prefix, ids, mode, seed, data):
+        trace = prefix + data.draw(_traces(ids, max_ops=15))
+        universe = FAST_IDS + GATE_IDS
+        sizes = None if mode == "cooccurrence" else _sizes_for(universe, None, np.random.default_rng(seed))
+        with mock.patch.object(correlation, "_CHUNK_OPS", 3), mock.patch.object(
+            correlation, "_COMPACT_PAIRS", 8
+        ):
+            pairs, ops = correlation._trace_pairs(iter(trace), mode, sizes)
+            mined = _MINERS[mode](iter(trace), sizes)
+        expected = [
+            pair for operation in trace for pair in operation_pairs(operation, mode, sizes)
+        ]
+        assert ops == len(trace)
+        # Every pair, duplicates and order included, holding the same
+        # objects (repr tells 1 from True).
+        assert repr(pairs) == repr(expected)
+        _assert_same_mapping(mined, _mine_reference(trace, mode, sizes))
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.core.problem import PlacementProblem
 from repro.core.strategies import PlanConfig, available_planners, plan
 from repro.online import (
     CountMinSketch,
-    DecayingEstimator,
     DriftDetector,
     DriftThresholds,
     OnlineConfig,
@@ -96,6 +95,28 @@ class TestCountMinSketch:
         )
         assert restored.estimate(("a", "b")) == sketch.estimate(("a", "b"))
         assert restored.total == sketch.total
+
+    def test_from_dict_rejects_nan_total(self):
+        doc = CountMinSketch(width=8, depth=2).to_dict()
+        doc["total"] = float("nan")
+        with pytest.raises(ValueError, match="total"):
+            CountMinSketch.from_dict(doc)
+
+    def test_from_dict_rejects_negative_cells(self):
+        doc = CountMinSketch(width=8, depth=2).to_dict()
+        doc["cells"][1][3] = -1.0
+        with pytest.raises(ValueError, match="cells must be nonnegative"):
+            CountMinSketch.from_dict(doc)
+
+    def test_update_many_matches_add_for_equal_keys_with_other_reprs(self):
+        # (0, 1) == (0, True) == (0, 1.0), but each hashes its own repr.
+        keys = [(0, 1), (0, True), (0, 1.0), (0.0, 1), (-0.0, 1), (0, 1)]
+        batched = CountMinSketch(width=64, depth=3, seed=2)
+        batched.update_many(keys)
+        one_by_one = CountMinSketch(width=64, depth=3, seed=2)
+        for key in keys:
+            one_by_one.add(key)
+        assert batched.to_dict() == one_by_one.to_dict()
 
 
 class TestSpaceSavingPairs:
@@ -184,6 +205,19 @@ class TestSpaceSavingPairs:
         with pytest.raises(ValueError, match="nonnegative"):
             SpaceSavingPairs.from_dict(doc)
 
+    @pytest.mark.parametrize("error", [float("nan"), -0.5, 2.5])
+    def test_from_dict_rejects_error_outside_count(self, error):
+        # count - error <= true <= count needs 0 <= error <= count.
+        doc = {
+            "capacity": 4,
+            "total": 2.0,
+            "max_tracked": 1,
+            "evictions": 0,
+            "entries": [[["a", "b"], 2.0, error]],
+        }
+        with pytest.raises(ValueError, match="outside"):
+            SpaceSavingPairs.from_dict(doc)
+
 
 class TestSketchCorrelationEstimator:
     def test_satisfies_protocol(self):
@@ -194,8 +228,8 @@ class TestSketchCorrelationEstimator:
         trace = [("a", "b"), ("a", "b", "c"), ("b", "c"), ("a", "b")]
         exact = CorrelationEstimator()
         sketched = SketchCorrelationEstimator(width=1024, depth=4)
-        exact.observe_all(trace)
-        sketched.observe_all(trace)
+        exact.observe_trace(trace)
+        sketched.observe_trace(trace)
         assert sketched.correlations() == exact.correlations()
         assert sketched.top_pairs(2) == exact.top_pairs(2)
 
@@ -227,7 +261,7 @@ class TestSketchCorrelationEstimator:
 
     def test_round_trip(self):
         est = SketchCorrelationEstimator(width=32, depth=2, heavy_hitters=4)
-        est.observe_all([("a", "b"), ("b", "c"), ("a", "b")])
+        est.observe_trace([("a", "b"), ("b", "c"), ("a", "b")])
         restored = SketchCorrelationEstimator.from_dict(
             json.loads(json.dumps(est.to_dict()))
         )
@@ -253,6 +287,19 @@ class TestSketchCorrelationEstimator:
         restored = SketchCorrelationEstimator.from_dict(doc, sizes=sizes)
         restored.observe((1, 2, 3))
         assert restored.correlations()[(1, 2)] == pytest.approx(1.0)
+
+    def test_from_dict_rejects_unknown_mode(self):
+        doc = SketchCorrelationEstimator(width=8, depth=2).to_dict()
+        doc["mode"] = "bogus"
+        with pytest.raises(ValueError, match="unknown mode"):
+            SketchCorrelationEstimator.from_dict(doc)
+
+    def test_from_dict_rejects_sized_mode_without_sizes(self):
+        doc = SketchCorrelationEstimator(width=8, depth=2).to_dict()
+        doc["mode"] = "two_smallest"
+        assert doc["sizes"] is None
+        with pytest.raises(ValueError, match="requires object sizes"):
+            SketchCorrelationEstimator.from_dict(doc)
 
 
 class TestWindows:
@@ -306,6 +353,19 @@ class TestWindows:
         assert [p.num_operations for p in periods] == [0, 0, 1]
         assert periods[0].start_s == 5.0
 
+    @pytest.mark.parametrize("window", [float("inf"), float("nan")])
+    def test_non_finite_window_raises(self, window):
+        stream = [TimedOperation(1.0, ("a", "b"))]
+        with pytest.raises(ValueError, match="window_s must be positive and finite"):
+            list(tumbling_periods(stream, window))
+
+    @pytest.mark.parametrize("origin", [float("-inf"), float("inf"), float("nan")])
+    def test_non_finite_origin_raises(self, origin):
+        # next(), not list(): the error must come before any period.
+        stream = [TimedOperation(1.0, ("a", "b"))]
+        with pytest.raises(ValueError, match="origin_s must be finite"):
+            next(tumbling_periods(stream, 10.0, origin_s=origin))
+
     def test_timestamp_before_origin_raises(self):
         stream = [TimedOperation(1.0, ("a", "b"))]
         with pytest.raises(ValueError, match="precedes the stream origin"):
@@ -327,19 +387,36 @@ class TestWindows:
             as_timed_operation(("a", "b"))
 
     def test_decaying_estimator(self):
-        inner = CorrelationEstimator()
-        window = DecayingEstimator(inner, factor=0.5)
-        window.observe(("a", "b"))
-        window.advance_period()
-        window.observe(("a", "b"))
-        assert window.periods_advanced == 1
-        # Old observation weighs 0.5, fresh one 1.0.
-        assert inner._counts[("a", "b")] == pytest.approx(1.5)
-        assert window.correlations()[("a", "b")] == pytest.approx(1.0)
+        # The controller decays its estimator by config.decay after
+        # every period, and never when decay is 1.
+        class Recording(CorrelationEstimator):
+            def __init__(self):
+                super().__init__()
+                self.factors = []
+                self.counts_seen = []
 
-    def test_decaying_estimator_validates_factor(self):
-        with pytest.raises(ValueError, match="decay factor"):
-            DecayingEstimator(CorrelationEstimator(), factor=0.0)
+            def correlations(self, min_support=1):
+                self.counts_seen.append(self._counts[("a", "b")])
+                return super().correlations(min_support)
+
+            def decay(self, factor):
+                self.factors.append(factor)
+                super().decay(factor)
+
+        stream = [TimedOperation(0.0, ("a", "b")), TimedOperation(10.0, ("a", "b"))]
+        for decay, factors, seen in ((0.5, [0.5, 0.5], [1.0, 1.5]), (1.0, [], [1.0, 2.0])):
+            inner = Recording()
+            OnlinePlanner(
+                {"a": 1.0, "b": 1.0},
+                OnlineConfig(num_nodes=2, window_s=10.0, decay=decay),
+                estimator=inner,
+            ).run(stream)
+            assert inner.factors == factors
+            # The old observation weighs `decay` next to the fresh one.
+            assert inner.counts_seen == pytest.approx(seen)
+            assert inner._counts[("a", "b")] == pytest.approx(seen[-1] * decay)
+            # Probabilities survive the decay; only support shrinks.
+            assert inner.correlations(0)[("a", "b")] == pytest.approx(1.0)
 
 
 class TestDrift:
@@ -470,7 +547,7 @@ class TestOnlinePlanner:
             if op.time_s >= SHIFT_PERIOD * WINDOW_S
         ]
         exact = CorrelationEstimator()
-        exact.observe_all(post_trace)
+        exact.observe_trace(post_trace)
         problem = PlacementProblem.build(SIZES, 4, exact.correlations())
         offline = plan(problem, "lprr", PlanConfig(seed=0))
         online_placement = Placement.from_mapping(
@@ -549,7 +626,7 @@ class TestOnlinePlanner:
         # A custom backend may arrive already tracking pairs outside
         # the placement universe; they must be filtered, not fatal.
         exact = CorrelationEstimator()
-        exact.observe_all([("x", "y")] * 5)
+        exact.observe_trace([("x", "y")] * 5)
         planner = OnlinePlanner(
             {"a": 1.0, "b": 1.0},
             OnlineConfig(num_nodes=2, window_s=10.0),
@@ -624,6 +701,11 @@ class TestOnlineConfigValidation:
             OnlineConfig(num_nodes=2, decay=0.0)
         with pytest.raises(ValueError):
             OnlineConfig(num_nodes=2, budget_fraction=-0.1)
+
+    @pytest.mark.parametrize("window", [float("inf"), float("nan")])
+    def test_non_finite_window_raises(self, window):
+        with pytest.raises(ValueError, match="window_s must be positive and finite"):
+            OnlineConfig(num_nodes=2, window_s=window)
 
     def test_empty_sizes_raise(self):
         with pytest.raises(ValueError, match="at least one object"):

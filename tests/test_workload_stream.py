@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.online.windows import tumbling_periods
+from repro.search.query import Query
 from repro.workloads.query_gen import QueryWorkloadModel
-from repro.workloads.stream import (
-    TimedQuery,
-    diurnal_rate,
-    generate_stream,
-    split_stream_by_window,
-)
+from repro.workloads.stream import TimedQuery, diurnal_rate, generate_stream
 
 VOCAB = [f"w{i:03d}" for i in range(100)]
 
@@ -84,46 +81,53 @@ class TestGenerateStream:
             generate_stream(model, duration_s=0)
 
 
+def timed(*times):
+    """One single-keyword query per timestamp: k0, k1, ..."""
+    return [TimedQuery(t, Query((f"k{i}",))) for i, t in enumerate(times)]
+
+
+def windows(stream, window_s=10.0):
+    """Each window's operations, windows anchored at time 0."""
+    return [
+        period.operations
+        for period in tumbling_periods(stream, window_s, origin_s=0.0)
+    ]
+
+
 class TestSplitStream:
     def test_windows_cover_stream(self, model):
         stream = generate_stream(model, duration_s=100, base_qps=5.0, seed=6)
-        windows = list(split_stream_by_window(stream, window_s=10.0))
-        assert sum(len(w) for w in windows) == len(stream)
-        for w_index, window in enumerate(windows[:-1]):
-            for tq in window:
-                assert w_index * 10 <= tq.time_s < (w_index + 1) * 10
+        periods = list(tumbling_periods(stream, 10.0, origin_s=0.0))
+        assert [op for p in periods for op in p.operations] == [
+            tuple(tq.query.keywords) for tq in stream
+        ]
+        for p in periods:
+            assert (p.start_s, p.end_s) == (p.index * 10.0, p.index * 10.0 + 10.0)
+            assert p.num_operations == sum(
+                p.start_s <= tq.time_s < p.end_s for tq in stream
+            )
 
     def test_empty_middle_windows_emitted(self):
-        stream = [TimedQuery(1.0, None), TimedQuery(25.0, None)]
-        windows = list(split_stream_by_window(stream, window_s=10.0))
-        assert [len(w) for w in windows] == [1, 0, 1]
+        assert [len(w) for w in windows(timed(1.0, 25.0))] == [1, 0, 1]
 
     def test_empty_stream(self):
-        assert list(split_stream_by_window([], 10.0)) == []
+        assert windows([]) == []
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
-            list(split_stream_by_window([TimedQuery(0.0, None)], 0.0))
+            windows(timed(0.0), 0.0)
 
 
 class TestSplitStreamEdgeCases:
     def test_boundary_exact_query_goes_to_next_window(self):
-        stream = [TimedQuery(0.0, None), TimedQuery(10.0, None)]
-        windows = list(split_stream_by_window(stream, window_s=10.0))
-        assert [len(w) for w in windows] == [1, 1]
-        assert windows[1][0].time_s == 10.0
+        assert windows(timed(0.0, 10.0)) == [(("k0",),), (("k1",),)]
 
     def test_empty_window_run_preserves_indices(self):
-        stream = [TimedQuery(5.0, None), TimedQuery(45.0, None)]
-        windows = list(split_stream_by_window(stream, window_s=10.0))
-        assert [len(w) for w in windows] == [1, 0, 0, 0, 1]
+        assert [len(w) for w in windows(timed(5.0, 45.0))] == [1, 0, 0, 0, 1]
 
     def test_non_monotonic_timestamps_raise(self):
-        stream = [TimedQuery(12.0, None), TimedQuery(3.0, None)]
         with pytest.raises(ValueError, match="non-decreasing"):
-            list(split_stream_by_window(stream, window_s=10.0))
+            windows(timed(12.0, 3.0))
 
     def test_equal_timestamps_allowed(self):
-        stream = [TimedQuery(4.0, None), TimedQuery(4.0, None)]
-        windows = list(split_stream_by_window(stream, window_s=10.0))
-        assert [len(w) for w in windows] == [2]
+        assert [len(w) for w in windows(timed(4.0, 4.0))] == [2]
