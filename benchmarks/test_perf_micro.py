@@ -19,6 +19,7 @@ from repro.core.repair import repair_capacity
 from repro.core.rounding import round_best_of, round_fractional
 from repro.online.sketch import CountMinSketch, SpaceSavingPairs
 from repro.search.engine import DistributedSearchEngine, QueryProfile
+from repro.serve.snapshot import PlanSnapshot
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,17 @@ def test_perf_profile_replay(benchmark, study):
     engine = DistributedSearchEngine(study.index, study.place_hash(10))
     stats = benchmark(lambda: engine.replay(profile))
     assert stats.queries == len(study.log)
+
+
+def test_perf_replicated_route(benchmark, study):
+    """Route the study log one query at a time, as a served batch does."""
+    placement = study.place_hash(10)
+    problem = placement.problem
+    mapping = dict(zip(problem.object_ids, placement.assignment.tolist()))
+    engine = PlanSnapshot.from_mapping(study.index, problem, mapping, 1).engine
+    queries = list(study.log)
+    executions = benchmark(lambda: [engine.execute(q) for q in queries])
+    assert len(executions) == len(study.log)
 
 
 @pytest.fixture(scope="module")

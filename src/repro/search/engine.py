@@ -209,12 +209,10 @@ class QueryProfile:
             position's word code, ``(df, word)``-ordered per query.
         owner: Distinct-query id of each position.
         shipped: Bytes the hop into each position ships.  In
-            intersection mode a query's first position ships 0, its
-            second ``8·df(w₀)`` and position ``p ≥ 2``
-            ``8·|w₀∩…∩w_{p−1}|``, counted for every query at once by
-            testing each of w₀'s postings against the following words'
-            (an emptied prefix ships 0 from then on).  In union mode
-            it is ``scanned``, ``8·df``.
+            intersection mode a query's first position ships 0 and
+            position ``p ≥ 1`` ``8·|w₀∩…∩w_{p−1}|``, counted on the
+            index's document bitsets.  In union mode it is ``scanned``,
+            ``8·df``.
     """
 
     def __init__(
@@ -279,59 +277,33 @@ class QueryProfile:
             code_of[seen] = np.arange(len(seen))
             self.words = tuple(names[k] for k in seen.tolist())
             self.codes = code_of[word]
-            code_df = df[seen]
-            self.scanned = (ITEM_BYTES * code_df)[self.codes]
+            self.scanned = (ITEM_BYTES * df[seen])[self.codes]
 
             positions = np.arange(len(word))
             if mode == "intersection":
                 heads = self.offsets[:-1][self.owner]
                 self.src, self.dst = positions - (positions > heads), positions
-                self.shipped = self._intersection_bytes(kept, code_df)
+                self.shipped = self._intersection_bytes(kept)
             else:
                 self.src, self.dst = positions, (self.offsets[1:] - 1)[self.owner]
                 self.shipped = self.scanned
             compile_span.set(queries=len(inverse), unique_queries=len(queries))
 
-    def _intersection_bytes(self, lengths: np.ndarray, df: np.ndarray) -> np.ndarray:
-        """``8·|w₀∩…∩w_{p−1}|`` per position, given each query's word
-        count and each word code's df.
+    def _intersection_bytes(self, lengths: np.ndarray) -> np.ndarray:
+        """``8·|w₀∩…∩w_{p−1}|`` per position, given each query's word count.
 
-        Position 0 ships nothing and position 1 ships ``8·df(w₀)``.
-        Deeper prefixes are counted for every query at once: each query
-        with three or more words expands w₀'s postings into candidate
-        documents, and each round keeps the candidates found in the
-        next word's postings, by one ``searchsorted`` over a sorted
-        (word, document) key table.  A candidate that fails stays dead,
-        so an emptied prefix ships 0 from then on.
+        Position 0 ships nothing; the rest of a query's positions ship
+        its prefix counts (:meth:`InvertedIndex.prefix_counts`), one
+        bitset chain per distinct query of two or more words.
         """
-        starts = self.offsets[:-1]
-        counts = np.zeros(len(self.codes), dtype=np.int64)
-        pairs = starts[lengths >= 2]
-        counts[pairs + 1] = df[self.codes[pairs]]
-        deep = lengths >= 3
-        if deep.any():
-            postings = np.concatenate([self.index.postings(w) for w in self.words])
-            # Rank each posting's page ID among the distinct ones.
-            order = postings.argsort()
-            ranked = postings[order]
-            rank = np.empty(len(postings), dtype=np.int64)
-            rank[order] = np.concatenate(([0], (ranked[1:] != ranked[:-1]).cumsum()))
-            table = np.repeat(np.arange(len(df)) * len(postings), df) + rank
-            # One candidate per posting of each deep query's w₀; ``pos``
-            # is the position whose word it is tested against next.
-            heads = self.codes[starts[deep]]
-            width = df[heads]
-            skip = np.repeat(df.cumsum()[heads] - width.cumsum(), width)
-            doc = rank[skip + np.arange(len(skip))]
-            pos = np.repeat(starts[deep] + 1, width)
-            last = np.repeat(self.offsets[1:][deep] - 1, width)
-            while pos.size:
-                key = self.codes[pos] * len(postings) + doc
-                hit = table[np.minimum(table.searchsorted(key), len(table) - 1)] == key
-                hit &= pos < last
-                pos, last, doc = pos[hit] + 1, last[hit], doc[hit]
-                counts += np.bincount(pos, minlength=len(counts))
-        return ITEM_BYTES * counts
+        counts = [0] * len(self.codes)
+        words = [self.words[c] for c in self.codes.tolist()]
+        chained = lengths >= 2
+        for start, end in zip(
+            self.offsets[:-1][chained].tolist(), self.offsets[1:][chained].tolist()
+        ):
+            counts[start + 1 : end] = self.index.prefix_counts(words[start : end - 1])
+        return ITEM_BYTES * np.array(counts, dtype=np.int64)
 
 
 class DistributedSearchEngine:
@@ -421,8 +393,10 @@ class DistributedSearchEngine:
     def _execute_one(self, query: Query | Iterable[str], mode: str) -> QueryExecution:
         profile = QueryProfile(self.index, [query], mode)
         transferred, hops, contacted = (int(v[0]) for v in self._evaluate(profile)[1])
-        merge = self.index.intersect if mode == "intersection" else self.index.union
-        count = int(merge(profile.words).size)
+        if mode == "union":
+            count = self.index.union_count(profile.words)
+        else:
+            count = self.index.prefix_counts(profile.words)[-1] if profile.words else 0
         return QueryExecution(profile.queries[0], count, transferred, contacted, hops)
 
     def _gather(self, profile: QueryProfile) -> tuple[np.ndarray, list[NodeId]]:

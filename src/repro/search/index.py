@@ -3,8 +3,9 @@
 Matches the paper's implemented indices: "each item of an inverted
 index contains an 8-byte page ID (the MD5 digest of the corresponding
 page URL)", so a keyword's index size is ``8 * document_frequency``
-bytes.  Postings are kept as sorted ``uint64`` arrays for fast
-vectorized intersection.
+bytes.  Postings are kept as sorted, read-only ``uint64`` arrays.
+Intersection *sizes* — all that routing and replay accounting need —
+are counted on per-word document bitsets instead (:meth:`prefix_counts`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ ITEM_BYTES = 8
 _NO_POSTINGS = np.empty(0, dtype=np.uint64)
 _NO_POSTINGS.flags.writeable = False
 
+# Words whose postings are merged, ranked and packed per numpy call
+# while the bitsets are built.  Small enough that every transient array
+# is reused heap, so building at a serving process's memory peak does
+# not raise it.
+_BITSET_CHUNK = 16
+
 
 def page_id(doc_id: str) -> int:
     """The 8-byte page ID of a document: truncated MD5 of its id/URL."""
@@ -31,13 +38,17 @@ def page_id(doc_id: str) -> int:
 
 
 class InvertedIndex:
-    """Keyword -> sorted array of page IDs, with byte-size accounting."""
+    """Keyword -> sorted read-only array of page IDs, with byte-size
+    accounting and bitset intersection counts."""
 
     def __init__(self, postings: Mapping[str, np.ndarray] | None = None):
         self._postings: dict[str, np.ndarray] = {}
+        self._bitsets: dict[str, int] | None = None
         if postings:
             for word, ids in postings.items():
-                self._postings[word] = np.unique(np.asarray(ids, dtype=np.uint64))
+                ids = np.unique(np.asarray(ids, dtype=np.uint64))
+                ids.flags.writeable = False  # postings() hands it out
+                self._postings[word] = ids
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "InvertedIndex":
@@ -47,10 +58,7 @@ class InvertedIndex:
             pid = page_id(doc.doc_id)
             for word in doc.words:
                 lists.setdefault(word, []).append(pid)
-        index = cls()
-        for word, ids in lists.items():
-            index._postings[word] = np.unique(np.asarray(ids, dtype=np.uint64))
-        return index
+        return cls(lists)
 
     # ------------------------------------------------------------------
     # Content
@@ -67,8 +75,8 @@ class InvertedIndex:
         return word in self._postings
 
     def postings(self, word: str) -> np.ndarray:
-        """Sorted page-ID array for ``word`` (a shared read-only empty
-        array if unindexed)."""
+        """Sorted read-only page-ID array for ``word`` (a shared empty
+        one if unindexed)."""
         return self._postings.get(word, _NO_POSTINGS)
 
     def document_frequency(self, word: str) -> int:
@@ -110,6 +118,60 @@ class InvertedIndex:
                 break
             result = np.intersect1d(result, other, assume_unique=True)
         return result
+
+    def prefix_counts(self, words: Iterable[str]) -> list[int]:
+        """``|w₀|, |w₀∩w₁|, …, |w₀∩…∩w_{n−1}|`` for ``words`` in order.
+
+        The sizes a pipelined intersection ships, counted by a running
+        ``&`` over per-word document bitsets and ``int.bit_count``; no
+        postings array is touched.  An unindexed word empties the prefix.
+        """
+        bitsets = self._bitsets if self._bitsets is not None else self._build_bitsets()
+        counts = []
+        running = -1  # every document
+        for word in words:
+            running &= bitsets.get(word, 0)
+            counts.append(running.bit_count())
+        return counts
+
+    def union_count(self, words: Iterable[str]) -> int:
+        """``|w₀∪…∪w_{n−1}|``, counted on the same bitsets."""
+        bitsets = self._bitsets if self._bitsets is not None else self._build_bitsets()
+        running = 0
+        for word in words:
+            running |= bitsets.get(word, 0)
+        return running.bit_count()
+
+    def _build_bitsets(self) -> dict[str, int]:
+        """Each word's postings as a Python-int bitset over document ranks.
+
+        Bit ``r`` is set when the word's postings hold the ``r``-th
+        smallest page ID of the index; the bitsets take words ×
+        documents / 8 bytes.  Built once, on first use.
+        """
+        words = list(self._postings)
+        chunks = [words[k : k + _BITSET_CHUNK] for k in range(0, len(words), _BITSET_CHUNK)]
+        documents = np.empty(0, dtype=np.uint64)
+        for chunk in chunks:
+            # Every postings array is a sorted run; a stable sort merges them.
+            merged = np.concatenate([documents] + [self._postings[w] for w in chunk])
+            merged.sort(kind="stable")
+            fresh = np.ones(merged.size, dtype=bool)
+            fresh[1:] = merged[1:] != merged[:-1]
+            documents = merged[fresh]
+        bitsets: dict[str, int] = {}
+        for chunk in chunks:
+            lengths = [self._postings[w].size for w in chunk]
+            ranks = np.searchsorted(
+                documents, np.concatenate([self._postings[w] for w in chunk])
+            )
+            rows = np.zeros((len(chunk), len(documents)), dtype=bool)
+            rows[np.repeat(np.arange(len(chunk)), lengths), ranks] = True
+            packed = np.packbits(rows, axis=1, bitorder="little")
+            for word, row in zip(chunk, packed):
+                bitsets[word] = int.from_bytes(row.tobytes(), "little")
+        self._bitsets = bitsets
+        return bitsets
 
     def union(self, words: Iterable[str]) -> np.ndarray:
         """Pages containing any of the words (OR semantics)."""

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-import numpy as np
-
 from repro import obs
 from repro.core.replication import ReplicatedPlacement
 from repro.search.engine import EngineStats, QueryExecution
@@ -124,63 +122,66 @@ class ReplicatedSearchEngine:
     # Execution
     # ------------------------------------------------------------------
     def execute(self, query: Query | Iterable[str]) -> QueryExecution:
-        """Run one query with greedy replica routing over live copies."""
+        """Run one query with greedy replica routing over live copies.
+
+        Every hop ships the running intersection, whose size the
+        index's bitsets count (:meth:`InvertedIndex.prefix_counts`), so
+        no postings are intersected here.
+        """
         query = as_query(query)
+        index = self.index
+        down = self._down
         alive: dict[str, frozenset[int]] = {}
         for w in dict.fromkeys(query.keywords):
-            if w not in self.index:
+            if w not in index:
                 continue
             copies = self._copies.get(w)
             if not copies:
                 continue  # unindexed keyword: skipped, as always
-            survivors = copies - self._down
+            survivors = copies - down if down else copies
             if not survivors:
                 # Placed but every copy is on a failed node: the query
                 # is unservable right now — failover has nowhere to go.
                 obs.counter("engine.unserved_queries").inc()
                 return QueryExecution(query, 0, 0, 0, 0, served=False)
             alive[w] = survivors
-        words = list(alive)
-        if not words:
+        if not alive:
             return QueryExecution(query, 0, 0, 0, 0)
-        words.sort(key=lambda w: (self.index.document_frequency(w), w))
+        words = sorted(alive, key=lambda w: (index.document_frequency(w), w))
+        sizes = index.prefix_counts(words)
 
-        def shared_count(node: int, remaining: list[str]) -> int:
-            return sum(1 for w in remaining if node in alive[w])
+        def route(copies: frozenset[int], remaining: list[str]) -> int:
+            # The copy covering most of the remaining keywords, then a
+            # fast one, then the lowest index (negated: this keys a max).
+            if len(copies) == 1:
+                return next(iter(copies))
+            return max(
+                copies,
+                key=lambda k: (
+                    sum(1 for w in remaining if k in alive[w]),
+                    k not in self._slow,
+                    -k,
+                ),
+            )
 
-        def route_key(node: int, remaining: list[str]) -> tuple:
-            # Coverage first, then avoid slow nodes, then lowest index
-            # (negated because this keys a max()).
-            return (shared_count(node, remaining), node not in self._slow, -node)
-
-        # Start node: a live copy holder of the smallest keyword
-        # covering the most of the rest of the query.
-        first_copies = sorted(alive[words[0]])
-        current = max(first_copies, key=lambda k: route_key(k, words[1:]))
-        result = self.index.postings(words[0])
+        # Start at a live copy of the smallest keyword; stay local when
+        # the next keyword has a copy here, otherwise ship the running
+        # result, |w₀∩…∩w_{p−1}| postings, to the best copy of w_p.
+        current = route(alive[words[0]], words[1:])
         transferred = 0
         hops = 0
         visited = {current}
-
-        for position, word in enumerate(words[1:], start=1):
-            copies = alive[word]
+        for position in range(1, len(words)):
+            copies = alive[words[position]]
             if current not in copies:
-                remaining = words[position + 1 :]
-                target = max(
-                    sorted(copies), key=lambda k: route_key(k, remaining)
-                )
-                shipped = ITEM_BYTES * int(result.size)
-                transferred += shipped
+                current = route(copies, words[position + 1 :])
+                transferred += ITEM_BYTES * sizes[position - 1]
                 hops += 1
-                current = target
-            visited.add(current)
-            result = np.intersect1d(
-                result, self.index.postings(word), assume_unique=True
-            )
+                visited.add(current)
 
         return QueryExecution(
             query=query,
-            result_count=int(result.size),
+            result_count=sizes[-1],
             bytes_transferred=transferred,
             nodes_contacted=len(visited),
             hops=hops,

@@ -2,14 +2,16 @@
 
 Batched engines sit behind existing APIs — bulk LP constraint
 assembly, capacity repair from cached move deltas, the columnar
-query-log compile, query-log replay from a compiled profile,
-vectorized Count-Min ingestion, heap-based
-Space-Saving eviction, and chunked correlation mining.  Each one promises *byte-identical* output to the legacy
+query-log compile, query-log replay from a compiled profile, replica
+routing on bitset intersection counts, vectorized Count-Min
+ingestion, heap-based Space-Saving eviction, and chunked correlation
+mining.  Each one promises *byte-identical* output to the legacy
 per-item loop under fixed seeds; these hypothesis suites hold them to
 it, including dict insertion order and the type-gate fallbacks of the
 miner.
 """
 
+import asyncio
 import heapq
 import json
 import math
@@ -32,6 +34,7 @@ from repro.core.correlation import (
 from repro.core.lp import build_placement_lp
 from repro.core.problem import PlacementProblem
 from repro.core.repair import repair_capacity
+from repro.core.replication import ReplicatedPlacement
 from repro.exceptions import InfeasibleProblemError
 from repro.lpsolve import LinearProgram, Sense
 from repro.online.sketch import SketchCorrelationEstimator, SpaceSavingPairs
@@ -47,7 +50,11 @@ from repro.search.engine import (
 )
 from repro.search.index import ITEM_BYTES, InvertedIndex
 from repro.search.query import Query, QueryLog
+from repro.search.replicated_engine import ReplicatedSearchEngine
 from repro.search.simulation import TimingModel, simulate_latencies
+from repro.serve.router import QueryRouter, ServeConfig
+from repro.serve.snapshot import PlanHandle, PlanSnapshot
+from repro.serve.vtime import run_virtual
 from repro.workloads.traces import TraceColumns
 
 # ----------------------------------------------------------------------
@@ -1049,3 +1056,138 @@ class TestReplayEquivalence:
         assert np.array_equal(report.latencies_s, latencies)
         assert np.array_equal(report.uplink_busy_s, busy)
         assert report.makespan_s == makespan
+
+
+# ----------------------------------------------------------------------
+# Replica routing
+# ----------------------------------------------------------------------
+
+def _route_reference(engine, query):
+    """The per-query replica route: one ``intersect1d`` per hop.
+
+    Reads the engine's index, copies and down and slow nodes through
+    its public surface, and counts nothing.
+    """
+    if not isinstance(query, Query):
+        query = Query(tuple(query))
+    index, down, slow = engine.index, engine.down_nodes, engine.slow_nodes
+    alive = {}
+    for w in dict.fromkeys(query.keywords):
+        if w not in index:
+            continue
+        copies = engine.copies_of(w)
+        if not copies:
+            continue
+        survivors = copies - down
+        if not survivors:
+            return QueryExecution(query, 0, 0, 0, 0, served=False)
+        alive[w] = survivors
+    words = list(alive)
+    if not words:
+        return QueryExecution(query, 0, 0, 0, 0)
+    words.sort(key=lambda w: (index.document_frequency(w), w))
+
+    def route_key(node, remaining):
+        shared = sum(1 for w in remaining if node in alive[w])
+        return (shared, node not in slow, -node)
+
+    current = max(sorted(alive[words[0]]), key=lambda k: route_key(k, words[1:]))
+    result = index.postings(words[0])
+    transferred = 0
+    hops = 0
+    visited = {current}
+    for position, word in enumerate(words[1:], start=1):
+        copies = alive[word]
+        if current not in copies:
+            remaining = words[position + 1 :]
+            current = max(sorted(copies), key=lambda k: route_key(k, remaining))
+            transferred += ITEM_BYTES * int(result.size)
+            hops += 1
+        visited.add(current)
+        result = np.intersect1d(result, index.postings(word), assume_unique=True)
+    return QueryExecution(query, int(result.size), transferred, len(visited), hops)
+
+
+@st.composite
+def _route_cases(draw):
+    """An index with empty postings and df ties; an R-copy placement
+    (R of 1–3) over all or some indexed words plus a placed word the
+    index lacks; down and slow nodes; and queries with repeated,
+    unindexed and unplaced words.  With ``kill``, every copy of one
+    queried word is down."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    replicas = draw(st.integers(1, 3))
+    num_nodes = draw(st.integers(replicas, replicas + 3))
+    subset = draw(st.booleans())
+    kill = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    num_docs = int(rng.integers(1, 12))
+    docs = rng.choice(2**40, size=num_docs, replace=False)
+    postings = {}
+    for w in range(8):
+        density = rng.choice([0.0, 0.2, 0.5, 0.9])  # 0.0: empty postings
+        postings[f"w{w}"] = docs[rng.random(num_docs) < density]
+    index = InvertedIndex(postings)
+    placed = [w for w in sorted(postings) if not subset or rng.random() < 0.6]
+    placed.append("zz")  # placed, never indexed
+    problem = PlacementProblem.build({w: 1.0 for w in placed}, num_nodes, {})
+    assignment = np.array(
+        [rng.choice(num_nodes, size=replicas, replace=False) for _ in placed]
+    )
+    placement = ReplicatedPlacement(problem, assignment)
+    down = set(np.flatnonzero(rng.random(num_nodes) < 0.2).tolist())
+    slow = set(np.flatnonzero(rng.random(num_nodes) < 0.4).tolist())
+    pool = sorted(postings) + ["zz", "yy"]  # yy: neither indexed nor placed
+    queries = []
+    for _ in range(int(rng.integers(0, 30))):
+        if queries and rng.random() < 0.3:
+            queries.append(queries[int(rng.integers(0, len(queries)))])
+            continue
+        count = int(rng.integers(1, 7))
+        queries.append(Query(tuple(rng.choice(pool, size=count).tolist())))
+    routable = [w for q in queries for w in q.keywords if w in index and w in placed]
+    if kill and routable:
+        victim = routable[int(rng.integers(0, len(routable)))]
+        down.update(assignment[placed.index(victim)].tolist())
+    return index, placement, down, slow, queries
+
+
+def _route_engine(index, placement, down, slow):
+    engine = ReplicatedSearchEngine(index, placement, down_nodes=down)
+    engine.mark_slow(*slow)
+    return engine
+
+
+class TestRouteEquivalence:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_route_cases())
+    def test_execute_matches_route_loop(self, case):
+        index, placement, down, slow, queries = case
+        engine = _route_engine(index, placement, down, slow)
+        previous = obs.current()
+        try:
+            instrumentation = obs.enable(obs.Instrumentation())
+            executions = [engine.execute(query) for query in queries]
+            unserved = instrumentation.metrics.counter("engine.unserved_queries").value
+        finally:
+            obs.disable()
+            if previous is not None:
+                obs.enable(previous)
+        expected = [_route_reference(engine, query) for query in queries]
+        assert executions == expected
+        assert unserved == sum(not execution.served for execution in expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_route_cases())
+    def test_router_batches_match_route_loop(self, case):
+        index, placement, down, slow, queries = case
+        engine = _route_engine(index, placement, down, slow)
+
+        async def main():
+            router = QueryRouter(PlanHandle(PlanSnapshot(1, engine)), ServeConfig(max_batch=4))
+            return await asyncio.gather(*(router.submit(query) for query in queries))
+
+        routed = run_virtual(main())
+        assert [r.execution for r in routed] == [
+            _route_reference(engine, query) for query in queries
+        ]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.search.documents import Corpus, Document
 from repro.search.index import ITEM_BYTES, InvertedIndex, page_id
@@ -135,3 +137,47 @@ class TestInvertedIndex:
         a = index.intersect(["car", "car", "dealer"])
         b = index.intersect(["car", "dealer"])
         assert a.tolist() == b.tolist()
+
+    def test_postings_are_read_only(self):
+        idx = InvertedIndex({"a": [3, 1, 2]})
+        with pytest.raises(ValueError):
+            idx.intersect(["a"])[0] = 99
+        with pytest.raises(ValueError):
+            idx.postings("a")[0] = 99
+        assert idx.postings("a").tolist() == [1, 2, 3]
+        assert idx.document_frequency("a") == 3
+
+    def test_corpus_postings_are_read_only(self, index):
+        assert not any(index.postings(w).flags.writeable for w in index.vocabulary)
+
+    def test_prefix_counts(self, index):
+        assert index.prefix_counts(["car", "dealer", "price"]) == [3, 2, 1]
+        assert index.prefix_counts(["price", "download", "car"]) == [1, 0, 0]
+        assert index.prefix_counts(["car", "zzz"]) == [3, 0]
+        assert index.prefix_counts([]) == []
+
+    def test_union_count(self, index):
+        assert index.union_count(["price", "download"]) == 2
+        assert index.union_count(["car", "dealer", "zzz"]) == 3
+        assert index.union_count([]) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        postings=st.dictionaries(
+            st.sampled_from([f"w{i}" for i in range(40)]),
+            st.lists(st.integers(0, 30) | st.integers(0, 2**64 - 1), max_size=12),
+            min_size=20,
+        ),
+        words=st.lists(st.sampled_from([f"w{i}" for i in range(40)] + ["z"]), max_size=6),
+    )
+    def test_counts_match_postings(self, postings, words):
+        """Bitset counts equal the postings' own intersections and union,
+        with empty postings and more words than one build chunk."""
+        idx = InvertedIndex(postings)
+        expected, result = [], None
+        for word in words:
+            ids = idx.postings(word)
+            result = ids if result is None else np.intersect1d(result, ids)
+            expected.append(int(result.size))
+        assert idx.prefix_counts(words) == expected
+        assert idx.union_count(words) == len(idx.union(words))
