@@ -18,7 +18,11 @@ from repro.core.importance import top_important
 from repro.core.repair import repair_capacity
 from repro.core.rounding import round_best_of, round_fractional
 from repro.online.sketch import CountMinSketch, SpaceSavingPairs
-from repro.search.engine import DistributedSearchEngine, QueryProfile
+from repro.search.engine import (
+    DistributedSearchEngine,
+    QueryProfile,
+    build_placement_problem,
+)
 from repro.serve.snapshot import PlanSnapshot
 
 
@@ -79,9 +83,27 @@ def test_perf_engine_query(benchmark, study):
     assert total >= 0
 
 
+def test_perf_build_problem(benchmark, study):
+    """Mine the study log into a problem: compile, then gather pairs."""
+    problem = benchmark(
+        lambda: build_placement_problem(
+            study.index, study.log, 10, min_support=study.config.min_support
+        )
+    )
+    assert problem.num_pairs == study.placement_problem(10).num_pairs
+
+
 def test_perf_profile_compile(benchmark, study):
-    """Compile the study log: group, sort and intersect once."""
-    profile = benchmark(lambda: QueryProfile(study.index, study.log))
+    """Compile the study log: group, sort and intersect once.
+
+    ``shipped`` is lazy; touching it times what a replay pays.
+    """
+    def compile_log():
+        profile = QueryProfile(study.index, study.log)
+        profile.shipped
+        return profile
+
+    profile = benchmark(compile_log)
     assert len(profile.inverse) == len(study.log)
 
 

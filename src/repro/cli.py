@@ -39,6 +39,7 @@ from repro.experiments.common import CaseStudy, CaseStudyConfig
 from repro.search.engine import (
     DistributedSearchEngine,
     EvaluationSummary,
+    QueryProfile,
     build_placement_problem,
 )
 from repro.search.index import InvertedIndex
@@ -203,16 +204,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     log = QueryLog.load(args.log)
     corpus = generate_corpus(args.documents, args.vocabulary, seed=args.seed)
     index = InvertedIndex.from_corpus(corpus)
+    profile = QueryProfile(index, log)
     if args.placement is not None:
         with open(args.placement, encoding="utf-8") as fh:
             placement = {word: int(node) for word, node in json.load(fh).items()}
     else:
         problem = build_placement_problem(
-            index, log, args.nodes, min_support=args.min_support
+            index, profile, args.nodes, min_support=args.min_support
         )
         placement = plan(problem, args.strategy, _plan_config(args)).placement
     engine = DistributedSearchEngine(index, placement)
-    stats = engine.execute_log(log)
+    stats = engine.replay(profile)
     summary = EvaluationSummary.from_stats(stats)
     print(summary.render())
     return 0

@@ -105,16 +105,28 @@ class CaseStudy:
         log_period2 = drifted.generate(config.num_queries, rng=config.seed + 2)
         return cls(config, index, model, log, log_period2, planning or PlanConfig())
 
+    @property
+    def profile(self) -> QueryProfile:
+        """The period-one log compiled against the index, once per study.
+
+        Mining every system size and replaying every placement read it,
+        so the log itself is read once.
+        """
+        if self._profile is None:
+            self._profile = QueryProfile(self.index, self.log)
+        return self._profile
+
     def placement_problem(self, num_nodes: int) -> PlacementProblem:
         """The CCA instance for a given system size (cached).
 
         Nodes are uncapacitated here; strategies apply their own
-        conservative capacities (the paper's 2x-average rule).
+        conservative capacities (the paper's 2x-average rule).  The
+        pairs are mined from :attr:`profile`.
         """
         if num_nodes not in self._problems:
             self._problems[num_nodes] = build_placement_problem(
                 self.index,
-                self.log,
+                self.profile,
                 num_nodes,
                 correlation_mode="two_smallest",
                 min_support=self.config.min_support,
@@ -163,12 +175,10 @@ class CaseStudy:
         This mirrors the paper's methodology: the prototype executes
         the full trace against the placed indices and logs every
         inter-node transfer.  The log is compiled once per study, so
-        each placement costs one gather over the compiled profile.
+        each placement costs one gather over :attr:`profile`.
         """
-        if self._profile is None:
-            self._profile = QueryProfile(self.index, self.log)
         engine = DistributedSearchEngine(self.index, placement)
-        return engine.replay(self._profile).total_bytes
+        return engine.replay(self.profile).total_bytes
 
 
 @lru_cache(maxsize=4)

@@ -3,7 +3,8 @@
 The registry is the numeric side of the observability layer — where
 spans say *where time went*, metrics say *how much of what happened*:
 bytes shipped per query, rounding-trial costs, LP sizes.  All three
-instrument kinds are thread-safe and stdlib-only.
+instrument kinds are thread-safe; only the batched
+:meth:`Histogram.observe_counts` uses numpy.
 
 Naming convention: dotted lowercase paths (``engine.query.bytes``,
 ``lp.solve_seconds``).  The Prometheus exporter rewrites dots to
@@ -15,7 +16,9 @@ from __future__ import annotations
 import random
 import threading
 import zlib
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
+
+import numpy as np
 
 
 def _label_key(name: str, labels: Mapping[str, str] | None) -> str:
@@ -215,6 +218,49 @@ class Histogram:
                 for _ in range(count):
                     self._observe_locked(value)
 
+    def observe_counts(
+        self, values: Sequence[float] | np.ndarray, counts: Sequence[int] | np.ndarray
+    ) -> None:
+        """Record ``counts[k]`` copies of each ``values[k]``, in order.
+
+        Equivalent to one :meth:`observe_many` call per pair: the same
+        count, sum (accumulated in the same order), min, max and sample,
+        and in reservoir mode the same random draws.  The batched replay
+        path feeds each per-query histogram with one call.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if values.shape != counts.shape or values.ndim != 1:
+            raise ValueError("values and counts must be 1-D and of one length")
+        if np.any(counts < 0):
+            raise ValueError("count must be nonnegative")
+        observed = counts > 0
+        values, counts = values[observed], counts[observed]
+        if not len(values):
+            return
+        listed = values.tolist()
+        with self._lock:
+            if self.reservoir is not None:
+                for value, count in zip(listed, counts.tolist()):
+                    for _ in range(count):
+                        self._observe_locked(value)
+                return
+            if self._count == 0:
+                self._min, self._max = min(listed), max(listed)
+            else:
+                self._min = min(self._min, *listed)
+                self._max = max(self._max, *listed)
+            self._count += int(counts.sum())
+            # add.accumulate adds left to right, as observe_many's += does.
+            terms = np.concatenate(([self._sum], values * counts))
+            self._sum = float(np.add.accumulate(terms)[-1])
+            if self._sorted and (
+                (self._values and listed[0] < self._values[-1])
+                or bool(np.any(values[1:] < values[:-1]))
+            ):
+                self._sorted = False
+            self._values.extend(np.repeat(values, counts).tolist())
+
     @property
     def count(self) -> int:
         return self._count
@@ -302,6 +348,11 @@ class _NullInstrument:
         return None
 
     def observe_many(self, value: float, count: int) -> None:
+        return None
+
+    def observe_counts(
+        self, values: Sequence[float] | np.ndarray, counts: Sequence[int] | np.ndarray
+    ) -> None:
         return None
 
     value = 0.0

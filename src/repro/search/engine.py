@@ -16,16 +16,13 @@ the final ranked results to the user is excluded, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.correlation import (
-    cooccurrence_correlations,
-    two_smallest_correlations,
-    union_largest_correlations,
-)
+from repro.core.correlation import PairProbabilities
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.search.index import ITEM_BYTES, InvertedIndex
@@ -191,7 +188,8 @@ class QueryProfile:
     gather and a few per-query sums.  Distinct query ``q`` executes
     positions ``offsets[q]:offsets[q + 1]``; position ``p`` is a hop
     from position ``src[p]`` to ``dst[p]`` shipping ``shipped[p]``
-    bytes, taken when their nodes differ.
+    bytes, taken when their nodes differ.  The same positions are what
+    :meth:`correlations` mines, so one compile feeds mining and replay.
 
     Args:
         index: The inverted index the log runs against.
@@ -206,13 +204,17 @@ class QueryProfile:
         queries, counts: Distinct queries in first-occurrence order and
             their multiplicities; ``inverse`` maps log positions to them.
         words, codes: The indexed keywords the log queries, and each
-            position's word code, ``(df, word)``-ordered per query.
+            position's word code, ordered per query as the index's
+            :meth:`~repro.search.index.InvertedIndex.keyword_order`
+            ranks them, by ``(df, word)``.
+        ranks: Each word code's rank in that order.
         owner: Distinct-query id of each position.
-        shipped: Bytes the hop into each position ships.  In
-            intersection mode a query's first position ships 0 and
-            position ``p ≥ 1`` ``8·|w₀∩…∩w_{p−1}|``, counted on the
-            index's document bitsets.  In union mode it is ``scanned``,
-            ``8·df``.
+        scanned: ``8·df`` of each position's keyword.
+        shipped: Bytes the hop into each position ships, computed on
+            first use.  In intersection mode a query's first position
+            ships 0, its second ``scanned`` of the first, and position
+            ``p ≥ 2`` ``8·|w₀∩…∩w_{p−1}|``, counted on the index's
+            document bitsets.  In union mode it is ``scanned``.
     """
 
     def __init__(
@@ -239,71 +241,159 @@ class QueryProfile:
             self.inverse = np.asarray(inverse, dtype=np.int64)
             self.counts = np.bincount(self.inverse, minlength=len(queries))
 
-            # Intern every keyword of every distinct query, and rank the
-            # indexed ones by (df, word); unindexed ones share the last rank.
-            interned: dict[str, int] = {}
-            flat = [
-                interned.setdefault(w, len(interned)) for q in queries for w in q.keywords
-            ]
-            names = list(interned)
-            indexed = [w in index for w in names]
-            df = [index.document_frequency(w) for w in names]
-            by_df = sorted(
-                (k for k, known in enumerate(indexed) if known),
-                key=lambda k: (df[k], names[k]),
+            # Rank every keyword of every distinct query in the index's
+            # (df, word) order; an unindexed one ranks past the last.
+            order = index.keyword_order()
+            unindexed = len(order.words)
+            lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+            flat = np.fromiter(
+                map(order.rank.get, chain.from_iterable(ids), repeat(unindexed)),
+                dtype=np.int64,
+                count=int(lengths.sum()),
             )
-            rank = np.full(len(names), len(by_df), dtype=np.int64)
-            rank[by_df] = np.arange(len(by_df))
-            df, indexed = np.array(df, dtype=np.int64), np.array(indexed, dtype=bool)
 
-            # Each query's positions in execution order: sort by (query,
-            # rank), then drop repeated and unindexed words.
-            flat = np.array(flat, dtype=np.int64)
-            lengths = np.array([len(q.keywords) for q in queries], dtype=np.int64)
-            owner = np.repeat(np.arange(len(queries)), lengths)
-            order = np.lexsort((rank[flat], owner))
-            owner, word = owner[order], flat[order]
-            keep = indexed[word]
-            keep[1:] &= (owner[1:] != owner[:-1]) | (word[1:] != word[:-1])
-            self.owner, word = owner[keep], word[keep]
-            kept = np.bincount(self.owner, minlength=len(queries))
+            # One key per (query, rank) sorts each query's positions into
+            # execution order; then drop repeated and unindexed words.
+            width = unindexed + 1
+            keys = np.repeat(np.arange(len(queries), dtype=np.int64) * width, lengths)
+            keys += flat
+            keys.sort()
+            owner, rank = np.divmod(keys, width)
+            keep = rank < unindexed
+            keep[1:] &= keys[1:] != keys[:-1]
+            self.owner, rank = owner[keep], rank[keep]
             self.offsets = np.zeros(len(queries) + 1, dtype=np.int64)
-            kept.cumsum(out=self.offsets[1:])
+            np.bincount(self.owner, minlength=len(queries)).cumsum(out=self.offsets[1:])
 
             # Word codes number the kept words by first appearance.
-            seen, first = np.unique(word, return_index=True)
-            seen = seen[first.argsort()]
-            code_of = np.empty(len(names), dtype=np.int64)
-            code_of[seen] = np.arange(len(seen))
-            self.words = tuple(names[k] for k in seen.tolist())
-            self.codes = code_of[word]
-            self.scanned = (ITEM_BYTES * df[seen])[self.codes]
+            seen, first = np.unique(rank, return_index=True)
+            self.ranks = seen[first.argsort()]
+            code_of = np.empty(unindexed, dtype=np.int64)
+            code_of[self.ranks] = np.arange(len(self.ranks))
+            self.words = tuple(map(order.words.__getitem__, self.ranks.tolist()))
+            self.codes = code_of[rank]
+            self.scanned = ITEM_BYTES * order.df[rank]
 
-            positions = np.arange(len(word))
+            positions = np.arange(len(rank))
             if mode == "intersection":
                 heads = self.offsets[:-1][self.owner]
                 self.src, self.dst = positions - (positions > heads), positions
-                self.shipped = self._intersection_bytes(kept)
+                self._shipped = None
             else:
                 self.src, self.dst = positions, (self.offsets[1:] - 1)[self.owner]
-                self.shipped = self.scanned
+                self._shipped = self.scanned
             compile_span.set(queries=len(inverse), unique_queries=len(queries))
 
-    def _intersection_bytes(self, lengths: np.ndarray) -> np.ndarray:
-        """``8·|w₀∩…∩w_{p−1}|`` per position, given each query's word count.
+    @property
+    def shipped(self) -> np.ndarray:
+        """Bytes the hop into each position ships (see the class doc)."""
+        if self._shipped is None:
+            self._shipped = self._intersection_bytes()
+        return self._shipped
 
-        Position 0 ships nothing; the rest of a query's positions ship
-        its prefix counts (:meth:`InvertedIndex.prefix_counts`), one
-        bitset chain per distinct query of two or more words.
+    def _intersection_bytes(self) -> np.ndarray:
+        """``8·|w₀∩…∩w_{p−1}|`` per position ``p ≥ 1`` of each query.
+
+        Position 1 ships its query's first index, a gather from
+        ``scanned``.  Queries of three or more words run one ``&`` chain
+        over the index's bitsets, all of them one depth at a time.
         """
-        counts = [0] * len(self.codes)
-        words = [self.words[c] for c in self.codes.tolist()]
-        chained = lengths >= 2
-        for start, end in zip(
-            self.offsets[:-1][chained].tolist(), self.offsets[1:][chained].tolist()
-        ):
-            counts[start + 1 : end] = self.index.prefix_counts(words[start : end - 1])
-        return ITEM_BYTES * np.array(counts, dtype=np.int64)
+        shipped = np.zeros(len(self.codes), dtype=np.int64)
+        lengths = np.diff(self.offsets)
+        heads = self.offsets[:-1][lengths >= 2]
+        shipped[heads + 1] = self.scanned[heads]
+        chained = lengths >= 3
+        heads, lengths = self.offsets[:-1][chained], lengths[chained]
+        if not len(heads):
+            return shipped
+        bits = self.index.bitsets(self.words)
+        running = [bits[c] for c in self.codes[heads].tolist()]
+        for depth in range(1, int(lengths.max()) - 1):
+            live = lengths >= depth + 2
+            if not live.all():
+                heads, lengths = heads[live], lengths[live]
+                running = list(compress(running, live.tolist()))
+            running = [
+                r & bits[c] for r, c in zip(running, self.codes[heads + depth].tolist())
+            ]
+            counts = np.fromiter(map(int.bit_count, running), np.int64, len(running))
+            shipped[heads + depth + 1] = ITEM_BYTES * counts
+        return shipped
+
+    def correlations(
+        self, mode: str = "two_smallest", min_support: int = 1
+    ) -> PairProbabilities:
+        """The log's Section 3.2 pair probabilities, read off the profile.
+
+        Each distinct query's pairs are gathered from its positions and
+        weighted by its count, so the log is not read again.  The result
+        equals the :mod:`repro.core.correlation` miner of the same mode
+        over the log's indexed keywords, with index sizes: the same
+        pairs, probabilities and dict order.
+
+        * ``"two_smallest"``: a query's two smallest keywords, with df
+          ties broken by ``repr`` as the miner breaks them.
+        * ``"union_largest"``: its largest keyword paired with each
+          other one, in ``repr`` order.
+        * ``"cooccurrence"``: every pair of its keywords, in ``repr``
+          order.  Unindexed keywords are dropped, as replay drops them.
+
+        Args:
+            mode: One of the three modes above.
+            min_support: Drop pairs observed fewer than this many times.
+
+        Raises:
+            ValueError: For an unknown mode.
+        """
+        if mode not in ("two_smallest", "union_largest", "cooccurrence"):
+            raise ValueError(f"unknown correlation mode {mode!r}")
+        order = self.index.keyword_order()
+        width = len(order.words)
+        ranks = self.ranks[self.codes]
+        lengths = np.diff(self.offsets)
+        if mode == "two_smallest":
+            by_size = self._sorted_within(order.by_size[ranks], width)
+            multi = lengths >= 2
+            heads = self.offsets[:-1][multi]
+            x, y = ranks[by_size[heads]], ranks[by_size[heads + 1]]
+            weights = self.counts[multi]
+        else:
+            by_repr = self._sorted_within(order.by_repr[ranks], width)
+            ranks, owner = ranks[by_repr], self.owner
+            if mode == "union_largest":
+                size = order.by_size[ranks]
+                nonempty = lengths > 0
+                largest = np.maximum.reduceat(size, self.offsets[:-1][nonempty])
+                top = size == np.repeat(largest, lengths[nonempty])
+                x = np.repeat(ranks[top], lengths[nonempty] - 1)
+                y, owner = ranks[~top], owner[~top]
+            else:
+                # Pair each position with every later one of its query.
+                later = self.offsets[1:][owner] - np.arange(len(owner)) - 1
+                lead = np.repeat(np.arange(len(owner)), later)
+                skip = np.arange(len(lead)) - np.repeat(later.cumsum() - later, later)
+                x, y, owner = ranks[lead], ranks[lead + 1 + skip], owner[lead]
+            weights = self.counts[owner]
+
+        # Count each canonical pair, in order of first emission.
+        swap = order.by_value[x] > order.by_value[y]
+        pairs = np.where(swap, y, x) * width + np.where(swap, x, y)
+        pairs, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+        totals = np.bincount(inverse, weights=weights, minlength=len(pairs))
+        emitted = first.argsort()
+        pairs, totals = pairs[emitted], totals[emitted].astype(np.int64)
+        kept = totals >= min_support
+        pairs, totals = pairs[kept], totals[kept].tolist()
+        words, operations = order.words, len(self.inverse)
+        lo, hi = np.divmod(pairs, width)
+        return {
+            (words[a], words[b]): total / operations
+            for a, b, total in zip(lo.tolist(), hi.tolist(), totals)
+        }
+
+    def _sorted_within(self, key: np.ndarray, width: int) -> np.ndarray:
+        """Positions sorted by ``key`` within each query (``key < width``)."""
+        return np.argsort(self.owner * width + key)
 
 
 class DistributedSearchEngine:
@@ -375,10 +465,8 @@ class DistributedSearchEngine:
             obs.counter("engine.unique_queries").inc(len(profile.queries))
             stats, per_query = self._evaluate(profile)
             if obs.is_enabled():
-                counts = profile.counts.tolist()
                 for histogram, values in zip(histograms, per_query):
-                    for value, count in zip(values.tolist(), counts):
-                        histogram.observe_many(value, count)
+                    histogram.observe_counts(values, profile.counts)
             replay_span.set(
                 queries=stats.queries,
                 total_bytes=stats.total_bytes,
@@ -444,7 +532,7 @@ class DistributedSearchEngine:
 
 def build_placement_problem(
     index: InvertedIndex,
-    log: QueryLog,
+    log: QueryLog | QueryProfile,
     nodes: Mapping[NodeId, float] | int,
     correlation_mode: str = "two_smallest",
     min_support: int = 1,
@@ -452,28 +540,29 @@ def build_placement_problem(
     """Bridge the search substrate into a CCA instance.
 
     Object sizes are keyword index sizes in bytes; correlations follow
-    the chosen Section 3.2 estimator over the query log; pair cost is
-    the default smaller-index size, matching what the engine actually
-    ships.
+    the chosen Section 3.2 estimator over the query log, mined from its
+    compiled :class:`QueryProfile` (:meth:`QueryProfile.correlations`);
+    pair cost is the default smaller-index size, matching what the
+    engine actually ships.
 
     Args:
         index: The inverted index providing keyword sizes.
-        log: The query trace providing correlations.
+        log: The query trace providing correlations, or its profile
+            already compiled against ``index``, which replay can reuse.
         nodes: Node -> capacity mapping, or an int for uncapacitated
             nodes.
         correlation_mode: ``"two_smallest"`` (paper's choice for
             intersection queries), ``"cooccurrence"``, or
             ``"union_largest"``.
         min_support: Minimum pair observations to keep a correlation.
+
+    Raises:
+        ValueError: For an unknown mode, or a profile compiled against
+            another index.
     """
+    profile = log if isinstance(log, QueryProfile) else QueryProfile(index, log)
+    if profile.index is not index:
+        raise ValueError("the profile was compiled against a different index")
     sizes = {w: float(b) for w, b in index.sizes_bytes().items()}
-    trace = list(log.operations())
-    if correlation_mode == "two_smallest":
-        correlations = two_smallest_correlations(trace, sizes, min_support)
-    elif correlation_mode == "cooccurrence":
-        correlations = cooccurrence_correlations(trace, min_support)
-    elif correlation_mode == "union_largest":
-        correlations = union_largest_correlations(trace, sizes, min_support)
-    else:
-        raise ValueError(f"unknown correlation mode {correlation_mode!r}")
+    correlations = profile.correlations(correlation_mode, min_support)
     return PlacementProblem.build(sizes, nodes, correlations)

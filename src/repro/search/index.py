@@ -6,12 +6,15 @@ page URL)", so a keyword's index size is ``8 * document_frequency``
 bytes.  Postings are kept as sorted, read-only ``uint64`` arrays.
 Intersection *sizes* — all that routing and replay accounting need —
 are counted on per-word document bitsets instead (:meth:`prefix_counts`).
+Replay compiles and the profile miner rank keywords through one
+:class:`KeywordOrder` table per index.  Both the bitsets and the table
+are built once, on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +34,38 @@ _NO_POSTINGS.flags.writeable = False
 _BITSET_CHUNK = 16
 
 
+class KeywordOrder(NamedTuple):
+    """An index's keywords, ranked once for every compile and miner.
+
+    Attributes:
+        words: The indexed keywords in ``(df, word)`` order, the order
+            the engine intersects a query's keywords in.
+        rank: Keyword -> its position in ``words``.
+        df: Each ranked keyword's document frequency.
+        by_value: Each ranked keyword's position in ``str`` order.
+        by_repr: Each ranked keyword's position in ``repr`` order.
+        by_size: Each ranked keyword's position in ``(df, repr)`` order,
+            the size order of the Section 3.2 miner.  It differs from
+            ``rank`` only within a df tie, for words like ``a'b`` whose
+            ``repr`` sorts apart from their ``str``.
+    """
+
+    words: tuple[str, ...]
+    rank: dict[str, int]
+    df: np.ndarray
+    by_value: np.ndarray
+    by_repr: np.ndarray
+    by_size: np.ndarray
+
+
+def _positions(order: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Permutation -> position array (``out[order[i]] = i``)."""
+    order = np.asarray(order, dtype=np.int64)
+    out = np.empty(len(order), dtype=np.int64)
+    out[order] = np.arange(len(order))
+    return out
+
+
 def page_id(doc_id: str) -> int:
     """The 8-byte page ID of a document: truncated MD5 of its id/URL."""
     digest = hashlib.md5(doc_id.encode("utf-8")).digest()
@@ -44,6 +79,7 @@ class InvertedIndex:
     def __init__(self, postings: Mapping[str, np.ndarray] | None = None):
         self._postings: dict[str, np.ndarray] = {}
         self._bitsets: dict[str, int] | None = None
+        self._order: KeywordOrder | None = None
         if postings:
             for word, ids in postings.items():
                 ids = np.unique(np.asarray(ids, dtype=np.uint64))
@@ -134,6 +170,12 @@ class InvertedIndex:
             counts.append(running.bit_count())
         return counts
 
+    def bitsets(self, words: Iterable[str]) -> list[int]:
+        """Each word's document bitset (see :meth:`prefix_counts`); 0 if
+        unindexed."""
+        bitsets = self._bitsets if self._bitsets is not None else self._build_bitsets()
+        return [bitsets.get(word, 0) for word in words]
+
     def union_count(self, words: Iterable[str]) -> int:
         """``|w₀∪…∪w_{n−1}|``, counted on the same bitsets."""
         bitsets = self._bitsets if self._bitsets is not None else self._build_bitsets()
@@ -172,6 +214,26 @@ class InvertedIndex:
                 bitsets[word] = int.from_bytes(row.tobytes(), "little")
         self._bitsets = bitsets
         return bitsets
+
+    def keyword_order(self) -> KeywordOrder:
+        """The keywords ranked by ``(df, word)``, with the miner's orders.
+
+        Built once, on first use.
+        """
+        if self._order is None:
+            words = sorted(self._postings, key=lambda w: (self._postings[w].size, w))
+            df = np.array([self._postings[w].size for w in words], dtype=np.int64)
+            reprs = [repr(w) for w in words]
+            by_repr = _positions(sorted(range(len(words)), key=reprs.__getitem__))
+            self._order = KeywordOrder(
+                words=tuple(words),
+                rank={word: k for k, word in enumerate(words)},
+                df=df,
+                by_value=_positions(sorted(range(len(words)), key=words.__getitem__)),
+                by_repr=by_repr,
+                by_size=_positions(np.lexsort((by_repr, df))),
+            )
+        return self._order
 
     def union(self, words: Iterable[str]) -> np.ndarray:
         """Pages containing any of the words (OR semantics)."""

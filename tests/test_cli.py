@@ -179,6 +179,22 @@ class TestMetricsRoundTrip:
         assert "lprr.plan" in captured.err
         assert "replay" in captured.err
 
+    def test_inline_evaluate_compiles_the_log_once(self, query_log_file, tmp_path):
+        """Mining and replay share one compiled profile."""
+        metrics_path = tmp_path / "m.json"
+        args = ["evaluate", str(query_log_file), *self.FLAGS]
+        assert main([*args, "--metrics-out", str(metrics_path)]) == 0
+
+        def names(span):
+            yield span["name"]
+            for child in span["children"]:
+                yield from names(child)
+
+        (root,) = json.loads(metrics_path.read_text())["spans"]
+        spans = list(names(root))
+        assert spans.count("replay.compile") == 1
+        assert spans.count("replay") == 1
+
     def test_disabled_run_is_identical_and_writes_nothing(
         self, query_log_file, tmp_path, capsys
     ):

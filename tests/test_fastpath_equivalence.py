@@ -2,7 +2,8 @@
 
 Batched engines sit behind existing APIs — bulk LP constraint
 assembly, capacity repair from cached move deltas, the columnar
-query-log compile, query-log replay from a compiled profile, replica
+query-log compile, query-log replay from a compiled profile and
+correlation mining from it, replica
 routing on bitset intersection counts, vectorized Count-Min
 ingestion, heap-based Space-Saving eviction, and chunked correlation
 mining.  Each one promises *byte-identical* output to the legacy
@@ -979,6 +980,107 @@ class TestCompileEquivalence:
         assert profile.words == ("w0", "w1", "w2", "w3")
         assert profile.shipped.tolist() == [0, 2 * ITEM_BYTES, 0, 0]
         _assert_same_profile(profile, _compile_reference(index, [query]))
+
+
+# Keywords whose repr order differs from their str order ("a" < "a'b",
+# but repr("a'b") < repr("a")), so a df tie between them breaks one way
+# in the engine's (df, word) order and the other in the miner's.
+_MINING_WORDS = ["a", "a'b", "a!", "b", 'q"', "a\\b", "w0", "w1"]
+
+
+@st.composite
+def _mining_cases(draw):
+    """An index with df ties among repr-ordered words, and a log with
+    repeated, unindexed and empty queries."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    num_docs = draw(st.integers(1, 6))
+    num_queries = draw(st.integers(0, 30))
+    rng = np.random.default_rng(seed)
+    docs = rng.choice(2**40, size=num_docs, replace=False)
+    postings = {}
+    for word in _MINING_WORDS:
+        density = rng.choice([0.0, 0.3, 0.6, 1.0])  # few distinct dfs: ties
+        postings[word] = docs[rng.random(num_docs) < density]
+    index = InvertedIndex(postings)
+    pool = _MINING_WORDS + ["zz", "y'y"]  # two unindexed words
+    queries = []
+    for _ in range(num_queries):
+        if queries and rng.random() < 0.3:
+            queries.append(queries[int(rng.integers(0, len(queries)))])
+            continue
+        count = int(rng.integers(0, 6))
+        words = rng.choice(pool, size=count, replace=True).tolist()
+        queries.append(Query(tuple(words)))
+    return index, queries
+
+
+def _mine_oracle(index, queries, mode, min_support):
+    """The chunked miner over the log, with index sizes.  Co-occurrence
+    reads only indexed keywords, as the profile does."""
+    sizes = {w: float(b) for w, b in index.sizes_bytes().items()}
+    trace = [q.keywords for q in queries]
+    if mode == "two_smallest":
+        return two_smallest_correlations(trace, sizes, min_support)
+    if mode == "union_largest":
+        return union_largest_correlations(trace, sizes, min_support)
+    indexed = [tuple(w for w in keywords if w in index) for keywords in trace]
+    return cooccurrence_correlations(indexed, min_support)
+
+
+_MODES = ["two_smallest", "union_largest", "cooccurrence"]
+
+
+class TestProfileMiningEquivalence:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=_mining_cases(),
+        mode=st.sampled_from(_MODES),
+        min_support=st.integers(1, 3),
+        profile_mode=st.sampled_from(["intersection", "union"]),
+        form=st.sampled_from(["querylog", "queries", "tuples", "columns"]),
+    )
+    def test_profile_matches_miner(self, case, mode, min_support, profile_mode, form):
+        index, queries = case
+        profile = QueryProfile(index, _as_input(queries, form), profile_mode)
+        mined = profile.correlations(mode, min_support)
+        oracle = _mine_oracle(index, queries, mode, min_support)
+        assert list(mined.items()) == list(oracle.items())  # dict order too
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_mining_cases(), mode=st.sampled_from(_MODES))
+    def test_problem_from_profile_matches_problem_from_miner(self, case, mode):
+        index, queries = case
+        # A problem needs positive sizes: keep the nonempty postings.
+        index = InvertedIndex(
+            {w: index.postings(w) for w in index.vocabulary if index.size_bytes(w)}
+        )
+        sizes = {w: float(b) for w, b in index.sizes_bytes().items()}
+        expected = PlacementProblem.build(sizes, 3, _mine_oracle(index, queries, mode, 1))
+        for log in (QueryLog(queries), QueryProfile(index, queries)):
+            problem = build_placement_problem(index, log, 3, correlation_mode=mode)
+            assert problem.object_ids == expected.object_ids
+            assert np.array_equal(problem.pair_index, expected.pair_index)
+            assert problem.correlations.tolist() == expected.correlations.tolist()
+            assert problem.pair_costs.tolist() == expected.pair_costs.tolist()
+
+    @pytest.mark.parametrize("mode", _MODES)
+    def test_empty_log(self, mode):
+        index = InvertedIndex({"a": [1, 2], "b": []})
+        assert QueryProfile(index, []).correlations(mode) == {}
+
+    def test_repr_breaks_df_ties_as_the_miner_does(self):
+        # One df: str order is a < a! < a'b, repr order "a'b" < 'a!' < 'a'.
+        index = InvertedIndex({"a": [1], "a!": [2], "a'b": [3]})
+        profile = QueryProfile(index, [("a", "a!", "a'b")])
+        assert profile.words == ("a", "a!", "a'b")  # the engine's (df, word) order
+        assert list(profile.correlations("two_smallest")) == [("a!", "a'b")]
+        assert list(profile.correlations("union_largest")) == [("a", "a'b"), ("a", "a!")]
+
+    def test_profile_of_another_index_rejected(self):
+        index = InvertedIndex({"a": [1], "b": [1]})
+        other = InvertedIndex({"a": [1], "b": [1]})
+        with pytest.raises(ValueError, match="different index"):
+            build_placement_problem(index, QueryProfile(other, [("a", "b")]), 2)
 
 
 def _assert_same_stats(fast, reference):

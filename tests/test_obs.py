@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import LPRRPlanner, PlacementProblem, obs, round_best_of, solve_placement_lp
 from repro.obs.export import (
@@ -422,6 +424,44 @@ class TestHistogramReservoir:
                 one.observe(v)
             many.observe_many(v, 100)
         assert one.summary() == many.summary()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(
+                st.tuples(
+                    st.floats(-1e15, 1e15),  # sums stay finite
+                    st.integers(0, 6),
+                ),
+                max_size=12,
+            ),
+            max_size=4,
+        ),
+        reservoir=st.sampled_from([None, 1, 5]),
+    )
+    def test_observe_counts_matches_observe_many_loop(self, batches, reservoir):
+        loop = Histogram("h", reservoir=reservoir)
+        batched = Histogram("h", reservoir=reservoir)
+        for batch in batches:
+            for value, count in batch:
+                loop.observe_many(value, count)
+            values = [value for value, _ in batch]
+            batched.observe_counts(values, [count for _, count in batch])
+        # Sum, min and max bit for bit, and the same retained sample in
+        # the same order (so the same reservoir draws).
+        for name in ("count", "sum", "min", "max"):
+            assert repr(getattr(batched, name)) == repr(getattr(loop, name)), name
+        assert batched._values == loop._values
+        assert batched._sorted == loop._sorted
+        assert batched.summary() == loop.summary()
+
+    def test_observe_counts_rejects_bad_counts(self):
+        hist = Histogram("h")
+        with pytest.raises(ValueError, match="nonnegative"):
+            hist.observe_counts([1.0, 2.0], [1, -1])
+        with pytest.raises(ValueError, match="one length"):
+            hist.observe_counts([1.0, 2.0], [1])
+        assert hist.count == 0
 
     def test_reservoir_validation(self):
         with pytest.raises(ValueError):

@@ -175,6 +175,20 @@ class TestQueryProfile:
         union = QueryProfile(index, [("common", "other", "mid", "rare")], "union")
         assert union.shipped.tolist() == [8, 16, 24, 40]
 
+    def test_shipped_is_computed_on_first_use(self, index):
+        profile = QueryProfile(index, [("common", "mid", "rare")])
+        build_placement_problem(index, profile, 2)
+        assert index._bitsets is None  # mining needs no bitset work
+        assert profile.shipped.tolist() == [0, 8, 8]
+        assert index._bitsets is not None
+
+    def test_keyword_order_is_built_once_per_index(self, index):
+        order = index.keyword_order()
+        assert order.words == ("rare", "other", "mid", "common")
+        assert order.df.tolist() == [1, 2, 3, 5]
+        QueryProfile(index, [("common", "rare")])
+        assert index.keyword_order() is order
+
     def test_each_execute_log_compiles_again(self, index):
         engine = DistributedSearchEngine(index, {w: 0 for w in index.vocabulary})
         log = QueryLog([("rare", "common")])
@@ -216,6 +230,15 @@ class TestBuildPlacementProblem:
         log = QueryLog([("common", "mid", "rare")])
         problem = build_placement_problem(index, log, 2, correlation_mode="cooccurrence")
         assert problem.num_pairs == 3
+
+    def test_cooccurrence_drops_unindexed_words_as_replay_does(self, index):
+        # No problem object is "zzz", so a pair with it could not be
+        # built; the profile drops it before mining.
+        log = QueryLog([("common", "zzz", "rare")])
+        problem = build_placement_problem(index, log, 2, correlation_mode="cooccurrence")
+        pair = next(problem.pairs())
+        assert problem.num_pairs == 1
+        assert {problem.object_ids[pair.i], problem.object_ids[pair.j]} == {"common", "rare"}
 
     def test_union_mode(self, index):
         log = QueryLog([("common", "mid", "rare")])
