@@ -13,11 +13,19 @@ import numpy as np
 import pytest
 
 from repro.core.lp import pack_components
+from repro.core.greedy import greedy_placement
 from repro.core.hashing import random_hash_placement
 from repro.core.importance import top_important
+from repro.core.migration import select_migrations
+from repro.core.placement import Placement
+from repro.core.problem import PlacementProblem
 from repro.core.repair import repair_capacity
 from repro.core.rounding import round_best_of, round_fractional
-from repro.online.sketch import CountMinSketch, SpaceSavingPairs
+from repro.online.sketch import (
+    CountMinSketch,
+    SketchCorrelationEstimator,
+    SpaceSavingPairs,
+)
 from repro.search.engine import (
     DistributedSearchEngine,
     QueryProfile,
@@ -137,7 +145,7 @@ def ingest_pairs(study):
 
 
 def test_perf_cm_ingest_batched(benchmark, ingest_pairs):
-    """Vectorized, hash-memoizing Count-Min ingest (update_many)."""
+    """Vectorized Count-Min ingest (update_many): one digest per distinct key."""
     def run():
         sketch = CountMinSketch(width=2048, depth=4, seed=0)
         sketch.update_many(ingest_pairs)
@@ -170,6 +178,46 @@ def test_perf_space_saving_full(benchmark, ingest_pairs):
     tracker = benchmark(run)
     assert tracker.total == len(ingest_pairs)
     assert tracker.evictions > 0
+
+
+def test_perf_sketch_observe_trace(benchmark, study):
+    """One online_drift-sized period (~1,650 operations) through the
+    sketch estimator: 512 x 4 Count-Min cells, 128 heavy hitters."""
+    operations = [query.keywords for query in list(study.log)[:1650]]
+
+    def run():
+        estimator = SketchCorrelationEstimator(
+            width=512, depth=4, heavy_hitters=128, seed=0
+        )
+        estimator.observe_trace(operations)
+        return estimator
+
+    estimator = benchmark(run)
+    assert estimator.num_operations == len(operations)
+    assert len(estimator.heavy) == 128
+
+
+def test_perf_select_migrations(benchmark):
+    """One online replan's budgeted selection: 1,000 unit objects on 8
+    nodes, 128 heavy pairs among the 200 hottest, a 10% byte budget.
+    As in the online controller, only objects in a heavy pair have a
+    new target."""
+    rng = np.random.default_rng(0)
+    ids = [f"w{i:04d}" for i in range(1000)]
+    pairs: dict = {}
+    while len(pairs) < 128:
+        i, j = sorted(rng.choice(200, size=2, replace=False).tolist())
+        pairs[(ids[i], ids[j])] = float(rng.uniform(0.001, 0.05))
+    problem = PlacementProblem.build(dict.fromkeys(ids, 1.0), 8, pairs)
+    current = random_hash_placement(problem)
+    heavy = sorted({problem.object_index(obj) for pair in pairs for obj in pair})
+    assignment = current.assignment.copy()
+    assignment[heavy] = greedy_placement(problem).assignment[heavy]
+    target = Placement(problem, assignment)
+
+    migration = benchmark(lambda: select_migrations(current, target, budget_bytes=100.0))
+    assert 0 < migration.bytes_moved <= 100.0
+    assert migration.cost_after <= migration.cost_before
 
 
 def test_perf_disabled_obs_overhead(scoped):

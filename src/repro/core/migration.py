@@ -15,6 +15,7 @@ communication saving per byte migrated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,19 +155,29 @@ def select_migrations(
     if budget_bytes is not None and budget_bytes < 0:
         raise ValueError("budget_bytes must be nonnegative")
 
-    assignment = current.assignment.copy()
-    loads = np.bincount(assignment, weights=problem.sizes, minlength=problem.num_nodes)
-    capacities = problem.capacities
+    sizes = problem.sizes.tolist()
+    targets = target.assignment.tolist()
+    assignment = current.assignment.tolist()
+    loads = np.bincount(
+        current.assignment, weights=problem.sizes, minlength=problem.num_nodes
+    ).tolist()
+    limits = (problem.capacities + 1e-9).tolist()
+    bounded = [respect_capacity and math.isfinite(c) for c in problem.capacities.tolist()]
+    budget_limit = None if budget_bytes is None else budget_bytes + 1e-9
 
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(problem.num_objects)]
-    for (i, j), weight in zip(problem.pair_index, problem.pair_weights):
+    for (i, j), weight in zip(problem.pair_index.tolist(), problem.pair_weights.tolist()):
         if weight > 0:
-            adjacency[int(i)].append((int(j), float(weight)))
-            adjacency[int(j)].append((int(i), float(weight)))
+            adjacency[i].append((j, weight))
+            adjacency[j].append((i, weight))
 
-    def gain(obj: int) -> float:
-        """Cost reduction from moving ``obj`` to its target node now."""
-        src, dst = assignment[obj], target.assignment[obj]
+    # Each candidate's (gain, gain per byte) of moving to its target
+    # now.  A gain reads only where the object's neighbours sit, so a
+    # move drops just the moved object's neighbours' entries.
+    scores: dict[int, tuple[float, float]] = {}
+
+    def score(obj: int) -> tuple[float, float]:
+        src, dst = assignment[obj], targets[obj]
         value = 0.0
         for neighbor, weight in adjacency[obj]:
             where = assignment[neighbor]
@@ -174,48 +185,49 @@ def select_migrations(
                 value -= weight  # colocated pair becomes split
             elif where == dst:
                 value += weight  # split pair becomes colocated
-        return value
+        scores[obj] = value, value / sizes[obj]
+        return scores[obj]
 
-    candidates = set(np.where(assignment != target.assignment)[0].tolist())
+    candidates = set(np.where(current.assignment != target.assignment)[0].tolist())
     cost_before = Placement(problem, current.assignment).communication_cost()
     moves: list[Migration] = []
     moved_bytes = 0.0
 
     while candidates:
-        best_obj, best_rate, best_gain = -1, -np.inf, 0.0
+        best_obj, best_rate, best_gain = -1, -math.inf, 0.0
         for obj in candidates:
-            size = problem.sizes[obj]
-            if budget_bytes is not None and moved_bytes + size > budget_bytes + 1e-9:
+            size = sizes[obj]
+            if budget_limit is not None and moved_bytes + size > budget_limit:
                 continue
-            dst = target.assignment[obj]
-            if respect_capacity and np.isfinite(capacities[dst]):
-                if loads[dst] + size > capacities[dst] + 1e-9:
-                    continue
-            g = gain(int(obj))
-            rate = g / size
+            dst = targets[obj]
+            if bounded[dst] and loads[dst] + size > limits[dst]:
+                continue
+            g, rate = scores.get(obj) or score(obj)
             if rate > best_rate:
-                best_obj, best_rate, best_gain = int(obj), rate, g
+                best_obj, best_rate, best_gain = obj, rate, g
         if best_obj < 0 or best_gain < 0:
             break
-        src, dst = assignment[best_obj], target.assignment[best_obj]
+        src, dst, size = assignment[best_obj], targets[best_obj], sizes[best_obj]
         moves.append(
             Migration(
                 obj=problem.object_ids[best_obj],
                 source=problem.node_ids[src],
                 destination=problem.node_ids[dst],
-                size=float(problem.sizes[best_obj]),
+                size=size,
             )
         )
-        moved_bytes += problem.sizes[best_obj]
-        loads[src] -= problem.sizes[best_obj]
-        loads[dst] += problem.sizes[best_obj]
+        moved_bytes += size
+        loads[src] -= size
+        loads[dst] += size
         assignment[best_obj] = dst
         candidates.discard(best_obj)
+        for neighbor, _weight in adjacency[best_obj]:
+            scores.pop(neighbor, None)
 
     cost_after = Placement(problem, assignment).communication_cost()
     return MigrationPlan(
         migrations=tuple(moves),
-        bytes_moved=float(moved_bytes),
+        bytes_moved=moved_bytes,
         cost_before=cost_before,
         cost_after=cost_after,
     )

@@ -33,6 +33,7 @@ import hashlib
 import heapq
 import math
 import warnings
+from itertools import repeat
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,9 +48,6 @@ from repro.core.correlation import (
 ObjectId = Hashable
 Operation = Sequence[ObjectId]
 Pair = tuple[ObjectId, ObjectId]
-
-#: Types whose value fixes their repr (``bool`` is not ``int`` here).
-_FIXED_REPR = (str, int)
 
 
 class CountMinSketch:
@@ -69,12 +67,6 @@ class CountMinSketch:
             match.
     """
 
-    # Cap on the memoized key -> cell-indices table used by the batch
-    # ingest path.  Bounded so the sketch's O(width x depth) memory
-    # guarantee survives adversarial key universes; Zipf streams fit
-    # their whole heavy tail long before the cap.
-    _INDEX_CACHE_CAPACITY = 1 << 16
-
     def __init__(self, width: int = 1024, depth: int = 4, seed: int = 0):
         if width < 1 or depth < 1:
             raise ValueError("width and depth must be at least 1")
@@ -86,56 +78,44 @@ class CountMinSketch:
         self._key = hashlib.blake2b(
             str(self.seed).encode("utf-8"), digest_size=16
         ).digest()
-        self._index_cache: dict[Hashable, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Hashing
     # ------------------------------------------------------------------
-    def _indices(self, key: Hashable) -> list[int]:
-        digest = hashlib.blake2b(
-            repr(key).encode("utf-8"), digest_size=16, key=self._key
-        ).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1  # odd, never degenerate
-        return [(h1 + row * h2) % self.width for row in range(self.depth)]
+    def _cells_of(self, reprs: Iterable[str]) -> np.ndarray:
+        """Each key's cell in every row, as ``(keys, depth)`` flat indices.
+
+        Cells follow a key's ``repr``, so equal keys with other reprs
+        (``1`` and ``True``, ``0.0`` and ``-0.0``) hash apart.  Each
+        distinct repr is digested once; the digest's halves ``h1`` and
+        ``h2`` put row ``r`` at column ``(h1 + r * (h2 | 1)) % width``,
+        computed in uint64 as the congruent
+        ``((h1 % w) + r * ((h2 | 1) % w)) % w``, whose terms stay below
+        ``depth * width``.
+        """
+        distinct: dict[str, int] = {}
+        inverse = [distinct.setdefault(text, len(distinct)) for text in reprs]
+        # Copying a keyed hasher gives the keyed digest without paying
+        # the key set-up per repr.
+        keyed = hashlib.blake2b(digest_size=16, key=self._key)
+        digests = bytearray()
+        for text in distinct:
+            hasher = keyed.copy()
+            hasher.update(text.encode("utf-8"))
+            digests += hasher.digest()
+        halves = np.frombuffer(digests, dtype=">u8").astype(np.uint64).reshape(-1, 2)
+        w = np.uint64(self.width)
+        rows = np.arange(self.depth, dtype=np.uint64)
+        cols = (halves[:, :1] % w + rows * ((halves[:, 1:] | np.uint64(1)) % w)) % w
+        cells = (cols + rows * w).astype(np.intp)
+        return cells[np.asarray(inverse, dtype=np.intp)]
 
     # ------------------------------------------------------------------
     # Updates and queries
     # ------------------------------------------------------------------
-    def _cached_indices(self, key: Hashable) -> tuple[int, ...]:
-        """Memoized :meth:`_indices` for the batch ingest path.
-
-        Streams revisit hot keys constantly (that is the point of the
-        heavy-hitter machinery), so the BLAKE2b digest of a repeated
-        key is pure recomputation.  The cells follow the key's repr,
-        and equal keys can differ in repr (``1`` and ``True``, ``0.0``
-        and ``-0.0``), so only a ``str`` or ``int`` key, or a pair of
-        them, is memoized.  The table is cleared wholesale at capacity
-        — deterministic, and cheaper than LRU bookkeeping.
-        """
-        fixed = type(key) in _FIXED_REPR or (
-            type(key) is tuple
-            and len(key) == 2
-            and type(key[0]) in _FIXED_REPR
-            and type(key[1]) in _FIXED_REPR
-        )
-        if not fixed:
-            return tuple(self._indices(key))
-        cached = self._index_cache.get(key)
-        if cached is None:
-            if len(self._index_cache) >= self._INDEX_CACHE_CAPACITY:
-                self._index_cache.clear()
-            cached = tuple(self._indices(key))
-            self._index_cache[key] = cached
-        return cached
-
     def add(self, key: Hashable, count: float = 1.0) -> None:
         """Increment ``key`` by ``count`` (must be nonnegative)."""
-        if not count >= 0:
-            raise ValueError("count must be nonnegative")
-        for row, idx in enumerate(self._indices(key)):
-            self._cells[row, idx] += count
-        self._total += count
+        self.update_many((key,), (count,))
 
     def update_many(
         self,
@@ -148,39 +128,34 @@ class CountMinSketch:
         cell updates are applied with ``np.add.at`` in key-major,
         row-minor element order — the exact accumulation order of the
         sequential loop — and the running total accumulates one key at
-        a time so floating-point association matches too.  Hashing is
-        memoized per key (:meth:`_cached_indices`), which is where the
-        batch path wins on the heavily repeating streams the online
-        subsystem ingests.
+        a time so floating-point association matches too.  A key
+        repeated within the batch is hashed once (:meth:`_cells_of`).
 
         Args:
             keys: Keys to increment, in stream order.
             counts: Per-key nonnegative increments (default: 1 each).
         """
-        keys = list(keys)
-        if not keys:
+        self._scatter([repr(key) for key in keys], counts)
+
+    def _scatter(self, reprs: list[str], counts: Sequence[float] | None = None) -> None:
+        """:meth:`update_many` of the keys with these reprs."""
+        if not reprs:
             return
         if counts is None:
-            count_list = [1.0] * len(keys)
+            count_list = [1.0] * len(reprs)
         else:
             count_list = [float(c) for c in counts]
-            if len(count_list) != len(keys):
+            if len(count_list) != len(reprs):
                 raise ValueError("counts must match the number of keys")
             if not all(c >= 0 for c in count_list):
                 raise ValueError("count must be nonnegative")
-        cols = np.fromiter(
-            (idx for key in keys for idx in self._cached_indices(key)),
-            dtype=np.int64,
-            count=len(keys) * self.depth,
-        )
-        rows = np.tile(np.arange(self.depth, dtype=np.int64), len(keys))
         np.add.at(
-            self._cells,
-            (rows, cols),
+            self._cells.reshape(-1),
+            self._cells_of(reprs).ravel(),
             np.repeat(np.asarray(count_list, dtype=float), self.depth),
         )
         if counts is None:
-            self._total = _add_ones(self._total, len(keys))
+            self._total = _add_ones(self._total, len(reprs))
         else:
             total = self._total
             for c in count_list:
@@ -189,9 +164,12 @@ class CountMinSketch:
 
     def estimate(self, key: Hashable) -> float:
         """Point estimate for ``key``: never below the true count."""
-        return float(
-            min(self._cells[row, idx] for row, idx in enumerate(self._indices(key)))
-        )
+        return self.estimate_many((key,))[0]
+
+    def estimate_many(self, keys: Iterable[Hashable]) -> list[float]:
+        """:meth:`estimate` of each key, in one vectorized lookup."""
+        cells = self._cells_of(map(repr, keys))
+        return self._cells.reshape(-1)[cells].min(axis=1).tolist()
 
     def scale(self, factor: float) -> None:
         """Multiply every cell by ``factor`` (exponential aging)."""
@@ -256,7 +234,7 @@ class CountMinSketch:
                 is negative or NaN, or the total is negative or NaN.
         """
         sketch = cls(width=doc["width"], depth=doc["depth"], seed=doc["seed"])
-        cells = np.asarray(doc["cells"], dtype=float)
+        cells = np.ascontiguousarray(doc["cells"], dtype=float)
         if cells.shape != (sketch.depth, sketch.width):
             raise ValueError("serialized cells do not match width/depth")
         if not (cells >= 0).all():
@@ -301,31 +279,65 @@ class SpaceSavingPairs:
         self.evictions = 0
 
     def add(self, pair: Pair, count: float = 1.0) -> None:
-        """Fold one observation of ``pair`` into the summary."""
-        if not count >= 0:
-            raise ValueError("count must be nonnegative")
-        self._total += count
-        entry = self._entries.get(pair)
-        if entry is not None:
-            entry[0] += count
-        elif len(self._entries) < self.capacity:
-            self._entries[pair] = [count, 0.0]
-            heapq.heappush(self._heap, (count, repr(pair), self._seq, pair))
-            self._seq += 1
+        """Fold one observation of ``pair`` into the summary.
+
+        The count must be finite, as :meth:`from_dict` requires of the
+        total.
+        """
+        if not (count >= 0 and math.isfinite(count)):
+            raise ValueError("count must be finite and nonnegative")
+        self._fold((pair,), (count,))
+
+    def _fold(
+        self,
+        pairs: Sequence[Pair],
+        counts: Sequence[float] | None = None,
+        reprs: Iterable[str] | None = None,
+    ) -> None:
+        """Fold ``pairs`` in order, as one :meth:`add` each.
+
+        ``counts`` defaults to 1 per pair and must already be
+        nonnegative; ``reprs``, each pair's ``repr``, is computed when
+        not given.  The total grows one count at a time, and
+        ``max_tracked`` is set once: a fold never shrinks the summary,
+        so its largest size is its last.
+        """
+        entries, heap, capacity = self._entries, self._heap, self.capacity
+        get, heappush, heapreplace = entries.get, heapq.heappush, heapq.heapreplace
+        seq, evictions = self._seq, self.evictions
+        for pair, count, text in zip(
+            pairs,
+            repeat(1.0) if counts is None else counts,
+            map(repr, pairs) if reprs is None else reprs,
+        ):
+            entry = get(pair)
+            if entry is not None:
+                entry[0] += count
+            elif len(entries) < capacity:
+                entries[pair] = [count, 0.0]
+                heappush(heap, (count, text, seq, pair))
+                seq += 1
+            else:
+                while True:
+                    stored, key, victim_seq, victim = heap[0]
+                    floor = entries[victim][0]
+                    if stored == floor:
+                        break
+                    heapreplace(heap, (floor, key, victim_seq, victim))
+                del entries[victim]
+                entries[pair] = [floor + count, floor]
+                heapreplace(heap, (floor + count, text, seq, pair))
+                seq += 1
+                evictions += 1
+        self._seq, self.evictions = seq, evictions
+        if counts is None:
+            self._total = _add_ones(self._total, len(pairs))
         else:
-            heap = self._heap
-            while True:
-                stored, key, seq, victim = heap[0]
-                floor = self._entries[victim][0]
-                if stored == floor:
-                    break
-                heapq.heapreplace(heap, (floor, key, seq, victim))
-            del self._entries[victim]
-            self._entries[pair] = [floor + count, floor]
-            heapq.heapreplace(heap, (floor + count, repr(pair), self._seq, pair))
-            self._seq += 1
-            self.evictions += 1
-        self.max_tracked = max(self.max_tracked, len(self._entries))
+            total = self._total
+            for count in counts:
+                total += count
+            self._total = total
+        self.max_tracked = max(self.max_tracked, len(entries))
 
     def count(self, pair: Pair) -> float:
         """Tracked (over-)count of ``pair``; 0 when untracked."""
@@ -398,8 +410,10 @@ class SpaceSavingPairs:
 
         Raises:
             ValueError: When a pair repeats, the entries exceed the
-                capacity, a count is negative or NaN, or an error lies
-                outside ``[0, count]``.
+                capacity, a count is negative or NaN, an error lies
+                outside ``[0, count]``, the total is negative or not
+                finite, the evictions are negative, or ``max_tracked``
+                is below the number of entries.
         """
         tracker = cls(capacity=doc["capacity"])
         for raw_pair, count, error in doc["entries"]:
@@ -420,9 +434,21 @@ class SpaceSavingPairs:
         if len(tracker._entries) > tracker.capacity:
             raise ValueError("serialized entries exceed capacity")
         heapq.heapify(tracker._heap)
-        tracker._total = float(doc["total"])
-        tracker.max_tracked = int(doc["max_tracked"])
-        tracker.evictions = int(doc["evictions"])
+        total = float(doc["total"])
+        if not (math.isfinite(total) and total >= 0):
+            raise ValueError(f"serialized total {total!r} must be finite and nonnegative")
+        max_tracked = int(doc["max_tracked"])
+        if max_tracked < len(tracker._entries):
+            raise ValueError(
+                f"max_tracked {max_tracked} is below the {len(tracker._entries)} "
+                "serialized entries"
+            )
+        evictions = int(doc["evictions"])
+        if evictions < 0:
+            raise ValueError(f"serialized evictions {evictions} must be nonnegative")
+        tracker._total = total
+        tracker.max_tracked = max_tracked
+        tracker.evictions = evictions
         return tracker
 
 
@@ -480,16 +506,16 @@ class SketchCorrelationEstimator:
         """Fold a trace into both summaries in one pass; returns ops ingested.
 
         Both summaries see the :func:`~repro.core.correlation.operation_pairs`
-        stream in trace order, the Count-Min updates through the
-        vectorized, hash-memoizing :meth:`CountMinSketch.update_many`,
-        and the operation total grows by one ``+= 1`` per operation.
-        This is the ingest path the online controller drives once per
-        period.
+        stream in trace order, the Count-Min through the vectorized
+        :meth:`CountMinSketch.update_many` and the Space-Saving summary
+        through one fold, and the operation total grows by one ``+= 1``
+        per operation.  This is the ingest path the online controller
+        drives once per period.
         """
         pairs, ops = _trace_pairs(trace, self.mode, self.sizes)
-        self.sketch.update_many(pairs)
-        for pair in pairs:
-            self.heavy.add(pair)
+        reprs = [repr(pair) for pair in pairs]
+        self.sketch._scatter(reprs)
+        self.heavy._fold(pairs, reprs=reprs)
         self._total_ops = _add_ones(self._total_ops, ops)
         return ops
 
@@ -516,9 +542,11 @@ class SketchCorrelationEstimator:
         """
         if self._total_ops <= 0:
             return {}
+        rows = self.heavy.items()
+        estimates = self.sketch.estimate_many([pair for pair, _count, _error in rows])
         result: PairProbabilities = {}
-        for pair, count, _error in self.heavy.items():
-            tightened = min(count, self.sketch.estimate(pair))
+        for (pair, count, _error), estimate in zip(rows, estimates):
+            tightened = min(count, estimate)
             if tightened >= min_support:
                 result[pair] = tightened / self._total_ops
         return result
@@ -570,8 +598,9 @@ class SketchCorrelationEstimator:
 
         Raises:
             ValueError: For an unknown mode, a size-aware mode without
-                sizes, or summaries :meth:`CountMinSketch.from_dict` or
-                :meth:`SpaceSavingPairs.from_dict` reject.
+                sizes, an operation total that is negative or not
+                finite, or summaries :meth:`CountMinSketch.from_dict`
+                or :meth:`SpaceSavingPairs.from_dict` reject.
         """
         estimator = cls.__new__(cls)
         estimator.mode = doc["mode"]
@@ -587,5 +616,10 @@ class SketchCorrelationEstimator:
             )
         estimator.sketch = CountMinSketch.from_dict(doc["sketch"])
         estimator.heavy = SpaceSavingPairs.from_dict(doc["heavy"])
-        estimator._total_ops = float(doc["total_operations"])
+        total_ops = float(doc["total_operations"])
+        if not (math.isfinite(total_ops) and total_ops >= 0):
+            raise ValueError(
+                f"serialized total_operations {total_ops!r} must be finite and nonnegative"
+            )
+        estimator._total_ops = total_ops
         return estimator

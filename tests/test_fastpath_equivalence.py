@@ -1,18 +1,19 @@
 """Property tests: every vectorized fast path is byte-identical to its loop.
 
 Batched engines sit behind existing APIs — bulk LP constraint
-assembly, capacity repair from cached move deltas, the columnar
-query-log compile, query-log replay from a compiled profile and
-correlation mining from it, replica
-routing on bitset intersection counts, vectorized Count-Min
-ingestion, heap-based Space-Saving eviction, and chunked correlation
-mining.  Each one promises *byte-identical* output to the legacy
+assembly, capacity repair from cached move deltas, migration
+selection from memoized gains, the columnar query-log compile,
+query-log replay from a compiled profile and correlation mining from
+it, replica routing on bitset intersection counts, Count-Min rows
+hashed once per distinct key, heap-based Space-Saving eviction
+folded per batch, and chunked correlation mining.  Each one promises *byte-identical* output to the legacy
 per-item loop under fixed seeds; these hypothesis suites hold them to
 it, including dict insertion order and the type-gate fallbacks of the
 miner.
 """
 
 import asyncio
+import hashlib
 import heapq
 import json
 import math
@@ -33,12 +34,17 @@ from repro.core.correlation import (
     union_largest_correlations,
 )
 from repro.core.lp import build_placement_lp
+from repro.core.migration import Migration, MigrationPlan, select_migrations
 from repro.core.problem import PlacementProblem
 from repro.core.repair import repair_capacity
 from repro.core.replication import ReplicatedPlacement
 from repro.exceptions import InfeasibleProblemError
 from repro.lpsolve import LinearProgram, Sense
-from repro.online.sketch import SketchCorrelationEstimator, SpaceSavingPairs
+from repro.online.sketch import (
+    CountMinSketch,
+    SketchCorrelationEstimator,
+    SpaceSavingPairs,
+)
 from repro import obs
 from repro.core.placement import Placement
 from repro.search.documents import Corpus, Document
@@ -243,6 +249,65 @@ class TestSketchIngestEquivalence:
         _assert_same_mapping(batched.correlations(), reference.correlations())
 
 
+def _indices_reference(sketch, key):
+    """Big-int Count-Min rows: one digest per key, ``(h1 + row * h2) % width``."""
+    digest = hashlib.blake2b(
+        repr(key).encode("utf-8"), digest_size=16, key=sketch._key
+    ).digest()
+    h1 = int.from_bytes(digest[:8], "big")
+    h2 = int.from_bytes(digest[8:], "big") | 1  # odd, never degenerate
+    return [(h1 + row * h2) % sketch.width for row in range(sketch.depth)]
+
+
+# Widths where a wrong modular reduction shows (powers of two hide
+# it), and keys equal under == whose reprs differ.
+_CM_WIDTHS = [1, 7, 61, 1000] + [2**k + d for k in (5, 10, 16) for d in (-1, 1)]
+_EQUAL_KEYS = [1, True, 1.0, 0, False, 0.0, -0.0, (0, 1), (0, True), (0.0, 1), (-0.0, 1), "1"]
+
+
+class TestCountMinEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.sampled_from(_CM_WIDTHS),
+        depth=st.integers(1, 6),
+        seed=st.integers(0, 2**31 - 1),
+        batches=st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(_EQUAL_KEYS),
+                    st.sampled_from([0.0, 0.1, 1.0, 2.5]) | st.floats(0, 1e6),
+                ),
+                max_size=10,
+            ),
+            max_size=4,
+        ),
+        unit=st.booleans(),
+    )
+    def test_rows_match_big_int_reference(self, width, depth, seed, batches, unit):
+        batched = CountMinSketch(width, depth, seed)
+        single = CountMinSketch(width, depth, seed)
+        cells = np.zeros((depth, width))
+        total = 0.0
+        for batch in batches:
+            keys = [key for key, _count in batch]
+            counts = [1.0] * len(batch) if unit else [count for _key, count in batch]
+            batched.update_many(keys, None if unit else counts)
+            for key, count in zip(keys, counts):
+                single.add(key, count)
+                for row, col in enumerate(_indices_reference(batched, key)):
+                    cells[row, col] += count
+                total += count
+        for sketch in (batched, single):
+            assert sketch._cells.tobytes() == cells.tobytes()
+            assert sketch.total == total
+        expected = [
+            float(min(cells[row, col] for row, col in enumerate(_indices_reference(batched, key))))
+            for key in _EQUAL_KEYS
+        ]
+        assert [batched.estimate(key) for key in _EQUAL_KEYS] == expected
+        assert batched.estimate_many(_EQUAL_KEYS) == expected
+
+
 # ----------------------------------------------------------------------
 # Chunk seams of the shared miner
 # ----------------------------------------------------------------------
@@ -376,6 +441,52 @@ def _ss_steps(draw):
     return kind, draw(st.booleans())
 
 
+@st.composite
+def _ss_fold_steps(draw):
+    """A batch fold (unit or explicit counts, reprs passed or not), or a
+    step of :func:`_ss_steps`."""
+    if draw(st.integers(0, 2)):
+        return draw(_ss_steps())
+    pairs = draw(st.lists(st.sampled_from(_SS_UNIVERSE), max_size=12))
+    counts = draw(
+        st.none()
+        | st.lists(
+            st.sampled_from([0.5, 1.0, 2.0]), min_size=len(pairs), max_size=len(pairs)
+        )
+    )
+    return "fold", pairs, counts, draw(st.booleans())
+
+
+def _ss_step(tracker, reference, step):
+    """Apply ``step`` to both trackers; returns the (maybe restored) tracker."""
+    if step[0] == "add":
+        tracker.add(step[1], step[2])
+        reference.add(step[1], step[2])
+    elif step[0] == "fold":
+        _kind, pairs, counts, with_reprs = step
+        tracker._fold(pairs, counts, [repr(pair) for pair in pairs] if with_reprs else None)
+        for pair, count in zip(pairs, [1.0] * len(pairs) if counts is None else counts):
+            reference.add(pair, count)
+    elif step[0] == "scale":
+        tracker.scale(step[1])
+        reference.scale(step[1])
+    else:
+        doc = tracker.to_dict()
+        if step[1]:
+            doc = json.loads(json.dumps(doc))
+        tracker = SpaceSavingPairs.from_dict(doc)
+        reference.round_trip(step[1])
+    assert tracker.items() == reference.items()
+    assert tracker.evictions == reference.evictions
+    assert tracker.max_tracked == reference.max_tracked
+    assert tracker.total == reference.total
+    for pair in _SS_UNIVERSE:
+        entry = reference.entries.get(pair, [0.0, 0.0])
+        assert tracker.count(pair) == entry[0]
+        assert tracker.error(pair) == entry[1]
+    return tracker
+
+
 class TestSpaceSavingEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -386,26 +497,18 @@ class TestSpaceSavingEquivalence:
         tracker = SpaceSavingPairs(capacity)
         reference = _SpaceSavingScan(capacity)
         for step in steps:
-            if step[0] == "add":
-                tracker.add(step[1], step[2])
-                reference.add(step[1], step[2])
-            elif step[0] == "scale":
-                tracker.scale(step[1])
-                reference.scale(step[1])
-            else:
-                doc = tracker.to_dict()
-                if step[1]:
-                    doc = json.loads(json.dumps(doc))
-                tracker = SpaceSavingPairs.from_dict(doc)
-                reference.round_trip(step[1])
-            assert tracker.items() == reference.items()
-            assert tracker.evictions == reference.evictions
-            assert tracker.max_tracked == reference.max_tracked
-            assert tracker.total == reference.total
-            for pair in _SS_UNIVERSE:
-                entry = reference.entries.get(pair, [0.0, 0.0])
-                assert tracker.count(pair) == entry[0]
-                assert tracker.error(pair) == entry[1]
+            tracker = _ss_step(tracker, reference, step)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 4),
+        steps=st.lists(_ss_fold_steps(), min_size=10, max_size=40),
+    )
+    def test_batch_folds_match_linear_scan(self, capacity, steps):
+        tracker = SpaceSavingPairs(capacity)
+        reference = _SpaceSavingScan(capacity)
+        for step in steps:
+            tracker = _ss_step(tracker, reference, step)
 
 
 # ----------------------------------------------------------------------
@@ -688,6 +791,128 @@ class TestRepairEquivalence:
         expected = _repair_reference(placement)
         assert expected.node_of("b") == 1
         assert repair_capacity(placement) == expected
+
+
+# ----------------------------------------------------------------------
+# Migration selection
+# ----------------------------------------------------------------------
+
+def _select_migrations_reference(
+    current, target, budget_bytes=None, respect_capacity=True
+):
+    """The re-scoring loop: every candidate's gain through numpy scalars
+    after each move.  Candidates are scanned in set order and a strictly
+    better gain per byte wins."""
+    problem = target.problem
+    assignment = current.assignment.copy()
+    loads = np.bincount(assignment, weights=problem.sizes, minlength=problem.num_nodes)
+    capacities = problem.capacities
+
+    adjacency = [[] for _ in range(problem.num_objects)]
+    for (i, j), weight in zip(problem.pair_index, problem.pair_weights):
+        if weight > 0:
+            adjacency[int(i)].append((int(j), float(weight)))
+            adjacency[int(j)].append((int(i), float(weight)))
+
+    def gain(obj):
+        src, dst = assignment[obj], target.assignment[obj]
+        value = 0.0
+        for neighbor, weight in adjacency[obj]:
+            where = assignment[neighbor]
+            if where == src:
+                value -= weight
+            elif where == dst:
+                value += weight
+        return value
+
+    candidates = set(np.where(assignment != target.assignment)[0].tolist())
+    cost_before = Placement(problem, current.assignment).communication_cost()
+    moves = []
+    moved_bytes = 0.0
+
+    while candidates:
+        best_obj, best_rate, best_gain = -1, -np.inf, 0.0
+        for obj in candidates:
+            size = problem.sizes[obj]
+            if budget_bytes is not None and moved_bytes + size > budget_bytes + 1e-9:
+                continue
+            dst = target.assignment[obj]
+            if respect_capacity and np.isfinite(capacities[dst]):
+                if loads[dst] + size > capacities[dst] + 1e-9:
+                    continue
+            g = gain(int(obj))
+            rate = g / size
+            if rate > best_rate:
+                best_obj, best_rate, best_gain = int(obj), rate, g
+        if best_obj < 0 or best_gain < 0:
+            break
+        src, dst = assignment[best_obj], target.assignment[best_obj]
+        moves.append(
+            Migration(
+                obj=problem.object_ids[best_obj],
+                source=problem.node_ids[src],
+                destination=problem.node_ids[dst],
+                size=float(problem.sizes[best_obj]),
+            )
+        )
+        moved_bytes += problem.sizes[best_obj]
+        loads[src] -= problem.sizes[best_obj]
+        loads[dst] += problem.sizes[best_obj]
+        assignment[best_obj] = dst
+        candidates.discard(best_obj)
+
+    cost_after = Placement(problem, assignment).communication_cost()
+    return MigrationPlan(
+        migrations=tuple(moves),
+        bytes_moved=float(moved_bytes),
+        cost_before=cost_before,
+        cost_after=cost_after,
+    )
+
+
+@st.composite
+def _migration_cases(draw):
+    """Small integer instances, so gain-per-byte ties are common.
+
+    Weights include zeros, capacities mix finite and infinite values,
+    and the budget is unlimited, zero or partial.
+    """
+    t = draw(st.integers(1, 30))
+    n = draw(st.integers(2, 5))
+    ids = [f"o{i}" for i in range(t)]
+    sizes = draw(st.lists(st.integers(1, 3), min_size=t, max_size=t))
+    capacities = draw(st.lists(_CAPACITY, min_size=n, max_size=n))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, t - 1), st.integers(0, t - 1), st.integers(0, 3)),
+            max_size=3 * t,
+        )
+    )
+    correlations = {(ids[i], ids[j]): float(w) for i, j, w in edges if i != j}
+    problem = PlacementProblem.build(
+        dict(zip(ids, map(float, sizes))), dict(enumerate(capacities)), correlations
+    )
+    current, target = (
+        Placement(problem, np.array(draw(st.lists(st.integers(0, n - 1), min_size=t, max_size=t))))
+        for _ in range(2)
+    )
+    budget = draw(
+        st.sampled_from([None, 0.0])
+        | st.integers(0, 2 * sum(sizes)).map(lambda half: half / 2)
+    )
+    return current, target, budget, draw(st.booleans())
+
+
+class TestMigrationEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_migration_cases())
+    def test_memoized_gains_match_rescoring_loop(self, case):
+        current, target, budget, respect_capacity = case
+        fast = select_migrations(current, target, budget, respect_capacity)
+        reference = _select_migrations_reference(current, target, budget, respect_capacity)
+        # Move order included; repr also tells a float from a numpy scalar.
+        assert fast == reference
+        assert repr(fast) == repr(reference)
 
 
 # ----------------------------------------------------------------------

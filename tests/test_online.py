@@ -1,9 +1,12 @@
 """Streaming correlation mining and the online control loop."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.correlation import CorrelationEstimator, PairEstimator
 from repro.core.placement import Placement
@@ -49,12 +52,16 @@ class TestCountMinSketch:
         a = CountMinSketch(width=64, depth=4, seed=7)
         b = CountMinSketch(width=64, depth=4, seed=7)
         for key in ("x", ("p", "q"), 42):
-            assert a._indices(key) == b._indices(key)
+            a.add(key)
+            b.add(key)
+            assert a.to_dict() == b.to_dict()
 
     def test_seed_changes_hashing(self):
         a = CountMinSketch(width=4096, depth=4, seed=0)
         b = CountMinSketch(width=4096, depth=4, seed=1)
-        assert a._indices("x") != b._indices("x")
+        a.add("x")
+        b.add("x")
+        assert a.to_dict()["cells"] != b.to_dict()["cells"]
 
     def test_scale_and_bounds(self):
         sketch = CountMinSketch(width=32, depth=2, seed=0)
@@ -119,6 +126,79 @@ class TestCountMinSketch:
         assert batched.to_dict() == one_by_one.to_dict()
 
 
+_BOUND_KEYS = [1, True, 0.0, -0.0, "a", ("a", "b"), ("a", True), ("a", 1)]
+
+
+@st.composite
+def _cm_steps(draw):
+    """add / update_many / scale / merge / JSON round trip, with counts."""
+    batch = st.lists(
+        st.tuples(st.sampled_from(_BOUND_KEYS), st.sampled_from([0.0, 0.1, 1.0, 3.7])),
+        max_size=8,
+    )
+    kind = draw(st.sampled_from(["add", "update_many", "scale", "merge", "round_trip"]))
+    if kind in ("add", "update_many", "merge"):
+        return kind, draw(batch)
+    if kind == "scale":
+        return kind, draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    return kind, None
+
+
+class TestCountMinBound:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.sampled_from([1, 3, 7, 61]),
+        depth=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+        steps=st.lists(_cm_steps(), max_size=25),
+    )
+    def test_estimate_never_undercounts(self, width, depth, seed, steps):
+        # The true count follows each key's repr (1 and True apart), with
+        # the sketch's own float operations in the same order per key.
+        sketch = CountMinSketch(width, depth, seed)
+        truth: dict[str, float] = {}
+        for kind, arg in steps:
+            if kind == "add":
+                for key, count in arg:
+                    sketch.add(key, count)
+                    truth[repr(key)] = truth.get(repr(key), 0.0) + count
+            elif kind == "update_many":
+                sketch.update_many([key for key, _ in arg], [count for _, count in arg])
+                for key, count in arg:
+                    truth[repr(key)] = truth.get(repr(key), 0.0) + count
+            elif kind == "scale":
+                sketch.scale(arg)
+                truth = {key: count * arg for key, count in truth.items()}
+            elif kind == "merge":
+                other = CountMinSketch(width, depth, seed)
+                other_truth: dict[str, float] = {}
+                for key, count in arg:
+                    other.add(key, count)
+                    other_truth[repr(key)] = other_truth.get(repr(key), 0.0) + count
+                sketch.merge(other)
+                for key, count in other_truth.items():
+                    truth[key] = truth.get(key, 0.0) + count
+            else:
+                sketch = CountMinSketch.from_dict(json.loads(json.dumps(sketch.to_dict())))
+            for key in _BOUND_KEYS:
+                assert sketch.estimate(key) >= truth.get(repr(key), 0.0)
+
+    @pytest.mark.parametrize("width, depth", [(61, 1), (61, 3), (512, 4), (1000, 2)])
+    def test_zipf_stream_meets_the_overcount_bound(self, width, depth):
+        # With probability >= 1 - e^-depth per key, an estimate
+        # overcounts by at most (e / width) * N.
+        rng = np.random.default_rng(3)
+        keys = [f"k{rank}" for rank in rng.zipf(1.2, size=20_000) % 5_000]
+        sketch = CountMinSketch(width, depth, seed=9)
+        sketch.update_many(keys)
+        truth = Counter(keys)
+        bound = sketch.epsilon * sketch.total
+        estimates = sketch.estimate_many(truth)
+        within = sum(est - truth[key] <= bound for key, est in zip(truth, estimates))
+        assert min(est - count for est, count in zip(estimates, truth.values())) >= 0
+        assert within / len(truth) >= 1 - sketch.delta
+
+
 class TestSpaceSavingPairs:
     def test_exact_below_capacity(self):
         tracker = SpaceSavingPairs(capacity=8)
@@ -167,7 +247,7 @@ class TestSpaceSavingPairs:
 
     def test_negative_count_raises(self):
         tracker = SpaceSavingPairs(capacity=2)
-        for bad in (-1.0, float("nan")):
+        for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="nonnegative"):
                 tracker.add(("a", "b"), bad)
         assert len(tracker) == 0
@@ -216,6 +296,30 @@ class TestSpaceSavingPairs:
             "entries": [[["a", "b"], 2.0, error]],
         }
         with pytest.raises(ValueError, match="outside"):
+            SpaceSavingPairs.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("total", float("nan"), "total"),
+            ("total", float("inf"), "total"),
+            ("total", -1.0, "total"),
+            ("evictions", -1, "evictions"),
+            ("max_tracked", 1, "max_tracked"),
+        ],
+    )
+    def test_from_dict_rejects_impossible_summary(self, field, value, message):
+        # Two entries: the summary held at least two pairs at once.
+        doc = {
+            "capacity": 4,
+            "total": 3.0,
+            "max_tracked": 2,
+            "evictions": 0,
+            "entries": [[["a", "b"], 2.0, 0.0], [["c", "d"], 1.0, 0.0]],
+        }
+        SpaceSavingPairs.from_dict(doc)
+        doc[field] = value
+        with pytest.raises(ValueError, match=message):
             SpaceSavingPairs.from_dict(doc)
 
 
@@ -299,6 +403,17 @@ class TestSketchCorrelationEstimator:
         doc["mode"] = "two_smallest"
         assert doc["sizes"] is None
         with pytest.raises(ValueError, match="requires object sizes"):
+            SketchCorrelationEstimator.from_dict(doc)
+
+    @pytest.mark.parametrize("total", [float("nan"), float("inf"), -2.0])
+    def test_from_dict_rejects_impossible_operation_total(self, total):
+        # A NaN total would report NaN probabilities, and -2 an empty
+        # estimate with num_operations == -2.
+        est = SketchCorrelationEstimator(width=8, depth=2)
+        est.observe(("a", "b"))
+        doc = json.loads(json.dumps(est.to_dict()))
+        doc["total_operations"] = total
+        with pytest.raises(ValueError, match="total_operations"):
             SketchCorrelationEstimator.from_dict(doc)
 
 
