@@ -35,6 +35,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.core.strategies import PlanConfig, PlanScope, available_planners, plan
+from repro.exceptions import ReproError
 from repro.experiments.common import CaseStudy, CaseStudyConfig
 from repro.search.engine import (
     DistributedSearchEngine,
@@ -547,9 +548,8 @@ def cmd_gap(args: argparse.Namespace) -> int:
     """Measure the LPRR optimality gap on small instances.
 
     Draws seeded small instances, solves each to proven optimality
-    (branch and bound by default, CP-SAT with ``--reference cpsat``
-    when ortools is installed), plans the same instances with LPRR,
-    and prints per-instance cost ratios.  The
+    (the Figure 4 integer program under HiGHS MILP), plans the same
+    instances with LPRR, and prints per-instance cost ratios.  The
     :class:`~repro.gap.GapReport` — a pure function of
     the seed, byte-identical across runs — goes to ``--out``.
     """
@@ -561,11 +561,8 @@ def cmd_gap(args: argparse.Namespace) -> int:
             instances=args.instances,
             objects=args.objects,
             nodes=args.nodes,
-            reference=args.reference,
         )
-    except Exception as exc:
-        # The cpsat reference without ortools lands here with the
-        # install hint; keep it a clean CLI error, not a traceback.
+    except (ValueError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
@@ -883,18 +880,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--objects", type=int, default=12,
-        help="objects per instance (keep <= 18 for the exact reference)",
+        help="objects per instance (at most 64, the exact solver's guard)",
     )
     p.add_argument("--nodes", type=int, default=3, help="nodes per instance")
-    p.add_argument(
-        "--reference",
-        choices=("exact", "cpsat"),
-        default="exact",
-        help=(
-            "proven-optimal reference: built-in branch and bound, or "
-            "CP-SAT (needs the repro[exact] extra)"
-        ),
-    )
     p.add_argument("--out", metavar="PATH", default=None, help="write report JSON")
     _add_obs_args(p)
     p.set_defaults(func=cmd_gap)

@@ -1,19 +1,22 @@
-"""Exact branch-and-bound solver for small CCA instances.
+"""Exact CCA solver: the paper's Figure 4 integer program under HiGHS.
 
 The CCA problem is NP-hard (Theorem 1), so this solver exists only as
 ground truth: optimality-gap tests and the ablation benchmark compare
-LPRR against the true optimum on instances small enough to enumerate
-intelligently.
+LPRR against the true optimum on instances small enough to solve.
 
-The search assigns objects one by one (largest first), pruning on
+The program is :func:`~repro.core.lp.build_placement_lp` — the same
+Figure 4 rows the LP oracle relaxes — with the ``x`` block integral,
+solved by scipy's HiGHS MILP at a relative gap of 0 (HiGHS's absolute
+gap stays at its 1e-6 default).  Once ``x`` is integral, each split
+pair has exactly one node where ``x[i,k] - x[j,k] = 1``, so the
+objective is objective (1).
 
-* strict capacity feasibility (including a bin-packing-style check
-  that the remaining objects still fit in the remaining free space),
-* a cost lower bound: the cost already paid, plus — for each
-  unassigned object — the weight to its already-assigned neighbours
-  that it must pay no matter which single node it joins, and
-* node symmetry, when all capacities are equal: a new object may only
-  open the single lowest-indexed empty node.
+HiGHS accepts a row that holds within its feasibility tolerance, so a
+returned set of objects may overrun a node by a hair that
+:meth:`~repro.core.placement.Placement.is_feasible` rejects.  Each such
+node ``k`` and overrun set ``S`` gets a cover cut
+``Σ_{i∈S} x[i,k] ≤ |S| − 1``, which no strictly feasible placement
+violates, and the program is solved again.
 """
 
 from __future__ import annotations
@@ -22,148 +25,103 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.greedy import greedy_placement
+from repro.core.lp import build_placement_lp
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
-from repro.exceptions import InfeasibleProblemError
+from repro.exceptions import InfeasibleProblemError, SolverError
 
-DEFAULT_MAX_OBJECTS = 18
+DEFAULT_MAX_OBJECTS = 64
 
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """An optimal placement plus search statistics.
+    """An optimal placement.
 
     Attributes:
-        placement: An optimal feasible placement.
-        cost: Its communication cost (the true optimum).
-        nodes_explored: Branch-and-bound tree nodes visited.
+        placement: An optimal strictly feasible placement.
+        cost: Its communication cost: the optimum, to HiGHS's 1e-6
+            absolute MIP gap.
     """
 
     placement: Placement
     cost: float
-    nodes_explored: int
 
 
 def solve_exact(
     problem: PlacementProblem, max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> ExactSolution:
-    """Find a provably optimal placement by branch and bound.
+    """Find a provably optimal placement with HiGHS MILP.
 
     Args:
-        problem: The CCA instance; capacities are enforced strictly.
+        problem: The CCA instance; capacities and resource budgets are
+            enforced strictly, as ``Placement.is_feasible()`` reads them.
         max_objects: Guard against accidental exponential blowups.
 
     Raises:
         ValueError: If the instance exceeds ``max_objects``.
         InfeasibleProblemError: If no feasible placement exists.
+        SolverError: If HiGHS stops without proving optimality.
     """
+    from repro.lpsolve import Sense
+
     t, n = problem.num_objects, problem.num_nodes
     if t > max_objects:
         raise ValueError(
             f"exact solver limited to {max_objects} objects (got {t}); "
             "raise max_objects explicitly if you really mean it"
         )
+    if t == 0:
+        return ExactSolution(Placement(problem, np.zeros(0, dtype=np.int64)), 0.0)
 
-    order = np.argsort(-problem.sizes, kind="stable")
-    sizes = problem.sizes[order]
-    remaining_size = np.concatenate([np.cumsum(sizes[::-1])[::-1], [0.0]])
+    lp = build_placement_lp(problem)
+    while True:
+        x = _solve_milp(lp, t * n).reshape(t, n)
+        placement = Placement(problem, x.argmax(axis=1))
+        if placement.is_feasible():
+            return ExactSolution(placement, placement.communication_cost())
+        for k, members in _overrun_sets(placement):
+            lp.add_constraint(
+                [(i * n + k, 1.0) for i in members], Sense.LE, len(members) - 1
+            )
 
-    # adjacency[u] = list of (v, weight) over correlated pairs.
-    position = np.empty(t, dtype=np.int64)
-    position[order] = np.arange(t)
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(t)]
-    for (i, j), weight in zip(problem.pair_index, problem.pair_weights):
-        if weight <= 0:
-            continue
-        u, v = int(position[i]), int(position[j])
-        adjacency[u].append((v, float(weight)))
-        adjacency[v].append((u, float(weight)))
 
-    symmetric_nodes = bool(n > 1 and np.all(problem.capacities == problem.capacities[0]))
+def _solve_milp(lp, num_integral: int) -> np.ndarray:
+    """Solve ``lp`` with its first ``num_integral`` variables integral."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
-    best_cost = np.inf
-    best_assignment: np.ndarray | None = None
-    try:
-        incumbent = greedy_placement(problem, strict_capacity=True)
-    except InfeasibleProblemError:
-        incumbent = None
-    if incumbent is not None and incumbent.is_feasible():
-        best_cost = incumbent.communication_cost()
-        best_assignment = incumbent.assignment[order].copy()
-
-    assignment = -np.ones(t, dtype=np.int64)
-    free = problem.capacities.astype(float).copy()
-    resource_free = [spec.budgets.astype(float).copy() for spec in problem.resources]
-    resource_loads = [spec.loads[order] for spec in problem.resources]
-    explored = 0
-
-    def unavoidable_cost(depth: int) -> float:
-        """Lower bound on the cost still to be paid by unassigned objects."""
-        bound = 0.0
-        for u in range(depth, t):
-            per_node = np.zeros(n)
-            total = 0.0
-            for v, weight in adjacency[u]:
-                if v < depth:
-                    per_node[assignment[v]] += weight
-                    total += weight
-            if total > 0:
-                bound += total - per_node.max()
-        return bound
-
-    def recurse(depth: int, cost: float) -> None:
-        nonlocal best_cost, best_assignment, explored
-        explored += 1
-        if depth == t:
-            if cost < best_cost:
-                best_cost = cost
-                best_assignment = assignment.copy()
-            return
-        if cost + unavoidable_cost(depth) >= best_cost - 1e-12:
-            return
-        # Remaining objects must fit in remaining free space.
-        if remaining_size[depth] > free.sum() + 1e-9:
-            return
-
-        size = sizes[depth]
-        pay_to = np.zeros(n)
-        total_weight = 0.0
-        for v, weight in adjacency[depth]:
-            if v < depth:
-                pay_to[assignment[v]] += weight
-                total_weight += weight
-
-        if symmetric_nodes:
-            used = int(assignment[:depth].max()) + 1 if depth else 0
-            candidate_nodes = range(min(used + 1, n))
-        else:
-            candidate_nodes = range(n)
-        # Try cheaper nodes first for earlier incumbent tightening.
-        ordered = sorted(candidate_nodes, key=lambda k: total_weight - pay_to[k])
-        for k in ordered:
-            if free[k] + 1e-9 < size:
-                continue
-            if any(
-                rf[k] + 1e-9 < loads[depth]
-                for rf, loads in zip(resource_free, resource_loads)
-            ):
-                continue
-            assignment[depth] = k
-            free[k] -= size
-            for rf, loads in zip(resource_free, resource_loads):
-                rf[k] -= loads[depth]
-            recurse(depth + 1, cost + total_weight - pay_to[k])
-            free[k] += size
-            for rf, loads in zip(resource_free, resource_loads):
-                rf[k] += loads[depth]
-            assignment[depth] = -1
-
-    recurse(0, 0.0)
-    if best_assignment is None:
+    a_ub, b_ub, a_eq, b_eq = lp.split_by_sense()
+    integrality = np.zeros(lp.num_variables)
+    integrality[:num_integral] = 1
+    result = milp(
+        lp.objective_vector(),
+        integrality=integrality,
+        bounds=Bounds(*lp.bounds_arrays()),
+        constraints=[
+            LinearConstraint(a_ub, -np.inf, b_ub),
+            LinearConstraint(a_eq, b_eq, b_eq),
+        ],
+        options={"mip_rel_gap": 0},
+    )
+    if result.status == 2:
         raise InfeasibleProblemError("no feasible placement exists")
+    if result.status != 0:
+        raise SolverError(
+            f"HiGHS MILP ended with status {result.status}: {result.message}"
+        )
+    return result.x[:num_integral]
 
-    final = np.empty(t, dtype=np.int64)
-    final[order] = best_assignment
-    placement = Placement(problem, final)
-    return ExactSolution(placement, float(best_cost), explored)
+
+def _overrun_sets(placement: Placement):
+    """Yield ``(node index, object indices)`` for every node whose bytes
+    or Section 3.3 budget the placement overruns; the objects are those
+    on the node that carry the overrun demand."""
+    problem = placement.problem
+    overruns = [(problem.sizes, placement.capacity_violations())]
+    resource_overruns = placement.resource_violations()
+    overruns += [
+        (spec.loads, resource_overruns.get(spec.name, {})) for spec in problem.resources
+    ]
+    for loads, nodes in overruns:
+        for node in nodes:
+            k = problem.node_index(node)
+            yield k, np.flatnonzero((placement.assignment == k) & (loads > 0)).tolist()

@@ -20,7 +20,6 @@ awareness" from mere "load balancing".
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -508,51 +507,6 @@ def _lprr_pg_planner(
     from repro.pg.planner import plan_with_groups
 
     return plan_with_groups(problem, config=config)
-
-
-def _exact_cpsat_planner(
-    problem: PlacementProblem, *, config: PlanConfig = PlanConfig()
-) -> PlanResult:
-    """Exact placement via CP-SAT (requires the ``repro[exact]`` extra).
-
-    Solves the full problem to proven optimality — no scoping, no
-    rounding — so it only suits small instances (the gap harness's
-    reference).  Registered only when ``ortools`` imports (see
-    :func:`_register_cpsat`); calling
-    :func:`~repro.lpsolve.cpsat_backend.solve_placement_cpsat` without
-    it raises :class:`~repro.exceptions.SolverError` with an install
-    hint.
-    """
-    from repro.lpsolve.cpsat_backend import solve_placement_cpsat
-
-    with obs.timed("plan", planner="exact:cpsat") as span:
-        solution = solve_placement_cpsat(problem, seed=config.seed)
-    diagnostics = {
-        "status": solution.status,
-        "objective_bound": float(solution.objective_bound),
-        "optimal": solution.optimal,
-    }
-    return _finish(
-        "exact:cpsat", solution.placement, span.duration, diagnostics, solution
-    )
-
-
-def _register_cpsat() -> None:
-    """Register ``exact:cpsat`` only when ortools is installed.
-
-    The guard keeps ``available_planners()`` honest: every listed
-    planner can actually plan.  Without the ``repro[exact]`` extra the
-    name simply does not exist (an explicit request then fails with
-    the registry's unknown-planner error, and the backend module's
-    install hint is one import away).  The probe only looks ortools
-    up, so importing the registry loads neither ortools nor
-    :mod:`repro.lpsolve`.
-    """
-    if importlib.util.find_spec("ortools") is not None:
-        register_planner("exact:cpsat")(_exact_cpsat_planner)
-
-
-_register_cpsat()
 
 
 def _finish_replicated(

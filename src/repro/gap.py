@@ -2,18 +2,17 @@
 
 The paper evaluates LPRR only against baselines it dominates (hash,
 greedy), so its distance from the true optimum is an article of faith.
-This module measures it: :func:`run_gap` draws a batch of seeded small
-instances, solves each with a proven-optimal reference — the
-dependency-free branch-and-bound in :mod:`repro.core.exact` by
-default, or CP-SAT (``--reference cpsat``, needs the ``repro[exact]``
-extra) — and plans the same instance with LPRR.  The per-instance cost
-ratio ``lprr/exact`` is the optimality gap.
+This module measures it: :func:`run_gap` draws a batch of seeded
+instances, solves each to proven optimality with
+:func:`~repro.core.exact.solve_exact` (the paper's Figure 4 integer
+program under HiGHS MILP), and plans the same instance with LPRR.  The
+per-instance cost ratio ``lprr/exact`` is the optimality gap.
 
 Instances are clustered (topic-style co-access groups plus a sprinkle
 of cross-cluster pairs) because that is the workload shape the paper's
-Section 4 mines from real query logs; ``objects`` stays small enough
-for the exact reference (default 12 <= the branch-and-bound's
-18-object guard).
+Section 4 mines from real query logs.  On a two-core host the exact
+reference takes about 0.1 s per default 12-object, 3-node instance and
+1–1.5 s per 40 × 4 one.
 
 Determinism: every instance is a pure function of ``(seed, index)``,
 planners run with fixed seeds, and the report rounds every float and
@@ -32,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
+from repro.core.exact import solve_exact
 from repro.core.problem import PlacementProblem
 from repro.core.strategies import PlanConfig, plan
 
@@ -87,12 +87,10 @@ class GapReport:
 
     Attributes:
         seed: Root seed of the batch.
-        reference: ``"exact"`` (branch and bound) or ``"cpsat"``.
         cases: Per-instance comparisons.
     """
 
     seed: int
-    reference: str
     cases: tuple[GapCase, ...]
 
     @property
@@ -115,7 +113,7 @@ class GapReport:
         return {
             "schema": GAP_REPORT_SCHEMA,
             "seed": self.seed,
-            "reference": self.reference,
+            "reference": "exact",
             "instances": len(self.cases),
             "mean_lprr_ratio": round(self.mean_lprr_ratio, 9),
             "max_lprr_ratio": round(self.max_lprr_ratio, 9),
@@ -131,7 +129,7 @@ class GapReport:
         """Human-readable per-instance table."""
         lines = [
             f"optimality gap: {len(self.cases)} seeded instances vs "
-            f"{self.reference} reference (seed {self.seed})",
+            f"exact reference (seed {self.seed})",
             "",
             f"{'inst':>4} {'objs':>5} {'pairs':>6} {'exact':>10} "
             f"{'lprr':>10} {'lprr/opt':>9}",
@@ -194,46 +192,34 @@ def _ratio(cost: float, exact: float) -> float:
 
 
 def run_gap(
-    *,
-    seed: int = 0,
-    instances: int = 8,
-    objects: int = 12,
-    nodes: int = 3,
-    reference: str = "exact",
+    *, seed: int = 0, instances: int = 8, objects: int = 12, nodes: int = 3
 ) -> GapReport:
     """Measure LPRR's optimality gap.
 
     Args:
         seed: Root seed; the whole report is a pure function of it.
         instances: Seeded instances to draw.
-        objects: Objects per instance (keep <= 18 for the
-            branch-and-bound reference).
+        objects: Objects per instance (at most the exact solver's
+            64-object guard).
         nodes: Nodes per instance.
-        reference: ``"exact"`` for the dependency-free branch and
-            bound, ``"cpsat"`` for the ortools backend (raises
-            :class:`~repro.exceptions.SolverError` when ortools is
-            absent).
 
     Returns:
         The byte-reproducible :class:`GapReport`.
+
+    Raises:
+        ValueError: If ``instances``, ``objects`` or ``nodes`` is below 1.
     """
-    if reference not in ("exact", "cpsat"):
-        raise ValueError(f"unknown reference {reference!r} (exact or cpsat)")
-    if instances < 1:
-        raise ValueError("instances must be at least 1")
+    for name, value in (
+        ("instances", instances), ("objects", objects), ("nodes", nodes)
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1 (got {value})")
 
     cases = []
-    with obs.span("gap.run", instances=instances, reference=reference):
+    with obs.span("gap.run", instances=instances):
         for index in range(instances):
             problem = gap_instance(seed, index, objects=objects, nodes=nodes)
-            if reference == "cpsat":
-                from repro.lpsolve.cpsat_backend import solve_placement_cpsat
-
-                exact_cost = solve_placement_cpsat(problem, seed=seed).cost
-            else:
-                from repro.core.exact import solve_exact
-
-                exact_cost = solve_exact(problem).cost
+            exact_cost = solve_exact(problem).cost
             # capacity_factor=None keeps the instance's own (tight)
             # capacities, and zero tolerance keeps every placement
             # strictly feasible — otherwise the 5% default slack lets a
@@ -255,4 +241,4 @@ def run_gap(
             )
             cases.append(case)
             obs.record("gap.case", **case.to_dict())
-    return GapReport(seed=seed, reference=reference, cases=tuple(cases))
+    return GapReport(seed=seed, cases=tuple(cases))

@@ -327,3 +327,12 @@ class TestOnlineCommand:
         doc = json.loads(first.read_text())
         assert doc["schema"] == "repro.online.report/v1"
         assert doc["total_operations"] > 0
+
+
+class TestGapCommand:
+    @pytest.mark.parametrize("flag", ["--nodes", "--objects"])
+    def test_empty_instances_rejected(self, flag, tmp_path, capsys):
+        out = tmp_path / "gap.json"
+        assert main(["gap", "--instances", "1", flag, "0", "--out", str(out)]) == 2
+        assert f"{flag[2:]} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()

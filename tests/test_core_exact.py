@@ -1,4 +1,4 @@
-"""Tests for the exact branch-and-bound solver (repro.core.exact)."""
+"""Tests for the exact MILP solver (repro.core.exact)."""
 
 import itertools
 
@@ -54,11 +54,11 @@ class TestExactSolver:
             solve_exact(p)
 
     def test_size_guard(self):
-        p = PlacementProblem.build({f"o{i}": 1.0 for i in range(25)}, 2, {})
-        with pytest.raises(ValueError, match="limited to"):
+        p = PlacementProblem.build({f"o{i}": 1.0 for i in range(65)}, 2, {})
+        with pytest.raises(ValueError, match="limited to 64"):
             solve_exact(p)
         # But an explicit override is honoured.
-        solution = solve_exact(p, max_objects=25)
+        solution = solve_exact(p, max_objects=65)
         assert solution.cost == 0.0
 
     def test_matches_brute_force_on_fixed_instance(self):
@@ -107,8 +107,23 @@ class TestExactSolver:
         assert solution.cost == 0.0
         assert solution.placement.node_of("x") == solution.placement.node_of("y") == 0
 
-    def test_explored_nodes_counted(self):
+    def test_capacity_overrun_within_solver_tolerance_is_split(self):
+        # 1 + (1 + 5e-8) overruns a capacity of 2 by less than HiGHS's
+        # feasibility tolerance but more than is_feasible() allows.
         p = PlacementProblem.build(
-            {"a": 1.0, "b": 1.0}, 2, {("a", "b"): 1.0}
+            {"a": 1.0, "b": 1.0 + 5e-8}, {0: 2.0, 1: 2.0}, {("a", "b"): 1.0}
         )
-        assert solve_exact(p).nodes_explored >= 1
+        solution = solve_exact(p)
+        assert solution.cost == 1.0
+        assert solution.placement.is_feasible()
+
+    def test_budget_overrun_within_solver_tolerance_is_split(self):
+        p = PlacementProblem.build(
+            {"a": 1.0, "b": 1.0},
+            {0: 4.0, 1: 4.0},
+            {("a", "b"): 1.0},
+            resources={"bandwidth": ({"a": 1.0, "b": 1.0 + 5e-8}, 2.0)},
+        )
+        solution = solve_exact(p)
+        assert solution.cost == 1.0
+        assert solution.placement.is_feasible()

@@ -7,7 +7,6 @@ import pytest
 
 from repro.gap import (
     GAP_REPORT_SCHEMA,
-    GapReport,
     _ratio,
     gap_instance,
     run_gap,
@@ -97,13 +96,22 @@ class TestRunGap:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_gap(instances=0)
-        with pytest.raises(ValueError):
-            run_gap(reference="nope")
+        with pytest.raises(ValueError, match="objects"):
+            run_gap(objects=0)
+        with pytest.raises(ValueError, match="nodes"):
+            run_gap(nodes=0)
 
-
-class TestCpsatReference:
-    def test_cpsat_reference_needs_ortools(self):
-        pytest.importorskip("ortools")
-        report = run_gap(seed=0, instances=2, objects=8, reference="cpsat")
-        assert report.reference == "cpsat"
-        assert isinstance(report, GapReport)
+    def test_smoke_reference_costs(self):
+        # The optima of the 12 x 3 gap smoke, as an independent branch
+        # and bound proved them.
+        report = run_gap(seed=0, instances=8, objects=12, nodes=3)
+        assert [round(c.exact_cost, 9) for c in report.cases] == [
+            0.24710826,
+            0.104911681,
+            0.313831863,
+            0.452976468,
+            0.202168024,
+            0.20342917,
+            0.374108779,
+            0.181447794,
+        ]
