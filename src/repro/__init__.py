@@ -78,7 +78,7 @@ from repro.exceptions import (
     TraceFormatError,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "CorrelationEstimator",

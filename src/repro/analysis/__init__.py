@@ -9,26 +9,16 @@ from repro.analysis.dominance import DominanceCurves, dominance_curves
 from repro.analysis.reporting import format_series, format_table, normalize_to
 from repro.analysis.skewness import pair_probability_curve, skew_ratio
 from repro.analysis.stability import StabilityReport, stability_report
-from repro.analysis.traffic import (
-    BalanceReport,
-    balance_report,
-    link_utilization,
-    sender_balance,
-)
 
 __all__ = [
-    "BalanceReport",
     "DominanceCurves",
     "StabilityReport",
     "ascii_chart",
-    "balance_report",
     "dominance_curves",
     "format_series",
-    "link_utilization",
     "format_table",
     "normalize_to",
     "pair_probability_curve",
-    "sender_balance",
     "skew_ratio",
     "sparkline",
     "stability_report",

@@ -420,36 +420,6 @@ def cmd_online(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_config(args: argparse.Namespace):
-    from repro.serve import ServeConfig
-
-    return ServeConfig(
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay,
-        rate=args.rate,
-        burst=args.burst,
-        max_queue=args.max_queue,
-    )
-
-
-def _loadgen_config(args: argparse.Namespace):
-    from repro.serve import LoadgenConfig
-
-    return LoadgenConfig(
-        vocabulary=args.vocabulary,
-        topics=args.topics,
-        documents=args.documents,
-        nodes=args.nodes,
-        duration_s=args.duration,
-        qps=args.qps,
-        shift_fraction=args.shift_fraction,
-        swaps=args.swaps,
-        seed=args.seed,
-        planner=args.planner,
-        serve=_serve_config(args),
-    )
-
-
 def cmd_loadgen(args: argparse.Namespace) -> int:
     """Drive the query router with the seeded diurnal drifting stream.
 
@@ -462,46 +432,34 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     JSON.  The CI serve-smoke job runs this twice and ``cmp``'s report
     and journal; see docs/SERVING.md.
     """
-    from repro.serve import run_loadgen
+    from repro.serve import LoadgenConfig, ServeConfig, run_loadgen
 
-    report = run_loadgen(_loadgen_config(args))
+    report = run_loadgen(
+        LoadgenConfig(
+            vocabulary=args.vocabulary,
+            topics=args.topics,
+            documents=args.documents,
+            nodes=args.nodes,
+            duration_s=args.duration,
+            qps=args.qps,
+            shift_fraction=args.shift_fraction,
+            swaps=args.swaps,
+            seed=args.seed,
+            planner=args.planner,
+            serve=ServeConfig(
+                max_batch=args.max_batch,
+                max_delay_s=args.max_delay,
+                rate=args.rate,
+                burst=args.burst,
+                max_queue=args.max_queue,
+            ),
+        )
+    )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
         print(f"wrote serve report to {args.out}", file=sys.stderr)
     print(report.render())
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve queries over TCP (JSON lines) with the batching router.
-
-    Same scenario construction and router as ``repro loadgen``, but on
-    the real event loop and wall clock, listening on ``--host:--port``.
-    One JSON object per line: ``{"keywords": [...]}`` in,
-    ``{"ok": true, "results": N, ...}`` out (see
-    :mod:`repro.serve.server` for the protocol).  Stop with Ctrl-C.
-    """
-    import asyncio
-
-    from repro.serve import PlanHandle, QueryRouter
-    from repro.serve.loadgen import _plan_snapshot, build_scenario
-    from repro.serve.server import serve_forever
-
-    config = _loadgen_config(args)
-    index, _, warmup = build_scenario(config)
-    snapshot, cost = _plan_snapshot(index, warmup, config, version=1)
-    handle = PlanHandle(snapshot)
-    router = QueryRouter(handle, config.serve)
-    print(
-        f"serving {len(index)} keywords on {args.host}:{args.port} "
-        f"(plan v1 via {config.planner}, cost {cost:.4f}); Ctrl-C stops",
-        file=sys.stderr,
-    )
-    try:
-        asyncio.run(serve_forever(handle, router, args.host, args.port))
-    except KeyboardInterrupt:
-        print("serve: interrupted, shutting down", file=sys.stderr)
     return 0
 
 
@@ -781,80 +739,68 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(p)
     p.set_defaults(func=cmd_online)
 
-    def _add_serve_scenario_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--vocabulary", type=int, default=200, help="keyword universe"
-        )
-        p.add_argument("--topics", type=int, default=30, help="workload topics")
-        p.add_argument(
-            "--documents", type=int, default=400, help="corpus documents"
-        )
-        p.add_argument("--nodes", type=int, default=5, help="placement nodes")
-        p.add_argument(
-            "--duration", type=float, default=8.0, help="stream seconds"
-        )
-        p.add_argument(
-            "--qps", type=float, default=6000.0, help="mean offered load"
-        )
-        p.add_argument(
-            "--shift-fraction",
-            type=float,
-            default=0.6,
-            help="fraction of topics whose popularity shifts mid-stream",
-        )
-        p.add_argument(
-            "--swaps", type=int, default=3, help="mid-run plan hot-swaps"
-        )
-        p.add_argument(
-            "--planner",
-            default="stream:greedy",
-            help="planner tier for the initial plan and every replan",
-        )
-        p.add_argument("--seed", type=int, default=0, help="scenario seed")
-        p.add_argument(
-            "--max-batch", type=int, default=32, help="router batch size cap"
-        )
-        p.add_argument(
-            "--max-delay",
-            type=float,
-            default=0.005,
-            help="router batching delay cap in seconds",
-        )
-        p.add_argument(
-            "--rate",
-            type=float,
-            default=8000.0,
-            help="admission token-bucket refill rate (queries/s)",
-        )
-        p.add_argument(
-            "--burst",
-            type=float,
-            default=800.0,
-            help="admission token-bucket burst capacity",
-        )
-        p.add_argument(
-            "--max-queue", type=int, default=2048, help="router backlog cap"
-        )
-
     p = sub.add_parser(
         "loadgen",
         help="replay the drifting stream through the serving router",
     )
-    _add_serve_scenario_args(p)
+    p.add_argument(
+        "--vocabulary", type=int, default=200, help="keyword universe"
+    )
+    p.add_argument("--topics", type=int, default=30, help="workload topics")
+    p.add_argument(
+        "--documents", type=int, default=400, help="corpus documents"
+    )
+    p.add_argument("--nodes", type=int, default=5, help="placement nodes")
+    p.add_argument(
+        "--duration", type=float, default=8.0, help="stream seconds"
+    )
+    p.add_argument(
+        "--qps", type=float, default=6000.0, help="mean offered load"
+    )
+    p.add_argument(
+        "--shift-fraction",
+        type=float,
+        default=0.6,
+        help="fraction of topics whose popularity shifts mid-stream",
+    )
+    p.add_argument(
+        "--swaps", type=int, default=3, help="mid-run plan hot-swaps"
+    )
+    p.add_argument(
+        "--planner",
+        default="stream:greedy",
+        help="planner tier for the initial plan and every replan",
+    )
+    p.add_argument("--seed", type=int, default=0, help="scenario seed")
+    p.add_argument(
+        "--max-batch", type=int, default=32, help="router batch size cap"
+    )
+    p.add_argument(
+        "--max-delay",
+        type=float,
+        default=0.005,
+        help="router batching delay cap in seconds",
+    )
+    p.add_argument(
+        "--rate",
+        type=float,
+        default=8000.0,
+        help="admission token-bucket refill rate (queries/s)",
+    )
+    p.add_argument(
+        "--burst",
+        type=float,
+        default=800.0,
+        help="admission token-bucket burst capacity",
+    )
+    p.add_argument(
+        "--max-queue", type=int, default=2048, help="router backlog cap"
+    )
     p.add_argument(
         "--out", metavar="PATH", default=None, help="write serve report JSON"
     )
     _add_obs_args(p)
     p.set_defaults(func=cmd_loadgen)
-
-    p = sub.add_parser(
-        "serve", help="serve queries over TCP with the batching router"
-    )
-    _add_serve_scenario_args(p)
-    p.add_argument("--host", default="127.0.0.1", help="listen address")
-    p.add_argument("--port", type=int, default=7621, help="listen port")
-    _add_obs_args(p)
-    p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
         "pg", help="plan a synthetic scenario through placement groups"

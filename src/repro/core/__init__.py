@@ -4,9 +4,10 @@ This subpackage contains the Capacity-Constrained Assignment (CCA)
 problem model, the LP relaxation and randomized rounding of the paper's
 LPRR algorithm, the baselines it is evaluated against (random hashing
 and the greedy correlation-aware heuristic), the important-object
-partial-optimization machinery, an exact solver for small instances
-(the Figure 4 integer program under HiGHS MILP), and the executable
-form of the paper's NP-hardness reduction from minimum multiway cut.
+partial-optimization machinery, and an exact solver for small instances
+(the Figure 4 integer program under HiGHS MILP).  The paper's
+NP-hardness reduction from minimum multiway cut is executable in
+``tests/test_core_multiway_cut.py``.
 """
 
 from repro.core.correlation import (

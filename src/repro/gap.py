@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.exact import solve_exact
+from repro.core.exact import DEFAULT_MAX_OBJECTS, solve_exact
 from repro.core.problem import PlacementProblem
 from repro.core.strategies import PlanConfig, plan
 
@@ -207,13 +207,19 @@ def run_gap(
         The byte-reproducible :class:`GapReport`.
 
     Raises:
-        ValueError: If ``instances``, ``objects`` or ``nodes`` is below 1.
+        ValueError: If ``instances``, ``objects`` or ``nodes`` is below
+            1, or ``objects`` is above the exact solver's guard.
     """
     for name, value in (
         ("instances", instances), ("objects", objects), ("nodes", nodes)
     ):
         if value < 1:
             raise ValueError(f"{name} must be at least 1 (got {value})")
+    if objects > DEFAULT_MAX_OBJECTS:
+        raise ValueError(
+            f"objects must be at most {DEFAULT_MAX_OBJECTS}, the exact "
+            f"solver's limit (got {objects})"
+        )
 
     cases = []
     with obs.span("gap.run", instances=instances):

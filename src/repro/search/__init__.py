@@ -17,7 +17,6 @@ from repro.search.engine import (
     QueryProfile,
 )
 from repro.search.index import InvertedIndex, page_id
-from repro.search.indexio import load_index, save_index
 from repro.search.query import Query, QueryLog
 from repro.search.replicated_engine import ReplicatedSearchEngine
 from repro.search.simulation import LatencyReport, TimingModel, simulate_latencies
@@ -42,9 +41,7 @@ __all__ = [
     "STOPWORDS",
     "TimingModel",
     "is_stopword",
-    "load_index",
     "page_id",
-    "save_index",
     "simulate_latencies",
     "strip_html",
     "tokenize",

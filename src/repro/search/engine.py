@@ -193,10 +193,10 @@ class QueryProfile:
 
     Args:
         index: The inverted index the log runs against.
-        log: A :class:`QueryLog`, an iterable of :class:`Query` or
-            keyword sequences, or a ``TraceColumns`` (read by rows).  A
-            bare ``str`` query raises ``TypeError`` rather than split
-            into one-character keywords.
+        log: A :class:`QueryLog`, or an iterable of :class:`Query` or
+            keyword sequences.  A bare ``str`` query raises
+            ``TypeError`` rather than split into one-character
+            keywords.
         mode: ``"intersection"`` pipelines ``p - 1 -> p``; ``"union"``
             moves every index to its query's last, largest one.
 

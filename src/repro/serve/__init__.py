@@ -11,9 +11,7 @@ See docs/SERVING.md for the architecture.  The pieces:
 * :mod:`repro.serve.vtime` — the deterministic
   :class:`VirtualTimeLoop` that makes loadgen byte-reproducible;
 * :mod:`repro.serve.loadgen` — seeded scenarios and the
-  :class:`ServeReport` deliverable;
-* :mod:`repro.serve.server` — the ``repro serve`` JSON-lines TCP front
-  end (real clock, same router).
+  :class:`ServeReport` deliverable.
 """
 
 from repro.serve.admission import AdmissionError, TokenBucket

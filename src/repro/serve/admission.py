@@ -8,8 +8,7 @@ beyond either limit is rejected immediately with a typed reason and a
 ``retry_after_s`` hint, keeping latency bounded for what is admitted.
 
 Time is whatever clock the caller supplies (the virtual loop's under
-loadgen, the wall clock under ``repro serve``), so refill arithmetic is
-deterministic when the clock is.
+loadgen), so refill arithmetic is deterministic when the clock is.
 """
 
 from __future__ import annotations

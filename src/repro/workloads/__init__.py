@@ -12,7 +12,6 @@ from repro.workloads.adapters import load_aol_query_log, split_log_by_fraction
 from repro.workloads.corpus_gen import generate_corpus
 from repro.workloads.query_gen import QueryWorkloadModel, generate_query_log
 from repro.workloads.stream import TimedQuery, diurnal_rate, generate_stream
-from repro.workloads.traces import load_operations, save_operations, split_periods
 from repro.workloads.zipf import ZipfSampler, zipf_probabilities
 
 __all__ = [
@@ -24,9 +23,6 @@ __all__ = [
     "generate_query_log",
     "generate_stream",
     "load_aol_query_log",
-    "load_operations",
-    "save_operations",
     "split_log_by_fraction",
-    "split_periods",
     "zipf_probabilities",
 ]

@@ -336,3 +336,14 @@ class TestGapCommand:
         assert main(["gap", "--instances", "1", flag, "0", "--out", str(out)]) == 2
         assert f"{flag[2:]} must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_objects_over_the_exact_limit_rejected(self, tmp_path, capsys):
+        # The exact solver's own guard would tell the user to raise
+        # max_objects, which the command has no flag for.
+        out = tmp_path / "gap.json"
+        argv = ["gap", "--instances", "1", "--objects", "65", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "objects must be at most 64" in err
+        assert "max_objects" not in err
+        assert not out.exists()

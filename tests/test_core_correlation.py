@@ -6,9 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.correlation import (
     CorrelationEstimator,
+    _mine_chunks,
+    _trace_pairs,
+    _TraceEncoder,
     cooccurrence_correlations,
     operation_pairs,
     two_smallest_correlations,
@@ -193,6 +198,75 @@ class TestOperationPairs:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             operation_pairs(("a", "b"), "bogus", {"a": 1.0})
+
+
+def row_pairs(operations):
+    out = []
+    for op in operations:
+        out.extend(operation_pairs(op, "cooccurrence"))
+    return out
+
+
+def mined_pairs(operations):
+    """The cooccurrence pair stream the estimators ingest."""
+    pairs, ops = _trace_pairs(operations, "cooccurrence", None)
+    assert ops == len(operations)
+    return pairs
+
+
+OPERATIONS = [
+    ("b", "a", "c"),
+    ("a", "a", "b"),  # duplicate inside one operation
+    ("z",),  # singleton: no pairs
+    (),  # empty operation
+    ("c", "b"),
+    ("a", "b", "c", "d", "e"),
+]
+
+
+class TestCooccurrencePairs:
+    """The shared miner's pair stream is the per-operation loop's."""
+
+    def test_matches_row_path_on_fixed_trace(self):
+        assert mined_pairs(OPERATIONS) == row_pairs(OPERATIONS)
+
+    def test_matches_row_path_when_repr_and_value_order_diverge(self):
+        # repr('a\'b') == '"a\'b"' sorts differently from the raw value;
+        # the canonical flip must still agree with the row path.
+        tricky = [("a'b", 'x"y', "plain"), ('x"y', "a"), ("a'b", "a")]
+        assert mined_pairs(tricky) == row_pairs(tricky)
+
+    def test_non_str_ids_use_the_row_fallback(self):
+        trace = [(3, "a", 2), ("a", 2), (1, 2)]
+        assert mined_pairs(trace) == row_pairs(trace)
+
+    def test_non_str_ids_clear_the_fast_path_gate(self):
+        # A str/int mix trips the miner's type gate, so the one chunk
+        # is the per-operation loop's pair list, not packed keys.
+        trace = [(1, 2), ("a", 3)]
+        enc = _TraceEncoder()
+        chunks = list(_mine_chunks(trace, "cooccurrence", None, enc))
+        assert not enc.fast_ok()
+        assert chunks == [(2, row_pairs(trace))]
+
+    def test_empty_trace(self):
+        assert mined_pairs([]) == []
+        assert mined_pairs([(), ("x",)]) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.text(
+                    alphabet="abc'\"\\", min_size=1, max_size=3
+                ),
+                max_size=5,
+            ).map(tuple),
+            max_size=12,
+        )
+    )
+    def test_property_equivalence(self, operations):
+        assert mined_pairs(operations) == row_pairs(operations)
 
 
 class TestDecay:

@@ -62,7 +62,6 @@ from repro.search.simulation import TimingModel, simulate_latencies
 from repro.serve.router import QueryRouter, ServeConfig
 from repro.serve.snapshot import PlanHandle, PlanSnapshot
 from repro.serve.vtime import run_virtual
-from repro.workloads.traces import TraceColumns
 
 # ----------------------------------------------------------------------
 # Shared strategies
@@ -1051,8 +1050,6 @@ def _as_input(queries, form):
         return QueryLog(queries)
     if form == "tuples":
         return [q.keywords for q in queries]
-    if form == "columns":
-        return TraceColumns.from_operations(q.keywords for q in queries)
     return list(queries)
 
 
@@ -1180,7 +1177,7 @@ class TestCompileEquivalence:
     @given(
         case=_compile_cases(),
         mode=st.sampled_from(["intersection", "union"]),
-        form=st.sampled_from(["querylog", "queries", "tuples", "columns"]),
+        form=st.sampled_from(["querylog", "queries", "tuples"]),
     )
     def test_profile_matches_compile_loop(self, case, mode, form):
         index, queries = case
@@ -1262,7 +1259,7 @@ class TestProfileMiningEquivalence:
         mode=st.sampled_from(_MODES),
         min_support=st.integers(1, 3),
         profile_mode=st.sampled_from(["intersection", "union"]),
-        form=st.sampled_from(["querylog", "queries", "tuples", "columns"]),
+        form=st.sampled_from(["querylog", "queries", "tuples"]),
     )
     def test_profile_matches_miner(self, case, mode, min_support, profile_mode, form):
         index, queries = case
@@ -1319,7 +1316,7 @@ class TestReplayEquivalence:
     @given(
         case=_replay_cases(),
         mode=st.sampled_from(["intersection", "union"]),
-        form=st.sampled_from(["querylog", "queries", "tuples", "columns"]),
+        form=st.sampled_from(["querylog", "queries", "tuples"]),
     )
     def test_dedup_replay_matches_sequential(self, case, mode, form):
         index, lookup, queries = case

@@ -100,6 +100,8 @@ class TestRunGap:
             run_gap(objects=0)
         with pytest.raises(ValueError, match="nodes"):
             run_gap(nodes=0)
+        with pytest.raises(ValueError, match="objects must be at most 64"):
+            run_gap(objects=65)
 
     def test_smoke_reference_costs(self):
         # The optima of the 12 x 3 gap smoke, as an independent branch

@@ -20,6 +20,7 @@ from repro.online import (
     OnlinePlanner,
     SketchCorrelationEstimator,
     SpaceSavingPairs,
+    StreamPeriod,
     TimedOperation,
     as_timed_operation,
     heavy_hitter_plan,
@@ -415,6 +416,29 @@ class TestSketchCorrelationEstimator:
         doc["total_operations"] = total
         with pytest.raises(ValueError, match="total_operations"):
             SketchCorrelationEstimator.from_dict(doc)
+
+
+class TestEstimatorIngest:
+    def test_decaying_estimator_delegates(self):
+        # OnlinePlanner owns the per-period decay: it hands a period to
+        # its estimator in one batch, then decays it, which leaves the
+        # estimator where one observe_trace followed by decay does.
+        rng = np.random.default_rng(1)
+        words = [f"w{i}" for i in range(30)]
+        trace = [
+            tuple(rng.choice(words, size=rng.integers(1, 5)))
+            for _ in range(400)
+        ]
+        planner = OnlinePlanner(
+            {obj: 1.0 for op in trace for obj in op},
+            OnlineConfig(num_nodes=2, window_s=10.0, decay=0.5),
+            estimator=SketchCorrelationEstimator(seed=0),
+        )
+        planner.observe_period(StreamPeriod(0, 0.0, 10.0, tuple(trace)))
+        standalone = SketchCorrelationEstimator(seed=0)
+        assert standalone.observe_trace(trace) == len(trace)
+        standalone.decay(0.5)
+        assert planner.estimator.to_dict() == standalone.to_dict()
 
 
 class TestWindows:

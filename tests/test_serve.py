@@ -1,8 +1,7 @@
 """Tests for the serving layer (repro.serve): virtual time, admission,
-snapshots/hot-swap, the batching router, and the JSON-lines server."""
+snapshots/hot-swap and the batching router."""
 
 import asyncio
-import json
 import time
 
 import numpy as np
@@ -27,7 +26,6 @@ from repro.serve import (
     run_virtual,
 )
 from repro.serve.admission import DRAINING, QUEUE_FULL, THROTTLED
-from repro.serve.server import handle_connection
 
 
 # ----------------------------------------------------------------------
@@ -522,58 +520,3 @@ class TestHotSwap:
         assert sum(router.queries_by_version.values()) == len(arrivals)
         assert router.handle.active_versions() == {}
         assert router.handle.swaps == len(versions) - 1
-
-
-# ----------------------------------------------------------------------
-# The JSON-lines server
-# ----------------------------------------------------------------------
-
-class TestServer:
-    def run_session(self, index, lines):
-        """Feed raw request lines through one connection, real loop."""
-
-        async def main():
-            router = make_router(index)
-            server = await asyncio.start_server(
-                lambda r, w: handle_connection(router, r, w),
-                "127.0.0.1",
-                0,
-            )
-            port = server.sockets[0].getsockname()[1]
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            responses = []
-            for line in lines:
-                writer.write(line)
-                await writer.drain()
-                responses.append(json.loads(await reader.readline()))
-            writer.write(b"\n")  # empty line: polite close
-            await writer.drain()
-            assert await reader.readline() == b""
-            writer.close()
-            await writer.wait_closed()
-            server.close()
-            await server.wait_closed()
-            return responses
-
-        return asyncio.run(main())
-
-    def test_query_stats_and_errors(self, index):
-        responses = self.run_session(
-            index,
-            [
-                json.dumps({"keywords": ["alpha", "beta"]}).encode() + b"\n",
-                json.dumps({"op": "stats"}).encode() + b"\n",
-                json.dumps({"keywords": "alpha"}).encode() + b"\n",
-                b"not json\n",
-            ],
-        )
-        answer, stats, bad_type, bad_json = responses
-        assert answer["ok"] and answer["served"]
-        assert answer["version"] == 1
-        assert answer["results"] == 4  # d0, d2, d4, d6
-        assert stats["ok"] and stats["queries"] == 1
-        assert stats["availability"] == 1.0
-        assert not bad_type["ok"]
-        assert "keywords" in bad_type["error"]
-        assert not bad_json["ok"]
-        assert bad_json["error"].startswith("bad request")

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.correlation import cooccurrence_correlations
-from repro.exceptions import TraceFormatError
 from repro.workloads.corpus_gen import generate_corpus, word_name
 from repro.workloads.query_gen import (
     LENGTH_DISTRIBUTION,
     QueryWorkloadModel,
     generate_query_log,
 )
-from repro.workloads.traces import load_operations, save_operations, split_periods
 from repro.workloads.zipf import ZipfSampler, zipf_probabilities
 
 
@@ -177,33 +175,3 @@ class TestDrift:
         with pytest.raises(ValueError):
             model.drifted(1.5)
 
-
-class TestTraceIO:
-    def test_round_trip(self, tmp_path):
-        ops = [("a", "b"), ("c",), ("d", "e", "f")]
-        path = tmp_path / "ops.tsv"
-        assert save_operations(path, ops) == 3
-        assert load_operations(path) == ops
-
-    def test_separator_in_id_rejected(self, tmp_path):
-        with pytest.raises(TraceFormatError, match="separator"):
-            save_operations(tmp_path / "x.tsv", [("a\tb",)])
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(TraceFormatError, match="cannot read"):
-            load_operations(tmp_path / "missing.tsv")
-
-    def test_split_periods_even(self):
-        ops = [(str(i),) for i in range(10)]
-        periods = split_periods(ops, 2)
-        assert [len(p) for p in periods] == [5, 5]
-        assert periods[0][0] == ("0",)
-
-    def test_split_periods_remainder_to_last(self):
-        ops = [(str(i),) for i in range(10)]
-        periods = split_periods(ops, 3)
-        assert [len(p) for p in periods] == [3, 3, 4]
-
-    def test_split_invalid(self):
-        with pytest.raises(ValueError):
-            split_periods([], 0)
