@@ -9,6 +9,8 @@ vectorized fast path so ``pytest-benchmark`` output shows the speedup
 directly.  End-to-end timing is ``perfbench/run.py``.
 """
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from repro.search.engine import (
     build_placement_problem,
 )
 from repro.serve.snapshot import PlanSnapshot
+from repro.serve.vtime import run_virtual
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +124,47 @@ def test_perf_profile_replay(benchmark, study):
     engine = DistributedSearchEngine(study.index, study.place_hash(10))
     stats = benchmark(lambda: engine.replay(profile))
     assert stats.queries == len(study.log)
+
+
+def test_perf_virtual_loop(benchmark):
+    """The serve drive's per-query loop pattern without the engine:
+    20,000 tasks sleep to seeded arrival times, then await futures that
+    a batch timer resolves every 32 arrivals, or 2 ms after the first."""
+    arrivals = np.sort(np.random.default_rng(0).uniform(0.0, 4.0, 20_000)).tolist()
+
+    async def drive():
+        loop = asyncio.get_running_loop()
+        pending = []
+        timer = None
+
+        def resolve(batch):
+            for future in batch:
+                future.set_result(None)
+
+        def flush():
+            nonlocal pending, timer
+            if timer is not None:
+                timer.cancel()
+                timer = None
+            batch, pending = pending, []
+            loop.call_at(loop.time() + 1e-3, resolve, batch)
+
+        async def one(arrival):
+            nonlocal timer
+            await asyncio.sleep(arrival - loop.time())
+            future = loop.create_future()
+            pending.append(future)
+            if len(pending) >= 32:
+                flush()
+            elif timer is None:
+                timer = loop.call_at(loop.time() + 2e-3, flush)
+            await future
+
+        await asyncio.gather(*(one(arrival) for arrival in arrivals))
+        return loop.time()
+
+    end = benchmark(lambda: run_virtual(drive()))
+    assert arrivals[-1] < end < arrivals[-1] + 4e-3
 
 
 def test_perf_replicated_route(benchmark, study):

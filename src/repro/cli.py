@@ -5,10 +5,13 @@ Subcommands::
     repro gen-queries  — generate a synthetic query log file
     repro place        — compute a placement from a query log
     repro evaluate     — replay a query log against a placement
+    repro analyze      — Figure-2 style skew and stability analysis of a log
     repro experiment   — regenerate a paper figure (fig2/fig5/fig6/fig7/all)
     repro chaos        — seeded fault-injection run with a degraded report
     repro online       — streaming control loop over a drifting query stream
+    repro loadgen      — replay the drifting stream through the serving router
     repro pg           — plan a synthetic scenario through placement groups
+    repro gap          — optimality gap of LPRR vs an exact reference
     repro trace        — analyze a journal or metrics artifact from a run
 
 Instrumented subcommands accept ``--metrics-out PATH`` (machine-readable

@@ -42,26 +42,20 @@ def top_important(problem: PlacementProblem, scope: int) -> list[ObjectId]:
 
 
 def _importance_order(problem: PlacementProblem) -> np.ndarray:
-    t = problem.num_objects
+    by_size = np.argsort(-problem.sizes, kind="stable")
     if problem.num_pairs == 0:
-        return np.argsort(-problem.sizes, kind="stable")
+        return by_size
 
-    weights = problem.pair_weights
+    pair_index = problem.pair_index
     pair_order = np.lexsort(
-        (problem.pair_index[:, 1], problem.pair_index[:, 0], -weights)
+        (pair_index[:, 1], pair_index[:, 0], -problem.pair_weights)
     )
-
-    first_seen = np.full(t, np.iinfo(np.int64).max, dtype=np.int64)
-    position = 0
-    for p in pair_order:
-        for obj in problem.pair_index[p]:
-            if first_seen[obj] == np.iinfo(np.int64).max:
-                first_seen[obj] = position
-                position += 1
+    # Each ranked pair's endpoints, i then j; an object's importance is
+    # the position of its first appearance in that stream.
+    seen, first = np.unique(pair_index[pair_order].ravel(), return_index=True)
+    paired = seen[np.argsort(first)]
 
     # Never-paired objects last, ordered by size descending (stable).
-    by_size_rank = np.empty(t, dtype=np.int64)
-    by_size_rank[np.argsort(-problem.sizes, kind="stable")] = np.arange(t)
-    unseen = first_seen == np.iinfo(np.int64).max
-    first_seen[unseen] = t + by_size_rank[unseen]
-    return np.argsort(first_seen, kind="stable")
+    unpaired = np.ones(problem.num_objects, dtype=bool)
+    unpaired[seen] = False
+    return np.concatenate([paired, by_size[unpaired[by_size]]])

@@ -134,8 +134,8 @@ class PlacementProblem:
                 Pairs are canonicalized; duplicate mirrored entries
                 (``(a, b)`` and ``(b, a)``) have their values summed.
             pair_cost: Pair communication cost ``w``: a callable of the
-                two sizes, an explicit per-pair mapping, or None for
-                the default :func:`min_size_pair_cost`.
+                two sizes (Python floats), an explicit per-pair mapping,
+                or None for the default :func:`min_size_pair_cost`.
             resources: Extra node-capacity dimensions (Section 3.3),
                 mapping resource name to ``(object_loads, node_budgets)``
                 where budgets may be a scalar for uniform nodes.
@@ -165,14 +165,16 @@ class PlacementProblem:
             key = (i, j) if i < j else (j, i)
             merged[key] = merged.get(key, 0.0) + float(r)
 
-        pair_index = np.asarray(sorted(merged), dtype=np.int64).reshape(-1, 2)
-        corr = np.asarray([merged[tuple(p)] for p in pair_index], dtype=float)
+        keys = sorted(merged)
+        pair_index = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        corr = np.asarray([merged[key] for key in keys], dtype=float)
 
         if pair_cost is None:
             pair_cost = min_size_pair_cost
         if callable(pair_cost):
+            size_list = sizes.tolist()
             costs = np.asarray(
-                [pair_cost(sizes[i], sizes[j]) for i, j in pair_index], dtype=float
+                [pair_cost(size_list[i], size_list[j]) for i, j in keys], dtype=float
             )
         else:
             cost_by_key: dict[tuple[int, int], float] = {}
@@ -183,9 +185,7 @@ class PlacementProblem:
                 i, j = index[a], index[b]
                 cost_by_key[(min(i, j), max(i, j))] = float(w)
             try:
-                costs = np.asarray(
-                    [cost_by_key[tuple(p)] for p in pair_index], dtype=float
-                )
+                costs = np.asarray([cost_by_key[key] for key in keys], dtype=float)
             except KeyError as exc:
                 raise ProblemDefinitionError(
                     f"missing explicit pair cost for correlated pair index {exc}"

@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
@@ -483,14 +484,16 @@ class OnlinePlanner:
         ) as span:
             # Out-of-universe objects cannot be placed; drop them here
             # so they neither crash problem construction nor waste
-            # heavy-hitter capacity.  The filtered period then ingests
-            # through the batched trace path in one call.
-            self.estimator.observe_trace(
-                [
+            # heavy-hitter capacity.  A period with none ingests as it
+            # is, and either way through the batched trace path in one
+            # call.
+            operations = period.operations
+            if not self.sizes.keys() >= set(chain.from_iterable(operations)):
+                operations = [
                     tuple(obj for obj in operation if obj in self.sizes)
-                    for operation in period.operations
+                    for operation in operations
                 ]
-            )
+            self.estimator.observe_trace(operations)
             obs.counter("online.periods").inc()
             obs.counter("online.operations").inc(period.num_operations)
             obs.gauge("online.sketch_cells").set(self.memory_cells)

@@ -147,7 +147,8 @@ class ReplicatedSearchEngine:
             alive[w] = survivors
         if not alive:
             return QueryExecution(query, 0, 0, 0, 0)
-        words = sorted(alive, key=lambda w: (index.document_frequency(w), w))
+        # Every live word is indexed, so its rank is its (df, word) order.
+        words = sorted(alive, key=index.keyword_order().rank.__getitem__)
         sizes = index.prefix_counts(words)
 
         def route(copies: frozenset[int], remaining: list[str]) -> int:

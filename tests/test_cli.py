@@ -1,9 +1,11 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import argparse
 import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -41,6 +43,16 @@ class TestParser:
             build_parser().parse_args(
                 ["place", "log", "out", "--strategy", "magic"]
             )
+
+    def test_docstring_lists_every_subcommand(self):
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert subparsers.choices
+        for name in subparsers.choices:
+            assert f"repro {name} " in cli.__doc__, name
 
 
 class TestGenQueries:

@@ -49,6 +49,22 @@ class TestConstruction:
         )
         assert p.pair_costs[0] == pytest.approx(8.0)
 
+    def test_custom_pair_cost_receives_python_floats(self):
+        seen = []
+
+        def product(size_i, size_j):
+            seen.append((type(size_i), type(size_j)))
+            return size_i * size_j
+
+        p = PlacementProblem.build(
+            {"a": 2.0, "b": 3.0, "c": 5.0},
+            2,
+            {("a", "b"): 1.0, ("c", "b"): 0.5},
+            pair_cost=product,
+        )
+        assert seen == [(float, float)] * 2
+        assert p.pair_costs.tolist() == [6.0, 15.0]
+
     def test_unit_pair_cost(self):
         p = PlacementProblem.build(
             {"a": 2.0, "b": 6.0}, 2, {("a", "b"): 0.5}, pair_cost=unit_pair_cost

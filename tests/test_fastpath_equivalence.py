@@ -6,26 +6,30 @@ selection from memoized gains, the columnar query-log compile,
 query-log replay from a compiled profile and correlation mining from
 it, replica routing on bitset intersection counts, Count-Min rows
 hashed once per distinct key, heap-based Space-Saving eviction
-folded per batch, and chunked correlation mining.  Each one promises *byte-identical* output to the legacy
-per-item loop under fixed seeds; these hypothesis suites hold them to
-it, including dict insertion order and the type-gate fallbacks of the
-miner.
+folded per batch, chunked correlation mining, the first-appearance
+importance order, problem construction from sorted key tuples, and
+the selector-free virtual-time loop.  Each one promises
+*byte-identical* output to the legacy per-item loop under fixed seeds;
+these hypothesis suites hold them to it, including dict insertion
+order and the type-gate fallbacks of the miner.
 """
 
 import asyncio
 import hashlib
 import heapq
+import itertools
 import json
 import math
+import re
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import correlation
+from repro.core import correlation, importance
 from repro.core.correlation import (
     CorrelationEstimator,
     cooccurrence_correlations,
@@ -33,12 +37,19 @@ from repro.core.correlation import (
     two_smallest_correlations,
     union_largest_correlations,
 )
+from repro.core.importance import importance_ranking, importance_scores, top_important
 from repro.core.lp import build_placement_lp
 from repro.core.migration import Migration, MigrationPlan, select_migrations
-from repro.core.problem import PlacementProblem
+from repro.core.problem import (
+    PlacementProblem,
+    min_size_pair_cost,
+    sum_size_pair_cost,
+    unit_pair_cost,
+)
 from repro.core.repair import repair_capacity
 from repro.core.replication import ReplicatedPlacement
-from repro.exceptions import InfeasibleProblemError
+from repro.core.resources import ResourceSpec
+from repro.exceptions import InfeasibleProblemError, ProblemDefinitionError
 from repro.lpsolve import LinearProgram, Sense
 from repro.online.sketch import (
     CountMinSketch,
@@ -61,7 +72,7 @@ from repro.search.replicated_engine import ReplicatedSearchEngine
 from repro.search.simulation import TimingModel, simulate_latencies
 from repro.serve.router import QueryRouter, ServeConfig
 from repro.serve.snapshot import PlanHandle, PlanSnapshot
-from repro.serve.vtime import run_virtual
+from repro.serve.vtime import VirtualTimeLoop, run_virtual
 
 # ----------------------------------------------------------------------
 # Shared strategies
@@ -1515,3 +1526,381 @@ class TestRouteEquivalence:
         assert [r.execution for r in routed] == [
             _route_reference(engine, query) for query in queries
         ]
+
+
+# ----------------------------------------------------------------------
+# Importance order
+# ----------------------------------------------------------------------
+
+def _importance_order_reference(problem: PlacementProblem) -> np.ndarray:
+    """The per-pair ranking loop: walk the ranked pairs, i then j, and
+    number each object at its first appearance."""
+    t = problem.num_objects
+    if problem.num_pairs == 0:
+        return np.argsort(-problem.sizes, kind="stable")
+
+    weights = problem.pair_weights
+    pair_order = np.lexsort(
+        (problem.pair_index[:, 1], problem.pair_index[:, 0], -weights)
+    )
+
+    first_seen = np.full(t, np.iinfo(np.int64).max, dtype=np.int64)
+    position = 0
+    for p in pair_order:
+        for obj in problem.pair_index[p]:
+            if first_seen[obj] == np.iinfo(np.int64).max:
+                first_seen[obj] = position
+                position += 1
+
+    # Never-paired objects last, ordered by size descending (stable).
+    by_size_rank = np.empty(t, dtype=np.int64)
+    by_size_rank[np.argsort(-problem.sizes, kind="stable")] = np.arange(t)
+    unseen = first_seen == np.iinfo(np.int64).max
+    first_seen[unseen] = t + by_size_rank[unseen]
+    return np.argsort(first_seen, kind="stable")
+
+
+@st.composite
+def _importance_problems(draw):
+    """Problems with weight ties (few correlation values, few sizes),
+    size ties among never-paired objects, and zero pairs; ids are
+    shuffled so index order is not name order."""
+    t = draw(st.integers(1, 12))
+    ids = draw(st.permutations([f"o{i}" for i in range(t)]))
+    sizes = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=t, max_size=t))
+    candidates = list(itertools.combinations(range(t), 2))
+    chosen = (
+        draw(st.lists(st.sampled_from(candidates), unique=True, max_size=len(candidates)))
+        if candidates
+        else []
+    )
+    correlations = {}
+    for a, b in chosen:
+        if draw(st.booleans()):
+            a, b = b, a
+        correlations[(ids[a], ids[b])] = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    cost = draw(st.sampled_from([min_size_pair_cost, sum_size_pair_cost, unit_pair_cost]))
+    return PlacementProblem.build(dict(zip(ids, sizes)), 2, correlations, pair_cost=cost)
+
+
+class TestImportanceEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=_importance_problems(), scope=st.integers(0, 14))
+    def test_first_appearance_matches_pair_loop(self, problem, scope):
+        order = _importance_order_reference(problem)
+        assert importance._importance_order(problem).tolist() == order.tolist()
+        ranking = [problem.object_ids[i] for i in order]
+        assert importance_ranking(problem) == ranking
+        scores = np.empty(problem.num_objects, dtype=np.int64)
+        scores[order] = np.arange(problem.num_objects)
+        assert importance_scores(problem).tobytes() == scores.tobytes()
+        assert top_important(problem, scope) == ranking[:scope]
+
+
+# ----------------------------------------------------------------------
+# Problem construction
+# ----------------------------------------------------------------------
+
+def _build_reference(objects, nodes, correlations, pair_cost=None, resources=None):
+    """``PlacementProblem.build`` reading correlations and costs back
+    through ``pair_index`` rows, and sizes as numpy scalars."""
+    object_ids = list(objects.keys())
+    sizes = np.asarray([objects[o] for o in object_ids], dtype=float)
+    if isinstance(nodes, int):
+        node_ids = list(range(nodes))
+        capacities = np.full(nodes, np.inf)
+    else:
+        node_ids = list(nodes.keys())
+        capacities = np.asarray([nodes[k] for k in node_ids], dtype=float)
+
+    index = {obj: i for i, obj in enumerate(object_ids)}
+    merged = {}
+    for (a, b), r in correlations.items():
+        if a not in index or b not in index:
+            missing = a if a not in index else b
+            raise ProblemDefinitionError(f"correlation references unknown object {missing!r}")
+        i, j = index[a], index[b]
+        if i == j:
+            raise ProblemDefinitionError(f"self-correlation for object {a!r}")
+        key = (i, j) if i < j else (j, i)
+        merged[key] = merged.get(key, 0.0) + float(r)
+
+    pair_index = np.asarray(sorted(merged), dtype=np.int64).reshape(-1, 2)
+    corr = np.asarray([merged[tuple(p)] for p in pair_index], dtype=float)
+
+    if pair_cost is None:
+        pair_cost = min_size_pair_cost
+    if callable(pair_cost):
+        costs = np.asarray(
+            [pair_cost(sizes[i], sizes[j]) for i, j in pair_index], dtype=float
+        )
+    else:
+        cost_by_key = {}
+        for (a, b), w in pair_cost.items():
+            if a not in index or b not in index:
+                missing = a if a not in index else b
+                raise ProblemDefinitionError(f"pair cost references unknown object {missing!r}")
+            i, j = index[a], index[b]
+            cost_by_key[(min(i, j), max(i, j))] = float(w)
+        try:
+            costs = np.asarray(
+                [cost_by_key[tuple(p)] for p in pair_index], dtype=float
+            )
+        except KeyError as exc:
+            raise ProblemDefinitionError(
+                f"missing explicit pair cost for correlated pair index {exc}"
+            ) from exc
+
+    specs = []
+    for name, (loads, budgets) in (resources or {}).items():
+        for obj in loads:
+            if obj not in index:
+                raise ProblemDefinitionError(
+                    f"resource {name!r} references unknown object {obj!r}"
+                )
+        specs.append(
+            ResourceSpec.from_mappings(name, loads, budgets, object_ids, node_ids)
+        )
+    return PlacementProblem(
+        object_ids, sizes, node_ids, capacities, pair_index, corr, costs, specs
+    )
+
+
+_BUILD_ERRORS = (
+    None, "unknown_correlated", "self_correlated", "unknown_costed", "missing_cost",
+    "unknown_resource",
+)
+
+
+@st.composite
+def _build_cases(draw):
+    """``build`` arguments: mirrored duplicate pairs (summed), every
+    built-in cost, an explicit cost mapping keyed either way round,
+    an optional resource, and at most one injected definition error."""
+    t = draw(st.integers(2, 8))
+    ids = draw(st.permutations([f"o{i}" for i in range(t)]))
+    size = st.sampled_from([0.5, 1.0, 3.0]) | st.floats(1e-3, 1e6)
+    objects = {obj: draw(size) for obj in ids}
+    nodes = draw(st.sampled_from([3, {"a": 5.0, "b": 2.5}]))
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, t - 1), st.integers(0, t - 1), st.floats(0.0, 1.0)),
+        max_size=20,
+    ))
+    # (a, b) and (b, a) are distinct keys: their values are summed.
+    correlations = {(ids[a], ids[b]): r for a, b, r in entries if a != b}
+    cost = draw(st.sampled_from(
+        ["mapping", None, min_size_pair_cost, sum_size_pair_cost, unit_pair_cost]
+    ))
+    if cost == "mapping":
+        cost = {
+            ((b, a) if draw(st.booleans()) else (a, b)): draw(st.floats(0.0, 100.0))
+            for a, b in correlations
+        }
+    resources = None
+    if draw(st.booleans()):
+        resources = {"cpu": ({obj: 1.0 for obj in ids[: t // 2]}, 4.0)}
+
+    error = draw(st.sampled_from(_BUILD_ERRORS))
+    if error == "unknown_correlated":
+        correlations[(ids[0], "ghost")] = 0.5
+    elif error == "self_correlated":
+        correlations[(ids[-1], ids[-1])] = 0.5
+    elif error == "unknown_costed":
+        cost = dict(cost) if isinstance(cost, dict) else {}
+        cost[("ghost", ids[0])] = 1.0
+    elif error == "missing_cost":
+        correlations.setdefault((ids[0], ids[1]), 0.5)
+        cost = {pair: 1.0 for pair in correlations}
+        del cost[draw(st.sampled_from(sorted(cost)))]
+    elif error == "unknown_resource":
+        resources = {"cpu": ({"ghost": 1.0}, 4.0)}
+    return objects, nodes, correlations, cost, resources
+
+
+def _build_outcome(build, case):
+    """The built arrays as bytes, or the definition error's message.
+
+    Errors name a pair index as plain ints; the reference's numpy-row
+    keys print as ``np.int64(...)`` under numpy 2.
+    """
+    try:
+        problem = build(*case)
+    except ProblemDefinitionError as exc:
+        return re.sub(r"np\.int64\((-?\d+)\)", r"\1", str(exc))
+    return (
+        problem.object_ids,
+        problem.sizes.tobytes(),
+        problem.node_ids,
+        problem.capacities.tobytes(),
+        problem.pair_index.shape,
+        problem.pair_index.tobytes(),
+        problem.correlations.tobytes(),
+        problem.pair_costs.tobytes(),
+        [(spec.name, spec.loads.tobytes(), spec.budgets.tobytes()) for spec in problem.resources],
+    )
+
+
+class TestBuildEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_build_cases())
+    def test_key_tuples_match_row_loop(self, case):
+        assert _build_outcome(PlacementProblem.build, case) == _build_outcome(
+            _build_reference, case
+        )
+
+
+# ----------------------------------------------------------------------
+# Virtual-time loop
+# ----------------------------------------------------------------------
+
+class _SelectorVirtualTimeLoop(asyncio.SelectorEventLoop):
+    """A selector loop whose clock is virtual and deterministic.
+
+    The loop relies on two private-but-stable pieces of the asyncio
+    base loop (unchanged across CPython 3.10–3.13): ``_ready``, the
+    runnable-callback queue, and ``_scheduled``, the timer heap.  When
+    nothing is runnable, virtual time advances to the earliest timer's
+    deadline before the base ``_run_once`` computes its selector
+    timeout, which then comes out as zero — so the loop never sleeps
+    for real.
+    """
+
+    # Not quite: after popping a cancelled head, the base computes the
+    # timeout from the next live deadline and waits that long in epoll.
+    # The schedules below stay within milliseconds to keep that short.
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._vtime = 0.0
+
+    def time(self) -> float:
+        return self._vtime
+
+    def _run_once(self) -> None:
+        if not self._ready and self._scheduled:
+            # A cancelled timer at the heap head is harmless here: time
+            # jumps to its (defunct) deadline and the next iteration
+            # advances again.  Monotonicity is preserved either way.
+            when = self._scheduled[0]._when
+            if when > self._vtime:
+                self._vtime = when
+        super()._run_once()
+
+
+_LOOP_KINDS = ("call_at", "call_later", "call_soon", "sleep", "cancel", "bulk")
+
+# Deadlines on a 0.1 ms grid, some nudged by less than the loop's 1e-9 s
+# clock resolution, so equal and nearly equal deadlines are common.
+_LOOP_DELAYS = st.builds(
+    lambda step, nudge: step * 1e-4 + nudge,
+    st.integers(0, 8),
+    st.sampled_from([0.0, 0.0, 4e-10, 9e-10, 3e-9]),
+)
+
+# (kind, delay, number, children): a callback runs its children when it
+# fires, so callbacks schedule and cancel more timers.
+_LOOP_ACTIONS = st.recursive(
+    st.tuples(
+        st.sampled_from(_LOOP_KINDS), _LOOP_DELAYS, st.integers(0, 2**16), st.just(())
+    ),
+    lambda children: st.tuples(
+        st.sampled_from(_LOOP_KINDS[:4]),
+        _LOOP_DELAYS,
+        st.integers(0, 2**16),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=25,
+)
+
+
+def _run_schedule(loop_class, program):
+    """Run ``program`` on a fresh ``loop_class``; return every firing as
+    ``(tag, loop.time())`` in order, and the time the program ended.
+
+    ``call_at`` deadlines are absolute, so a callback can schedule one
+    in the past.  ``cancel`` cancels a handle or task counted back from
+    the newest.  ``bulk`` schedules 101–160 timers and cancels 55–95%
+    of them, so the heap is rebuilt without its cancelled timers.  The
+    program ends when nothing it scheduled is left uncancelled.
+    """
+    fired = []
+    live = {}
+    tags = []
+    counter = itertools.count()
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        done = loop.create_future()
+
+        def fire(tag, children):
+            fired.append((tag, loop.time()))
+            del live[tag]
+            run(children)
+            if not live and not done.done():
+                done.set_result(None)
+
+        async def sleeper(delay, tag, children):
+            await asyncio.sleep(delay)
+            fire(tag, children)
+
+        def schedule(kind, delay, children):
+            tag = next(counter)
+            if kind == "call_at":
+                live[tag] = loop.call_at(delay, fire, tag, children)
+            elif kind == "call_later":
+                live[tag] = loop.call_later(delay, fire, tag, children)
+            elif kind == "call_soon":
+                live[tag] = loop.call_soon(fire, tag, children)
+            else:
+                live[tag] = loop.create_task(sleeper(delay, tag, children))
+            tags.append(tag)
+
+        def run(actions):
+            for kind, delay, number, children in actions:
+                if kind == "cancel":
+                    if tags:
+                        handle = live.pop(tags[-1 - number % len(tags)], None)
+                        if handle is not None:
+                            handle.cancel()
+                elif kind == "bulk":
+                    rng = np.random.default_rng(number)
+                    count = int(rng.integers(101, 161))
+                    share = rng.uniform(0.55, 0.95)
+                    for step in rng.integers(0, 9, size=count).tolist():
+                        schedule("call_later", step * 1e-4, ())
+                    for tag in tags[-count:]:
+                        if rng.random() < share:
+                            live.pop(tag).cancel()
+                else:
+                    schedule(kind, delay, children)
+
+        run(program)
+        if not live:
+            done.set_result(None)
+        await done
+        return loop.time()
+
+    loop = loop_class()
+    try:
+        end = loop.run_until_complete(main())
+    finally:
+        loop.close()
+    return fired, end
+
+
+class TestVirtualLoopEquivalence:
+    @settings(max_examples=120, deadline=None)
+    @given(program=st.lists(_LOOP_ACTIONS, max_size=8))
+    # Time still jumps to a cancelled head's deadline, so a timer due
+    # within the clock resolution after it fires at that deadline.
+    @example(
+        program=[
+            ("call_at", 1e-4, 0, ()),
+            ("cancel", 0.0, 0, ()),
+            ("call_at", 1e-4 + 5e-10, 0, ()),
+        ]
+    )
+    def test_same_callbacks_same_order_same_time(self, program):
+        assert _run_schedule(VirtualTimeLoop, program) == _run_schedule(
+            _SelectorVirtualTimeLoop, program
+        )

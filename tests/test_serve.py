@@ -2,13 +2,19 @@
 snapshots/hot-swap and the batching router."""
 
 import asyncio
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.problem import PlacementProblem
 from repro.core.replication import ReplicatedPlacement
 from repro.search.documents import Corpus, Document
@@ -117,6 +123,37 @@ class TestVirtualTime:
 
         run_virtual(main())
         assert order == ["sleep1", "timer", "sleep2"]
+
+    def test_deadlock_raises(self):
+        # Nothing can resolve the awaited future, so the loop must say so
+        # instead of waiting forever.  The subprocess timeout turns a hang
+        # into a failure here rather than a stalled suite.
+        script = textwrap.dedent(
+            """
+            import asyncio
+            from repro.serve.vtime import run_virtual
+
+            async def main():
+                await asyncio.get_running_loop().create_future()
+
+            try:
+                run_virtual(main())
+            except RuntimeError as exc:
+                print(exc)
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("run_virtual hung on a coroutine nothing can wake")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("virtual-time deadlock"), done.stdout
 
 
 # ----------------------------------------------------------------------
