@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.core.importance import top_important
-from repro.core.lp import build_placement_lp, solve_placement_lp
+from repro.core.lp import solve_placement_lp
 
 SCOPES = (100, 200, 400)
 NODES = (5, 10, 20)

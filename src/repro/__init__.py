@@ -30,6 +30,7 @@ from repro.core import (
     LPStats,
     PairData,
     Placement,
+    PlacementLP,
     PlacementMap,
     PlacementProblem,
     PlanConfig,
@@ -78,7 +79,7 @@ from repro.exceptions import (
     TraceFormatError,
 )
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "CorrelationEstimator",
@@ -94,6 +95,7 @@ __all__ = [
     "PairData",
     "Placement",
     "PlacementError",
+    "PlacementLP",
     "PlacementMap",
     "PlacementProblem",
     "PlanConfig",

@@ -25,6 +25,7 @@ from repro.core.local_search import local_search_placement
 from repro.core.lp import (
     FractionalPlacement,
     LPStats,
+    PlacementLP,
     build_placement_lp,
     pack_components,
     solve_placement_lp,
@@ -84,6 +85,7 @@ __all__ = [
     "MigrationPlan",
     "LPStats",
     "PairData",
+    "PlacementLP",
     "Placement",
     "PlacementMap",
     "PlacementProblem",

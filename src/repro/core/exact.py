@@ -21,10 +21,12 @@ violates, and the program is solved again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro import obs
 from repro.core.lp import build_placement_lp
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
@@ -62,8 +64,6 @@ def solve_exact(
         InfeasibleProblemError: If no feasible placement exists.
         SolverError: If HiGHS stops without proving optimality.
     """
-    from repro.lpsolve import Sense
-
     t, n = problem.num_objects, problem.num_nodes
     if t > max_objects:
         raise ValueError(
@@ -73,32 +73,46 @@ def solve_exact(
     if t == 0:
         return ExactSolution(Placement(problem, np.zeros(0, dtype=np.int64)), 0.0)
 
-    lp = build_placement_lp(problem)
-    while True:
-        x = _solve_milp(lp, t * n).reshape(t, n)
-        placement = Placement(problem, x.argmax(axis=1))
-        if placement.is_feasible():
-            return ExactSolution(placement, placement.communication_cost())
-        for k, members in _overrun_sets(placement):
-            lp.add_constraint(
-                [(i * n + k, 1.0) for i in members], Sense.LE, len(members) - 1
-            )
+    with obs.span("exact.solve", objects=t, nodes=n) as span:
+        from scipy import sparse  # a first call's import counts in the span
+
+        program = build_placement_lp(problem)
+        # Cover cuts join the <= block ahead of its closing y rows.
+        cut_row = program.a_ub.shape[0] - (program.num_variables - t * n)
+        for solves in itertools.count(1):
+            x = _solve_milp(program, t * n).reshape(t, n)
+            placement = Placement(problem, x.argmax(axis=1))
+            if placement.is_feasible():
+                span.set(solves=solves)
+                return ExactSolution(placement, placement.communication_cost())
+            for k, members in _overrun_sets(placement):
+                cut = np.zeros((1, program.num_variables))
+                cut[0, np.asarray(members) * n + k] = 1.0
+                a_ub, b_ub = program.a_ub, program.b_ub
+                program = replace(
+                    program,
+                    a_ub=sparse.vstack(
+                        [a_ub[:cut_row], sparse.csr_matrix(cut), a_ub[cut_row:]],
+                        format="csr",
+                    ),
+                    b_ub=np.insert(b_ub, cut_row, len(members) - 1),
+                )
+                cut_row += 1
 
 
-def _solve_milp(lp, num_integral: int) -> np.ndarray:
-    """Solve ``lp`` with its first ``num_integral`` variables integral."""
+def _solve_milp(program, num_integral: int) -> np.ndarray:
+    """Solve ``program`` with its first ``num_integral`` variables integral."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    a_ub, b_ub, a_eq, b_eq = lp.split_by_sense()
-    integrality = np.zeros(lp.num_variables)
+    integrality = np.zeros(program.num_variables)
     integrality[:num_integral] = 1
     result = milp(
-        lp.objective_vector(),
+        program.c,
         integrality=integrality,
-        bounds=Bounds(*lp.bounds_arrays()),
+        bounds=Bounds(np.zeros(program.num_variables), program.upper),
         constraints=[
-            LinearConstraint(a_ub, -np.inf, b_ub),
-            LinearConstraint(a_eq, b_eq, b_eq),
+            LinearConstraint(program.a_ub, -np.inf, program.b_ub),
+            LinearConstraint(program.a_eq, program.b_eq, program.b_eq),
         ],
         options={"mip_rel_gap": 0},
     )

@@ -20,9 +20,9 @@ The explicit program stays as the test oracle for that claim:
 optimum-preserving steps — ``z`` substituted out, and one
 ``y ≥ x[i,k] - x[j,k]`` row per (pair, node) carrying the full pair
 weight, because the positive and negative parts of ``x_i - x_j`` have
-equal mass when both rows sum to 1) and :func:`solve_placement_lp`
-solves it with HiGHS.  Both import the modelling layer, and with it
-scipy, only when called.
+equal mass when both rows sum to 1) as the arrays HiGHS takes, and
+:func:`solve_placement_lp` solves it with ``scipy.optimize.linprog``.
+Both import scipy only when called.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from repro.core.decompose import component_groups
 from repro.core.problem import PlacementProblem
 from repro.exceptions import InfeasibleProblemError, SolverError
 
-if TYPE_CHECKING:  # the modelling layer imports scipy; load it on use
-    from repro.lpsolve import LinearProgram
+if TYPE_CHECKING:  # scipy loads only when the program is built
+    from scipy import sparse
 
 # Relative slack below which a component counts as fitting a node: a
 # float shortfall of this size is not worth a split.
@@ -82,17 +82,12 @@ class FractionalPlacement:
             integral communication cost, and by Theorem 2 the exact
             expected cost of the randomized rounding.
         stats: Program size and solve statistics.
-        capacity_duals: Shadow price of each node's capacity row, from
-            the HiGHS oracle only (None for uncapacitated nodes and for
-            the closed form).  A strongly negative value marks a node
-            whose space binds the optimum — the capacity to grow first.
     """
 
     problem: PlacementProblem
     fractions: np.ndarray
     lower_bound: float
     stats: LPStats
-    capacity_duals: np.ndarray | None = None
 
     def is_integral(self, tolerance: float = 1e-6) -> bool:
         """Whether the LP optimum is already an integral placement."""
@@ -177,119 +172,109 @@ def pack_components(problem: PlacementProblem) -> FractionalPlacement:
     return FractionalPlacement(problem, fractions, 0.0, stats)
 
 
-def build_placement_lp(problem: PlacementProblem) -> "LinearProgram":
+@dataclass(frozen=True)
+class PlacementLP:
+    """The compacted Figure 4 program as the arrays HiGHS takes.
+
+    Minimize ``c @ v`` subject to ``0 ≤ v ≤ upper``,
+    ``a_ub @ v ≤ b_ub`` and ``a_eq @ v = b_eq``.  ``a_ub`` holds the
+    capacity rows, then each §3.3 budget's rows, then one negated
+    ``y`` row per ``y`` variable, so the last ``len(c) - t*n`` rows
+    are the ``y`` rows.  ``a_eq`` holds one assignment row per object.
+    """
+
+    c: np.ndarray
+    upper: np.ndarray
+    a_ub: "sparse.csr_matrix"
+    b_ub: np.ndarray
+    a_eq: "sparse.csr_matrix"
+    b_eq: np.ndarray
+
+    @property
+    def num_variables(self) -> int:
+        return len(self.c)
+
+    @property
+    def num_constraints(self) -> int:
+        return self.a_ub.shape[0] + self.a_eq.shape[0]
+
+    @property
+    def num_nonzeros(self) -> int:
+        return self.a_ub.nnz + self.a_eq.nnz
+
+
+def build_placement_lp(problem: PlacementProblem) -> PlacementLP:
     """Construct the relaxed LP of Figure 4 for ``problem``.
 
     Variable layout: ``x[i,k]`` at index ``i*n + k``; ``y`` variables
     for pair ``p`` and node ``k`` at index ``t*n + p*n + k``.  Pairs
     with zero objective weight are excluded (they cannot affect the
     optimum), matching the paper's restriction to ``r(i,j) > 0``.
-
-    All ``O(|E||N|)`` rows are assembled as whole COO blocks through
-    :meth:`~repro.lpsolve.LinearProgram.add_constraints_from_arrays`.
     """
-    from repro.lpsolve import LinearProgram, Sense
+    from scipy import sparse
 
     t, n = problem.num_objects, problem.num_nodes
-    lp = LinearProgram(f"cca-{t}x{n}")
+    active_pairs = np.flatnonzero(problem.pair_weights > 0)
+    num_y = len(active_pairs) * n
+    num_variables = t * n + num_y
+    objects = np.arange(t, dtype=np.int64)
 
-    lp.add_variables_from_arrays(
-        [f"x[{i},{k}]" for i in range(t) for k in range(n)],
-        lower=0.0,
-        upper=1.0,
-    )
-
-    active_pairs = np.where(problem.pair_weights > 0)[0]
-    num_active = len(active_pairs)
-    pair_i = problem.pair_index[active_pairs, 0]
-    pair_j = problem.pair_index[active_pairs, 1]
-    if num_active:
-        lp.add_variables_from_arrays(
-            [
-                f"y[{i},{j},{k}]"
-                for i, j in zip(pair_i.tolist(), pair_j.tolist())
-                for k in range(n)
-            ],
-            lower=0.0,
-            objective=np.repeat(problem.pair_weights[active_pairs], n),
-        )
-
-    ks = np.arange(n, dtype=np.int64)
-
-    # (5): each object fully placed.
-    lp.add_constraints_from_arrays(
-        rows=np.repeat(np.arange(t, dtype=np.int64), n),
-        cols=np.arange(t * n, dtype=np.int64),
-        vals=np.ones(t * n),
-        senses=Sense.EQ,
-        rhs=np.ones(t),
-        names=[f"assign[{i}]" for i in range(t)],
-    )
+    # (9): per-node capacity; skip unconstrained (infinite) nodes.  Then
+    # Section 3.3: one more (9)-style row per extra resource and node.
+    dims = [(objects, problem.sizes, problem.capacities)]
+    for spec in problem.resources:
+        loaded = np.flatnonzero(spec.loads > 0)
+        if loaded.size:
+            dims.append((loaded, spec.loads, spec.budgets))
+    rows, cols, vals, b_ub = [], [], [], []
+    for members, loads, limits in dims:
+        finite_k = np.flatnonzero(np.isfinite(limits))
+        rows.append(len(b_ub) + np.repeat(np.arange(finite_k.size), members.size))
+        cols.append((members[None, :] * n + finite_k[:, None]).reshape(-1))
+        vals.append(np.tile(loads[members], finite_k.size))
+        b_ub.extend(limits[finite_k].tolist())
 
     # (6)-(7) compacted: y >= x_i - x_j captures the positive part;
     # the negative part carries equal mass (see module docstring).
-    y_base = t * n
-    if num_active:
-        y_cols = y_base + np.arange(num_active * n, dtype=np.int64).reshape(
-            num_active, n
-        )
-        xi_cols = pair_i[:, None] * n + ks[None, :]
-        xj_cols = pair_j[:, None] * n + ks[None, :]
-        lp.add_constraints_from_arrays(
-            rows=np.repeat(np.arange(num_active * n, dtype=np.int64), 3),
-            cols=np.stack([y_cols, xi_cols, xj_cols], axis=2).reshape(-1),
-            vals=np.tile([1.0, -1.0, 1.0], num_active * n),
-            senses=Sense.GE,
-            rhs=np.zeros(num_active * n),
-        )
+    # Negated to -y + x_i - x_j <= 0, one row per y variable.
+    ks = np.arange(n, dtype=np.int64)
+    pair_i, pair_j = problem.pair_index[active_pairs].T
+    y_cols = t * n + np.arange(num_y, dtype=np.int64).reshape(len(active_pairs), n)
+    xi_cols = pair_i[:, None] * n + ks[None, :]
+    xj_cols = pair_j[:, None] * n + ks[None, :]
+    rows.append(len(b_ub) + np.repeat(np.arange(num_y), 3))
+    cols.append(np.stack([y_cols, xi_cols, xj_cols], axis=2).reshape(-1))
+    vals.append(np.tile([-1.0, 1.0, -1.0], num_y))
+    b_ub.extend([0.0] * num_y)
 
-    # (9): per-node capacity; skip unconstrained (infinite) nodes.
-    finite_k = np.flatnonzero(np.isfinite(problem.capacities))
-    if finite_k.size:
-        m = len(finite_k)
-        lp.add_constraints_from_arrays(
-            rows=np.repeat(np.arange(m, dtype=np.int64), t),
-            cols=(
-                np.arange(t, dtype=np.int64)[None, :] * n + finite_k[:, None]
-            ).reshape(-1),
-            vals=np.tile(np.asarray(problem.sizes, dtype=float), m),
-            senses=Sense.LE,
-            rhs=problem.capacities[finite_k],
-            names=[f"capacity[{k}]" for k in finite_k.tolist()],
-        )
-
-    # Section 3.3: one more (9)-style row per extra resource and node.
-    for spec in problem.resources:
-        loaded = np.flatnonzero(np.asarray(spec.loads) > 0)
-        budget_k = np.flatnonzero(np.isfinite(spec.budgets))
-        if not loaded.size or not budget_k.size:
-            continue
-        m = len(budget_k)
-        lp.add_constraints_from_arrays(
-            rows=np.repeat(np.arange(m, dtype=np.int64), loaded.size),
-            cols=(loaded[None, :] * n + budget_k[:, None]).reshape(-1),
-            vals=np.tile(np.asarray(spec.loads, dtype=float)[loaded], m),
-            senses=Sense.LE,
-            rhs=np.asarray(spec.budgets, dtype=float)[budget_k],
-            names=[f"{spec.name}[{k}]" for k in budget_k.tolist()],
-        )
-    return lp
+    a_ub = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(b_ub), num_variables),
+    )
+    # (5): each object fully placed.
+    a_eq = sparse.csr_matrix(
+        (np.ones(t * n), (np.repeat(objects, n), np.arange(t * n))),
+        shape=(t, num_variables),
+    )
+    return PlacementLP(
+        c=np.concatenate(
+            [np.zeros(t * n), np.repeat(problem.pair_weights[active_pairs], n)]
+        ),
+        upper=np.concatenate([np.ones(t * n), np.full(num_y, np.inf)]),
+        a_ub=a_ub,
+        b_ub=np.asarray(b_ub, dtype=float),
+        a_eq=a_eq,
+        b_eq=np.ones(t),
+    )
 
 
-def solve_placement_lp(
-    problem: PlacementProblem, backend: str = "auto"
-) -> FractionalPlacement:
+def solve_placement_lp(problem: PlacementProblem) -> FractionalPlacement:
     """Solve the Figure 4 LP with HiGHS: the test oracle.
 
     Planning never calls this — :func:`pack_components` gives an
     optimum in closed form.  The tests solve the explicit program to
     check that claim (objective 0, same feasibility) and to reproduce
     the paper's formulation.
-
-    Args:
-        problem: The CCA instance.
-        backend: HiGHS method: ``"auto"``, ``"highs"``, or
-            ``"highs-ipm"``.
 
     Returns:
         The optimal :class:`FractionalPlacement`.
@@ -299,57 +284,61 @@ def solve_placement_lp(
             objects (detected up front or reported by the solver).
         SolverError: On unexpected solver failure.
     """
-    from repro.lpsolve import LPStatus
+    from scipy.optimize import OptimizeResult, linprog
 
     if problem.is_trivially_infeasible():
         raise InfeasibleProblemError(
             f"total object size {problem.total_size:.6g} exceeds "
             f"total capacity {problem.total_capacity:.6g}"
         )
-    with obs.span("lp", objects=problem.num_objects, nodes=problem.num_nodes):
+    t, n = problem.num_objects, problem.num_nodes
+    with obs.span("lp", objects=t, nodes=n):
         with obs.span("lp.build"):
-            lp = build_placement_lp(problem)
-        obs.gauge("lp.num_variables").set(lp.num_variables)
-        obs.gauge("lp.num_constraints").set(lp.num_constraints)
-        obs.gauge("lp.num_nonzeros").set(lp.num_nonzeros)
-        with obs.timed("lp.solve", backend=backend) as solve_span:
-            result = lp.solve(backend=backend)
+            program = build_placement_lp(problem)
+        obs.gauge("lp.num_variables").set(program.num_variables)
+        obs.gauge("lp.num_constraints").set(program.num_constraints)
+        obs.gauge("lp.num_nonzeros").set(program.num_nonzeros)
+        bounds = np.column_stack([np.zeros(program.num_variables), program.upper])
+        with obs.timed("lp.solve") as solve_span:
+            if not program.num_variables:  # linprog rejects an empty objective
+                result = OptimizeResult(status=0, x=np.empty(0), fun=0.0, nit=0)
+            else:
+                try:
+                    result = linprog(
+                        program.c,
+                        A_ub=program.a_ub,
+                        b_ub=program.b_ub,
+                        A_eq=program.a_eq,
+                        b_eq=program.b_eq,
+                        bounds=bounds,
+                        method="highs",
+                    )
+                except ValueError as exc:  # e.g. an infinite pair weight
+                    raise SolverError(
+                        f"scipy linprog rejected the program: {exc}"
+                    ) from exc
         elapsed = solve_span.duration
-        solve_span.set(status=result.status.name, iterations=result.iterations)
+        solve_span.set(status=result.status, iterations=result.nit)
         obs.histogram("lp.solve_seconds").observe(elapsed)
         obs.counter("lp.solves").inc()
 
-    if result.status is LPStatus.INFEASIBLE:
-        raise InfeasibleProblemError(
-            f"placement LP infeasible: {result.message}"
-        )
-    if result.status is not LPStatus.OPTIMAL:
+    if result.status == 2:
+        raise InfeasibleProblemError(f"placement LP infeasible: {result.message}")
+    if result.status != 0:
         raise SolverError(
             f"placement LP ended with status {result.status}: {result.message}"
         )
 
-    t, n = problem.num_objects, problem.num_nodes
     fractions = np.clip(result.x[: t * n].reshape(t, n), 0.0, 1.0)
     row_sums = fractions.sum(axis=1, keepdims=True)
     # Guard against solver round-off; rows are 1 up to tolerance already.
     np.divide(fractions, row_sums, out=fractions, where=row_sums > 0)
 
-    capacity_duals = None
-    if result.duals is not None:
-        capacity_duals = np.full(n, np.nan)
-        names = {lp.constraint_name(r): r for r in range(lp.num_constraints)}
-        for k in range(n):
-            row = names.get(f"capacity[{k}]")
-            if row is not None:
-                capacity_duals[k] = result.duals[row]
-
     stats = LPStats(
-        num_variables=lp.num_variables,
-        num_constraints=lp.num_constraints,
-        num_nonzeros=lp.num_nonzeros,
+        num_variables=program.num_variables,
+        num_constraints=program.num_constraints,
+        num_nonzeros=program.num_nonzeros,
         solve_seconds=elapsed,
-        iterations=result.iterations,
+        iterations=int(result.nit),
     )
-    return FractionalPlacement(
-        problem, fractions, float(result.objective), stats, capacity_duals
-    )
+    return FractionalPlacement(problem, fractions, float(result.fun), stats)

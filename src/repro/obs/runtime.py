@@ -134,7 +134,7 @@ def timed(name: str, **attributes: Any) -> _TimedSpan:
     Use for timings that feed public result fields::
 
         with obs.timed("lp.solve") as sp:
-            result = lp.solve()
+            result = linprog(program.c, ...)
         elapsed = sp.duration
     """
     return _TimedSpan(name, attributes)

@@ -145,9 +145,9 @@ class Tracer:
 
         Use as a context manager::
 
-            with tracer.span("lp.solve", backend="highs") as sp:
+            with tracer.span("exact.solve", objects=12) as sp:
                 ...
-                sp.set(iterations=42)
+                sp.set(solves=2)
         """
         return _OpenSpan(self, Span(name, attributes))
 

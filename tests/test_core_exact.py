@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.exact import solve_exact
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
@@ -116,6 +117,24 @@ class TestExactSolver:
         solution = solve_exact(p)
         assert solution.cost == 1.0
         assert solution.placement.is_feasible()
+
+    def test_solve_span_counts_cover_cut_rounds(self):
+        fits = PlacementProblem.build(
+            {"a": 1.0, "b": 1.0}, {0: 2.0, 1: 2.0}, {("a", "b"): 1.0}
+        )
+        overruns = PlacementProblem.build(
+            {"a": 1.0, "b": 1.0 + 5e-8}, {0: 2.0, 1: 2.0}, {("a", "b"): 1.0}
+        )
+        inst = obs.enable(obs.Instrumentation())
+        try:
+            solve_exact(fits)
+            solve_exact(overruns)
+        finally:
+            obs.disable()
+        fits_span, overruns_span = inst.tracer.find("exact.solve")
+        assert fits_span.attributes == {"objects": 2, "nodes": 2, "solves": 1}
+        # Each overrunning answer costs a cover-cut round and a solve.
+        assert overruns_span.attributes["solves"] > 1
 
     def test_budget_overrun_within_solver_tolerance_is_split(self):
         p = PlacementProblem.build(

@@ -110,6 +110,25 @@ class TestRelaxationSolutions:
         with pytest.raises(InfeasibleProblemError):
             solve_placement_lp(p)
 
+    def test_solver_reported_infeasibility_raises(self):
+        # Each total fits its capacity, so the up-front check passes,
+        # but node 0 has no cpu and node 1 room for one byte: no
+        # fractional placement fits both, and HiGHS reports it.
+        p = PlacementProblem.build(
+            {"a": 1.0, "b": 1.0},
+            {0: 1.0, 1: 1.0},
+            {},
+            resources={"cpu": ({"a": 1.0, "b": 1.0}, {0: 0.0, 1: 2.0})},
+        )
+        assert not p.is_trivially_infeasible()
+        with pytest.raises(InfeasibleProblemError, match="placement LP infeasible"):
+            solve_placement_lp(p)
+
+    def test_empty_problem_has_zero_bound(self):
+        frac = solve_placement_lp(PlacementProblem.build({}, {0: 1.0, 1: 2.0}, {}))
+        assert frac.fractions.shape == (0, 2)
+        assert frac.lower_bound == 0.0
+
     def test_trivially_infeasible_raises_before_solving(self):
         p = PlacementProblem.build({"a": 10.0}, {0: 1.0}, {})
         with pytest.raises(InfeasibleProblemError, match="total object size"):

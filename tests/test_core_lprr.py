@@ -166,12 +166,12 @@ class TestImportFootprint:
         return out.stdout.strip()
 
     def test_planning_never_loads_the_lp_solver(self):
-        # The closed form replaced the LP solve, so neither the HiGHS
-        # modelling layer nor scipy.optimize may load on the planning
-        # path.
+        # The closed form replaced the LP solve, so neither HiGHS
+        # (scipy.optimize) nor the sparse matrices the Figure 4 program
+        # is built from may load on the planning path.
         assert (
             self._loaded_after_plan(
-                "repro.PlanConfig()", ("scipy.optimize", "repro.lpsolve")
+                "repro.PlanConfig()", ("scipy.optimize", "scipy.sparse")
             )
             == "[]"
         )

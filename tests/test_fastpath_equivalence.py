@@ -50,7 +50,6 @@ from repro.core.repair import repair_capacity
 from repro.core.replication import ReplicatedPlacement
 from repro.core.resources import ResourceSpec
 from repro.exceptions import InfeasibleProblemError, ProblemDefinitionError
-from repro.lpsolve import LinearProgram, Sense
 from repro.online.sketch import (
     CountMinSketch,
     SketchCorrelationEstimator,
@@ -549,89 +548,111 @@ def _problems(draw, max_objects=10, max_nodes=4):
     )
 
 
+def _rows(matrix):
+    """A CSR matrix as one list of ``(column, value)`` terms per row."""
+    bounds = matrix.indptr.tolist()
+    return [
+        list(zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
 def _lp_state(program):
     return (
-        program._var_names,
-        program._lower,
-        program._upper,
-        program._objective,
-        program._rows,
-        program._cols,
-        program._vals,
-        program._senses,
-        program._rhs,
-        program._con_names,
+        program.c.tolist(),
+        program.upper.tolist(),
+        program.a_ub.shape,
+        _rows(program.a_ub),
+        program.b_ub.tolist(),
+        program.a_eq.shape,
+        _rows(program.a_eq),
+        program.b_eq.tolist(),
     )
 
 
-def _build_placement_lp_loop(problem: PlacementProblem) -> LinearProgram:
+def _build_placement_lp_loop(problem: PlacementProblem):
     """Per-row reference assembly of the Figure 4 LP.
 
-    The equivalence oracle for :func:`build_placement_lp`: the property
-    test below asserts identical program state.
+    The equivalence oracle for :func:`build_placement_lp`: the tests
+    below assert the same objective, bounds and rows, term by term, in
+    the :func:`_lp_state` layout.  Each row is its ``(column, value)``
+    terms in column order.
     """
     t, n = problem.num_objects, problem.num_nodes
-    lp = LinearProgram(f"cca-{t}x{n}")
-
-    for i in range(t):
-        for k in range(n):
-            lp.add_variable(f"x[{i},{k}]", lower=0.0, upper=1.0)
-
+    c = [0.0] * (t * n)
+    upper = [1.0] * (t * n)
     active_pairs = np.where(problem.pair_weights > 0)[0]
     for p in active_pairs:
-        i, j = problem.pair_index[p]
-        weight = problem.pair_weights[p]
         for k in range(n):
-            lp.add_variable(f"y[{i},{j},{k}]", lower=0.0, objective=weight)
+            c.append(float(problem.pair_weights[p]))
+            upper.append(math.inf)
 
-    for i in range(t):
-        lp.add_constraint(
-            [(i * n + k, 1.0) for k in range(n)], Sense.EQ, 1.0, f"assign[{i}]"
-        )
-
-    y_base = t * n
-    for idx, p in enumerate(active_pairs):
-        i, j = problem.pair_index[p]
-        for k in range(n):
-            y_var = y_base + idx * n + k
-            xi, xj = i * n + k, j * n + k
-            lp.add_constraint(
-                [(y_var, 1.0), (xi, -1.0), (xj, 1.0)], Sense.GE, 0.0
-            )
-
+    ub_rows, b_ub = [], []
     for k in range(n):
         cap = problem.capacities[k]
         if np.isfinite(cap):
-            lp.add_constraint(
-                [(i * n + k, float(problem.sizes[i])) for i in range(t)],
-                Sense.LE,
-                float(cap),
-                f"capacity[{k}]",
-            )
+            ub_rows.append([(i * n + k, float(problem.sizes[i])) for i in range(t)])
+            b_ub.append(float(cap))
 
     for spec in problem.resources:
         for k in range(n):
             budget = spec.budgets[k]
-            if not np.isfinite(budget):
-                continue
             terms = [
                 (i * n + k, float(spec.loads[i]))
                 for i in range(t)
                 if spec.loads[i] > 0
             ]
-            if terms:
-                lp.add_constraint(
-                    terms, Sense.LE, float(budget), f"{spec.name}[{k}]"
-                )
-    return lp
+            if np.isfinite(budget) and terms:
+                ub_rows.append(terms)
+                b_ub.append(float(budget))
+
+    # y >= x_i - x_j, negated into the <= block.
+    y_base = t * n
+    for idx, p in enumerate(active_pairs):
+        i, j = problem.pair_index[p]
+        for k in range(n):
+            terms = [(y_base + idx * n + k, -1.0), (i * n + k, 1.0), (j * n + k, -1.0)]
+            ub_rows.append(sorted(terms))
+            b_ub.append(0.0)
+
+    eq_rows = [[(i * n + k, 1.0) for k in range(n)] for i in range(t)]
+    return (
+        c,
+        upper,
+        (len(ub_rows), len(c)),
+        ub_rows,
+        b_ub,
+        (t, len(c)),
+        eq_rows,
+        [1.0] * t,
+    )
 
 
 class TestLPAssemblyEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(problem=_problems())
+    # An infinite capacity, a zero-weight pair, a zero load, an infinite
+    # budget, and a resource no object loads.
+    @example(
+        problem=PlacementProblem.build(
+            {"a": 1.0, "b": 2.0, "c": 1.0},
+            {0: 3.0, 1: math.inf},
+            {("a", "b"): 0.5, ("b", "c"): 0.0, ("a", "c"): 0.25},
+            resources={
+                "cpu": ({"a": 1.0, "b": 0.0, "c": 2.0}, {0: 2.0, 1: math.inf}),
+                "idle": ({"a": 0.0, "b": 0.0, "c": 0.0}, 1.0),
+            },
+        )
+    )
+    @example(
+        problem=PlacementProblem.build(
+            {"a": 1.0, "b": 1.0, "c": 1.0}, 3, {("a", "b"): 0.5, ("b", "c"): 0.0}
+        )
+    )
+    @example(problem=PlacementProblem.build({}, {0: 1.0, 1: 2.0}, {}))
     def test_bulk_assembly_matches_loop(self, problem):
-        assert _lp_state(build_placement_lp(problem)) == _lp_state(
-            _build_placement_lp_loop(problem)
+        assert _lp_state(build_placement_lp(problem)) == _build_placement_lp_loop(
+            problem
         )
 
 

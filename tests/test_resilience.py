@@ -238,6 +238,28 @@ class TestFallbackChain:
         assert chain["stream:greedy"] == "ok"
         assert chain["greedy"] == "skipped"
 
+    def test_exhausted_chain_names_every_failed_step(self, problem, monkeypatch):
+        from repro.exceptions import ReproError
+        from repro.resilience import healing
+
+        def broken(problem, name, config):
+            raise RuntimeError(f"{name} is down")
+
+        monkeypatch.setattr(healing, "plan", broken)
+        inst = obs.enable(obs.Instrumentation(journal=obs.Journal()))
+        try:
+            with pytest.raises(ReproError) as info:
+                plan_with_fallbacks(problem, config=PlanConfig())
+        finally:
+            obs.disable()
+        message = str(info.value)
+        for step in ("lprr", "stream:greedy", "greedy", "hash"):
+            assert f"{step}: failed (RuntimeError: {step} is down)" in message
+        assert inst.metrics.counter("planner.fallback.exhausted").value == 1
+        assert inst.metrics.counter("planner.fallbacks").value == 4
+        (record,) = inst.journal.records("plan.fallback")
+        assert record["delegate"] is None
+
 
 # ----------------------------------------------------------------------
 # Incremental repair
