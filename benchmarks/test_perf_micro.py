@@ -23,6 +23,7 @@ from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.core.repair import repair_capacity
 from repro.core.rounding import round_best_of, round_fractional
+from repro.core.strategies import plan
 from repro.online.sketch import (
     CountMinSketch,
     SketchCorrelationEstimator,
@@ -33,8 +34,12 @@ from repro.search.engine import (
     QueryProfile,
     build_placement_problem,
 )
+from repro.search.index import InvertedIndex
+from repro.serve import LoadgenConfig
 from repro.serve.snapshot import PlanSnapshot
 from repro.serve.vtime import run_virtual
+from repro.workloads.corpus_gen import generate_corpus
+from repro.workloads.query_gen import QueryWorkloadModel
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +170,31 @@ def test_perf_virtual_loop(benchmark):
 
     end = benchmark(lambda: run_virtual(drive()))
     assert arrivals[-1] < end < arrivals[-1] + 4e-3
+
+
+@pytest.fixture(scope="module")
+def swap_window():
+    """A hot swap's replan input: about a second of a 1,000-word loadgen
+    stream (4,000 queries) mined by co-occurrence, with the scenario's
+    5 nodes at 1.5x even-split capacity (~1,000 objects, ~6.5k pairs)."""
+    config = LoadgenConfig(vocabulary=1000, documents=1000)
+    index = InvertedIndex.from_corpus(
+        generate_corpus(config.documents, config.vocabulary, seed=0)
+    )
+    model = QueryWorkloadModel(index.vocabulary, num_topics=config.topics, seed=0)
+    return build_placement_problem(
+        index,
+        model.generate(4000, rng=1),
+        config.node_capacities(float(index.total_bytes)),
+        correlation_mode="cooccurrence",
+    )
+
+
+def test_perf_stream_greedy(benchmark, swap_window):
+    """One hot swap's plan step: scope, subproblem and the streaming pass."""
+    result = benchmark(lambda: plan(swap_window, "stream:greedy"))
+    assert result.placement.assignment.min() >= 0
+    assert 0 < result.cost < swap_window.total_pair_weight
 
 
 def test_perf_replicated_route(benchmark, study):

@@ -46,16 +46,19 @@ def _importance_order(problem: PlacementProblem) -> np.ndarray:
     if problem.num_pairs == 0:
         return by_size
 
+    # Pairs by descending weight, ties in (i, j) order: the pairs are
+    # distinct, so any sort of their keys is the (i, j) order, and a
+    # stable weight sort on top of it is the three-key lexsort.
+    t = problem.num_objects
     pair_index = problem.pair_index
-    pair_order = np.lexsort(
-        (pair_index[:, 1], pair_index[:, 0], -problem.pair_weights)
-    )
+    by_key = np.argsort(pair_index[:, 0] * t + pair_index[:, 1])
+    pair_order = by_key[np.argsort(-problem.pair_weights[by_key], kind="stable")]
     # Each ranked pair's endpoints, i then j; an object's importance is
     # the position of its first appearance in that stream.
-    seen, first = np.unique(pair_index[pair_order].ravel(), return_index=True)
-    paired = seen[np.argsort(first)]
+    ends = pair_index[pair_order].ravel()
+    first = np.full(t, ends.size)
+    np.minimum.at(first, ends, np.arange(ends.size))
+    paired = np.argsort(first, kind="stable")[: np.count_nonzero(first < ends.size)]
 
     # Never-paired objects last, ordered by size descending (stable).
-    unpaired = np.ones(problem.num_objects, dtype=bool)
-    unpaired[seen] = False
-    return np.concatenate([paired, by_size[unpaired[by_size]]])
+    return np.concatenate([paired, by_size[first[by_size] == ends.size]])

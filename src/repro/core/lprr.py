@@ -27,9 +27,13 @@ import numpy as np
 from repro import obs
 from repro.core.cache import PlanCache, problem_fingerprint, signature_key
 from repro.core.greedy import greedy_placement
-from repro.core.hashing import hash_node
-from repro.core.importance import top_important
 from repro.core.lp import LPStats, pack_components
+from repro.core.partial import (
+    hash_rest,
+    scoped_capacities,
+    scoped_subproblem,
+    split_scope,
+)
 from repro.core.placement import Placement
 from repro.core.problem import ObjectId, PlacementProblem
 from repro.core.repair import repair_capacity
@@ -216,21 +220,12 @@ class LPRRPlanner:
             scope=scope,
         ) as plan_span:
             with obs.span("lprr.scope"):
-                scoped_ids = top_important(problem, scope)
-                scoped_set = set(scoped_ids)
+                scoped, rest = split_scope(problem, scope)
+            with obs.span("lprr.hash", out_of_scope=len(rest)):
+                assignment = hash_rest(problem, rest, self.hash_salt)
 
-            assignment = np.empty(problem.num_objects, dtype=np.int64)
-            with obs.span(
-                "lprr.hash", out_of_scope=problem.num_objects - len(scoped_set)
-            ):
-                for i, obj in enumerate(problem.object_ids):
-                    if obj not in scoped_set:
-                        assignment[i] = hash_node(
-                            obj, problem.num_nodes, self.hash_salt
-                        )
-
-            capacities = self._effective_capacities(problem, scoped_ids)
-            subproblem = problem.subproblem(scoped_ids, capacities=capacities)
+            capacities = self._effective_capacities(problem, scoped)
+            subproblem = scoped_subproblem(problem, scoped, capacities)
             fractional = pack_components(subproblem)
             rounding = round_best_of(
                 fractional,
@@ -263,11 +258,7 @@ class LPRRPlanner:
                     )
                     repaired = True
 
-            for local_i, obj in enumerate(subproblem.object_ids):
-                assignment[problem.object_index(obj)] = scoped_placement.assignment[
-                    local_i
-                ]
-
+            assignment[scoped] = scoped_placement.assignment
             placement = Placement(problem, assignment)
             plan_span.set(
                 repaired=repaired,
@@ -277,7 +268,7 @@ class LPRRPlanner:
         obs.counter("lprr.plans").inc()
         return LPRRResult(
             placement=placement,
-            scope_objects=tuple(scoped_ids),
+            scope_objects=subproblem.object_ids,
             lp_lower_bound=fractional.lower_bound,
             lp_stats=fractional.stats,
             rounding=rounding,
@@ -286,20 +277,14 @@ class LPRRPlanner:
         )
 
     def _effective_capacities(
-        self, problem: PlacementProblem, scoped_ids: list[ObjectId]
+        self, problem: PlacementProblem, scoped: np.ndarray
     ) -> np.ndarray:
         """Capacities for the scoped LP.
 
         With a capacity factor, each node gets ``factor * (scoped
         load / n)``, i.e. the paper's "no more than <factor> times the
-        average per-node load".  Without one, the problem's own
-        capacities are used verbatim.
+        average per-node load", and never less than the largest scoped
+        object, so the factor leaves room for all of them in total.
+        Without one, the problem's own capacities are used verbatim.
         """
-        n = problem.num_nodes
-        if self.capacity_factor is None:
-            return problem.capacities.copy()
-        scoped_size = float(sum(problem.size_of(o) for o in scoped_ids))
-        per_node = self.capacity_factor * scoped_size / n
-        # The factor must leave room for all scoped objects in total.
-        largest = max((problem.size_of(o) for o in scoped_ids), default=0.0)
-        return np.full(n, max(per_node, largest))
+        return scoped_capacities(problem, scoped, self.capacity_factor)

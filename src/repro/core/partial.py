@@ -4,7 +4,10 @@
 LP pipeline; :func:`scoped_placement` exposes it for *any* inner
 strategy so experiments can compare like with like — e.g. the paper's
 Figure 6 runs both LPRR and the greedy heuristic at each optimization
-scope, hashing all out-of-scope keywords.
+scope, hashing all out-of-scope keywords.  Both split the objects with
+:func:`split_scope`, hash the rest with :func:`hash_rest`, cap the
+scoped subproblem with :func:`scoped_capacities` and scatter its plan
+back by index.
 """
 
 from __future__ import annotations
@@ -14,9 +17,61 @@ from typing import Callable
 import numpy as np
 
 from repro.core.hashing import hash_node
-from repro.core.importance import top_important
+from repro.core.importance import _importance_order
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
+
+
+def split_scope(
+    problem: PlacementProblem, scope: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Object indices in importance order, split after the first ``scope``.
+
+    Returns:
+        ``(scoped, rest)``: the ``scope`` most important objects, most
+        important first, then every other object.
+    """
+    order = _importance_order(problem)
+    return order[:scope], order[scope:]
+
+
+def hash_rest(
+    problem: PlacementProblem, rest: np.ndarray, hash_salt: str
+) -> np.ndarray:
+    """An assignment array with the ``rest`` objects MD5-hashed.
+
+    Entries of objects outside ``rest`` are left for the caller to fill.
+    """
+    assignment = np.empty(problem.num_objects, dtype=np.int64)
+    ids, n = problem.object_ids, problem.num_nodes
+    assignment[rest] = [hash_node(ids[i], n, hash_salt) for i in rest.tolist()]
+    return assignment
+
+
+def scoped_capacities(
+    problem: PlacementProblem, scoped: np.ndarray, capacity_factor: float | None
+) -> np.ndarray:
+    """Per-node capacities for the scoped subproblem.
+
+    ``capacity_factor`` times the scoped objects' average per-node load
+    (the paper's "no more than <factor> times the average"), but never
+    below the largest scoped object; ``None`` keeps the problem's own
+    capacities.
+    """
+    if capacity_factor is None:
+        return problem.capacities.copy()
+    sizes = problem.sizes[scoped].tolist()
+    # A builtin sum in scope order: np.sum associates pairwise.
+    per_node = capacity_factor * float(sum(sizes)) / problem.num_nodes
+    return np.full(problem.num_nodes, max(per_node, max(sizes, default=0.0)))
+
+
+def scoped_subproblem(
+    problem: PlacementProblem, scoped: np.ndarray, capacities: np.ndarray
+) -> PlacementProblem:
+    """The subproblem over the ``scoped`` indices, in their order."""
+    ids = list(map(problem.object_ids.__getitem__, scoped.tolist()))
+    return problem.subproblem(ids, capacities=capacities)
 
 
 def scoped_placement(
@@ -45,25 +100,10 @@ def scoped_placement(
     if scope is not None and scope < 0:
         raise ValueError("scope must be nonnegative (or None)")
     scope = problem.num_objects if scope is None else min(scope, problem.num_objects)
-    scoped_ids = top_important(problem, scope)
-    scoped_set = set(scoped_ids)
-
-    assignment = np.empty(problem.num_objects, dtype=np.int64)
-    for i, obj in enumerate(problem.object_ids):
-        if obj not in scoped_set:
-            assignment[i] = hash_node(obj, problem.num_nodes, hash_salt)
-
-    if scoped_ids:
-        if capacity_factor is None:
-            capacities = problem.capacities.copy()
-        else:
-            scoped_size = float(sum(problem.size_of(o) for o in scoped_ids))
-            per_node = capacity_factor * scoped_size / problem.num_nodes
-            largest = max(problem.size_of(o) for o in scoped_ids)
-            capacities = np.full(problem.num_nodes, max(per_node, largest))
-        subproblem = problem.subproblem(scoped_ids, capacities=capacities)
-        sub_placement = place_subproblem(subproblem)
-        for local_i, obj in enumerate(subproblem.object_ids):
-            assignment[problem.object_index(obj)] = sub_placement.assignment[local_i]
-
+    scoped, rest = split_scope(problem, scope)
+    assignment = hash_rest(problem, rest, hash_salt)
+    if scoped.size:
+        capacities = scoped_capacities(problem, scoped, capacity_factor)
+        subproblem = scoped_subproblem(problem, scoped, capacities)
+        assignment[scoped] = place_subproblem(subproblem).assignment
     return Placement(problem, assignment)

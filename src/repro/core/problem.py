@@ -13,6 +13,7 @@ millions of pairs is vectorized.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -107,8 +108,8 @@ class PlacementProblem:
         self.correlations = np.asarray(correlations, dtype=float)
         self.pair_costs = np.asarray(pair_costs, dtype=float)
         self.resources: tuple[ResourceSpec, ...] = tuple(resources)
-        self._object_index = {obj: i for i, obj in enumerate(self.object_ids)}
-        self._node_index = {node: k for k, node in enumerate(self.node_ids)}
+        self._object_index = dict(zip(self.object_ids, range(len(self.object_ids))))
+        self._node_index = dict(zip(self.node_ids, range(len(self.node_ids))))
         self._validate()
 
     # ------------------------------------------------------------------
@@ -145,36 +146,48 @@ class PlacementProblem:
                 invalid numeric data.
         """
         object_ids = list(objects.keys())
-        sizes = np.asarray([objects[o] for o in object_ids], dtype=float)
+        sizes = np.asarray(list(objects.values()), dtype=float)
         if isinstance(nodes, int):
             node_ids: list[NodeId] = list(range(nodes))
             capacities = np.full(nodes, np.inf)
         else:
             node_ids = list(nodes.keys())
-            capacities = np.asarray([nodes[k] for k in node_ids], dtype=float)
+            capacities = np.asarray(list(nodes.values()), dtype=float)
 
-        index = {obj: i for i, obj in enumerate(object_ids)}
-        merged: dict[tuple[int, int], float] = {}
-        for (a, b), r in correlations.items():
+        t = len(object_ids)
+        index = dict(zip(object_ids, range(t)))
+        m = len(correlations)
+        ends = np.fromiter(
+            map(index.get, itertools.chain.from_iterable(correlations), itertools.repeat(-1)),
+            dtype=np.int64,
+            count=2 * m,
+        ).reshape(m, 2)
+        bad = (ends < 0).any(axis=1) | (ends[:, 0] == ends[:, 1])
+        if bad.any():
+            a, b = next(itertools.islice(correlations, int(bad.argmax()), None))
             if a not in index or b not in index:
                 missing = a if a not in index else b
                 raise ProblemDefinitionError(f"correlation references unknown object {missing!r}")
-            i, j = index[a], index[b]
-            if i == j:
-                raise ProblemDefinitionError(f"self-correlation for object {a!r}")
-            key = (i, j) if i < j else (j, i)
-            merged[key] = merged.get(key, 0.0) + float(r)
+            raise ProblemDefinitionError(f"self-correlation for object {a!r}")
 
-        keys = sorted(merged)
-        pair_index = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-        corr = np.asarray([merged[key] for key in keys], dtype=float)
+        # Canonical i < j keys, sorted; mirrored duplicates are summed in
+        # input order from 0.0, as a running dict sum would add them.
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        keys, slot = np.unique(lo * t + hi, return_inverse=True)
+        pair_index = np.stack([keys // t, keys % t], axis=1)
+        corr = np.bincount(
+            slot,
+            weights=np.fromiter(correlations.values(), dtype=float, count=m),
+            minlength=len(keys),
+        )
 
-        if pair_cost is None:
-            pair_cost = min_size_pair_cost
-        if callable(pair_cost):
+        if pair_cost is None or pair_cost is min_size_pair_cost:
+            costs = np.minimum(sizes[pair_index[:, 0]], sizes[pair_index[:, 1]])
+        elif callable(pair_cost):
             size_list = sizes.tolist()
             costs = np.asarray(
-                [pair_cost(size_list[i], size_list[j]) for i, j in keys], dtype=float
+                [pair_cost(size_list[i], size_list[j]) for i, j in pair_index.tolist()],
+                dtype=float,
             )
         else:
             cost_by_key: dict[tuple[int, int], float] = {}
@@ -185,7 +198,10 @@ class PlacementProblem:
                 i, j = index[a], index[b]
                 cost_by_key[(min(i, j), max(i, j))] = float(w)
             try:
-                costs = np.asarray([cost_by_key[key] for key in keys], dtype=float)
+                costs = np.asarray(
+                    [cost_by_key[key] for key in map(tuple, pair_index.tolist())],
+                    dtype=float,
+                )
             except KeyError as exc:
                 raise ProblemDefinitionError(
                     f"missing explicit pair cost for correlated pair index {exc}"
@@ -231,10 +247,12 @@ class PlacementProblem:
                 raise ProblemDefinitionError("pair indices must satisfy i < j")
             if np.any(i < 0) or np.any(j >= t):
                 raise ProblemDefinitionError("pair indices out of range")
+            if not (np.isfinite(self.correlations).all() and np.isfinite(self.pair_costs).all()):
+                raise ProblemDefinitionError("correlations and pair costs must be finite")
             if np.any(self.correlations < 0) or np.any(self.pair_costs < 0):
                 raise ProblemDefinitionError("correlations and pair costs must be nonnegative")
-            keys = i * t + j
-            if len(np.unique(keys)) != m:
+            keys = np.sort(i * t + j)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ProblemDefinitionError("duplicate pairs in pair index")
         seen_resources = set()
         for spec in self.resources:
@@ -344,7 +362,12 @@ class PlacementProblem:
             capacities: Optional replacement capacity vector (e.g. a
                 conservative fraction for the LP of the subproblem).
         """
-        subset_idx = np.asarray([self.object_index(o) for o in object_subset], dtype=np.int64)
+        try:
+            subset_idx = np.fromiter(
+                map(self._object_index.__getitem__, object_subset), dtype=np.int64
+            )
+        except KeyError as exc:
+            raise ProblemDefinitionError(f"unknown object {exc.args[0]!r}") from None
         if len(set(subset_idx.tolist())) != len(subset_idx):
             raise ProblemDefinitionError("object subset contains duplicates")
         remap = -np.ones(self.num_objects, dtype=np.int64)
@@ -356,7 +379,9 @@ class PlacementProblem:
             # Re-canonicalize: remapping can invert the i < j order.
             swap = new_pairs[:, 0] > new_pairs[:, 1]
             new_pairs[swap] = new_pairs[swap][:, ::-1]
-            order = np.lexsort((new_pairs[:, 1], new_pairs[:, 0]))
+            # The pairs are distinct, so any sort of their keys is the
+            # one (i, j) order.
+            order = np.argsort(new_pairs[:, 0] * len(subset_idx) + new_pairs[:, 1])
             new_pairs = new_pairs[order]
             new_corr = self.correlations[keep][order]
             new_cost = self.pair_costs[keep][order]
@@ -367,7 +392,7 @@ class PlacementProblem:
 
         caps = self.capacities if capacities is None else np.asarray(capacities, dtype=float)
         return PlacementProblem(
-            [self.object_ids[i] for i in subset_idx],
+            list(map(self.object_ids.__getitem__, subset_idx.tolist())),
             self.sizes[subset_idx],
             self.node_ids,
             caps,

@@ -14,9 +14,18 @@ neighbors on that node, discounted by the node's load fraction
 (``1 - load/capacity``).  Vertices whose neighbors are all unplaced (or
 absent) fall back to the least-loaded feasible node, which doubles as
 the balanced completion pass.
+
+The pass is sequential by nature, so it runs on Python lists and
+floats: per vertex that is a handful of list operations over the ``n``
+nodes instead of a dozen small numpy calls.  The arithmetic is the
+same IEEE double arithmetic in the same order as the array form, and
+ties and NaN scores resolve as ``np.argmax``/``np.argmin`` resolve
+them, so the placement is bit-for-bit the array form's.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,18 +35,11 @@ from repro.core.problem import PlacementProblem
 __all__ = ["streaming_greedy_placement"]
 
 
-def streaming_greedy_placement(
-    problem: PlacementProblem,
-    order: str = "degree",
-) -> Placement:
+def streaming_greedy_placement(problem: PlacementProblem) -> Placement:
     """Place every object in one streaming pass (weighted LDG).
 
-    Args:
-        problem: The CCA instance.
-        order: Stream order — ``"degree"`` (default) streams vertices
-            by descending weighted degree so hubs anchor their
-            communities early; ``"arrival"`` keeps the problem's object
-            order, modelling a partitioner that never sees the future.
+    Vertices stream by descending weighted degree (stable on ties), so
+    hubs anchor their communities early.
 
     Returns:
         A total placement.  Capacities are respected while any node
@@ -45,57 +47,80 @@ def streaming_greedy_placement(
         with the most free space, mirroring the greedy baseline's
         tolerance of slight overruns.
     """
-    if order not in ("degree", "arrival"):
-        raise ValueError(f"unknown order {order!r}")
-    t, n = problem.num_objects, problem.num_nodes
-    sizes = problem.sizes.astype(float)
-    capacities = problem.capacities.astype(float)
-    free = capacities.copy()
-    resource_free = [spec.budgets.astype(float).copy() for spec in problem.resources]
-    resource_loads = [spec.loads for spec in problem.resources]
-    assignment = -np.ones(t, dtype=np.int64)
+    t = problem.num_objects
+    degree = np.zeros(t)
+    if problem.num_pairs:
+        np.add.at(degree, problem.pair_index[:, 0], problem.pair_weights)
+        np.add.at(degree, problem.pair_index[:, 1], problem.pair_weights)
+    stream = np.argsort(-degree, kind="stable").tolist()
 
-    adjacency, neighbor, weight = _adjacency(problem)
-    if order == "degree":
-        degree = np.zeros(t)
-        if problem.num_pairs:
-            np.add.at(degree, problem.pair_index[:, 0], problem.pair_weights)
-            np.add.at(degree, problem.pair_index[:, 1], problem.pair_weights)
-        stream = np.argsort(-degree, kind="stable")
-    else:
-        stream = np.arange(t)
-
+    offsets, neighbor, weight = (a.tolist() for a in _adjacency(problem))
+    sizes = problem.sizes.tolist()
+    capacities = problem.capacities.tolist()
+    free = list(capacities)
+    budgets = [
+        (spec.loads.tolist(), spec.budgets.tolist()) for spec in problem.resources
+    ]
     # ``1 - load/capacity`` with degenerate capacities treated as full.
-    safe_cap = np.where(capacities > 0, capacities, 1.0)
-    for v in stream:
-        lo, hi = adjacency[v], adjacency[v + 1]
-        gains = np.zeros(n)
-        if hi > lo:
-            nb, w = neighbor[lo:hi], weight[lo:hi]
-            placed = assignment[nb] >= 0
-            if placed.any():
-                np.add.at(gains, assignment[nb[placed]], w[placed])
+    safe_cap = [c if c > 0 else 1.0 for c in capacities]
+    assignment = [-1] * t
 
-        feasible = free >= sizes[v]
-        for rf, loads in zip(resource_free, resource_loads):
-            feasible &= rf >= loads[v]
-        if not feasible.any():
-            k = int(np.argmax(free))
+    for v in stream:
+        size = sizes[v]
+        feasible = [f >= size for f in free]
+        for loads, left in budgets:
+            load = loads[v]
+            feasible = [ok and r >= load for ok, r in zip(feasible, left)]
+        if not any(feasible):
+            k = _argmax(free)
         else:
-            score = gains * np.maximum(free, 0.0) / safe_cap
-            score[~feasible] = -np.inf
-            k = int(np.argmax(score))
+            gains = [0.0] * len(free)
+            lo, hi = offsets[v], offsets[v + 1]
+            for u, w in zip(neighbor[lo:hi], weight[lo:hi]):
+                home = assignment[u]
+                if home >= 0:
+                    gains[home] += w
+            # A feasible node's free space is at least the (positive)
+            # size, so ``max(free, 0)`` is the free space itself.
+            k = _argmax([
+                g * f / c if ok else -math.inf
+                for g, f, c, ok in zip(gains, free, safe_cap, feasible)
+            ])
             if gains[k] <= 0.0:
                 # No placed neighbors anywhere feasible: balance instead
                 # (least loaded fraction, lowest index on ties).
-                fill = np.where(feasible, (capacities - free) / safe_cap, np.inf)
-                k = int(np.argmin(fill))
+                k = _argmin([
+                    (cap - f) / c if ok else math.inf
+                    for cap, f, c, ok in zip(capacities, free, safe_cap, feasible)
+                ])
         assignment[v] = k
-        free[k] -= sizes[v]
-        for rf, loads in zip(resource_free, resource_loads):
-            rf[k] -= loads[v]
+        free[k] -= size
+        for loads, left in budgets:
+            left[k] -= loads[v]
 
-    return Placement(problem, assignment)
+    return Placement(problem, np.asarray(assignment, dtype=np.int64))
+
+
+def _argmax(values: list[float]) -> int:
+    """``np.argmax`` on floats: the first maximum, or the first NaN."""
+    best, k = values[0], 0
+    for i, x in enumerate(values):
+        if not x <= best:
+            best, k = x, i
+            if x != x:
+                break
+    return k
+
+
+def _argmin(values: list[float]) -> int:
+    """``np.argmin`` on floats: the first minimum, or the first NaN."""
+    best, k = values[0], 0
+    for i, x in enumerate(values):
+        if not x >= best:
+            best, k = x, i
+            if x != x:
+                break
+    return k
 
 
 def _adjacency(

@@ -55,10 +55,9 @@ class ReplicatedSearchEngine:
         self.index = index
         self.placement = placement
         problem = placement.problem
-        self._copies: dict[str, frozenset[int]] = {
-            obj: frozenset(int(k) for k in placement.assignment[i])
-            for i, obj in enumerate(problem.object_ids)
-        }
+        self._copies: dict[str, frozenset[int]] = dict(
+            zip(problem.object_ids, map(frozenset, placement.assignment.tolist()))
+        )
         self._node_ids = problem.node_ids
         self._down: set[int] = {int(k) for k in down_nodes}
         self._slow: set[int] = set()

@@ -118,6 +118,18 @@ class TestValidation:
         with pytest.raises(ProblemDefinitionError, match="nonnegative"):
             PlacementProblem.build({"a": 1.0, "b": 1.0}, 2, {("a", "b"): -0.1})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_correlation_rejected(self, value):
+        with pytest.raises(ProblemDefinitionError, match="finite"):
+            PlacementProblem.build({"a": 1.0, "b": 1.0}, 2, {("a", "b"): value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_pair_cost_rejected(self, value):
+        with pytest.raises(ProblemDefinitionError, match="finite"):
+            PlacementProblem.build(
+                {"a": 1.0, "b": 1.0}, 2, {("a", "b"): 0.5}, pair_cost={("a", "b"): value}
+            )
+
     def test_missing_explicit_pair_cost(self):
         with pytest.raises(ProblemDefinitionError, match="missing explicit pair cost"):
             PlacementProblem.build(

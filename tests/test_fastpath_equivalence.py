@@ -7,8 +7,9 @@ query-log replay from a compiled profile and correlation mining from
 it, replica routing on bitset intersection counts, Count-Min rows
 hashed once per distinct key, heap-based Space-Saving eviction
 folded per batch, chunked correlation mining, the first-appearance
-importance order, problem construction from sorted key tuples, and
-the selector-free virtual-time loop.  Each one promises
+importance order, problem construction from one ``np.unique`` merge,
+the scalar streaming-partitioner pass, index-array scoping, and the
+selector-free virtual-time loop.  Each one promises
 *byte-identical* output to the legacy per-item loop under fixed seeds;
 these hypothesis suites hold them to it, including dict insertion
 order and the type-gate fallbacks of the miner.
@@ -29,7 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import correlation, importance
+from repro.core import correlation, importance, streampart
 from repro.core.correlation import (
     CorrelationEstimator,
     cooccurrence_correlations,
@@ -38,8 +39,10 @@ from repro.core.correlation import (
     union_largest_correlations,
 )
 from repro.core.importance import importance_ranking, importance_scores, top_important
+from repro.core.hashing import hash_node
 from repro.core.lp import build_placement_lp
 from repro.core.migration import Migration, MigrationPlan, select_migrations
+from repro.core.partial import scoped_placement
 from repro.core.problem import (
     PlacementProblem,
     min_size_pair_cost,
@@ -49,6 +52,7 @@ from repro.core.problem import (
 from repro.core.repair import repair_capacity
 from repro.core.replication import ReplicatedPlacement
 from repro.core.resources import ResourceSpec
+from repro.core.streampart import streaming_greedy_placement
 from repro.exceptions import InfeasibleProblemError, ProblemDefinitionError
 from repro.online.sketch import (
     CountMinSketch,
@@ -1689,7 +1693,7 @@ def _build_reference(objects, nodes, correlations, pair_cost=None, resources=Non
 
 _BUILD_ERRORS = (
     None, "unknown_correlated", "self_correlated", "unknown_costed", "missing_cost",
-    "unknown_resource",
+    "unknown_resource", "nonfinite", "two_bad_pairs",
 )
 
 
@@ -1697,7 +1701,9 @@ _BUILD_ERRORS = (
 def _build_cases(draw):
     """``build`` arguments: mirrored duplicate pairs (summed), every
     built-in cost, an explicit cost mapping keyed either way round,
-    an optional resource, and at most one injected definition error."""
+    an optional resource, and at most one injected definition error
+    (a non-finite correlation or explicit cost among them, or two bad
+    correlated pairs, of which the first must be the one reported)."""
     t = draw(st.integers(2, 8))
     ids = draw(st.permutations([f"o{i}" for i in range(t)]))
     size = st.sampled_from([0.5, 1.0, 3.0]) | st.floats(1e-3, 1e6)
@@ -1735,6 +1741,19 @@ def _build_cases(draw):
         del cost[draw(st.sampled_from(sorted(cost)))]
     elif error == "unknown_resource":
         resources = {"cpu": ({"ghost": 1.0}, 4.0)}
+    elif error == "two_bad_pairs":
+        # Only the first bad pair in iteration order is reported.
+        bad = [((ids[0], "ghost"), 0.5), (("ghost2", ids[0]), 0.5), ((ids[-1], ids[-1]), 0.5)]
+        for key, value in draw(st.permutations(bad))[:2]:
+            correlations[key] = value
+    elif error == "nonfinite":
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if isinstance(cost, dict) and cost and draw(st.booleans()):
+            cost[draw(st.sampled_from(sorted(cost)))] = value
+        else:
+            correlations[(ids[0], ids[1])] = value
+            if isinstance(cost, dict):
+                cost.setdefault((ids[0], ids[1]), 1.0)
     return objects, nodes, correlations, cost, resources
 
 
@@ -1768,6 +1787,186 @@ class TestBuildEquivalence:
         assert _build_outcome(PlacementProblem.build, case) == _build_outcome(
             _build_reference, case
         )
+
+
+# ----------------------------------------------------------------------
+# Streaming placement and scoping
+# ----------------------------------------------------------------------
+
+def _streaming_greedy_reference(problem: PlacementProblem) -> Placement:
+    """The per-vertex numpy pass: gains by ``np.add.at`` over the placed
+    neighbours, an ``argmax`` over the discounted scores with infeasible
+    nodes at -inf, and an ``argmin`` over the load fractions when no
+    placed neighbour sits on a feasible node."""
+    t, n = problem.num_objects, problem.num_nodes
+    sizes = problem.sizes.astype(float)
+    capacities = problem.capacities.astype(float)
+    free = capacities.copy()
+    resource_free = [spec.budgets.astype(float).copy() for spec in problem.resources]
+    resource_loads = [spec.loads for spec in problem.resources]
+    assignment = -np.ones(t, dtype=np.int64)
+
+    adjacency, neighbor, weight = streampart._adjacency(problem)
+    degree = np.zeros(t)
+    if problem.num_pairs:
+        np.add.at(degree, problem.pair_index[:, 0], problem.pair_weights)
+        np.add.at(degree, problem.pair_index[:, 1], problem.pair_weights)
+    stream = np.argsort(-degree, kind="stable")
+
+    safe_cap = np.where(capacities > 0, capacities, 1.0)
+    for v in stream:
+        lo, hi = adjacency[v], adjacency[v + 1]
+        gains = np.zeros(n)
+        if hi > lo:
+            nb, w = neighbor[lo:hi], weight[lo:hi]
+            placed = assignment[nb] >= 0
+            if placed.any():
+                np.add.at(gains, assignment[nb[placed]], w[placed])
+
+        feasible = free >= sizes[v]
+        for rf, loads in zip(resource_free, resource_loads):
+            feasible &= rf >= loads[v]
+        if not feasible.any():
+            k = int(np.argmax(free))
+        else:
+            with np.errstate(invalid="ignore"):
+                score = gains * np.maximum(free, 0.0) / safe_cap
+                score[~feasible] = -np.inf
+                k = int(np.argmax(score))
+                if gains[k] <= 0.0:
+                    fill = np.where(feasible, (capacities - free) / safe_cap, np.inf)
+                    k = int(np.argmin(fill))
+        assignment[v] = k
+        free[k] -= sizes[v]
+        for rf, loads in zip(resource_free, resource_loads):
+            rf[k] -= loads[v]
+
+    return Placement(problem, assignment)
+
+
+def _scoped_placement_reference(
+    problem, scope, place_subproblem, capacity_factor=2.0, hash_salt=""
+):
+    """Scoping by ids: ``top_important``, a set-membership hash loop,
+    sizes by ``size_of`` and an id-by-id scatter back."""
+    scope = problem.num_objects if scope is None else min(scope, problem.num_objects)
+    scoped_ids = top_important(problem, scope)
+    scoped_set = set(scoped_ids)
+
+    assignment = np.empty(problem.num_objects, dtype=np.int64)
+    for i, obj in enumerate(problem.object_ids):
+        if obj not in scoped_set:
+            assignment[i] = hash_node(obj, problem.num_nodes, hash_salt)
+
+    if scoped_ids:
+        if capacity_factor is None:
+            capacities = problem.capacities.copy()
+        else:
+            scoped_size = float(sum(problem.size_of(o) for o in scoped_ids))
+            per_node = capacity_factor * scoped_size / problem.num_nodes
+            largest = max(problem.size_of(o) for o in scoped_ids)
+            capacities = np.full(problem.num_nodes, max(per_node, largest))
+        subproblem = problem.subproblem(scoped_ids, capacities=capacities)
+        sub_placement = place_subproblem(subproblem)
+        for local_i, obj in enumerate(subproblem.object_ids):
+            assignment[problem.object_index(obj)] = sub_placement.assignment[local_i]
+
+    return Placement(problem, assignment)
+
+
+@st.composite
+def _stream_problems(draw):
+    """Problems for the streaming pass: tied weights (few correlation
+    values and sizes), isolated objects, zero-capacity nodes, infinite
+    capacities beside finite ones (infinite free space scores NaN),
+    capacities too small for every object (the overflow to the most
+    free space), and an optional Section 3.3 budget that can block an
+    infinite node."""
+    t = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 4))
+    ids = draw(st.permutations([f"o{i}" for i in range(t)]))
+    sizes = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=t, max_size=t))
+    capacities = draw(st.lists(
+        st.sampled_from([0.0, 0.75, 2.0, 5.0, math.inf]), min_size=n, max_size=n
+    ))
+    candidates = list(itertools.combinations(range(t), 2))
+    chosen = (
+        draw(st.lists(st.sampled_from(candidates), unique=True, max_size=len(candidates)))
+        if candidates
+        else []
+    )
+    correlations = {
+        (ids[a], ids[b]): draw(st.sampled_from([0.1, 0.25, 0.5, 1.0])) for a, b in chosen
+    }
+    cost = draw(st.sampled_from([min_size_pair_cost, unit_pair_cost]))
+    resources = None
+    if draw(st.booleans()):
+        loads = {obj: draw(st.sampled_from([0.0, 1.0, 2.0])) for obj in ids}
+        budgets = {k: draw(st.sampled_from([0.0, 1.5, 4.0, math.inf])) for k in range(n)}
+        resources = {"cpu": (loads, budgets)}
+    return PlacementProblem.build(
+        dict(zip(ids, sizes)),
+        dict(enumerate(capacities)),
+        correlations,
+        pair_cost=cost,
+        resources=resources,
+    )
+
+
+# Infinite free space over infinite capacity scores NaN, and the first
+# NaN wins both the fill argmin and the score argmax: both objects go to
+# node 1, not to the finite node 0.
+_NAN_CASE = PlacementProblem.build(
+    {"a": 1.0, "b": 1.0}, {0: 5.0, 1: math.inf, 2: math.inf}, {("a", "b"): 1.0}
+)
+
+# Scores whose rounding depends on association: (g * f) / c places the
+# last object on node 1, g * (f / c) on node 0.
+_ASSOCIATION_CASE = PlacementProblem.build(
+    {"o0": 2.0, "o1": 1.0, "o2": 3.0, "o3": 2.0, "o4": 1.0},
+    {0: 6.0, 1: 9.0},
+    {
+        ("o0", "o1"): 0.6, ("o0", "o3"): 0.6, ("o0", "o4"): 0.6, ("o1", "o2"): 0.6,
+        ("o2", "o3"): 0.1, ("o2", "o4"): 0.2, ("o3", "o4"): 0.2,
+    },
+)
+
+
+class TestStreamingEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=_stream_problems())
+    @example(problem=_NAN_CASE)
+    @example(problem=_ASSOCIATION_CASE)
+    def test_scalar_pass_matches_numpy_loop(self, problem):
+        fast = streaming_greedy_placement(problem).assignment
+        assert fast.tobytes() == _streaming_greedy_reference(problem).assignment.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        problem=_stream_problems(),
+        scope=st.none() | st.integers(0, 13),
+        capacity_factor=st.sampled_from([2.0, 1.0, None]),
+        salt=st.sampled_from(["", "x"]),
+    )
+    def test_index_scoping_matches_id_scoping(self, problem, scope, capacity_factor, salt):
+        fast = scoped_placement(
+            problem, scope, streaming_greedy_placement,
+            capacity_factor=capacity_factor, hash_salt=salt,
+        )
+        reference = _scoped_placement_reference(
+            problem, scope, _streaming_greedy_reference,
+            capacity_factor=capacity_factor, hash_salt=salt,
+        )
+        assert fast.assignment.tobytes() == reference.assignment.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(
+        st.sampled_from([0.0, 0.5, 2.0, math.inf, -math.inf, math.nan]), min_size=1, max_size=6
+    ))
+    def test_argmax_argmin_match_numpy(self, values):
+        """The first extremum wins, and the first NaN beats everything."""
+        assert streampart._argmax(values) == int(np.argmax(values))
+        assert streampart._argmin(values) == int(np.argmin(values))
 
 
 # ----------------------------------------------------------------------
