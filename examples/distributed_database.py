@@ -50,7 +50,7 @@ def build_workload(rng: np.random.Generator):
         chrom = int(rng.choice(8, p=popularity))
         members = chromosomes[chrom]
         count = int(rng.integers(2, 5))
-        job = list(rng.choice(members, size=min(count, len(members)), replace=False))
+        job = rng.choice(members, size=min(count, len(members)), replace=False).tolist()
         if rng.random() < 0.1:
             job.append(str(rng.choice(all_segments)))
         jobs.append(tuple(dict.fromkeys(job)))

@@ -29,7 +29,7 @@ def build_problem() -> PlacementProblem:
         cluster = int(rng.integers(NUM_OBJECTS // 6))
         members = names[cluster * 6 : cluster * 6 + 6]
         count = int(rng.integers(2, 4))
-        operations.append(tuple(rng.choice(members, size=count, replace=False)))
+        operations.append(tuple(rng.choice(members, size=count, replace=False).tolist()))
     return PlacementProblem.build(
         sizes, NUM_NODES, cooccurrence_correlations(operations)
     )

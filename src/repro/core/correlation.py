@@ -12,29 +12,35 @@ operation to one or more two-object operations:
 * **Union-like** operations are approximated by a sequence of pairs,
   each joining the *largest* requested object with one other object.
 
-One engine runs that reduction for every consumer: :func:`_mine_chunks`
-makes **one pass** over a trace — an iterable of operations, each an
-iterable of object ids — interning ids and reducing operations in
-vectorized chunks (working set ``O(chunk + distinct pairs)``), so
-single-use iterables (generators, streaming readers) work without
-materializing the trace.  Any trace the vectorized engine cannot reduce
-exactly falls back to the per-operation loop, so results — including
-dict insertion order — never depend on which engine ran.
+One vectorized function runs that reduction for every consumer:
+:func:`_reduce_pairs` takes distinct operations as a CSR of object codes,
+with each code's value, ``repr`` and ``(size, repr)`` rank, and emits
+their canonical code pairs in :func:`operation_pairs` order.
+:meth:`repro.search.QueryProfile.correlations` feeds it a compiled query
+log ranked by its index.  The functions here feed it
+:func:`_mine_trace`, which reads a trace — an iterable of operations,
+each an iterable of object ids; single-use iterables work — once,
+groups equal operations and interns their ids.  A trace whose ids the
+codes cannot stand in for exactly takes the per-operation loop instead,
+so results — including dict insertion order — never depend on which
+path ran.
 
-The three ``*_correlations`` functions count its chunks into a dict
+The three ``*_correlations`` functions sum the pairs into a dict
 mapping canonical id pairs to empirical probabilities (pair count /
 number of operations counted).  The :class:`PairEstimator` protocol is
 the incremental surface, shared by the exact
 :class:`CorrelationEstimator` here and the memory-bounded sketch
-backend in :mod:`repro.online.sketch`; both ingest the same chunks
-through :meth:`~PairEstimator.observe_trace`.  The reduction of a
-single operation is exposed as :func:`operation_pairs`.
+backend in :mod:`repro.online.sketch`; both ingest the trace's pair
+stream through :meth:`~PairEstimator.observe_trace`.  The reduction of
+a single operation is exposed as :func:`operation_pairs`.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
-from typing import Hashable, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from itertools import chain, compress
+from typing import Hashable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -70,7 +76,7 @@ def operation_pairs(
     """Reduce one operation to the pairs it contributes (Section 3.2).
 
     Every estimator — exact or sketched — reads the concatenation of
-    these lists over its trace, from the chunked miner below:
+    these lists over its trace, from the vectorized reduction below:
 
     * ``"cooccurrence"`` — every distinct pair of the operation.
     * ``"two_smallest"`` — the two smallest known objects (intersection
@@ -111,8 +117,8 @@ def _pairs_from_distinct(
 
     ``distinct`` must carry the iteration order of the operation's
     ``set``: the repr sorts keep that order among equal reprs, and the
-    miner replays recorded operations through this helper so its
-    fallback path stays byte-identical to :func:`operation_pairs`.
+    miner's loop replays each read operation through this helper, so it
+    stays byte-identical to :func:`operation_pairs`.
     The union pairs follow the other objects' repr order, as the
     cooccurrence pairs do.
     """
@@ -135,332 +141,177 @@ def _pairs_from_distinct(
     return [_canonical(largest, other) for other in others if other != largest]
 
 
-#: Operations mined per vectorized batch.  Bounds the miner's working
-#: set to O(chunk + distinct pairs) — the same asymptotics as the
-#: legacy streaming loop — while amortizing the numpy dispatch.
-_CHUNK_OPS = 4096
-
-#: Raw pair-key backlog that triggers a compaction of the key-space
-#: accumulator (see :func:`_compact_keys`).
-_COMPACT_PAIRS = 1 << 20
+def _positions(order: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Permutation -> position array (``out[order[i]] = i``)."""
+    order = np.asarray(order, dtype=np.int64)
+    out = np.empty(len(order), dtype=np.int64)
+    out[order] = np.arange(len(order))
+    return out
 
 
-def _compact_keys(
-    key_parts: list[np.ndarray], count_parts: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge packed-key streams into (unique keys, summed counts).
+def _orders(
+    objects: Sequence[ObjectId], size: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each object's position in value, ``repr`` and ``(size, repr)`` order.
 
-    The streams concatenate in emission order, so sorting the unique
-    keys by their first index reproduces the Counter's insertion order.
-    Counts are summed through ``bincount`` float64 accumulation, exact
-    for totals below 2**53 (a trace that large is out of scope).
+    These are the ranks :func:`_reduce_pairs` reads; ``objects`` must
+    be totally ordered, with distinct reprs.
     """
-    keys = np.concatenate(key_parts)
-    weights = np.concatenate(count_parts)
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    sums = np.bincount(inverse, weights=weights, minlength=len(uniq))
-    order = np.argsort(first)
-    return uniq[order], sums.astype(np.int64)[order]
+    n = len(objects)
+    reprs = list(map(repr, objects))
+    by_repr = _positions(sorted(range(n), key=reprs.__getitem__))
+    by_value = _positions(sorted(range(n), key=objects.__getitem__))
+    return by_value, by_repr, _positions(np.lexsort((by_repr, size)))
 
 
-class _TraceEncoder:
-    """Interns object ids to dense codes and watches fast-path gates.
-
-    The vectorized miner operates on integer codes, so correctness
-    hinges on the code <-> object mapping preserving every property the
-    per-operation loop relies on: value order (for :func:`_canonical`),
-    repr order (for the cooccurrence sort and size tie-breaks), and the
-    identity of the objects in each emitted pair.  Those hold when every
-    id is a ``str``, or every id is an ``int``/``float`` (no bools, no
-    NaNs, no equal values with different reprs) — anything else trips
-    ``fast`` off and the miner falls back to the exact loop over the
-    recorded operations.
-    """
-
-    __slots__ = (
-        "code", "objects", "reprs", "fast", "_has_str", "_has_num", "_repr_seen"
-    )
-
-    def __init__(self) -> None:
-        self.code: dict[ObjectId, int] = {}
-        self.objects: list[ObjectId] = []
-        self.reprs: list[str] = []
-        self.fast = True
-        self._has_str = False
-        self._has_num = False
-        self._repr_seen: set[str] = set()
-
-    def encode(self, distinct: list[ObjectId]) -> list[int]:
-        """Codes for one operation's distinct objects, interning new ones."""
-        code = self.code
-        out = []
-        for obj in distinct:
-            c = code.get(obj)
-            if c is None:
-                c = len(self.objects)
-                code[obj] = c
-                self.objects.append(obj)
-                r = repr(obj)
-                if self.fast:
-                    t = type(obj)
-                    if t is str:
-                        self._has_str = True
-                    elif t is int:
-                        self._has_num = True
-                    elif t is float:
-                        self._has_num = True
-                        if obj != obj:  # NaN breaks total order
-                            self.fast = False
-                    else:
-                        self.fast = False
-                    if r in self._repr_seen:
-                        # Duplicate reprs make the cooccurrence sort
-                        # order depend on per-operation set order.
-                        self.fast = False
-                    else:
-                        self._repr_seen.add(r)
-                self.reprs.append(r)
-            elif self.fast:
-                stored = self.objects[c]
-                if stored is not obj and (
-                    type(stored) is not type(obj)
-                    or (type(obj) is float and repr(obj) != self.reprs[c])
-                ):
-                    # Equal-but-distinct ids (1 vs True, 1 vs 1.0,
-                    # 0.0 vs -0.0): the emitted pair must hold the
-                    # operation's own object, not our representative.
-                    self.fast = False
-            out.append(c)
-        return out
-
-    def fast_ok(self) -> bool:
-        """Whether the vectorized path is still exact for this table."""
-        return self.fast and not (self._has_str and self._has_num)
-
-
-def _invert_order(order: list[int]) -> np.ndarray:
-    """Permutation -> rank array (``rank[order[i]] = i``)."""
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[np.asarray(order, dtype=np.int64)] = np.arange(len(order), dtype=np.int64)
-    return rank
-
-
-def _chunk_ranks(
-    enc: _TraceEncoder,
-    cache: dict,
+def _reduce_pairs(
     mode: str,
-    sizes: Mapping[ObjectId, float] | None,
-) -> dict | None:
-    """Per-code rank arrays for the current intern table (cached).
+    offsets: np.ndarray,
+    owner: np.ndarray,
+    codes: np.ndarray,
+    by_value: np.ndarray,
+    by_repr: np.ndarray,
+    by_size: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Section 3.2 reduction of distinct operations, vectorized.
 
-    Returns ``None`` — flipping the encoder's fast bit off — when a
-    size value cannot be compared exactly as a float, which would make
-    the vectorized size sort diverge from the legacy tuple sort.
+    Operation ``q`` holds the distinct codes
+    ``codes[offsets[q]:offsets[q + 1]]``, every one of them known to a
+    size-aware mode, and ``owner`` is each position's operation.
+    ``by_value``, ``by_repr`` and ``by_size`` rank every code in value,
+    ``repr`` and ``(size, repr)`` order, without ties.
+
+    Returns each emitted pair's canonical codes ``(lo, hi)`` and the
+    operation that emitted it, operation by operation in
+    :func:`operation_pairs` order.
     """
-    n = len(enc.objects)
-    if cache.get("n") != n:
-        cache.clear()
-        cache["n"] = n
-        cache["repr_rank"] = _invert_order(
-            sorted(range(n), key=enc.reprs.__getitem__)
-        )
-        # Total order is guaranteed by the encoder's type gates.
-        cache["value_rank"] = _invert_order(
-            sorted(range(n), key=enc.objects.__getitem__)
-        )
-    if mode != "cooccurrence" and "size_rank" not in cache:
-        assert sizes is not None
-        in_sizes = np.fromiter(
-            (obj in sizes for obj in enc.objects), dtype=bool, count=n
-        )
-        size_vals = np.zeros(n, dtype=np.float64)
-        for c in np.flatnonzero(in_sizes):
-            value = sizes[enc.objects[int(c)]]
-            try:
-                as_float = float(value)
-                exact = as_float == value
-            except (TypeError, ValueError, OverflowError):
-                enc.fast = False
-                return None
-            if not exact:  # NaN or a value float64 cannot hold exactly
-                enc.fast = False
-                return None
-            size_vals[c] = as_float
-        cache["in_sizes"] = in_sizes
-        # lexsort: last key is primary -> size first, repr breaks ties,
-        # mirroring the legacy (sizes[o], repr(o)) sort key.
-        cache["size_rank"] = _invert_order(
-            np.lexsort((cache["repr_rank"], size_vals)).tolist()
-        )
-    return cache
-
-
-def _mine_chunk(
-    flat: np.ndarray,
-    lengths: np.ndarray,
-    enc: _TraceEncoder,
-    mode: str,
-    sizes: Mapping[ObjectId, float] | None,
-    cache: dict,
-) -> np.ndarray | None:
-    """One chunk's packed pair keys, duplicates kept, in emission order.
-
-    Returns ``None`` when a gate trips, in which case the caller replays
-    the chunk through :func:`_pairs_from_distinct`.
-    """
-    n = len(enc.objects)
-    if n >= 2**31:  # pair keys must fit an int64 product
-        enc.fast = False
-        return None
-    ranks = _chunk_ranks(enc, cache, mode, sizes)
-    if ranks is None:
-        return None
-
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    parts_x: list[np.ndarray] = []
-    parts_y: list[np.ndarray] = []
-    parts_pos: list[np.ndarray] = []
-
-    if mode == "cooccurrence":
-        repr_rank = ranks["repr_rank"]
-        emitted = lengths * (lengths - 1) // 2
-        pair_base = np.concatenate(([0], np.cumsum(emitted)[:-1]))
-        for length in np.unique(lengths):
-            length = int(length)
-            if length < 2:
-                continue
-            rows = np.flatnonzero(lengths == length)
-            mat = flat[starts[rows][:, None] + np.arange(length)]
-            order = np.argsort(repr_rank[mat], axis=1)
-            mat = np.take_along_axis(mat, order, axis=1)
-            ai, bi = np.triu_indices(length, k=1)
-            per_op = length * (length - 1) // 2
-            parts_x.append(mat[:, ai].ravel())
-            parts_y.append(mat[:, bi].ravel())
-            parts_pos.append(
-                (pair_base[rows][:, None] + np.arange(per_op)).ravel()
-            )
+    width = len(by_value)
+    lengths = np.diff(offsets)
+    if mode == "two_smallest":
+        by_size_within = np.argsort(owner * width + by_size[codes])
+        multi = lengths >= 2
+        heads = offsets[:-1][multi]
+        x, y = codes[by_size_within[heads]], codes[by_size_within[heads + 1]]
+        owner = np.flatnonzero(multi)
     else:
-        size_rank = ranks["size_rank"]
-        mask = ranks["in_sizes"][flat]
-        running = np.concatenate(([0], np.cumsum(mask)))
-        known_len = running[starts + lengths] - running[starts]
-        known_flat = flat[mask]
-        known_starts = np.concatenate(([0], np.cumsum(known_len)[:-1]))
-        if mode == "two_smallest":
-            for length in np.unique(known_len):
-                length = int(length)
-                if length < 2:
-                    continue
-                rows = np.flatnonzero(known_len == length)
-                mat = known_flat[known_starts[rows][:, None] + np.arange(length)]
-                order = np.argsort(size_rank[mat], axis=1)[:, :2]
-                picked = np.take_along_axis(mat, order, axis=1)
-                parts_x.append(picked[:, 0])
-                parts_y.append(picked[:, 1])
-                parts_pos.append(rows)
-        else:  # union_largest
-            repr_rank = ranks["repr_rank"]
-            emitted = np.where(known_len >= 2, known_len - 1, 0)
-            pair_base = np.concatenate(([0], np.cumsum(emitted)[:-1]))
-            for length in np.unique(known_len):
-                length = int(length)
-                if length < 2:
-                    continue
-                rows = np.flatnonzero(known_len == length)
-                mat = known_flat[known_starts[rows][:, None] + np.arange(length)]
-                order = np.argsort(repr_rank[mat], axis=1)
-                mat = np.take_along_axis(mat, order, axis=1)
-                biggest = np.argmax(size_rank[mat], axis=1)
-                keep = np.arange(length)[None, :] != biggest[:, None]
-                others = mat[keep].reshape(-1, length - 1)
-                parts_x.append(
-                    np.repeat(mat[np.arange(len(rows)), biggest], length - 1)
-                )
-                parts_y.append(others.ravel())
-                parts_pos.append(
-                    (pair_base[rows][:, None] + np.arange(length - 1)).ravel()
-                )
-
-    if not parts_x:
-        return np.empty(0, dtype=np.int64)
-    cx = np.concatenate(parts_x)
-    cy = np.concatenate(parts_y)
-    emission = np.argsort(np.concatenate(parts_pos))
-    cx = cx[emission]
-    cy = cy[emission]
-    value_rank = ranks["value_rank"]
-    swap = value_rank[cx] > value_rank[cy]
-    lo = np.where(swap, cy, cx)
-    hi = np.where(swap, cx, cy)
-    # Codes stay below 2**31, so a packed int64 key is collision-free
-    # and — unlike ``lo * n + hi`` — independent of the table size,
-    # letting key streams from different chunks merge directly.
-    return (lo << np.int64(32)) | hi
+        codes = codes[np.argsort(owner * width + by_repr[codes])]
+        if mode == "union_largest":
+            size = by_size[codes]
+            nonempty = lengths > 0
+            largest = np.maximum.reduceat(size, offsets[:-1][nonempty])
+            top = size == np.repeat(largest, lengths[nonempty])
+            x = np.repeat(codes[top], lengths[nonempty] - 1)
+            y, owner = codes[~top], owner[~top]
+        else:
+            # Pair each position with every later one of its operation.
+            later = offsets[1:][owner] - np.arange(len(owner)) - 1
+            lead = np.repeat(np.arange(len(owner)), later)
+            skip = np.arange(len(lead)) - np.repeat(later.cumsum() - later, later)
+            x, y, owner = codes[lead], codes[lead + 1 + skip], owner[lead]
+    swap = by_value[x] > by_value[y]
+    return np.where(swap, y, x), np.where(swap, x, y), owner
 
 
-def _decode(keys: np.ndarray, objects: list[ObjectId]) -> Iterator[Pair]:
-    """Packed pair keys -> object pairs, in key order."""
-    lookup = objects.__getitem__
-    return zip(
-        map(lookup, (keys >> 32).tolist()),
-        map(lookup, (keys & 0xFFFFFFFF).tolist()),
-    )
+def _probabilities(
+    objects: Sequence[ObjectId],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    weights: np.ndarray,
+    operations: int,
+    min_support: int,
+) -> PairProbabilities:
+    """Sum each code pair's weights into a probability, in first-emission order.
+
+    Totals are summed as float64, exact below 2**53.
+    """
+    width = len(objects)
+    keys, first, inverse = np.unique(lo * width + hi, return_index=True, return_inverse=True)
+    totals = np.bincount(inverse, weights=weights, minlength=len(keys))
+    emitted = first.argsort()
+    keys, totals = keys[emitted], totals[emitted].astype(np.int64)
+    kept = totals >= min_support
+    lo, hi = np.divmod(keys[kept], width)
+    return {
+        (objects[a], objects[b]): total / operations
+        for a, b, total in zip(lo.tolist(), hi.tolist(), totals[kept].tolist())
+    }
 
 
-def _mine_chunks(
+def _mine_trace(
     trace: Iterable[Operation],
     mode: str,
     sizes: Mapping[ObjectId, float] | None,
-    enc: _TraceEncoder,
-) -> Iterator[tuple[int, np.ndarray | list[Pair]]]:
-    """Reduce ``trace`` in one pass, yielding ``(operations, pairs)`` chunks.
+) -> tuple[list[tuple], tuple | None]:
+    """Read ``trace`` once and reduce its distinct operations.
 
-    The mode check runs before the first operation is read.  Operations
-    are deduplicated and interned into ``enc`` as they stream by, then
-    reduced in vectorized chunks of :data:`_CHUNK_OPS`.  ``pairs`` is
-    the chunk's packed pair keys over ``enc``'s codes (see
-    :func:`_decode`) in emission order — or, once an exactness gate has
-    tripped (see :class:`_TraceEncoder`), the per-operation loop's
-    list.  Either way the chunks concatenate to the trace's
-    :func:`operation_pairs` stream, duplicates kept.  The gates are
-    sticky, so list chunks only follow key chunks, and the object that
-    tripped one was first seen in its own chunk, never in a key chunk.
+    The mode check runs before the first operation is read.  Equal
+    operations are grouped in first-occurrence order and their ids
+    interned, then :func:`_reduce_pairs` reduces each group once.
+
+    The codes stand in for the ids exactly only when every id is a
+    ``str`` or every id an ``int``: then equal ids are interchangeable
+    and both orders are total.  Any other trace (bools, floats,
+    ``np.str_``, tuples, mixes), or a size a float cannot hold exactly,
+    is left to the per-operation loop.  The scan covers every operation,
+    not only the distinct ones, since ``(True, 2)`` groups with
+    ``(1, 2)``.
+
+    Returns:
+        The operations as tuples, and ``(objects, inverse, counts, lo,
+        hi, owner)``: each code's object, each operation's group, each
+        group's operation count, and the groups' pairs as
+        :func:`_reduce_pairs` returns them; or ``None`` in place of
+        that tuple when the loop must run.
     """
     _check_mode(mode, sizes)
-    ranks_cache: dict = {}
-    chunk: list[list[ObjectId]] = []
-    flat: list[int] = []
-    lengths: list[int] = []
+    operations = list(map(tuple, trace))
+    kinds = set(map(type, chain.from_iterable(operations)))
+    if not (kinds <= {str} or kinds <= {int}):
+        return operations, None
+    distinct = list(dict.fromkeys(operations))
+    group = dict(zip(distinct, range(len(distinct))))
+    inverse = np.fromiter(map(group.__getitem__, operations), np.int64, len(operations))
+    flat = list(chain.from_iterable(distinct))
+    objects = list(dict.fromkeys(flat))
+    code = dict(zip(objects, range(len(objects))))
+    codes = np.fromiter(map(code.__getitem__, flat), np.int64, len(flat))
+    owner = np.repeat(np.arange(len(distinct)), list(map(len, distinct)))
+    n = len(objects)
+    size = np.zeros(n)
+    if mode != "cooccurrence":
+        assert sizes is not None
+        known = np.fromiter(map(sizes.__contains__, objects), bool, n)
+        given = list(map(sizes.__getitem__, compress(objects, known)))
+        try:
+            exact = list(map(float, given))
+        except (TypeError, ValueError, OverflowError):
+            return operations, None
+        if not all(map(operator.eq, exact, given)):  # NaN, or past float precision
+            return operations, None
+        size[known] = exact
+        kept = known[codes]
+        owner, codes = owner[kept], codes[kept]
+    # One key per (group, object) sorts each group; repeats drop out.
+    keys = np.sort(owner * n + codes)
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    owner, codes = np.divmod(keys[fresh], n)
+    offsets = np.zeros(len(distinct) + 1, dtype=np.int64)
+    np.bincount(owner, minlength=len(distinct)).cumsum(out=offsets[1:])
+    lo, hi, owner = _reduce_pairs(mode, offsets, owner, codes, *_orders(objects, size))
+    counts = np.bincount(inverse, minlength=len(distinct))
+    return operations, (objects, inverse, counts, lo, hi, owner)
 
-    def mine() -> np.ndarray | list[Pair]:
-        if enc.fast_ok():
-            keys = _mine_chunk(
-                np.asarray(flat, dtype=np.int64),
-                np.asarray(lengths, dtype=np.int64),
-                enc,
-                mode,
-                sizes,
-                ranks_cache,
-            )
-            if keys is not None:
-                return keys
-        return [
-            pair
-            for distinct in chunk
-            for pair in _pairs_from_distinct(distinct, mode, sizes)
-        ]
 
-    for operation in trace:
-        distinct = list(set(operation))
-        chunk.append(distinct)
-        lengths.append(len(distinct))
-        flat.extend(enc.encode(distinct))
-        if len(chunk) >= _CHUNK_OPS:
-            yield len(chunk), mine()
-            chunk, flat, lengths = [], [], []
-    if chunk:
-        yield len(chunk), mine()
+def _loop_pairs(
+    operations: list[tuple], mode: str, sizes: Mapping[ObjectId, float] | None
+) -> list[Pair]:
+    """The per-operation loop's pair stream, for traces nothing else reduces."""
+    return [
+        pair
+        for operation in operations
+        for pair in _pairs_from_distinct(list(set(operation)), mode, sizes)
+    ]
 
 
 def _trace_pairs(
@@ -473,13 +324,17 @@ def _trace_pairs(
     Every pair of every operation, duplicates kept, in trace order: the
     one ingest of both :class:`PairEstimator` backends.
     """
-    enc = _TraceEncoder()
-    pairs: list[Pair] = []
-    total = 0
-    for ops, chunk in _mine_chunks(trace, mode, sizes, enc):
-        total += ops
-        pairs.extend(chunk if isinstance(chunk, list) else _decode(chunk, enc.objects))
-    return pairs, total
+    operations, mined = _mine_trace(trace, mode, sizes)
+    if mined is None:
+        return _loop_pairs(operations, mode, sizes), len(operations)
+    objects, inverse, counts, lo, hi, owner = mined
+    # Each operation takes its group's run of pairs.
+    runs = np.bincount(owner, minlength=len(counts))
+    first, runs = (runs.cumsum() - runs)[inverse], runs[inverse]
+    take = np.repeat(first - runs.cumsum() + runs, runs) + np.arange(runs.sum())
+    lookup = objects.__getitem__
+    pairs = list(zip(map(lookup, lo.tolist()), map(lookup, hi.tolist())))
+    return list(map(pairs.__getitem__, take.tolist())), len(operations)
 
 
 def _count_pairs(
@@ -490,38 +345,16 @@ def _count_pairs(
 ) -> PairProbabilities:
     """Count the mined pairs; ``trace`` may be a one-shot iterable.
 
-    Key chunks accumulate in key space — parallel (keys, counts)
-    streams, compacted whenever the raw backlog grows past
-    :data:`_COMPACT_PAIRS` so memory stays O(unique pairs + compaction
-    window) — and list chunks in a :class:`~collections.Counter`.  The
-    list chunks ran strictly after every key chunk, so their new pairs
-    append behind the key pairs, and the result — values *and* dict
-    insertion order — is byte-identical to one ``Counter.update`` of
-    :func:`operation_pairs` per operation.
+    Values *and* dict insertion order equal one ``Counter.update`` of
+    :func:`operation_pairs` per operation: a group's pairs weigh its
+    operation count, and groups follow first occurrence.
     """
-    enc = _TraceEncoder()
-    counts: Counter = Counter()
-    total = 0
-    key_parts: list[np.ndarray] = []
-    count_parts: list[np.ndarray] = []
-    pending = 0
-    for ops, chunk in _mine_chunks(trace, mode, sizes, enc):
-        total += ops
-        if isinstance(chunk, list):
-            counts.update(chunk)
-            continue
-        key_parts.append(chunk)
-        count_parts.append(np.ones(len(chunk), dtype=np.int64))
-        pending += len(chunk)
-        if pending > _COMPACT_PAIRS:
-            keys, sums = _compact_keys(key_parts, count_parts)
-            key_parts, count_parts, pending = [keys], [sums], 0
-    if key_parts:
-        keys, sums = _compact_keys(key_parts, count_parts)
-        merged = Counter(dict(zip(_decode(keys, enc.objects), sums.tolist())))
-        merged.update(counts)
-        counts = merged
-    return _finalize(counts, total, min_support)
+    operations, mined = _mine_trace(trace, mode, sizes)
+    if mined is None:
+        counts = Counter(_loop_pairs(operations, mode, sizes))
+        return _finalize(counts, len(operations), min_support)
+    objects, _, counts, lo, hi, owner = mined
+    return _probabilities(objects, lo, hi, counts[owner], len(operations), min_support)
 
 
 def cooccurrence_correlations(

@@ -236,8 +236,8 @@ class PlacementProblem:
             raise ProblemDefinitionError("sizes misaligned with object ids")
         if np.any(self.sizes <= 0) or not np.all(np.isfinite(self.sizes)):
             raise ProblemDefinitionError("object sizes must be positive and finite")
-        if np.any(self.capacities < 0):
-            raise ProblemDefinitionError("node capacities must be nonnegative")
+        if not np.all(self.capacities >= 0):  # NaN compares false too
+            raise ProblemDefinitionError("node capacities must be nonnegative, not NaN")
         m = self.pair_index.shape[0]
         if self.correlations.shape != (m,) or self.pair_costs.shape != (m,):
             raise ProblemDefinitionError("pair arrays misaligned")

@@ -43,9 +43,9 @@ class ResourceSpec:
             raise ProblemDefinitionError(
                 f"resource {self.name!r}: loads must be finite and nonnegative"
             )
-        if np.any(self.budgets < 0):
+        if not np.all(self.budgets >= 0):  # NaN compares false too
             raise ProblemDefinitionError(
-                f"resource {self.name!r}: budgets must be nonnegative"
+                f"resource {self.name!r}: budgets must be nonnegative, not NaN"
             )
 
     @classmethod

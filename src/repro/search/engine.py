@@ -22,7 +22,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.correlation import PairProbabilities
+from repro.core.correlation import PairProbabilities, _probabilities, _reduce_pairs
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.search.index import ITEM_BYTES, InvertedIndex
@@ -325,11 +325,13 @@ class QueryProfile:
     ) -> PairProbabilities:
         """The log's Section 3.2 pair probabilities, read off the profile.
 
-        Each distinct query's pairs are gathered from its positions and
-        weighted by its count, so the log is not read again.  The result
-        equals the :mod:`repro.core.correlation` miner of the same mode
-        over the log's indexed keywords, with index sizes: the same
-        pairs, probabilities and dict order.
+        Each distinct query's positions, ranked by the index's
+        :meth:`~repro.search.index.InvertedIndex.keyword_order`, go
+        through the miner's one reduction, and its pairs weigh its
+        count, so the log is not read again.  The result equals the
+        :mod:`repro.core.correlation` miner of the same mode over the
+        log's indexed keywords, with index sizes: the same pairs,
+        probabilities and dict order.
 
         * ``"two_smallest"``: a query's two smallest keywords, with df
           ties broken by ``repr`` as the miner breaks them.
@@ -348,52 +350,17 @@ class QueryProfile:
         if mode not in ("two_smallest", "union_largest", "cooccurrence"):
             raise ValueError(f"unknown correlation mode {mode!r}")
         order = self.index.keyword_order()
-        width = len(order.words)
-        ranks = self.ranks[self.codes]
-        lengths = np.diff(self.offsets)
-        if mode == "two_smallest":
-            by_size = self._sorted_within(order.by_size[ranks], width)
-            multi = lengths >= 2
-            heads = self.offsets[:-1][multi]
-            x, y = ranks[by_size[heads]], ranks[by_size[heads + 1]]
-            weights = self.counts[multi]
-        else:
-            by_repr = self._sorted_within(order.by_repr[ranks], width)
-            ranks, owner = ranks[by_repr], self.owner
-            if mode == "union_largest":
-                size = order.by_size[ranks]
-                nonempty = lengths > 0
-                largest = np.maximum.reduceat(size, self.offsets[:-1][nonempty])
-                top = size == np.repeat(largest, lengths[nonempty])
-                x = np.repeat(ranks[top], lengths[nonempty] - 1)
-                y, owner = ranks[~top], owner[~top]
-            else:
-                # Pair each position with every later one of its query.
-                later = self.offsets[1:][owner] - np.arange(len(owner)) - 1
-                lead = np.repeat(np.arange(len(owner)), later)
-                skip = np.arange(len(lead)) - np.repeat(later.cumsum() - later, later)
-                x, y, owner = ranks[lead], ranks[lead + 1 + skip], owner[lead]
-            weights = self.counts[owner]
-
-        # Count each canonical pair, in order of first emission.
-        swap = order.by_value[x] > order.by_value[y]
-        pairs = np.where(swap, y, x) * width + np.where(swap, x, y)
-        pairs, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
-        totals = np.bincount(inverse, weights=weights, minlength=len(pairs))
-        emitted = first.argsort()
-        pairs, totals = pairs[emitted], totals[emitted].astype(np.int64)
-        kept = totals >= min_support
-        pairs, totals = pairs[kept], totals[kept].tolist()
-        words, operations = order.words, len(self.inverse)
-        lo, hi = np.divmod(pairs, width)
-        return {
-            (words[a], words[b]): total / operations
-            for a, b, total in zip(lo.tolist(), hi.tolist(), totals)
-        }
-
-    def _sorted_within(self, key: np.ndarray, width: int) -> np.ndarray:
-        """Positions sorted by ``key`` within each query (``key < width``)."""
-        return np.argsort(self.owner * width + key)
+        lo, hi, owner = _reduce_pairs(
+            mode,
+            self.offsets,
+            self.owner,
+            self.ranks[self.codes],
+            order.by_value,
+            order.by_repr,
+            order.by_size,
+        )
+        weights = self.counts[owner]
+        return _probabilities(order.words, lo, hi, weights, len(self.inverse), min_support)
 
 
 class DistributedSearchEngine:

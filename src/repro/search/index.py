@@ -14,10 +14,11 @@ are built once, on first use.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from repro.core.correlation import _orders
 from repro.search.documents import Corpus
 
 ITEM_BYTES = 8
@@ -56,14 +57,6 @@ class KeywordOrder(NamedTuple):
     by_value: np.ndarray
     by_repr: np.ndarray
     by_size: np.ndarray
-
-
-def _positions(order: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Permutation -> position array (``out[order[i]] = i``)."""
-    order = np.asarray(order, dtype=np.int64)
-    out = np.empty(len(order), dtype=np.int64)
-    out[order] = np.arange(len(order))
-    return out
 
 
 def page_id(doc_id: str) -> int:
@@ -223,15 +216,8 @@ class InvertedIndex:
         if self._order is None:
             words = sorted(self._postings, key=lambda w: (self._postings[w].size, w))
             df = np.array([self._postings[w].size for w in words], dtype=np.int64)
-            reprs = [repr(w) for w in words]
-            by_repr = _positions(sorted(range(len(words)), key=reprs.__getitem__))
             self._order = KeywordOrder(
-                words=tuple(words),
-                rank={word: k for k, word in enumerate(words)},
-                df=df,
-                by_value=_positions(sorted(range(len(words)), key=words.__getitem__)),
-                by_repr=by_repr,
-                by_size=_positions(np.lexsort((by_repr, df))),
+                tuple(words), {word: k for k, word in enumerate(words)}, df, *_orders(words, df)
             )
         return self._order
 

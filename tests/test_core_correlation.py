@@ -4,16 +4,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import correlation
 from repro.core.correlation import (
     CorrelationEstimator,
-    _mine_chunks,
     _trace_pairs,
-    _TraceEncoder,
     cooccurrence_correlations,
     operation_pairs,
     two_smallest_correlations,
@@ -241,13 +241,17 @@ class TestCooccurrencePairs:
         assert mined_pairs(trace) == row_pairs(trace)
 
     def test_non_str_ids_clear_the_fast_path_gate(self):
-        # A str/int mix trips the miner's type gate, so the one chunk
-        # is the per-operation loop's pair list, not packed keys.
+        # A str/int mix fails the miner's type scan, so the trace takes
+        # the per-operation loop and never reaches the vectorized
+        # reduction; an all-str trace does.
         trace = [(1, 2), ("a", 3)]
-        enc = _TraceEncoder()
-        chunks = list(_mine_chunks(trace, "cooccurrence", None, enc))
-        assert not enc.fast_ok()
-        assert chunks == [(2, row_pairs(trace))]
+        with mock.patch.object(
+            correlation, "_reduce_pairs", wraps=correlation._reduce_pairs
+        ) as spy:
+            assert mined_pairs(trace) == row_pairs(trace)
+            assert spy.call_count == 0
+            assert mined_pairs([("a", "b")]) == [("a", "b")]
+            assert spy.call_count == 1
 
     def test_empty_trace(self):
         assert mined_pairs([]) == []

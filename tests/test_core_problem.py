@@ -110,6 +110,23 @@ class TestValidation:
         with pytest.raises(ProblemDefinitionError, match="capacities"):
             PlacementProblem.build({"a": 1.0}, {"n": -1.0}, {})
 
+    def test_nan_capacity_rejected(self):
+        # NaN < 0 is False, and planners report plans on a NaN node as
+        # feasible, so the check must name NaN itself.
+        with pytest.raises(ProblemDefinitionError, match="not NaN"):
+            PlacementProblem.build(
+                {"a": 1.0, "b": 1.0}, {"n0": float("nan"), "n1": 5.0}, {("a", "b"): 0.5}
+            )
+        problem = PlacementProblem.build({"a": 1.0}, {"n": 1.0}, {})
+        with pytest.raises(ProblemDefinitionError, match="not NaN"):
+            problem.with_capacities(float("nan"))
+
+    def test_infinite_capacity_accepted(self):
+        # +inf is the uncapacitated node of the ``nodes=int`` form.
+        problem = PlacementProblem.build({"a": 1.0}, {"n0": float("inf"), "n1": 2.0}, {})
+        assert problem.capacities.tolist() == [float("inf"), 2.0]
+        assert np.isinf(PlacementProblem.build({"a": 1.0}, 2, {}).capacities).all()
+
     def test_zero_nodes_rejected(self):
         with pytest.raises(ProblemDefinitionError, match="at least one node"):
             PlacementProblem.build({"a": 1.0}, {}, {})

@@ -50,6 +50,17 @@ class TestResourceSpec:
         with pytest.raises(ProblemDefinitionError, match="nonnegative"):
             ResourceSpec("cpu", np.array([-1.0]), np.array([1.0]))
 
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ProblemDefinitionError, match="not NaN"):
+            ResourceSpec("cpu", np.array([1.0]), np.array([1.0, float("nan")]))
+        with pytest.raises(ProblemDefinitionError, match="not NaN"):
+            ResourceSpec.from_mappings("cpu", {"a": 1.0}, float("nan"), ["a"], [0, 1])
+
+    def test_infinite_budget_accepted(self):
+        spec = ResourceSpec("cpu", np.array([1.0]), np.array([np.inf, 2.0]))
+        assert spec.budgets.tolist() == [float("inf"), 2.0]
+        assert not spec.is_trivially_infeasible()
+
     def test_empty_name_rejected(self):
         with pytest.raises(ProblemDefinitionError, match="non-empty"):
             ResourceSpec("", np.array([1.0]), np.array([1.0]))

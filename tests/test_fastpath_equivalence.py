@@ -3,16 +3,18 @@
 Batched engines sit behind existing APIs — bulk LP constraint
 assembly, capacity repair from cached move deltas, migration
 selection from memoized gains, the columnar query-log compile,
-query-log replay from a compiled profile and correlation mining from
-it, replica routing on bitset intersection counts, Count-Min rows
-hashed once per distinct key, heap-based Space-Saving eviction
-folded per batch, chunked correlation mining, the first-appearance
-importance order, problem construction from one ``np.unique`` merge,
-the scalar streaming-partitioner pass, index-array scoping, and the
+query-log replay from a compiled profile, replica routing on bitset
+intersection counts, Count-Min rows hashed once per distinct key,
+heap-based Space-Saving eviction folded per batch, correlation mining
+through one vectorized reduction of distinct operations (of a trace
+or of a compiled profile), the first-appearance importance order,
+problem construction from one ``np.unique`` merge, the scalar
+streaming-partitioner pass, index-array scoping, and the
 selector-free virtual-time loop.  Each one promises
 *byte-identical* output to the legacy per-item loop under fixed seeds;
 these hypothesis suites hold them to it, including dict insertion
-order and the type-gate fallbacks of the miner.
+order and the miner's type gate, which sends every trace whose ids
+are not all ``str`` or all ``int`` to the per-operation loop.
 """
 
 import asyncio
@@ -23,7 +25,6 @@ import json
 import math
 import re
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,11 +82,11 @@ from repro.serve.vtime import VirtualTimeLoop, run_virtual
 # Shared strategies
 # ----------------------------------------------------------------------
 
-# Ids that keep the miner on its vectorized fast path (homogeneous str
-# or numeric tables) and ids that force the exact loop fallback (bool
-# conflation, str/number mixes, unhashable-rank tuples, NaN).
+# Ids that keep the miner on its vectorized path (all str; all int
+# would too) and ids that send a trace to the exact per-operation loop
+# (bool conflation, floats, ``np.str_``, str/number mixes, tuples, NaN).
 FAST_IDS = [f"o{i}" for i in range(8)]
-GATE_IDS = [0, 1, True, 1.0, 2.5, "o0", ("t", 1), float("nan")]
+GATE_IDS = [0, 1, True, 1.0, 2.5, "o0", np.str_("o0"), ("t", 1), float("nan")]
 
 
 def _traces(ids, max_ops=25, max_len=5):
@@ -237,6 +238,47 @@ class TestMiningEquivalence:
         _assert_same_mapping(batched.correlations(), reference.correlations())
 
 
+# Traces the miner's one type scan must send to the per-operation loop,
+# or group exactly: ``True`` after an equal ``1`` (grouped with it, the
+# second operation would emit ``(1, 2)``, and Count-Min hashes each
+# pair's repr), ``np.str_`` ids beside equal ``str`` ones, operations
+# given as one-shot iterators (each must be read once), and one
+# operation repeated beside its permutation.  Each is built afresh for
+# every miner.
+_GATE_TRACES = {
+    "bool_after_int": lambda: [(1, 2), (True, 2)],
+    "np_str": lambda: [("a", "b"), tuple(np.array(["b", "a", "c"])), ("c", np.str_("b"))],
+    "iterators": lambda: [iter(("a", "b", "c")), iter(("b", "c"))],
+    "permutation": lambda: [("a", "b", "c"), ("b", "d"), ("a", "b", "c"), ("c", "a", "b")],
+}
+
+
+class TestTypeGate:
+    @pytest.mark.parametrize("mode", CorrelationEstimator.MODES)
+    @pytest.mark.parametrize("case", sorted(_GATE_TRACES))
+    def test_miner_and_ingest_match_the_loop(self, case, mode):
+        make = _GATE_TRACES[case]
+        ids = dict.fromkeys(obj for operation in make() for obj in operation)
+        sizes = None
+        if mode != "cooccurrence":
+            sizes = {obj: float(1 + k % 2) for k, obj in enumerate(ids)}
+        mined = _MINERS[mode](make(), sizes)
+        reference = _mine_reference(list(make()), mode, sizes)
+        assert mined
+        # repr tells 1 from True and np.str_ from str.
+        assert repr(list(mined.items())) == repr(list(reference.items()))
+        kwargs = dict(mode=mode, sizes=sizes, width=64, depth=3, heavy_hitters=8, seed=0)
+        batched = SketchCorrelationEstimator(**kwargs)
+        assert batched.observe_trace(make()) == len(make())
+        loop = SketchCorrelationEstimator(**kwargs)
+        _observe_reference(loop, make())
+        assert json.dumps(batched.to_dict()) == json.dumps(loop.to_dict())
+        exact, exact_loop = CorrelationEstimator(mode, sizes), CorrelationEstimator(mode, sizes)
+        exact.observe_trace(make())
+        _observe_reference(exact_loop, make())
+        assert repr(list(exact._counts.items())) == repr(list(exact_loop._counts.items()))
+
+
 # ----------------------------------------------------------------------
 # Sketch ingestion
 # ----------------------------------------------------------------------
@@ -322,17 +364,17 @@ class TestCountMinEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Chunk seams of the shared miner
+# A fast prefix, then fast or gate ids, through the shared miner
 # ----------------------------------------------------------------------
 
 class TestChunkSeams:
-    """Chunks of 3 operations and compaction past 8 raw pairs.
+    """A vectorized prefix followed by fast or gate ids.
 
-    A trace is a prefix of fast ids followed by fast or gate ids, so it
-    crosses chunk seams, a gate can trip after vectorized chunks, and
-    the key accumulator compacts mid-stream — none of which the default
-    constants (4096 operations, 2**20 pairs) reach on hypothesis-sized
-    traces.
+    A trace is a prefix of fast ids followed by fast or gate ids, read
+    once through iterators, so a gate id anywhere sends the whole trace
+    to the per-operation loop, and an all-fast trace takes the
+    vectorized reduction with repeated operations grouped.  Both paths
+    must give the loop's pair stream and counts.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -347,11 +389,8 @@ class TestChunkSeams:
         trace = prefix + data.draw(_traces(ids, max_ops=15))
         universe = FAST_IDS + GATE_IDS
         sizes = None if mode == "cooccurrence" else _sizes_for(universe, None, np.random.default_rng(seed))
-        with mock.patch.object(correlation, "_CHUNK_OPS", 3), mock.patch.object(
-            correlation, "_COMPACT_PAIRS", 8
-        ):
-            pairs, ops = correlation._trace_pairs(iter(trace), mode, sizes)
-            mined = _MINERS[mode](iter(trace), sizes)
+        pairs, ops = correlation._trace_pairs(iter(trace), mode, sizes)
+        mined = _MINERS[mode](iter(trace), sizes)
         expected = [
             pair for operation in trace for pair in operation_pairs(operation, mode, sizes)
         ]
@@ -1273,7 +1312,7 @@ def _mining_cases(draw):
 
 
 def _mine_oracle(index, queries, mode, min_support):
-    """The chunked miner over the log, with index sizes.  Co-occurrence
+    """The trace miner over the log, with index sizes.  Co-occurrence
     reads only indexed keywords, as the profile does."""
     sizes = {w: float(b) for w, b in index.sizes_bytes().items()}
     trace = [q.keywords for q in queries]
