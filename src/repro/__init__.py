@@ -79,7 +79,7 @@ from repro.exceptions import (
     TraceFormatError,
 )
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "CorrelationEstimator",

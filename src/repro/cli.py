@@ -20,11 +20,6 @@ run report), ``--trace`` (print the span tree), ``--trace-out PATH``
 (deterministic flight-recorder JSONL, analyzed by ``repro trace``); see
 ``docs/OBSERVABILITY.md``.
 
-``place`` and ``evaluate`` plan through the Planner registry and accept
-``--cache-dir DIR`` / ``--no-cache`` (content-addressed plan cache — a
-replan of an unchanged problem is a lookup); see
-``docs/PERFORMANCE.md``.
-
 Run ``repro <subcommand> --help`` for options.
 """
 
@@ -59,11 +54,7 @@ def _build_study(args: argparse.Namespace) -> CaseStudy:
         num_queries=args.queries,
         seed=args.seed,
     )
-    planning = PlanConfig(
-        cache_dir=getattr(args, "cache_dir", None),
-        use_cache=not getattr(args, "no_cache", False),
-    )
-    return CaseStudy.build(config, planning=planning)
+    return CaseStudy.build(config)
 
 
 def _add_study_args(parser: argparse.ArgumentParser) -> None:
@@ -71,20 +62,6 @@ def _add_study_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vocabulary", type=int, default=4000, help="vocabulary size")
     parser.add_argument("--queries", type=int, default=30000, help="trace length")
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
-
-
-def _add_planner_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="content-addressed plan cache; a replan of an unchanged problem is a lookup",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir (plan from scratch)",
-    )
 
 
 def _scope_from_args(args: argparse.Namespace) -> int | PlanScope | None:
@@ -121,12 +98,7 @@ def _add_pg_scope_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _plan_config(args: argparse.Namespace) -> PlanConfig:
-    return PlanConfig(
-        scope=_scope_from_args(args),
-        seed=args.seed,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-    )
+    return PlanConfig(scope=_scope_from_args(args), seed=args.seed)
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -353,7 +325,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     config = ChaosConfig(
         replicas=args.replicas,
         planner=args.strategy,
-        plan_config=PlanConfig(scope=_scope_from_args(args), seed=args.seed),
+        plan_config=_plan_config(args),
         mode=args.mode,
         repair=not args.no_repair,
         topology=topology,
@@ -411,7 +383,7 @@ def cmd_online(args: argparse.Namespace) -> int:
         seed=args.seed,
         thresholds=DriftThresholds(churn=args.churn),
         budget_fraction=args.budget_fraction,
-        planning=PlanConfig(scope=_scope_from_args(args), seed=args.seed),
+        planning=_plan_config(args),
     )
     planner = OnlinePlanner({word: 1.0 for word in vocabulary}, config)
     report = planner.run(stream)
@@ -487,8 +459,6 @@ def cmd_pg(args: argparse.Namespace) -> int:
     config = PlanConfig(
         scope=PlanScope.pg(groups=args.groups, important=args.important),
         seed=args.seed,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
     )
     result = plan(problem, "lprr:pg", config)
     diag = result.diagnostics
@@ -538,7 +508,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """Analyze a journal or metrics artifact from an earlier run.
 
     Auto-detects the artifact: a ``--journal`` JSONL file yields the
-    flight-recorder report (record counts, fallback/cache summaries,
+    flight-recorder report (record counts, fallback summary,
     online/chaos roll-ups) and, with ``--period``, the replan-explain
     view; a ``--metrics-out`` JSON document yields per-phase time
     attribution and the critical path from its span forest.
@@ -628,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocabulary", type=int, default=4000)
     p.add_argument("--seed", type=int, default=0)
     _add_pg_scope_args(p)
-    _add_planner_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_place)
 
@@ -653,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocabulary", type=int, default=4000)
     p.add_argument("--seed", type=int, default=0)
     _add_pg_scope_args(p)
-    _add_planner_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -670,7 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, nargs="*", help="node counts (fig7/all)")
     p.add_argument("--output", help="write the report to a file (all)")
     _add_study_args(p)
-    _add_planner_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_experiment)
 
@@ -816,7 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="scenario seed")
     p.add_argument("--out", metavar="PATH", default=None, help="write PG map JSON")
-    _add_planner_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_pg)
 

@@ -18,14 +18,12 @@ evaluation (Section 4) runs them:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
-from repro.core.cache import PlanCache, problem_fingerprint, signature_key
 from repro.core.greedy import greedy_placement
 from repro.core.lp import LPStats, pack_components
 from repro.core.partial import (
@@ -57,9 +55,6 @@ class LPRRResult:
         repaired: Whether the rounded placement violated the effective
             capacities and was post-processed by
             :func:`repro.core.repair.repair_capacity`.
-        from_cache: Whether this result was served from a
-            :class:`~repro.core.cache.PlanCache` instead of being
-            computed (packing and rounding were skipped).
     """
 
     placement: Placement
@@ -69,7 +64,6 @@ class LPRRResult:
     rounding: RoundingResult
     effective_capacities: np.ndarray
     repaired: bool
-    from_cache: bool = False
 
     @property
     def cost(self) -> float:
@@ -81,13 +75,6 @@ class LPRRResult:
         from repro.core.serialization import lprr_result_to_dict
 
         return lprr_result_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict, problem: PlacementProblem) -> "LPRRResult":
-        """Rebuild from :meth:`to_dict` output against its problem."""
-        from repro.core.serialization import lprr_result_from_dict
-
-        return lprr_result_from_dict(data, problem)
 
 
 class LPRRPlanner:
@@ -115,13 +102,6 @@ class LPRRPlanner:
             the effective capacities beyond ``capacity_tolerance`` is
             repaired by minimum-cost migrations (an engineering
             addition beyond the paper; see :mod:`repro.core.repair`).
-        cache: Optional :class:`~repro.core.cache.PlanCache`.  When
-            set, whole plans are memoized by problem fingerprint +
-            configuration signature; a replan of an unchanged problem
-            returns the stored result flagged ``from_cache=True``.  A
-            cached artifact that parses but no longer deserializes
-            (half-written, schema drift) degrades to a miss
-            (``cache.corrupt`` counter) instead of failing the plan.
 
     Example:
         >>> import numpy as np
@@ -144,7 +124,6 @@ class LPRRPlanner:
         seed: int | None = None,
         hash_salt: str = "",
         repair: bool = True,
-        cache: PlanCache | None = None,
     ):
         if scope is not None and scope < 1:
             raise ValueError("scope must be positive (or None for full scope)")
@@ -162,54 +141,9 @@ class LPRRPlanner:
         self.seed = seed
         self.hash_salt = hash_salt
         self.repair = repair
-        self.cache = cache
-
-    def _signature(self) -> str:
-        """Canonical configuration signature for cache keying."""
-        knobs = {
-            "scope": self.scope,
-            "capacity_factor": self.capacity_factor,
-            "rounding_trials": self.rounding_trials,
-            "capacity_tolerance": self.capacity_tolerance,
-            "seed": self.seed,
-            "hash_salt": self.hash_salt,
-            "repair": self.repair,
-        }
-        return json.dumps(knobs, sort_keys=True)
 
     def plan(self, problem: PlacementProblem) -> LPRRResult:
-        """Compute a correlation-aware placement for ``problem``.
-
-        With a cache configured, a fingerprint hit returns the stored
-        result (``from_cache=True``) without packing or rounding;
-        otherwise the freshly planned result is stored before
-        returning.
-        """
-        if self.cache is None:
-            return self._plan(problem)
-
-        key = signature_key(problem_fingerprint(problem), self._signature())
-        doc = self.cache.load("plan", key)
-        if doc is not None:
-            try:
-                with obs.span("lprr.plan.cached", objects=problem.num_objects):
-                    result = replace(
-                        LPRRResult.from_dict(doc, problem), from_cache=True
-                    )
-            except Exception:
-                # A parseable-but-wrong artifact (half-written store,
-                # schema drift) must not poison every warm replan:
-                # degrade to a miss and solve fresh.
-                obs.counter("cache.corrupt").inc()
-                obs.counter("cache.plan.corrupt").inc()
-            else:
-                obs.counter("lprr.plans").inc()
-                return result
-        result = self._plan(problem)
-        self.cache.store("plan", key, result.to_dict())
-        return result
-
-    def _plan(self, problem: PlacementProblem) -> LPRRResult:
+        """Compute a correlation-aware placement for ``problem``."""
         scope = problem.num_objects if self.scope is None else min(
             self.scope, problem.num_objects
         )

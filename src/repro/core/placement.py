@@ -7,7 +7,7 @@ across nodes — and the capacity constraint (2), both vectorized.
 
 :class:`PlacementMap` is the shared lookup/serialization protocol:
 anything that can say where an object lives (``assign``/``locate``)
-and round-trip itself through a JSON dict (``to_dict``/``from_dict``).
+and write itself as a JSON dict (``to_dict``).
 :class:`Placement` implements it exactly; :class:`~repro.pg.PGMap`
 implements it at placement-group granularity.
 """
@@ -35,10 +35,9 @@ class PlacementMap(Protocol):
 
     Implementations: :class:`Placement` (exact, one entry per object)
     and :class:`~repro.pg.PGMap` (a small stable map over placement
-    groups plus exact entries for important objects).  ``from_dict``
-    is a classmethod on each implementation; its extra arguments
-    differ (an exact placement needs the problem back, a PG map is
-    self-contained), so it is not part of the runtime protocol.
+    groups plus exact entries for important objects).  Only an exact
+    placement reads back (``Placement.from_dict(data, problem)``), so
+    ``from_dict`` is not part of the protocol.
     """
 
     def assign(self, obj: ObjectId) -> int:

@@ -59,13 +59,6 @@ class RoundingResult:
 
         return rounding_result_to_dict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict, problem) -> "RoundingResult":
-        """Rebuild from :meth:`to_dict` output against its problem."""
-        from repro.core.serialization import rounding_result_from_dict
-
-        return rounding_result_from_dict(data, problem)
-
 
 def round_fractional(
     fractional: FractionalPlacement,

@@ -6,17 +6,15 @@ and the placement it produced.  Both serialize to a stable JSON schema
 with embedded schema-version tags for forward compatibility.
 
 Beyond problems and placements, this module is the single source of
-truth for the ``to_dict()``/``from_dict()`` contract shared by the
-pipeline's result dataclasses — :class:`~repro.core.rounding.RoundingResult`,
+truth for the ``to_dict()`` forms of the pipeline's result dataclasses
+— :class:`~repro.core.rounding.RoundingResult`,
 :class:`~repro.core.lprr.LPRRResult`, and
-:class:`~repro.search.engine.EvaluationSummary` — so the CLI's JSON output,
-the plan cache (:mod:`repro.core.cache`), and experiment reports
-all speak one schema.  Result documents that embed a placement store it
-as an ``assignment`` array aligned with the problem's object order plus
-the stringified object ids for validation; ``from_dict`` therefore
-needs the original :class:`~repro.core.problem.PlacementProblem` (or an
-identically-ordered reconstruction) and raises
-:class:`~repro.exceptions.TraceFormatError` on any mismatch.
+:class:`~repro.search.engine.EvaluationSummary` — so the CLI's JSON
+output and experiment reports speak one schema.  Result documents that
+embed a placement store it as an ``assignment`` array aligned with the
+problem's object order plus the stringified object ids.  Of the
+three, only the evaluation summary reads back (``from_dict``); the
+planning results are written, never loaded.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import numpy as np
 
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
-from repro.core.resources import ResourceSpec
 from repro.exceptions import TraceFormatError
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid cycles
@@ -175,34 +172,8 @@ def load_placement(path: str | Path, problem: PlacementProblem) -> Placement:
 
 
 # ----------------------------------------------------------------------
-# Result dataclasses: the shared to_dict()/from_dict() contract
+# Result dataclasses: the shared to_dict() schema
 # ----------------------------------------------------------------------
-def _check_schema(data: dict, expected: str) -> None:
-    if data.get("schema") != expected:
-        raise TraceFormatError(
-            f"expected schema {expected!r}, got {data.get('schema')!r}"
-        )
-
-
-def _check_objects(data: dict, problem: PlacementProblem) -> None:
-    """Validate that a result document aligns with ``problem``.
-
-    Documents store assignments by object *index*, so they are only
-    meaningful against a problem with the identical object order.  The
-    stringified ids ride along as a tripwire for misuse.
-    """
-    objects = data.get("objects")
-    if objects is None:
-        raise TraceFormatError("result document missing object list")
-    if len(objects) != problem.num_objects or any(
-        str(obj) != stored
-        for obj, stored in zip(problem.object_ids, objects)
-    ):
-        raise TraceFormatError(
-            "result document does not match the problem's object order"
-        )
-
-
 def _assignment_fields(placement: Placement) -> dict:
     return {
         "objects": [str(obj) for obj in placement.problem.object_ids],
@@ -221,22 +192,6 @@ def lp_stats_to_dict(stats: "LPStats") -> dict:  # noqa: F821 - lazy type
     }
 
 
-def lp_stats_from_dict(data: dict) -> "LPStats":  # noqa: F821
-    """Rebuild :class:`~repro.core.lp.LPStats` from its dict form."""
-    from repro.core.lp import LPStats
-
-    try:
-        return LPStats(
-            num_variables=int(data["num_variables"]),
-            num_constraints=int(data["num_constraints"]),
-            num_nonzeros=int(data["num_nonzeros"]),
-            solve_seconds=float(data["solve_seconds"]),
-            iterations=int(data["iterations"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"malformed LP stats: {exc}") from exc
-
-
 def rounding_result_to_dict(result: "RoundingResult") -> dict:
     """A :class:`~repro.core.rounding.RoundingResult` as a dict."""
     return {
@@ -250,35 +205,11 @@ def rounding_result_to_dict(result: "RoundingResult") -> dict:
     }
 
 
-def rounding_result_from_dict(
-    data: dict, problem: PlacementProblem
-) -> "RoundingResult":
-    """Rebuild a rounding result against the problem it was rounded on."""
-    from repro.core.rounding import RoundingResult
-
-    _check_schema(data, ROUNDING_RESULT_SCHEMA)
-    _check_objects(data, problem)
-    try:
-        return RoundingResult(
-            placement=Placement(
-                problem, np.asarray(data["assignment"], dtype=np.int64)
-            ),
-            cost=float(data["cost"]),
-            trials=int(data["trials"]),
-            trial_costs=tuple(float(c) for c in data["trial_costs"]),
-            rounds=int(data["rounds"]),
-            best_trial=int(data["best_trial"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"malformed rounding result: {exc}") from exc
-
-
 def lprr_result_to_dict(result: "LPRRResult") -> dict:
     """An :class:`~repro.core.lprr.LPRRResult` as a dict.
 
     The scoped subproblem is stored by object indices plus the
-    effective capacities, which is enough for ``from_dict`` to rebuild
-    the exact subproblem the rounding placement lives on.
+    effective capacities.
     """
     problem = result.placement.problem
     doc = {
@@ -298,35 +229,6 @@ def lprr_result_to_dict(result: "LPRRResult") -> dict:
     return doc
 
 
-def lprr_result_from_dict(data: dict, problem: PlacementProblem) -> "LPRRResult":
-    """Rebuild an LPRR result against the problem it planned."""
-    from repro.core.lprr import LPRRResult
-
-    _check_schema(data, LPRR_RESULT_SCHEMA)
-    _check_objects(data, problem)
-    try:
-        scope_objects = tuple(
-            problem.object_ids[int(i)] for i in data["scope_indices"]
-        )
-        capacities = np.asarray(
-            [_decode_capacity(c) for c in data["effective_capacities"]]
-        )
-        subproblem = problem.subproblem(scope_objects, capacities=capacities)
-        return LPRRResult(
-            placement=Placement(
-                problem, np.asarray(data["assignment"], dtype=np.int64)
-            ),
-            scope_objects=scope_objects,
-            lp_lower_bound=float(data["lp_lower_bound"]),
-            lp_stats=lp_stats_from_dict(data["lp_stats"]),
-            rounding=rounding_result_from_dict(data["rounding"], subproblem),
-            effective_capacities=capacities,
-            repaired=bool(data["repaired"]),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise TraceFormatError(f"malformed LPRR result: {exc}") from exc
-
-
 def evaluation_summary_to_dict(summary: "EvaluationSummary") -> dict:
     """An :class:`~repro.search.engine.EvaluationSummary` as a dict."""
     return {
@@ -343,7 +245,11 @@ def evaluation_summary_from_dict(data: dict) -> "EvaluationSummary":
     """Rebuild an evaluation summary from its dict form."""
     from repro.search.engine import EvaluationSummary
 
-    _check_schema(data, EVALUATION_SUMMARY_SCHEMA)
+    if data.get("schema") != EVALUATION_SUMMARY_SCHEMA:
+        raise TraceFormatError(
+            f"expected schema {EVALUATION_SUMMARY_SCHEMA!r}, "
+            f"got {data.get('schema')!r}"
+        )
     try:
         return EvaluationSummary(
             queries=int(data["queries"]),

@@ -4,7 +4,7 @@ This module is the registry of placement planners and the home of the
 unified planning surface:
 
 * :class:`PlanConfig` — every knob a planning run can carry (scope,
-  seed, rounding trials, plan-cache location), in one frozen
+  seed, rounding trials, capacities, replicas), in one frozen
   dataclass.
 * :class:`PlanResult` — what a planning run returns: the placement plus
   cost, wall-clock, diagnostics, and (for LPRR) the full
@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any, Callable, Protocol
 
 import numpy as np
 
 from repro import obs
-from repro.core.cache import PlanCache
 from repro.core.greedy import greedy_placement
 from repro.core.hashing import random_hash_placement
 from repro.core.partial import scoped_placement
@@ -44,24 +42,20 @@ from repro.exceptions import InfeasibleProblemError
 class PlanScope:
     """What part of the problem a planner optimizes exactly.
 
-    Three kinds, built with the classmethod constructors:
+    Two kinds, built with the classmethod constructors:
 
     * ``PlanScope.exact(top)`` — the pre-1.6 integer scope: optimize the
       ``top`` most important objects (``None`` = all of them).  A bare
       ``int`` or ``None`` in :attr:`PlanConfig.scope` normalizes to
       this kind, so existing configs keep byte-identical behavior.
-    * ``PlanScope.heavy_pairs(top)`` — optimize the objects that appear
-      in some correlated pair, optionally capped at ``top``.  This is
-      the online controller's heavy-hitter scoping, now expressible in
-      the one config shape instead of an ad-hoc planner kwarg.
     * ``PlanScope.pg(groups, important)`` — placement-group indirection
       (``docs/SCALE.md``): keep the top-``important`` objects exact,
       hash the tail into ``groups`` placement groups, and plan at PG
       granularity.  Routes planning through the ``"lprr:pg"`` planner.
 
     Attributes:
-        kind: ``"exact"``, ``"heavy"``, or ``"pg"``.
-        top: Object-count cap for ``exact``/``heavy`` scopes.
+        kind: ``"exact"`` or ``"pg"``.
+        top: Object-count cap for ``exact`` scopes.
         groups: Placement-group count (``pg`` only).
         important: Exact-object count (``pg`` only).
     """
@@ -72,7 +66,7 @@ class PlanScope:
     important: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("exact", "heavy", "pg"):
+        if self.kind not in ("exact", "pg"):
             raise ValueError(f"unknown scope kind {self.kind!r}")
         if self.top is not None and self.top < 0:
             raise ValueError("scope top must be nonnegative")
@@ -90,11 +84,6 @@ class PlanScope:
         return cls(kind="exact", top=None if top is None else int(top))
 
     @classmethod
-    def heavy_pairs(cls, top: int | None = None) -> "PlanScope":
-        """Optimize the objects appearing in pairs, capped at ``top``."""
-        return cls(kind="heavy", top=None if top is None else int(top))
-
-    @classmethod
     def pg(cls, groups: int, important: int = 0) -> "PlanScope":
         """Plan through ``groups`` placement groups plus ``important``
         exact objects (see ``docs/SCALE.md``)."""
@@ -107,30 +96,7 @@ class PlanScope:
         scopes without a ``top``, and always for ``pg`` scopes (the pg
         planner scopes by grouping, not by truncation).
         """
-        if self.kind == "exact":
-            return self.top
-        if self.kind == "heavy":
-            paired = (
-                int(np.unique(problem.pair_index).size)
-                if problem.num_pairs
-                else 0
-            )
-            return paired if self.top is None else min(paired, self.top)
-        return None
-
-    def signature(self) -> str:
-        """Canonical JSON string for cache keys."""
-        import json
-
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "top": self.top,
-                "groups": self.groups,
-                "important": self.important,
-            },
-            sort_keys=True,
-        )
+        return self.top if self.kind == "exact" else None
 
 
 @dataclass(frozen=True)
@@ -164,9 +130,6 @@ class PlanConfig:
             must be finite and nonnegative (``ValueError`` otherwise).
         hash_salt: Salt for hash placements (baseline and out-of-scope).
         repair: Post-repair capacity-violating rounded placements.
-        cache_dir: Directory for the content-addressed plan cache;
-            ``None`` disables caching.
-        use_cache: Master switch; ``False`` ignores ``cache_dir``.
         replicas: Copies per object for replication-aware planners
             (``lprr:rep`` and friends); ``1`` keeps the single-copy
             behavior everywhere, including the resilient fallback
@@ -174,9 +137,7 @@ class PlanConfig:
         topology: Failure-domain membership
             (:class:`~repro.cluster.topology.Topology`) the replica
             spread constraints are enforced against; ``None`` means the
-            flat every-node-its-own-domain model.  Replicated plans
-            bypass the plan cache (the topology is not part of the
-            cache signature).
+            flat every-node-its-own-domain model.
     """
 
     scope: int | PlanScope | None = None
@@ -186,8 +147,6 @@ class PlanConfig:
     capacity_tolerance: float = 0.05
     hash_salt: str = ""
     repair: bool = True
-    cache_dir: str | Path | None = None
-    use_cache: bool = True
     replicas: int = 1
     topology: Any | None = None
 
@@ -219,12 +178,6 @@ class PlanConfig:
         :meth:`PlanScope.limit`)."""
         return self.scope_spec.limit(problem)
 
-    def make_cache(self) -> PlanCache | None:
-        """The :class:`PlanCache` this config asks for, or ``None``."""
-        if self.cache_dir is None or not self.use_cache:
-            return None
-        return PlanCache(self.cache_dir)
-
 
 @dataclass(frozen=True)
 class PlanResult:
@@ -236,8 +189,8 @@ class PlanResult:
         planner: Registry name of the planner that produced it.
         elapsed_seconds: Wall-clock of the planning run.
         diagnostics: Planner-specific facts worth reporting — e.g. for
-            LPRR: ``lp_lower_bound``, ``repaired``, ``cache``
-            (``"hit"``/``"miss"``/``"off"``).
+            LPRR: ``lp_lower_bound``, ``scope``, ``rounding_trials``,
+            ``repaired``.
         details: The planner's full native result when it has one
             (:class:`~repro.core.lprr.LPRRResult` for ``lprr``),
             else ``None``.
@@ -474,7 +427,6 @@ def _lprr_planner(
 
         return plan_with_groups(problem, config=config)
 
-    cache = config.make_cache()
     planner = LPRRPlanner(
         scope=config.scope_limit(problem),
         capacity_factor=config.capacity_factor,
@@ -483,17 +435,14 @@ def _lprr_planner(
         seed=config.seed,
         hash_salt=config.hash_salt,
         repair=config.repair,
-        cache=cache,
     )
     with obs.timed("plan", planner="lprr") as span:
         result = planner.plan(problem)
-    cache_state = "off" if cache is None else ("hit" if result.from_cache else "miss")
     diagnostics = {
         "lp_lower_bound": float(result.lp_lower_bound),
         "scope": len(result.scope_objects),
         "rounding_trials": result.rounding.trials,
         "repaired": result.repaired,
-        "cache": cache_state,
     }
     return _finish("lprr", result.placement, span.duration, diagnostics, result)
 
@@ -573,15 +522,14 @@ def _lprr_rep_planner(
     each further copy is placed in a fresh failure domain, preferring
     nodes where the object's correlated partners already sit — so every
     pair stays co-resident on at least one common node whenever the
-    spread constraint allows it.  Replicated plans bypass the plan
-    cache (the topology is not part of the cache signature).
+    spread constraint allows it.
     """
     # Imported lazily to avoid a cycle (replication composes greedy).
     from repro.core.replication import spread_replicated_placement
 
     topology = _rep_topology(problem, config)
     replicas = max(1, int(config.replicas))
-    inner_config = config.with_options(replicas=1, topology=None, use_cache=False)
+    inner_config = config.with_options(replicas=1, topology=None)
     with obs.timed("plan", planner="lprr:rep") as span:
         inner = plan(problem, "lprr", inner_config)
         replicated = spread_replicated_placement(

@@ -115,14 +115,12 @@ def generate_queries(
         members = group_tables(g)
         if rng.random() < aggregate_fraction:
             count = int(rng.integers(2, len(members) + 1))
-            picked = rng.choice(members, size=count, replace=False)
+            picked = rng.choice(members, size=count, replace=False).tolist()
             queries.append(AggregateQuery(tuple(sorted(picked)), VALUE_COLUMN, "sum"))
             continue
         # Join: the fact table with 1-2 of its dimensions.
         num_dims = int(rng.integers(1, min(2, config.dimensions_per_group) + 1))
-        dims = list(
-            rng.choice(members[1:], size=num_dims, replace=False)
-        )
+        dims = rng.choice(members[1:], size=num_dims, replace=False).tolist()
         tables = [members[0], *dims]
         if rng.random() < cross_group_fraction and config.num_groups > 1:
             other = int(rng.choice([x for x in range(config.num_groups) if x != g]))

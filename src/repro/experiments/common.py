@@ -9,7 +9,7 @@ minutes; EXPERIMENTS.md records the shape comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
 
@@ -61,11 +61,6 @@ class CaseStudy:
         log: Period-one query log (drives placement and evaluation).
         log_period2: Period-two log from the drifted model (stability
             analysis only).
-        planning: Base :class:`~repro.core.strategies.PlanConfig` for
-            every placement this study computes.  The workload seed and
-            per-call scope/trials are overlaid on it, so setting e.g.
-            ``planning=PlanConfig(cache_dir="...")`` caches the whole
-            experiment grid without touching any figure code.
     """
 
     config: CaseStudyConfig
@@ -73,16 +68,11 @@ class CaseStudy:
     model: QueryWorkloadModel
     log: QueryLog
     log_period2: QueryLog
-    planning: PlanConfig = field(default_factory=PlanConfig)
     _problems: dict = field(default_factory=dict, repr=False)
     _profile: QueryProfile | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def build(
-        cls,
-        config: CaseStudyConfig = CaseStudyConfig(),
-        planning: PlanConfig | None = None,
-    ) -> "CaseStudy":
+    def build(cls, config: CaseStudyConfig = CaseStudyConfig()) -> "CaseStudy":
         """Generate corpus, index, and both query-log periods."""
         corpus = generate_corpus(
             config.num_documents,
@@ -103,7 +93,7 @@ class CaseStudy:
         log = model.generate(config.num_queries, rng=config.seed)
         drifted = model.drifted(config.drift_fraction, seed=config.seed + 1)
         log_period2 = drifted.generate(config.num_queries, rng=config.seed + 2)
-        return cls(config, index, model, log, log_period2, planning or PlanConfig())
+        return cls(config, index, model, log, log_period2)
 
     @property
     def profile(self) -> QueryProfile:
@@ -141,11 +131,11 @@ class CaseStudy:
     ) -> PlanResult:
         """Run a registered planner on this study's problem.
 
-        The study's ``planning`` config is used with the workload seed
-        and any ``overrides`` applied on top, so all placements across
-        an experiment derive from one configuration.
+        The config is the default :class:`PlanConfig` with the workload
+        seed and any ``overrides`` applied, so all placements across an
+        experiment derive from one configuration.
         """
-        config = replace(self.planning, seed=self.config.seed, **overrides)
+        config = PlanConfig(seed=self.config.seed, **overrides)
         return get_planner(planner)(
             self.placement_problem(num_nodes), config=config
         )

@@ -48,12 +48,7 @@ from repro.obs.runtime import (
     span,
     timed,
 )
-from repro.obs.span import (
-    Span,
-    Tracer,
-    detached_span,
-    span_from_payload,
-)
+from repro.obs.span import Span, Tracer, span_from_payload
 
 __all__ = [
     "Counter",
@@ -67,7 +62,6 @@ __all__ = [
     "Tracer",
     "counter",
     "current",
-    "detached_span",
     "disable",
     "enable",
     "escape_label_value",

@@ -7,8 +7,8 @@ two artifacts — a span forest (``--metrics-out`` JSON, with ``start``/
 
 * :func:`phase_attribution` / :func:`critical_path` — where did the
   wall-clock go, and which chain of spans bounds the run.
-* :func:`fallback_summary` / :func:`cache_summary` — how often each
-  planner step ran, failed, or was skipped; cache hit rates by kind.
+* :func:`fallback_summary` — how often each planner step ran, failed,
+  or was skipped.
 * :func:`explain_period` — the "replan explain" view: for one online
   period, the drift verdict's inputs against its thresholds, the
   fallback attempts made, and the migration actually applied.
@@ -124,27 +124,6 @@ def fallback_summary(records: Iterable[dict]) -> dict[str, Any]:
         },
         "delegates": dict(sorted(delegates.items())),
     }
-
-
-def cache_summary(records: Iterable[dict]) -> dict[str, dict[str, int]]:
-    """Per-kind cache hit/miss/corrupt/store counts."""
-    out: dict[str, dict[str, int]] = {}
-    for record in records:
-        kind = record.get("kind")
-        if kind not in ("cache.load", "cache.store"):
-            continue
-        stats = out.setdefault(
-            str(record.get("cache_kind", "?")),
-            {"hit": 0, "miss": 0, "corrupt": 0, "store": 0},
-        )
-        if kind == "cache.store":
-            stats["store"] += 1
-        else:
-            outcome = record.get("outcome", "miss")
-            stats[outcome] = stats.get(outcome, 0) + 1
-            if outcome == "corrupt":
-                stats["miss"] += 1
-    return out
 
 
 def online_periods(records: Iterable[dict]) -> list[dict]:
@@ -384,16 +363,6 @@ def render_journal_report(records: Sequence[dict]) -> str:
             "  delegates: "
             + ", ".join(f"{k}={v}" for k, v in fallback["delegates"].items())
         )
-
-    caches = cache_summary(records)
-    if caches:
-        lines.append("")
-        lines.append("plan cache:")
-        for kind, stats in sorted(caches.items()):
-            lines.append(
-                f"  {kind:<8} hits={stats['hit']} misses={stats['miss']} "
-                f"corrupt={stats['corrupt']} stores={stats['store']}"
-            )
 
     chaos = chaos_summary(records)
     if chaos is not None:

@@ -3,7 +3,7 @@
 Where spans answer *where did the time go* and metrics answer *how much
 of what happened*, the journal answers *why did the system do what it
 did*: every control-loop decision — a drift verdict, a fallback-chain
-attempt, a fault injection, a cache hit — lands here as one
+attempt, a fault injection, a plan swap — lands here as one
 schema-versioned record, in order, with the inputs that produced it.
 
 Design constraints, in priority order:
@@ -90,7 +90,7 @@ class Journal:
 
         Args:
             kind: Dotted lowercase event type (``"online.period"``,
-                ``"plan.attempt"``, ``"cache.load"``).
+                ``"plan.attempt"``, ``"chaos.fault"``).
             **fields: JSON-encodable payload.  ``kind`` and ``seq`` are
                 reserved; a ``t`` field is the caller's *virtual* time
                 (period start, epoch index) — never the wall clock.

@@ -22,10 +22,9 @@ from typing import Any, Iterator
 class Span:
     """One timed region with attributes and child spans.
 
-    Spans are created by :meth:`Tracer.span` (attached to the trace
-    tree) or :func:`detached_span` (timing only).  ``duration`` is
-    valid while the span is still open — it reads the clock — and
-    final once the span has exited.
+    Spans are created by :meth:`Tracer.span`, which attaches them to
+    the trace tree.  ``duration`` is valid while the span is still
+    open — it reads the clock — and final once the span has exited.
     """
 
     __slots__ = ("name", "attributes", "children", "start_time", "end_time")
@@ -208,13 +207,3 @@ def span_from_payload(payload: dict[str, Any]) -> Span:
     for child in payload.get("children", ()):
         span.children.append(span_from_payload(child))
     return span
-
-
-def detached_span(name: str, **attributes: Any) -> Span:
-    """A running span that belongs to no tracer — a stopwatch.
-
-    Used for timings that must exist regardless of instrumentation
-    (e.g. ``LPStats.solve_seconds``): code times via the one span API,
-    and the tracer-attached twin appears only when tracing is on.
-    """
-    return Span(name, attributes)

@@ -84,14 +84,9 @@ def heavy_hitter_plan(
     """
     from dataclasses import replace
 
-    from repro.core.strategies import PlanScope
     from repro.resilience.healing import plan_with_fallbacks
 
-    paired: set[int] = set()
-    for i, j in problem.pair_index:
-        paired.add(int(i))
-        paired.add(int(j))
-    scope = len(paired)
+    scope = int(np.unique(problem.pair_index).size)
     spec = config.scope_spec
     if spec.kind == "pg":
         result = plan_with_fallbacks(problem, config=config)
@@ -99,8 +94,7 @@ def heavy_hitter_plan(
         if spec.top is not None:
             scope = min(scope, spec.top)
         result = plan_with_fallbacks(
-            problem,
-            config=config.with_options(scope=PlanScope.heavy_pairs(top=scope)),
+            problem, config=config.with_options(scope=scope)
         )
     diagnostics = {**result.diagnostics, "heavy_objects": scope}
     return replace(result, planner="online", diagnostics=diagnostics)

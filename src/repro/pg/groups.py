@@ -10,7 +10,7 @@ count.
 
 :class:`PGMap` implements the
 :class:`~repro.core.placement.PlacementMap` protocol
-(``assign``/``locate``/``to_dict``/``from_dict``).  Node membership
+(``assign``/``locate``/``to_dict``).  Node membership
 changes use highest-random-weight (rendezvous) hashing so the remapped
 set is provably minimal:
 
@@ -181,38 +181,6 @@ class PGMap:
                 str(obj): int(k) for obj, k in self.exact_nodes.items()
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PGMap":
-        """Rebuild a map from :meth:`to_dict` output.
-
-        Object and node ids come back as strings, matching the
-        problem-serialization convention.
-
-        Raises:
-            TraceFormatError: On schema mismatch or missing fields.
-        """
-        from repro.core.serialization import PG_MAP_SCHEMA
-        from repro.exceptions import TraceFormatError
-
-        if data.get("schema") != PG_MAP_SCHEMA:
-            raise TraceFormatError(
-                f"expected schema {PG_MAP_SCHEMA!r}, "
-                f"got {data.get('schema')!r}"
-            )
-        try:
-            return cls(
-                num_groups=int(data["num_groups"]),
-                salt=str(data["salt"]),
-                node_ids=[str(node) for node in data["nodes"]],
-                group_nodes=np.asarray(data["group_nodes"], dtype=np.int64),
-                exact_nodes={
-                    str(obj): int(k) for obj, k in data["exact"].items()
-                },
-                retired=frozenset(int(k) for k in data.get("retired", ())),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"malformed PG map: {exc}") from exc
 
     # ------------------------------------------------------------------
     # Views

@@ -9,10 +9,6 @@ answer back to an object-level placement.  The LP sees ``K + M``
 "objects" regardless of the real object count, which is what makes
 million-object problems plannable on a laptop (see ``docs/SCALE.md``).
 
-Plans cache under their own ``pgplan`` kind, keyed by the full
-problem's fingerprint plus every grouping and LPRR knob — a PG plan
-and an exact plan for the same problem can never collide.
-
 :func:`select_group_migrations` and :func:`repair_lost_groups` compose
 the map with :func:`~repro.core.migration.select_migrations` and the
 :class:`~repro.resilience.repair.RepairOutcome` contract, so replans
@@ -22,12 +18,9 @@ million individual objects.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from repro import obs
-from repro.core.cache import problem_fingerprint, signature_key
 from repro.core.migration import (
     MigrationPlan,
     diff_placements,
@@ -68,41 +61,6 @@ def resolve_pg_scope(
     )
 
 
-def _pg_signature(config: PlanConfig, spec: PlanScope) -> str:
-    """Cache signature covering every knob a pg plan depends on."""
-    return json.dumps(
-        {
-            "scope": spec.signature(),
-            "salt": config.hash_salt,
-            "seed": config.seed,
-            "rounding_trials": config.rounding_trials,
-            "capacity_factor": config.capacity_factor,
-            "capacity_tolerance": config.capacity_tolerance,
-            "repair": config.repair,
-        },
-        sort_keys=True,
-    )
-
-
-def _load_cached_map(doc: dict, grouping: Grouping) -> PGMap | None:
-    """Rebuild the cached PG map keyed by this problem's real ids."""
-    try:
-        stored = PGMap.from_dict(doc["pg_map"])
-        exact = {
-            obj: stored.exact_nodes[str(obj)] for obj in grouping.exact_ids
-        }
-        return PGMap(
-            num_groups=stored.num_groups,
-            salt=stored.salt,
-            node_ids=stored.node_ids,
-            group_nodes=stored.group_nodes,
-            exact_nodes=exact,
-            retired=stored.retired,
-        )
-    except Exception:  # noqa: BLE001 — corrupt cache degrades to a miss
-        return None
-
-
 def plan_with_groups(
     problem: PlacementProblem, *, config: PlanConfig = PlanConfig()
 ) -> PlanResult:
@@ -121,65 +79,27 @@ def plan_with_groups(
     """
     spec = resolve_pg_scope(problem, config)
     with obs.timed("plan", planner="lprr:pg") as span:
-        cache = config.make_cache()
-        key = None
-        pg_map = None
-        cached: dict | None = None
-        if cache is not None:
-            key = signature_key(
-                problem_fingerprint(problem), _pg_signature(config, spec)
-            )
-            cached = cache.load("pgplan", key)
-
         grouping = build_grouping(
             problem, spec.groups, spec.important, config.hash_salt
         )
-        if cached is not None:
-            pg_map = _load_cached_map(cached, grouping)
-
-        diagnostics: dict = {
+        coarse = aggregate_problem(problem, grouping)
+        inner = plan(coarse, "lprr", config.with_options(scope=None))
+        pg_map = map_from_coarse(
+            problem,
+            grouping,
+            inner.placement.assignment,
+            salt=config.hash_salt,
+        )
+        diagnostics = {
             "groups": spec.groups,
             "nonempty_groups": grouping.nonempty_groups,
             "important": len(grouping.exact_ids),
-        }
-        if pg_map is not None:
-            diagnostics["cache"] = "hit"
-            diagnostics["coarse_objects"] = int(
-                cached.get("coarse_objects", grouping.num_coarse)
-            )
-            diagnostics["coarse_pairs"] = int(cached.get("coarse_pairs", 0))
-            diagnostics["coarse_lp_lower_bound"] = float(
-                cached.get("coarse_lp_lower_bound", 0.0)
-            )
-        else:
-            coarse = aggregate_problem(problem, grouping)
-            inner = plan(coarse, "lprr", config.with_options(scope=None))
-            pg_map = map_from_coarse(
-                problem,
-                grouping,
-                inner.placement.assignment,
-                salt=config.hash_salt,
-            )
-            diagnostics["cache"] = "off" if cache is None else "miss"
-            diagnostics["coarse_objects"] = coarse.num_objects
-            diagnostics["coarse_pairs"] = coarse.num_pairs
-            diagnostics["coarse_lp_lower_bound"] = float(
+            "coarse_objects": coarse.num_objects,
+            "coarse_pairs": coarse.num_pairs,
+            "coarse_lp_lower_bound": float(
                 inner.diagnostics.get("lp_lower_bound", 0.0)
-            )
-            if cache is not None and key is not None:
-                cache.store(
-                    "pgplan",
-                    key,
-                    {
-                        "pg_map": pg_map.to_dict(),
-                        "coarse_objects": coarse.num_objects,
-                        "coarse_pairs": coarse.num_pairs,
-                        "coarse_lp_lower_bound": diagnostics[
-                            "coarse_lp_lower_bound"
-                        ],
-                    },
-                )
-
+            ),
+        }
         placement = Placement(
             problem, expand_assignment(grouping, pg_map)
         )

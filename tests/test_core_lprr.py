@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core.hashing import hash_node, random_hash_placement
+from repro.core.lp import pack_components
 from repro.core.lprr import LPRRPlanner
 from repro.core.problem import PlacementProblem
+from repro.core.rounding import round_best_of
 
 
 def clustered_problem(num_clusters=4, cluster_size=3, seed=0):
@@ -140,6 +142,37 @@ class TestCapacityModes:
         assert result.effective_capacities[0] >= 100.0
 
 
+class TestRounding:
+    def test_rounding_is_round_best_of_on_the_scoped_subproblem(self):
+        # A dense instance with tight capacities, so every split costs:
+        # the planner's rounding must be the sequential-stream
+        # best-of-k on the exact scoped subproblem it packed.
+        rng = np.random.default_rng(5)
+        sizes = {f"o{i:02d}": float(rng.uniform(1, 3)) for i in range(30)}
+        names = sorted(sizes)
+        correlations = {}
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                if rng.random() < 0.3:
+                    correlations[(a, b)] = float(rng.uniform(0.02, 0.3))
+        capacity = 1.15 * sum(sizes.values()) / 4
+        problem = PlacementProblem.build(
+            sizes, {k: capacity for k in range(4)}, correlations
+        )
+        planned = LPRRPlanner(seed=4, capacity_factor=None).plan(problem)
+        sub = problem.subproblem(
+            list(planned.scope_objects),
+            capacities=planned.effective_capacities,
+        )
+        expected = round_best_of(
+            pack_components(sub), trials=10, rng=4, capacity_tolerance=0.05
+        )
+        assert np.array_equal(
+            expected.placement.assignment, planned.rounding.placement.assignment
+        )
+        assert expected.trial_costs == planned.rounding.trial_costs
+
+
 class TestImportFootprint:
     @staticmethod
     def _loaded_after_plan(config: str, modules: tuple[str, ...]) -> str:
@@ -176,10 +209,10 @@ class TestImportFootprint:
             == "[]"
         )
 
-    def test_cached_planning_never_loads_a_process_pool(self, tmp_path):
-        # Rounding runs in-process, so a plan through the plan cache
-        # must not pull in the process-pool machinery either.
-        config = f"repro.PlanConfig(cache_dir={str(tmp_path)!r})"
+    def test_cached_planning_never_loads_a_process_pool(self):
+        # Rounding runs in-process, so a plan must not pull in the
+        # process-pool machinery either.  The name is kept from when
+        # plans went through an on-disk cache; every plan now takes
+        # the one in-process path.
         modules = ("multiprocessing", "concurrent.futures.process")
-        assert self._loaded_after_plan(config, modules) == "[]"
-        assert list(tmp_path.rglob("*.json"))  # the plan was cached
+        assert self._loaded_after_plan("repro.PlanConfig()", modules) == "[]"

@@ -177,6 +177,15 @@ class TestWorkloadGeneration:
                 groups = {name.split("_")[1] for name in q.tables}
                 assert len(groups) == 1
 
+    def test_table_names_are_plain_str(self):
+        # A numpy string among them sends the trace to the per-operation
+        # miner and breaks size ties by type instead of by name.
+        config = SchemaConfig(num_groups=4, dimensions_per_group=3, seed=0)
+        queries = generate_queries(
+            config, num_queries=300, aggregate_fraction=0.3, seed=4
+        )
+        assert {type(name) for q in queries for name in q.objects} == {str}
+
     def test_deterministic(self):
         config = SchemaConfig(num_groups=3, seed=5)
         a = generate_queries(config, num_queries=50, seed=7)

@@ -1312,16 +1312,15 @@ def _mining_cases(draw):
 
 
 def _mine_oracle(index, queries, mode, min_support):
-    """The trace miner over the log, with index sizes.  Co-occurrence
+    """The per-query loop over the log, with index sizes: one
+    ``operation_pairs`` call per query, independent of the vectorized
+    reduction the profile shares with the trace miner.  Co-occurrence
     reads only indexed keywords, as the profile does."""
+    if mode == "cooccurrence":
+        trace = [tuple(w for w in q.keywords if w in index) for q in queries]
+        return _mine_reference(trace, mode, min_support=min_support)
     sizes = {w: float(b) for w, b in index.sizes_bytes().items()}
-    trace = [q.keywords for q in queries]
-    if mode == "two_smallest":
-        return two_smallest_correlations(trace, sizes, min_support)
-    if mode == "union_largest":
-        return union_largest_correlations(trace, sizes, min_support)
-    indexed = [tuple(w for w in keywords if w in index) for keywords in trace]
-    return cooccurrence_correlations(indexed, min_support)
+    return _mine_reference([q.keywords for q in queries], mode, sizes, min_support)
 
 
 _MODES = ["two_smallest", "union_largest", "cooccurrence"]

@@ -8,7 +8,6 @@ from repro import obs
 from repro.cli import main
 from repro.obs.analytics import (
     _attempts_for_period,
-    cache_summary,
     chaos_summary,
     explain_period,
     fallback_summary,
@@ -234,10 +233,6 @@ def _synthetic_online_journal() -> list[dict]:
         budget_bytes=8.0,
         cost_estimate=12.0,
     )
-    journal.record("cache.load", cache_kind="plan", key="k1", outcome="miss")
-    journal.record("cache.store", cache_kind="plan", key="k1")
-    journal.record("cache.load", cache_kind="plan", key="k1", outcome="hit")
-    journal.record("cache.load", cache_kind="plan", key="k2", outcome="corrupt")
     return [journal.header()] + journal.records()
 
 
@@ -249,10 +244,6 @@ class TestAnalytics:
         assert summary["degraded"] == 1
         assert summary["attempts"] == {"greedy:ok": 1, "lp:failed": 1}
         assert summary["delegates"] == {"greedy": 1}
-
-    def test_cache_summary_counts_corrupt_as_miss(self):
-        stats = cache_summary(_synthetic_online_journal())["plan"]
-        assert stats == {"hit": 1, "miss": 2, "corrupt": 1, "store": 1}
 
     def test_online_periods_in_order(self):
         periods = online_periods(_synthetic_online_journal())
@@ -352,7 +343,6 @@ class TestAnalytics:
         assert f"schema {JOURNAL_SCHEMA}" in text
         assert "record kinds:" in text
         assert "fallback chains: 1 (1 degraded)" in text
-        assert "plan cache:" in text
         assert "online: 2 periods" in text
         assert "period   1 replan" in text
 

@@ -1,8 +1,8 @@
 """Tests for the Planner API."""
 
 import dataclasses
+import json
 
-import numpy as np
 import pytest
 
 from repro.core.problem import PlacementProblem
@@ -26,11 +26,6 @@ def problem():
 
 
 class TestPlanConfig:
-    def test_defaults_select_legacy_engine(self):
-        config = PlanConfig()
-        assert config.cache_dir is None
-        assert config.make_cache() is None
-
     def test_with_options(self):
         config = PlanConfig().with_options(scope=10, rounding_trials=3)
         assert config.scope == 10
@@ -43,8 +38,8 @@ class TestPlanConfig:
 
     def test_fields(self):
         # 2.0 dropped the solver knobs (backend, lp_time_limit,
-        # lp_iteration_limit, decompose, warm_start) and 3.0 dropped
-        # jobs; neither added any.
+        # lp_iteration_limit, decompose, warm_start), 3.0 dropped jobs
+        # and 10.0 the plan cache's two fields; none added any.
         assert [f.name for f in dataclasses.fields(PlanConfig)] == [
             "scope",
             "seed",
@@ -53,8 +48,6 @@ class TestPlanConfig:
             "capacity_tolerance",
             "hash_salt",
             "repair",
-            "cache_dir",
-            "use_cache",
             "replicas",
             "topology",
         ]
@@ -67,12 +60,6 @@ class TestPlanConfig:
             PlanConfig(capacity_tolerance=tolerance)
         with pytest.raises(ValueError, match="capacity_tolerance"):
             PlanConfig().with_options(capacity_tolerance=tolerance)
-
-    def test_make_cache(self, tmp_path):
-        config = PlanConfig(cache_dir=tmp_path)
-        cache = config.make_cache()
-        assert cache is not None
-        assert config.with_options(use_cache=False).make_cache() is None
 
 
 class TestRegistry:
@@ -113,7 +100,7 @@ class TestPlanResults:
 
     def test_lprr_diagnostics(self, problem):
         result = plan(problem, "lprr", PlanConfig(seed=0))
-        assert result.diagnostics["cache"] == "off"
+        assert "cache" not in result.diagnostics
         assert "jobs" not in result.diagnostics
         assert "lp_lower_bound" in result.diagnostics
         assert result.details is not None
@@ -131,36 +118,32 @@ class TestPlanResults:
         assert doc["objects"] == [str(o) for o in problem.object_ids]
         assert "details" in doc
 
-    def test_cache_diagnostics(self, problem, tmp_path):
-        config = PlanConfig(seed=0, cache_dir=tmp_path)
-        assert plan(problem, "lprr", config).diagnostics["cache"] == "miss"
-        assert plan(problem, "lprr", config).diagnostics["cache"] == "hit"
-
 
 class TestSerializationUnification:
     def test_rounding_result_round_trip(self, problem):
         from repro.core.lp import solve_placement_lp
-        from repro.core.rounding import RoundingResult, round_best_of
+        from repro.core.rounding import round_best_of
 
         result = round_best_of(solve_placement_lp(problem), trials=3, rng=0)
-        restored = RoundingResult.from_dict(result.to_dict(), problem)
-        assert restored.cost == pytest.approx(result.cost)
-        assert restored.trial_costs == result.trial_costs
-        assert np.array_equal(
-            restored.placement.assignment, result.placement.assignment
-        )
+        doc = json.loads(json.dumps(result.to_dict()))
+        assert doc["schema"] == "repro/rounding-result/v1"
+        assert doc["cost"] == pytest.approx(result.cost)
+        assert tuple(doc["trial_costs"]) == result.trial_costs
+        assert doc["objects"] == [str(o) for o in problem.object_ids]
+        assert doc["assignment"] == result.placement.assignment.tolist()
 
     def test_lprr_result_round_trip(self, problem):
-        from repro.core.lprr import LPRRPlanner, LPRRResult
+        from repro.core.lprr import LPRRPlanner
 
         result = LPRRPlanner(seed=0).plan(problem)
-        restored = LPRRResult.from_dict(result.to_dict(), problem)
-        assert restored.cost == pytest.approx(result.cost)
-        assert restored.scope_objects == result.scope_objects
-        assert restored.lp_lower_bound == pytest.approx(result.lp_lower_bound)
-        assert np.array_equal(
-            restored.placement.assignment, result.placement.assignment
-        )
+        doc = json.loads(json.dumps(result.to_dict()))
+        assert doc["schema"] == "repro/lprr-result/v1"
+        assert tuple(
+            problem.object_ids[i] for i in doc["scope_indices"]
+        ) == result.scope_objects
+        assert doc["lp_lower_bound"] == pytest.approx(result.lp_lower_bound)
+        assert doc["assignment"] == result.placement.assignment.tolist()
+        assert doc["rounding"] == result.rounding.to_dict()
 
     def test_evaluation_summary_round_trip(self):
         from repro.search.engine import EvaluationSummary
@@ -173,14 +156,3 @@ class TestSerializationUnification:
             mean_bytes_per_query=123.4,
         )
         assert EvaluationSummary.from_dict(summary.to_dict()) == summary
-
-    def test_wrong_problem_rejected(self, problem):
-        from repro.core.lprr import LPRRPlanner, LPRRResult
-        from repro.exceptions import TraceFormatError
-
-        doc = LPRRPlanner(seed=0).plan(problem).to_dict()
-        other = PlacementProblem.build(
-            {"x": 1.0, "y": 1.0}, 2, {("x", "y"): 0.5}
-        )
-        with pytest.raises(TraceFormatError):
-            LPRRResult.from_dict(doc, other)

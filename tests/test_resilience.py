@@ -683,9 +683,7 @@ class TestPGDegradedParity:
         problem, operations = synthetic_scenario(
             num_objects=40, num_nodes=5, num_operations=40, seed=2
         )
-        config = PlanConfig(
-            scope=PlanScope.pg(groups=8, important=8), seed=2, use_cache=False
-        )
+        config = PlanConfig(scope=PlanScope.pg(groups=8, important=8), seed=2)
         result = plan(problem, "lprr:pg", config)
         pg_placement = result.placement
         exact_clone = Placement(problem, pg_placement.assignment.copy())

@@ -119,7 +119,7 @@ class TestStreamPlannerQuality:
             config.node_capacities(float(index.total_bytes)),
             correlation_mode="cooccurrence",
         )
-        plan_config = PlanConfig(seed=config.seed, use_cache=False)
+        plan_config = PlanConfig(seed=config.seed)
         lprr = plan(problem, "lprr", plan_config)
         greedy = plan(problem, "stream:greedy", plan_config)
         assert lprr.cost > 0
