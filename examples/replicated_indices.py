@@ -14,11 +14,9 @@ Run:  python examples/replicated_indices.py
 """
 
 from repro.analysis.reporting import format_table
+from repro.cluster.topology import Topology
 from repro.core import LPRRPlanner
-from repro.core.replication import (
-    greedy_replicated_placement,
-    hash_replicated_placement,
-)
+from repro.core.replication import greedy_replicated_placement, replicate_hash
 from repro.experiments.common import CaseStudy, CaseStudyConfig
 from repro.search.engine import DistributedSearchEngine
 from repro.search.replicated_engine import ReplicatedSearchEngine
@@ -48,7 +46,7 @@ def main() -> None:
 
     single_hash = study.place_hash(NUM_NODES)
     single_lprr = study.place_lprr(NUM_NODES, SCOPE)
-    double_hash = hash_replicated_placement(capped, replicas=2)
+    double_hash = replicate_hash(capped, Topology.flat(NUM_NODES), replicas=2)
     double_aware = greedy_replicated_placement(
         capped,
         replicas=2,

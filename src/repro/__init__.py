@@ -31,7 +31,6 @@ from repro.core import (
     PairData,
     Placement,
     PlacementLP,
-    PlacementMap,
     PlacementProblem,
     PlanConfig,
     Planner,
@@ -79,7 +78,7 @@ from repro.exceptions import (
     TraceFormatError,
 )
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "CorrelationEstimator",
@@ -96,7 +95,6 @@ __all__ = [
     "Placement",
     "PlacementError",
     "PlacementLP",
-    "PlacementMap",
     "PlacementProblem",
     "PlanConfig",
     "PlanResult",

@@ -109,12 +109,6 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
         help="write a metrics/span report for this run to PATH",
     )
     parser.add_argument(
-        "--metrics-format",
-        choices=("json", "prometheus"),
-        default="json",
-        help="report format for --metrics-out (default: json)",
-    )
-    parser.add_argument(
         "--trace",
         action="store_true",
         help="print the span tree of this run to stderr",
@@ -817,23 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_metrics(args: argparse.Namespace, inst: obs.Instrumentation) -> int:
-    from repro.obs.export import to_json, to_prometheus
-
-    if args.metrics_format == "prometheus":
-        payload = to_prometheus(inst.metrics)
-    else:
-        payload = to_json(inst.metrics, inst.tracer) + "\n"
-    try:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        print(f"error: cannot write metrics to {args.metrics_out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {args.metrics_format} metrics to {args.metrics_out}", file=sys.stderr)
-    return 0
-
-
 def _write_artifact(path: str, payload: str, label: str) -> int:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -859,7 +836,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not instrumented:
         return args.func(args)
 
-    from repro.obs.export import render_span_tree, to_chrome_trace
+    from repro.obs.export import render_span_tree, to_chrome_trace, to_json
 
     journal = obs.Journal() if journal_out else None
     inst = obs.enable(obs.Instrumentation(journal=journal))
@@ -871,7 +848,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.trace:
         print(render_span_tree(inst.tracer), file=sys.stderr)
     if args.metrics_out:
-        code = _write_metrics(args, inst) or code
+        payload = to_json(inst.metrics, inst.tracer) + "\n"
+        code = _write_artifact(args.metrics_out, payload, "json metrics") or code
     if trace_out:
         code = (
             _write_artifact(

@@ -83,11 +83,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Failures
     # ------------------------------------------------------------------
-    @property
-    def failed_nodes(self) -> frozenset[NodeId]:
-        """Nodes currently down."""
-        return frozenset(self._failed)
-
     def fail(self, node_id: NodeId) -> None:
         """Take a node down; its objects become unreachable (not lost —
         recovery brings them straight back)."""

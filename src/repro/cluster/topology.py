@@ -47,11 +47,6 @@ class FailureDomain:
     nodes: tuple[int, ...]
     children: tuple["FailureDomain", ...] = ()
 
-    @property
-    def label(self) -> str:
-        """The shared string form, e.g. ``"rack:3"``."""
-        return "root" if self.kind == "root" else f"{self.kind}:{self.index}"
-
     def walk(self):
         """Yield this domain and every descendant, depth-first."""
         yield self
@@ -239,14 +234,6 @@ class Topology:
             "racks": list(self.racks),
             "zones": list(self.zones),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Topology":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            racks=tuple(int(r) for r in data["racks"]),
-            zones=tuple(int(z) for z in data["zones"]),
-        )
 
 
 def synthetic_topology(

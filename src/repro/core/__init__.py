@@ -38,13 +38,12 @@ from repro.core.migration import (
     select_migrations,
 )
 from repro.core.partial import scoped_placement
-from repro.core.placement import Placement, PlacementMap
+from repro.core.placement import Placement
 from repro.core.problem import PairData, PlacementProblem, min_size_pair_cost
 from repro.core.repair import repair_capacity
 from repro.core.replication import (
     ReplicatedPlacement,
     greedy_replicated_placement,
-    hash_replicated_placement,
     replicate_hash,
     spread_replicated_placement,
     spread_violations,
@@ -56,12 +55,6 @@ from repro.core.rounding import (
     round_fractional,
 )
 from repro.core.spectral import spectral_placement
-from repro.core.serialization import (
-    load_placement,
-    load_problem,
-    save_placement,
-    save_problem,
-)
 from repro.core.strategies import (
     PlanConfig,
     Planner,
@@ -87,7 +80,6 @@ __all__ = [
     "PairData",
     "PlacementLP",
     "Placement",
-    "PlacementMap",
     "PlacementProblem",
     "PlanConfig",
     "PlanResult",
@@ -106,12 +98,9 @@ __all__ = [
     "greedy_placement",
     "greedy_replicated_placement",
     "hash_node",
-    "hash_replicated_placement",
     "importance_ranking",
     "importance_scores",
-    "load_placement",
     "local_search_placement",
-    "load_problem",
     "min_size_pair_cost",
     "pack_components",
     "plan",
@@ -122,8 +111,6 @@ __all__ = [
     "round_best_of",
     "round_fractional",
     "round_robin_placement",
-    "save_placement",
-    "save_problem",
     "scoped_placement",
     "select_migrations",
     "RoundingResult",

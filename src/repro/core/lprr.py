@@ -36,6 +36,7 @@ from repro.core.placement import Placement
 from repro.core.problem import ObjectId, PlacementProblem
 from repro.core.repair import repair_capacity
 from repro.core.rounding import RoundingResult, round_best_of
+from repro.exceptions import InfeasibleProblemError
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,6 @@ class LPRRResult:
         """Communication cost of the final total placement."""
         return self.placement.communication_cost()
 
-    def to_dict(self) -> dict:
-        """JSON-ready form (see :mod:`repro.core.serialization`)."""
-        from repro.core.serialization import lprr_result_to_dict
-
-        return lprr_result_to_dict(self)
-
 
 class LPRRPlanner:
     """Correlation-aware planner: relaxation optimum + randomized rounding.
@@ -98,10 +93,6 @@ class LPRRPlanner:
             must be finite and nonnegative.
         seed: Seed for the rounding randomness.
         hash_salt: Salt for the out-of-scope hash placement.
-        repair: When True (default), a rounded placement that exceeds
-            the effective capacities beyond ``capacity_tolerance`` is
-            repaired by minimum-cost migrations (an engineering
-            addition beyond the paper; see :mod:`repro.core.repair`).
 
     Example:
         >>> import numpy as np
@@ -123,7 +114,6 @@ class LPRRPlanner:
         capacity_tolerance: float = 0.05,
         seed: int | None = None,
         hash_salt: str = "",
-        repair: bool = True,
     ):
         if scope is not None and scope < 1:
             raise ValueError("scope must be positive (or None for full scope)")
@@ -140,7 +130,6 @@ class LPRRPlanner:
         self.capacity_tolerance = capacity_tolerance
         self.seed = seed
         self.hash_salt = hash_salt
-        self.repair = repair
 
     def plan(self, problem: PlacementProblem) -> LPRRResult:
         """Compute a correlation-aware placement for ``problem``."""
@@ -169,24 +158,31 @@ class LPRRPlanner:
             )
             scoped_placement = rounding.placement
             repaired = False
-            if self.repair and not scoped_placement.is_feasible(
-                self.capacity_tolerance
-            ):
+            if not scoped_placement.is_feasible(self.capacity_tolerance):
                 # Theorem 3 only holds in expectation; this draw violated
                 # the conservative capacities, so the paper's algorithm
                 # gives no further guidance.  Take the cheaper of two
                 # capacity-respecting completions: minimum-cost repair of
                 # the rounded placement, or the greedy heuristic run on the
-                # same scoped subproblem.
+                # same scoped subproblem.  Repair moves one object at a
+                # time and cannot swap, so it can get stuck where the
+                # greedy completion fits; it fails the plan only when
+                # greedy does not fit either.
                 with obs.span("lprr.repair"):
-                    candidates = [
-                        repair_capacity(
-                            scoped_placement, tolerance=self.capacity_tolerance
-                        )
-                    ]
                     greedy = greedy_placement(subproblem)
-                    if greedy.is_feasible(self.capacity_tolerance):
-                        candidates.append(greedy)
+                    candidates = (
+                        [greedy] if greedy.is_feasible(self.capacity_tolerance) else []
+                    )
+                    try:
+                        candidates.insert(
+                            0,
+                            repair_capacity(
+                                scoped_placement, tolerance=self.capacity_tolerance
+                            ),
+                        )
+                    except InfeasibleProblemError:
+                        if not candidates:
+                            raise
                     scoped_placement = min(
                         candidates, key=lambda p: p.communication_cost()
                     )

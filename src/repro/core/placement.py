@@ -4,18 +4,12 @@ A :class:`Placement` is a total assignment ``f: T -> N`` for a
 :class:`~repro.core.problem.PlacementProblem`.  It evaluates the
 paper's objective (1) — the total communication cost over pairs split
 across nodes — and the capacity constraint (2), both vectorized.
-
-:class:`PlacementMap` is the shared lookup/serialization protocol:
-anything that can say where an object lives (``assign``/``locate``)
-and write itself as a JSON dict (``to_dict``).
-:class:`Placement` implements it exactly; :class:`~repro.pg.PGMap`
-implements it at placement-group granularity.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping
 
 import numpy as np
 
@@ -27,30 +21,6 @@ def check_tolerance(tolerance: float) -> None:
     """Reject a NaN or infinite relative capacity slack."""
     if not math.isfinite(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance!r}")
-
-
-@runtime_checkable
-class PlacementMap(Protocol):
-    """Anything that maps objects to nodes and serializes to JSON.
-
-    Implementations: :class:`Placement` (exact, one entry per object)
-    and :class:`~repro.pg.PGMap` (a small stable map over placement
-    groups plus exact entries for important objects).  Only an exact
-    placement reads back (``Placement.from_dict(data, problem)``), so
-    ``from_dict`` is not part of the protocol.
-    """
-
-    def assign(self, obj: ObjectId) -> int:
-        """The node *index* hosting ``obj``."""
-        ...
-
-    def locate(self, obj: ObjectId) -> NodeId:
-        """The node *id* hosting ``obj``."""
-        ...
-
-    def to_dict(self) -> dict:
-        """JSON-ready form with an embedded schema tag."""
-        ...
 
 
 class Placement:
@@ -187,49 +157,6 @@ class Placement:
     def node_of(self, obj: ObjectId) -> NodeId:
         """The node id hosting ``obj``."""
         return self.problem.node_ids[self.assignment[self.problem.object_index(obj)]]
-
-    def assign(self, obj: ObjectId) -> int:
-        """The node index hosting ``obj`` (:class:`PlacementMap`)."""
-        return int(self.assignment[self.problem.object_index(obj)])
-
-    def locate(self, obj: ObjectId) -> NodeId:
-        """The node id hosting ``obj`` (:class:`PlacementMap`)."""
-        return self.node_of(obj)
-
-    def to_dict(self) -> dict:
-        """The placement as a JSON-ready dict (ids become strings)."""
-        from repro.core.serialization import PLACEMENT_SCHEMA
-
-        return {
-            "schema": PLACEMENT_SCHEMA,
-            "mapping": {
-                str(obj): str(node) for obj, node in self.to_mapping().items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, problem: PlacementProblem) -> "Placement":
-        """Rebuild a placement against a (string-id) problem.
-
-        Raises:
-            TraceFormatError: On schema mismatch or ids absent from the
-                problem.
-        """
-        from repro.core.serialization import PLACEMENT_SCHEMA
-        from repro.exceptions import TraceFormatError
-
-        if data.get("schema") != PLACEMENT_SCHEMA:
-            raise TraceFormatError(
-                f"expected schema {PLACEMENT_SCHEMA!r}, "
-                f"got {data.get('schema')!r}"
-            )
-        try:
-            mapping = {str(k): str(v) for k, v in data["mapping"].items()}
-            return cls.from_mapping(problem, mapping)
-        except (KeyError, TypeError) as exc:
-            raise TraceFormatError(
-                f"malformed placement document: {exc}"
-            ) from exc
 
     def to_mapping(self) -> dict[ObjectId, NodeId]:
         """The placement as an object-id -> node-id dict."""

@@ -20,11 +20,10 @@ machinery:
 * :class:`ReplicatedPlacement` — a ``(t, R)`` assignment with the
   any-copy-pair cost semantics, replica-aware capacity accounting, and
   hard spread validation that names the offending *domain*;
-* :func:`hash_replicated_placement` — the correlation-oblivious flat
-  baseline (salted MD5 per replica, distinct nodes per object);
-* :func:`replicate_hash` — the domain-aware hash baseline: salted MD5
-  per replica, probing forward until the copy lands in a fresh failure
-  domain;
+* :func:`replicate_hash` — the correlation-oblivious hash baseline:
+  salted MD5 per replica, probing forward until the copy lands in a
+  fresh failure domain (over ``Topology.flat(n)``, on a distinct
+  node);
 * :func:`greedy_replicated_placement` — primary copies via any
   single-copy strategy, remaining replicas placed to maximize
   *additional* pair coverage under capacity (distinct nodes only);
@@ -194,56 +193,12 @@ class ReplicatedPlacement:
         """The first-copy placement as a plain :class:`Placement`."""
         return Placement(self.problem, self.assignment[:, 0])
 
-    def with_assignment(self, assignment: np.ndarray) -> "ReplicatedPlacement":
-        """A copy with a new assignment, same topology and spread."""
-        return ReplicatedPlacement(
-            self.problem, assignment, topology=self.topology, spread=self.spread
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (assignment rows in object order)."""
-        doc = {
-            "replicas": self.replication_factor,
-            "spread": self.spread,
-            "objects": [str(o) for o in self.problem.object_ids],
-            "assignment": [
-                [int(k) for k in row] for row in self.assignment
-            ],
-        }
-        if self.topology is not None:
-            doc["topology"] = self.topology.to_dict()
-        return doc
-
     def __repr__(self) -> str:
         return (
             f"ReplicatedPlacement(R={self.replication_factor}, "
             f"spread={self.spread!r}, "
             f"cost={self.communication_cost():.6g})"
         )
-
-
-def hash_replicated_placement(
-    problem: PlacementProblem, replicas: int = 2
-) -> ReplicatedPlacement:
-    """Correlation-oblivious flat baseline: salted hash per replica.
-
-    Replica ``r`` of an object hashes with salt ``r``; collisions with
-    earlier replicas advance to the next node (consistent with how
-    replicated hash rings pick distinct successors).  Domain-oblivious;
-    see :func:`replicate_hash` for the topology-aware variant.
-    """
-    _check_replicas(problem, replicas)
-    n = problem.num_nodes
-    assignment = np.empty((problem.num_objects, replicas), dtype=np.int64)
-    for i, obj in enumerate(problem.object_ids):
-        chosen: list[int] = []
-        for r in range(replicas):
-            k = hash_node(obj, n, salt=str(r))
-            while k in chosen:
-                k = (k + 1) % n
-            chosen.append(k)
-        assignment[i] = chosen
-    return ReplicatedPlacement(problem, assignment)
 
 
 def replicate_hash(

@@ -53,12 +53,6 @@ class RoundingResult:
         """Standard deviation of the trial costs (0 for one trial)."""
         return float(np.std(self.trial_costs))
 
-    def to_dict(self) -> dict:
-        """JSON-ready form (see :mod:`repro.core.serialization`)."""
-        from repro.core.serialization import rounding_result_to_dict
-
-        return rounding_result_to_dict(self)
-
 
 def round_fractional(
     fractional: FractionalPlacement,

@@ -89,8 +89,8 @@ class PlanScope:
         exact objects (see ``docs/SCALE.md``)."""
         return cls(kind="pg", groups=int(groups), important=int(important))
 
-    def limit(self, problem: PlacementProblem) -> int | None:
-        """The resolved integer object scope for this problem.
+    def limit(self) -> int | None:
+        """The resolved integer object scope.
 
         ``None`` means "no per-object cap" — all objects for ``exact``
         scopes without a ``top``, and always for ``pg`` scopes (the pg
@@ -129,7 +129,6 @@ class PlanConfig:
         capacity_tolerance: Relative slack when judging feasibility;
             must be finite and nonnegative (``ValueError`` otherwise).
         hash_salt: Salt for hash placements (baseline and out-of-scope).
-        repair: Post-repair capacity-violating rounded placements.
         replicas: Copies per object for replication-aware planners
             (``lprr:rep`` and friends); ``1`` keeps the single-copy
             behavior everywhere, including the resilient fallback
@@ -146,7 +145,6 @@ class PlanConfig:
     capacity_factor: float | None = 2.0
     capacity_tolerance: float = 0.05
     hash_salt: str = ""
-    repair: bool = True
     replicas: int = 1
     topology: Any | None = None
 
@@ -173,10 +171,9 @@ class PlanConfig:
             kind="exact", top=None if self.scope is None else int(self.scope)
         )
 
-    def scope_limit(self, problem: PlacementProblem) -> int | None:
-        """Resolved integer object scope for ``problem`` (see
-        :meth:`PlanScope.limit`)."""
-        return self.scope_spec.limit(problem)
+    def scope_limit(self) -> int | None:
+        """Resolved integer object scope (see :meth:`PlanScope.limit`)."""
+        return self.scope_spec.limit()
 
 
 @dataclass(frozen=True)
@@ -202,25 +199,6 @@ class PlanResult:
     elapsed_seconds: float
     diagnostics: dict[str, Any] = field(default_factory=dict)
     details: Any | None = None
-
-    def to_dict(self) -> dict:
-        """JSON-ready form sharing the serialization-module schema."""
-        from repro.core.serialization import PLAN_RESULT_SCHEMA
-
-        doc = {
-            "schema": PLAN_RESULT_SCHEMA,
-            "planner": self.planner,
-            "cost": float(self.cost),
-            "elapsed_seconds": float(self.elapsed_seconds),
-            "diagnostics": dict(self.diagnostics),
-            "objects": [
-                str(obj) for obj in self.placement.problem.object_ids
-            ],
-            "assignment": [int(k) for k in self.placement.assignment],
-        }
-        if self.details is not None and hasattr(self.details, "to_dict"):
-            doc["details"] = self.details.to_dict()
-        return doc
 
 
 class Planner(Protocol):
@@ -324,7 +302,7 @@ _simple_planner(
     "greedy",
     lambda problem, config: scoped_placement(
         problem,
-        config.scope_limit(problem),
+        config.scope_limit(),
         greedy_placement,
         capacity_factor=config.capacity_factor,
         hash_salt=config.hash_salt,
@@ -403,7 +381,7 @@ def _stream_greedy(problem: PlacementProblem, config: PlanConfig) -> Placement:
 
     return scoped_placement(
         problem,
-        config.scope_limit(problem),
+        config.scope_limit(),
         streaming_greedy_placement,
         capacity_factor=config.capacity_factor,
         hash_salt=config.hash_salt,
@@ -428,13 +406,12 @@ def _lprr_planner(
         return plan_with_groups(problem, config=config)
 
     planner = LPRRPlanner(
-        scope=config.scope_limit(problem),
+        scope=config.scope_limit(),
         capacity_factor=config.capacity_factor,
         rounding_trials=config.rounding_trials,
         capacity_tolerance=config.capacity_tolerance,
         seed=config.seed,
         hash_salt=config.hash_salt,
-        repair=config.repair,
     )
     with obs.timed("plan", planner="lprr") as span:
         result = planner.plan(problem)
@@ -564,7 +541,7 @@ def _rep_greedy_planner(
             replicas=replicas,
             primary_strategy=lambda p: scoped_placement(
                 p,
-                config.scope_limit(p),
+                config.scope_limit(),
                 greedy_placement,
                 capacity_factor=config.capacity_factor,
                 hash_salt=config.hash_salt,

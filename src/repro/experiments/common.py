@@ -10,7 +10,6 @@ minutes; EXPERIMENTS.md records the shape comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any
 
 from repro.core.placement import Placement
@@ -169,9 +168,3 @@ class CaseStudy:
         """
         engine = DistributedSearchEngine(self.index, placement)
         return engine.replay(self.profile).total_bytes
-
-
-@lru_cache(maxsize=4)
-def default_case_study(seed: int = 0) -> CaseStudy:
-    """A process-wide cached default case study (used by benchmarks)."""
-    return CaseStudy.build(CaseStudyConfig(seed=seed))

@@ -3,8 +3,8 @@
 The observability layer for the LPRR pipeline: a nesting span tracer,
 a metrics registry (counters, gauges, histograms with exact or
 reservoir percentiles), a bounded deterministic flight-recorder
-journal, and exporters (JSON, Prometheus text, Chrome
-``trace_event``, console tree).  Stdlib-only, thread-safe, and free
+journal, and exporters (JSON, Chrome ``trace_event``, console
+tree).  Stdlib-only, thread-safe, and free
 when disabled — instrumented code pays one global read per call site
 until :func:`enable` is invoked.
 
@@ -25,12 +25,10 @@ and span hierarchy.
 """
 
 from repro.obs.export import (
-    escape_label_value,
     metrics_to_dict,
     render_span_tree,
     to_chrome_trace,
     to_json,
-    to_prometheus,
 )
 from repro.obs.journal import JOURNAL_SCHEMA, Journal, load_journal
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -43,7 +41,6 @@ from repro.obs.runtime import (
     gauge,
     histogram,
     is_enabled,
-    journal,
     record,
     span,
     timed,
@@ -64,11 +61,9 @@ __all__ = [
     "current",
     "disable",
     "enable",
-    "escape_label_value",
     "gauge",
     "histogram",
     "is_enabled",
-    "journal",
     "load_journal",
     "metrics_to_dict",
     "record",
@@ -78,5 +73,4 @@ __all__ = [
     "timed",
     "to_chrome_trace",
     "to_json",
-    "to_prometheus",
 ]

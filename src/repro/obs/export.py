@@ -1,12 +1,10 @@
-"""Exporters: JSON document, Prometheus text, Chrome trace, span tree.
+"""Exporters: JSON document, Chrome trace, span tree.
 
-Four consumers, four formats:
+Three consumers, three formats:
 
 * :func:`to_json` — one machine-readable document per run, the
-  ``--metrics-out`` payload (metrics summaries + full span forest);
-* :func:`to_prometheus` — the text exposition format scrapers expect
-  (histograms become summaries with ``quantile`` labels; label values
-  are escaped per the format);
+  ``--metrics-out`` payload (metrics summaries + full span forest) that
+  ``repro trace`` reads back;
 * :func:`to_chrome_trace` — the Chrome ``trace_event`` JSON that
   ``chrome://tracing`` and Perfetto load (the ``--trace-out``
   payload);
@@ -17,36 +15,10 @@ Four consumers, four formats:
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Iterable
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.span import Span, Tracer
-
-_PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def escape_label_value(value: str) -> str:
-    """Escape a Prometheus label value per the exposition format.
-
-    Backslash, double quote, and newline are the three characters the
-    format reserves inside quoted label values.
-    """
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _prom_labels(labels: dict[str, str], extra: str = "") -> str:
-    """Render ``{k="v",...}`` with escaped values ('' when empty)."""
-    parts = [
-        f'{k}="{escape_label_value(str(v))}"' for k, v in sorted(labels.items())
-    ]
-    if extra:
-        parts.append(extra)
-    if not parts:
-        return ""
-    return "{" + ",".join(parts) + "}"
 
 
 def metrics_to_dict(registry: MetricsRegistry) -> dict[str, Any]:
@@ -82,60 +54,6 @@ def to_json(
     if tracer is not None:
         document["spans"] = [root.to_dict() for root in tracer.roots]
     return json.dumps(document, indent=indent, sort_keys=False)
-
-
-def _prom_name(name: str) -> str:
-    sanitized = _PROM_INVALID.sub("_", name)
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized
-
-
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """Prometheus text exposition format (one sample set per metric).
-
-    Counters get the conventional ``_total`` suffix; histograms are
-    exported as summaries (quantiles exact unless the histogram runs
-    in capped-reservoir mode).  Instrument labels are rendered with
-    values escaped per the exposition format.
-    """
-    lines: list[str] = []
-    seen_types: set[str] = set()
-    for instrument in sorted(registry, key=lambda i: i.key):
-        name = _prom_name(instrument.name)
-        labels = _prom_labels(instrument.labels)
-        if isinstance(instrument, Counter):
-            if not name.endswith("_total"):
-                name += "_total"
-            if name not in seen_types:
-                seen_types.add(name)
-                lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name}{labels} {_fmt(instrument.value)}")
-        elif isinstance(instrument, Gauge):
-            if name not in seen_types:
-                seen_types.add(name)
-                lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name}{labels} {_fmt(instrument.value)}")
-        elif isinstance(instrument, Histogram):
-            if name not in seen_types:
-                seen_types.add(name)
-                lines.append(f"# TYPE {name} summary")
-            for q in (0.5, 0.9, 0.95, 0.99):
-                value = instrument.percentile(q * 100)
-                quantile = _prom_labels(
-                    instrument.labels, extra=f'quantile="{_fmt(q)}"'
-                )
-                lines.append(f"{name}{quantile} {_fmt(value)}")
-            lines.append(f"{name}_sum{labels} {_fmt(instrument.sum)}")
-            lines.append(f"{name}_count{labels} {instrument.count}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _fmt(value: float) -> str:
-    """Render a float the way Prometheus likes: integral values bare."""
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
 
 
 def to_chrome_trace(

@@ -436,8 +436,3 @@ class MetricsRegistry:
     def names(self) -> list[str]:
         with self._lock:
             return sorted(self._instruments)
-
-    def reset(self) -> None:
-        """Drop every instrument."""
-        with self._lock:
-            self._instruments.clear()

@@ -45,12 +45,6 @@ class Instrumentation:
         self.metrics = MetricsRegistry()
         self.journal = journal
 
-    def reset(self) -> None:
-        self.tracer.reset()
-        self.metrics.reset()
-        if self.journal is not None:
-            self.journal.reset()
-
 
 _lock = threading.Lock()
 _active: Instrumentation | None = None
@@ -138,14 +132,6 @@ def timed(name: str, **attributes: Any) -> _TimedSpan:
         elapsed = sp.duration
     """
     return _TimedSpan(name, attributes)
-
-
-def journal() -> Journal | None:
-    """The active journal, or None when disabled / not journaling."""
-    active = _active
-    if active is None:
-        return None
-    return active.journal
 
 
 def record(kind: str, **fields: Any) -> dict | None:

@@ -182,11 +182,6 @@ class Tracer:
         """All recorded spans with the given name."""
         return [s for s in self.all_spans() if s.name == name]
 
-    def reset(self) -> None:
-        """Drop all recorded spans (open stacks are untouched)."""
-        with self._lock:
-            self.roots.clear()
-
 
 def span_from_payload(payload: dict[str, Any]) -> Span:
     """Rebuild a :class:`Span` tree from :meth:`Span.to_dict` output.

@@ -66,7 +66,9 @@ def heavy_hitter_plan(
     pair set is assumed already pruned to the heavy hitters (that is
     what the sketch estimate *is*), so the optimization scope is
     exactly the objects appearing in some pair — out-of-scope objects
-    are hashed by the inner planner and pinned by the controller.
+    are hashed by the inner planner, which is how the controller's
+    bootstrap gives cold objects their first node (its replans pass
+    only the paired objects).
     Planning itself runs through the resilient fallback chain, so a
     failing planner degrades the plan instead of stalling the loop.
 
@@ -98,6 +100,29 @@ def heavy_hitter_plan(
         )
     diagnostics = {**result.diagnostics, "heavy_objects": scope}
     return replace(result, planner="online", diagnostics=diagnostics)
+
+
+def _replan_target(
+    problem: PlacementProblem, current: np.ndarray, config: PlanConfig
+) -> tuple[PlanResult, np.ndarray]:
+    """Plan only the objects of ``problem``'s pairs; the rest stay put.
+
+    The paired objects, in index order, form the subproblem that
+    :func:`heavy_hitter_plan` plans; every other object keeps its node
+    in ``current``, so a hash placement of cold objects cannot eat the
+    migration budget.
+
+    Returns:
+        The subproblem's plan and the full target assignment.
+    """
+    paired = np.unique(problem.pair_index)
+    result = heavy_hitter_plan(
+        problem.subproblem([problem.object_ids[i] for i in paired.tolist()]),
+        config=config,
+    )
+    target = current.copy()
+    target[paired] = result.placement.assignment
+    return result, target
 
 
 @dataclass(frozen=True)
@@ -585,19 +610,9 @@ class OnlinePlanner:
             )
 
         with obs.span("online.replan", period=period.index) as span:
-            result = heavy_hitter_plan(problem, config=self.config.planning)
-            # Pin every object outside the heavy pairs to where it is:
-            # the plan's hash placement of cold objects must not eat the
-            # migration budget.
-            heavy_objects = {
-                problem.object_ids[int(i)]
-                for pair in problem.pair_index
-                for i in pair
-            }
-            target_assignment = current.assignment.copy()
-            for local_i, obj in enumerate(problem.object_ids):
-                if obj in heavy_objects:
-                    target_assignment[local_i] = result.placement.assignment[local_i]
+            result, target_assignment = _replan_target(
+                problem, current.assignment, self.config.planning
+            )
             target = Placement(problem, target_assignment)
 
             budget = config.budget_fraction * self._total_size

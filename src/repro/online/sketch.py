@@ -21,10 +21,7 @@ streaming summaries, both seeded and fully deterministic:
 supplies *which* pairs are heavy, the Count-Min estimate tightens
 *how* heavy, and the pair stream comes from the same miner as the
 exact estimators' (:mod:`repro.core.correlation`).  Memory is
-O(width x depth + capacity) cells regardless of stream length, and
-everything round-trips through ``to_dict``/``from_dict``
-(JSON-serializable object ids assumed for the pair tracker); a
-restore rejects state no valid sketch holds.
+O(width x depth + capacity) cells regardless of stream length.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-import warnings
 from itertools import repeat
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -178,17 +174,6 @@ class CountMinSketch:
         self._cells *= factor
         self._total *= factor
 
-    def merge(self, other: "CountMinSketch") -> None:
-        """Add another sketch's cells into this one (same shape + seed)."""
-        if (self.width, self.depth, self.seed) != (
-            other.width,
-            other.depth,
-            other.seed,
-        ):
-            raise ValueError("can only merge sketches with identical shape and seed")
-        self._cells += other._cells
-        self._total += other._total
-
     # ------------------------------------------------------------------
     # Bounds and accounting
     # ------------------------------------------------------------------
@@ -211,40 +196,6 @@ class CountMinSketch:
     def delta(self) -> float:
         """Failure probability of the epsilon bound: ``e^-depth``."""
         return math.exp(-self.depth)
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-ready state; :meth:`from_dict` restores it exactly."""
-        return {
-            "width": self.width,
-            "depth": self.depth,
-            "seed": self.seed,
-            "total": self._total,
-            "cells": self._cells.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "CountMinSketch":
-        """Rebuild a sketch from :meth:`to_dict` output.
-
-        Raises:
-            ValueError: When the cells do not match width/depth, a cell
-                is negative or NaN, or the total is negative or NaN.
-        """
-        sketch = cls(width=doc["width"], depth=doc["depth"], seed=doc["seed"])
-        cells = np.ascontiguousarray(doc["cells"], dtype=float)
-        if cells.shape != (sketch.depth, sketch.width):
-            raise ValueError("serialized cells do not match width/depth")
-        if not (cells >= 0).all():
-            raise ValueError("serialized cells must be nonnegative")
-        total = float(doc["total"])
-        if not total >= 0:
-            raise ValueError(f"serialized total {total!r} must be nonnegative")
-        sketch._cells = cells
-        sketch._total = total
-        return sketch
 
 
 class SpaceSavingPairs:
@@ -279,11 +230,8 @@ class SpaceSavingPairs:
         self.evictions = 0
 
     def add(self, pair: Pair, count: float = 1.0) -> None:
-        """Fold one observation of ``pair`` into the summary.
-
-        The count must be finite, as :meth:`from_dict` requires of the
-        total.
-        """
+        """Fold one observation of ``pair`` into the summary (the count
+        must be finite and nonnegative)."""
         if not (count >= 0 and math.isfinite(count)):
             raise ValueError("count must be finite and nonnegative")
         self._fold((pair,), (count,))
@@ -389,68 +337,6 @@ class SpaceSavingPairs:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def to_dict(self) -> dict:
-        """JSON-ready state (object ids must be JSON-serializable)."""
-        return {
-            "capacity": self.capacity,
-            "total": self._total,
-            "max_tracked": self.max_tracked,
-            "evictions": self.evictions,
-            "entries": [
-                [list(pair), c, e] for pair, c, e in self.items()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "SpaceSavingPairs":
-        """Rebuild a tracker from :meth:`to_dict` output.
-
-        JSON turns tuple pairs into lists; they come back as tuples.
-        Entries keep their serialized order as their insertion order.
-
-        Raises:
-            ValueError: When a pair repeats, the entries exceed the
-                capacity, a count is negative or NaN, an error lies
-                outside ``[0, count]``, the total is negative or not
-                finite, the evictions are negative, or ``max_tracked``
-                is below the number of entries.
-        """
-        tracker = cls(capacity=doc["capacity"])
-        for raw_pair, count, error in doc["entries"]:
-            pair = tuple(raw_pair)
-            if pair in tracker._entries:
-                raise ValueError(f"serialized entries repeat pair {pair!r}")
-            count = float(count)
-            if not count >= 0:
-                raise ValueError("count must be nonnegative")
-            error = float(error)
-            if not 0 <= error <= count:
-                raise ValueError(
-                    f"error {error!r} of pair {pair!r} is outside [0, {count!r}]"
-                )
-            tracker._entries[pair] = [count, error]
-            tracker._heap.append((count, repr(pair), tracker._seq, pair))
-            tracker._seq += 1
-        if len(tracker._entries) > tracker.capacity:
-            raise ValueError("serialized entries exceed capacity")
-        heapq.heapify(tracker._heap)
-        total = float(doc["total"])
-        if not (math.isfinite(total) and total >= 0):
-            raise ValueError(f"serialized total {total!r} must be finite and nonnegative")
-        max_tracked = int(doc["max_tracked"])
-        if max_tracked < len(tracker._entries):
-            raise ValueError(
-                f"max_tracked {max_tracked} is below the {len(tracker._entries)} "
-                "serialized entries"
-            )
-        evictions = int(doc["evictions"])
-        if evictions < 0:
-            raise ValueError(f"serialized evictions {evictions} must be nonnegative")
-        tracker._total = total
-        tracker.max_tracked = max_tracked
-        tracker.evictions = evictions
-        return tracker
-
 
 class SketchCorrelationEstimator:
     """Memory-bounded :class:`~repro.core.correlation.PairEstimator`.
@@ -527,12 +413,6 @@ class SketchCorrelationEstimator:
         self.heavy.scale(factor)
         self._total_ops *= factor
 
-    def estimate_count(self, pair: Pair) -> float:
-        """Best available (over-)count for one pair."""
-        tracked = self.heavy.count(pair)
-        cms = self.sketch.estimate(pair)
-        return min(tracked, cms) if tracked > 0 else cms
-
     def correlations(self, min_support: int = 1) -> PairProbabilities:
         """Probability estimates for the tracked heavy-hitter pairs.
 
@@ -557,69 +437,10 @@ class SketchCorrelationEstimator:
         return sorted(probs.items(), key=lambda item: (-item[1], repr(item[0])))[:k]
 
     # ------------------------------------------------------------------
-    # Memory accounting and serialization
+    # Memory accounting
     # ------------------------------------------------------------------
     @property
     def memory_cells(self) -> int:
         """Bounded state size: sketch cells plus tracker capacity."""
         return self.sketch.num_cells + self.heavy.capacity
 
-    def to_dict(self) -> dict:
-        """JSON-ready state; :meth:`from_dict` restores it exactly."""
-        return {
-            "mode": self.mode,
-            "sizes": (
-                None
-                if self.sizes is None
-                else {str(k): float(v) for k, v in sorted(self.sizes.items(), key=lambda kv: repr(kv[0]))}
-            ),
-            "total_operations": self._total_ops,
-            "sketch": self.sketch.to_dict(),
-            "heavy": self.heavy.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(
-        cls,
-        doc: Mapping,
-        sizes: Mapping[ObjectId, float] | None = None,
-    ) -> "SketchCorrelationEstimator":
-        """Rebuild an estimator from :meth:`to_dict` output.
-
-        Args:
-            doc: Output of :meth:`to_dict` (possibly JSON
-                round-tripped).
-            sizes: Object sizes overriding the serialized ones.  JSON
-                maps have string keys, so serialized sizes only match
-                streams of *string* object ids; size-aware modes over
-                any other id type must pass ``sizes`` here — restoring
-                from the serialized keys alone warns, because the
-                estimator would silently find no known objects.
-
-        Raises:
-            ValueError: For an unknown mode, a size-aware mode without
-                sizes, an operation total that is negative or not
-                finite, or summaries :meth:`CountMinSketch.from_dict`
-                or :meth:`SpaceSavingPairs.from_dict` reject.
-        """
-        estimator = cls.__new__(cls)
-        estimator.mode = doc["mode"]
-        estimator.sizes = doc["sizes"] if sizes is None else dict(sizes)
-        _check_mode(estimator.mode, estimator.sizes)
-        if sizes is None and estimator.mode != "cooccurrence":
-            warnings.warn(
-                f"restoring a {estimator.mode!r} estimator from "
-                "JSON-stringified size keys; pairs over non-string object "
-                "ids will be dropped — pass sizes= explicitly",
-                UserWarning,
-                stacklevel=2,
-            )
-        estimator.sketch = CountMinSketch.from_dict(doc["sketch"])
-        estimator.heavy = SpaceSavingPairs.from_dict(doc["heavy"])
-        total_ops = float(doc["total_operations"])
-        if not (math.isfinite(total_ops) and total_ops >= 0):
-            raise ValueError(
-                f"serialized total_operations {total_ops!r} must be finite and nonnegative"
-            )
-        estimator._total_ops = total_ops
-        return estimator

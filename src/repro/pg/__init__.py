@@ -2,13 +2,12 @@
 
 See ``docs/SCALE.md``.  The public surface:
 
-* :class:`PGMap` — the small, stable object→node map (a
-  :class:`~repro.core.placement.PlacementMap`).
+* :class:`PGMap` — the small, stable object→node map that
+  ``repro pg`` writes.
 * :func:`build_grouping` / :func:`aggregate_problem` /
-  :func:`expand_assignment` — the coarsening pipeline.
+  :func:`expand_assignment` / :func:`map_from_coarse` — the coarsening
+  pipeline.
 * :func:`plan_with_groups` — the ``"lprr:pg"`` registry planner.
-* :func:`select_group_migrations` / :func:`repair_lost_groups` —
-  PG-granular replanning and repair.
 """
 
 from repro.pg.aggregate import (
@@ -22,9 +21,7 @@ from repro.pg.groups import PGMap, pg_group, rendezvous_node
 from repro.pg.planner import (
     DEFAULT_GROUPS,
     plan_with_groups,
-    repair_lost_groups,
     resolve_pg_scope,
-    select_group_migrations,
 )
 
 __all__ = [
@@ -38,7 +35,5 @@ __all__ = [
     "pg_group",
     "plan_with_groups",
     "rendezvous_node",
-    "repair_lost_groups",
     "resolve_pg_scope",
-    "select_group_migrations",
 ]

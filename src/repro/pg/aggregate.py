@@ -234,14 +234,12 @@ def map_from_coarse(
     grouping: Grouping,
     coarse_assignment: np.ndarray,
     salt: str = "",
-    fallback: PGMap | None = None,
 ) -> PGMap:
     """A :class:`PGMap` from a coarse placement's assignment array.
 
     Empty groups (no member object, hence no coarse entry) still need
-    a node for future objects hashing into them: they keep their entry
-    from ``fallback`` when given, else take their rendezvous winner
-    over all nodes.
+    a node for future objects hashing into them: they take their
+    rendezvous winner over all nodes.
     """
     group_nodes = np.empty(grouping.num_groups, dtype=np.int64)
     all_nodes = range(problem.num_nodes)
@@ -249,8 +247,6 @@ def map_from_coarse(
         coarse = grouping.group_coarse[g]
         if coarse >= 0:
             group_nodes[g] = coarse_assignment[coarse]
-        elif fallback is not None:
-            group_nodes[g] = fallback.group_nodes[g]
         else:
             group_nodes[g] = rendezvous_node(
                 _group_key(g), all_nodes, problem.node_ids, salt
@@ -266,5 +262,4 @@ def map_from_coarse(
         node_ids=problem.node_ids,
         group_nodes=group_nodes,
         exact_nodes=exact_nodes,
-        retired=frozenset() if fallback is None else fallback.retired,
     )

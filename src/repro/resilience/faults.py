@@ -95,16 +95,6 @@ class FaultEvent:
             doc["domain"] = self.domain
         return doc
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultEvent":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            time=int(data["time"]),
-            kind=str(data["kind"]),
-            nodes=tuple(int(k) for k in data.get("nodes", ())),
-            domain=str(data.get("domain", "")),
-        )
-
 
 @dataclass(frozen=True)
 class ClusterView:
@@ -163,18 +153,6 @@ class ClusterView:
         inside = frozenset(self.isolated) & alive
         outside = alive - self.isolated
         return tuple(g for g in (outside, inside) if g)
-
-    def to_dict(self) -> dict:
-        """JSON-ready form with sorted node lists."""
-        doc = {
-            "num_nodes": self.num_nodes,
-            "down": sorted(self.down),
-            "slow": sorted(self.slow),
-            "isolated": sorted(self.isolated),
-        }
-        if self.down_domains:
-            doc["down_domains"] = sorted(self.down_domains)
-        return doc
 
 
 class FaultState:
@@ -494,13 +472,3 @@ class FaultSchedule:
             "num_nodes": self.num_nodes,
             "events": [e.to_dict() for e in self.events],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSchedule":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            num_nodes=int(data["num_nodes"]),
-            events=tuple(
-                FaultEvent.from_dict(e) for e in data.get("events", ())
-            ),
-        )

@@ -218,11 +218,6 @@ class ReplicaRepairOutcome:
     availability_before: float
     availability_after: float
 
-    @property
-    def restored(self) -> float:
-        """Availability gained by the repair."""
-        return self.availability_after - self.availability_before
-
     def to_dict(self) -> dict:
         """JSON-ready summary."""
         return {

@@ -165,19 +165,6 @@ class EvaluationSummary:
             f"{self.mean_bytes_per_query:.1f} bytes/query"
         )
 
-    def to_dict(self) -> dict:
-        """JSON-ready form (see :mod:`repro.core.serialization`)."""
-        from repro.core.serialization import evaluation_summary_to_dict
-
-        return evaluation_summary_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvaluationSummary":
-        """Rebuild from :meth:`to_dict` output."""
-        from repro.core.serialization import evaluation_summary_from_dict
-
-        return evaluation_summary_from_dict(data)
-
 
 class QueryProfile:
     """A query log compiled once against an index, replayable anywhere.
@@ -385,10 +372,6 @@ class DistributedSearchEngine:
             self.lookup: dict[str, NodeId] = placement.to_mapping()
         else:
             self.lookup = dict(placement)
-
-    def node_of(self, keyword: str) -> NodeId | None:
-        """The node hosting ``keyword``'s index, or None if unplaced."""
-        return self.lookup.get(keyword)
 
     # ------------------------------------------------------------------
     # Execution

@@ -14,9 +14,10 @@ a copy on the current node, otherwise jump to the copy node shared by
 the most remaining keywords.
 
 Degraded mode: the engine is also the failover layer of the resilience
-subsystem.  Nodes can be marked down (:meth:`mark_down`) or slow
-(:meth:`mark_slow`); routing then re-picks *surviving* copies per
-query, prefers fast copies over slow ones at equal coverage, and a
+subsystem.  Nodes start down (``down_nodes``), a chaos epoch hands
+over its cluster health (:meth:`apply_view`), and nodes can be marked
+slow (:meth:`mark_slow`); routing then re-picks *surviving* copies
+per query, prefers fast copies over slow ones at equal coverage, and a
 query whose keyword has copies but none alive comes back with
 ``served=False`` instead of an exception — degraded service, not an
 outage.
@@ -42,8 +43,7 @@ class ReplicatedSearchEngine:
         index: The global inverted index.
         placement: Replicated keyword placement; keywords absent from
             the placement's problem are treated as unindexed.
-        down_nodes: Node indices considered failed from the start
-            (equivalent to calling :meth:`mark_down` immediately).
+        down_nodes: Node indices considered failed from the start.
     """
 
     def __init__(
@@ -79,32 +79,17 @@ class ReplicatedSearchEngine:
         """Node indices currently marked slow (routed around)."""
         return frozenset(self._slow)
 
-    def mark_down(self, *nodes: int) -> None:
-        """Mark nodes failed; their copies stop being routing targets."""
-        for k in nodes:
-            self._down.add(int(k))
-        obs.counter("engine.nodes_marked_down").inc(len(nodes))
-
-    def mark_up(self, *nodes: int) -> None:
-        """Bring nodes back; their copies become routable again."""
-        for k in nodes:
-            self._down.discard(int(k))
-
     def mark_slow(self, *nodes: int) -> None:
         """Mark nodes slow; routing prefers other copies when coverage ties."""
         for k in nodes:
             self._slow.add(int(k))
 
-    def clear_slow(self) -> None:
-        """Forget all slow-node markings."""
-        self._slow.clear()
-
     def apply_view(self, view) -> None:
         """Adopt a :class:`~repro.resilience.faults.ClusterView` wholesale.
 
         Replaces the engine's down/slow sets with the view's, so a
-        chaos epoch can hand the engine its exact cluster health
-        instead of issuing incremental ``mark_*`` calls.  Isolated
+        chaos epoch hands the engine its exact cluster health in one
+        call.  Isolated
         nodes are treated as down for routing purposes — the engine
         pipelines across nodes, which a partition forbids.
         """
@@ -112,10 +97,6 @@ class ReplicatedSearchEngine:
             int(k) for k in view.isolated
         }
         self._slow = {int(k) for k in view.slow}
-
-    def alive_copies_of(self, keyword: str) -> frozenset[int]:
-        """Surviving (non-failed) copy holders of ``keyword``."""
-        return self._copies.get(keyword, frozenset()) - self._down
 
     # ------------------------------------------------------------------
     # Execution

@@ -223,29 +223,6 @@ class TestMetricsRoundTrip:
         assert main(args) == 0
         assert capsys.readouterr().err == ""  # no trace when not asked
 
-    def test_place_prometheus_export(self, query_log_file, tmp_path, capsys):
-        out = tmp_path / "placement.json"
-        prom = tmp_path / "metrics.prom"
-        code = main(
-            [
-                "place",
-                str(query_log_file),
-                str(out),
-                "--strategy",
-                "lprr",
-                *self.FLAGS,
-                "--metrics-out",
-                str(prom),
-                "--metrics-format",
-                "prometheus",
-            ]
-        )
-        assert code == 0
-        text = prom.read_text()
-        assert "# TYPE planner_plan_seconds summary" in text
-        assert "planner_plan_seconds_count" in text
-        assert "# TYPE lprr_plans_total counter" in text
-
 
 class TestExperimentCommand:
     SMALL = [

@@ -108,10 +108,6 @@ class TestLabelsAndTree:
         leaves = [d for d in root.walk() if d.kind == "node"]
         assert sorted(d.nodes[0] for d in leaves) == list(range(8))
 
-    def test_to_dict_round_trip(self):
-        topo = synthetic_topology(10, zones=2, racks_per_zone=3)
-        assert Topology.from_dict(topo.to_dict()) == topo
-
 
 class TestParseTopologySpec:
     def test_parses_zones_and_racks(self):

@@ -9,12 +9,13 @@ from repro.core.problem import PlacementProblem
 from repro.core.replication import (
     ReplicatedPlacement,
     greedy_replicated_placement,
-    hash_replicated_placement,
     replicate_hash,
     spread_replicated_placement,
     spread_violations,
 )
 from repro.exceptions import PlacementError, ReplicationError
+
+from tests.helpers import flat_hash
 
 
 def _spread_violations_loop(
@@ -99,28 +100,28 @@ class TestReplicatedPlacement:
 
 class TestHashReplication:
     def test_distinct_nodes_per_object(self, problem):
-        placement = hash_replicated_placement(problem, replicas=3)
+        placement = flat_hash(problem, 3)
         for obj in problem.object_ids:
             nodes = placement.nodes_of(obj)
             assert len(set(nodes)) == 3
 
     def test_deterministic(self, problem):
-        a = hash_replicated_placement(problem, replicas=2)
-        b = hash_replicated_placement(problem, replicas=2)
+        a = flat_hash(problem, 2)
+        b = flat_hash(problem, 2)
         assert np.array_equal(a.assignment, b.assignment)
 
     def test_replication_reduces_or_keeps_cost(self, problem):
-        single = hash_replicated_placement(problem, replicas=1)
-        double = hash_replicated_placement(problem, replicas=2)
+        single = flat_hash(problem, 1)
+        double = flat_hash(problem, 2)
         # More copies can only help the any-copy cost in expectation;
         # check the monotone property on this fixed instance.
         assert double.communication_cost() <= single.communication_cost() + 1e-12
 
     def test_too_many_replicas_rejected(self, problem):
         with pytest.raises(ValueError, match="distinct copies"):
-            hash_replicated_placement(problem, replicas=4)
+            flat_hash(problem, 4)
         with pytest.raises(ValueError, match="at least 1"):
-            hash_replicated_placement(problem, replicas=0)
+            flat_hash(problem, 0)
 
 
 class TestGreedyReplication:
@@ -149,7 +150,7 @@ class TestGreedyReplication:
         corr = {(f"o{2*i}", f"o{2*i+1}"): 0.5 + 0.1 * rng.random() for i in range(6)}
         p = PlacementProblem.build(objects, 6, corr)
         greedy = greedy_replicated_placement(p, replicas=2)
-        hashed = hash_replicated_placement(p, replicas=2)
+        hashed = flat_hash(p, 2)
         assert greedy.communication_cost() <= hashed.communication_cost()
 
     def test_single_replica_equals_primary(self, problem):

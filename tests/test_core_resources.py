@@ -10,6 +10,7 @@ from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.core.repair import repair_capacity
 from repro.core.resources import ResourceSpec
+from repro.core.strategies import PlanConfig, plan
 from repro.exceptions import InfeasibleProblemError, ProblemDefinitionError
 
 
@@ -207,6 +208,61 @@ class TestSolversHonorResources:
         repaired = repair_capacity(placement)
         assert repaired.is_feasible()
         assert repaired.node_of("a") == 1
+
+    def test_repair_relieves_budget_overrun_when_bytes_fit(self):
+        # Bytes fit everywhere, but node 0 serves cpu 3 against a
+        # budget of 2.  Moving c next to its partner d relieves it at
+        # no cost; moving a or b would split their pair.
+        p = PlacementProblem.build(
+            {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
+            {0: 10.0, 1: 10.0},
+            {("a", "b"): 0.5, ("c", "d"): 0.5},
+            resources={"cpu": (dict.fromkeys("abcd", 1.0), 2.0)},
+        )
+        placement = Placement(p, np.array([0, 0, 0, 1]))
+        assert placement.resource_loads("cpu").tolist() == [3.0, 1.0]
+        repaired = repair_capacity(placement)
+        assert repaired.resource_loads("cpu").tolist() == [2.0, 2.0]
+        assert repaired.is_feasible()
+        assert repaired.node_of("c") == 1
+        assert repaired.communication_cost() == 0.0
+
+    def test_repair_raises_when_no_member_can_leave_an_overrun_budget(self):
+        p = PlacementProblem.build(
+            {"a": 1.0, "b": 1.0},
+            {0: 10.0, 1: 10.0},
+            {},
+            resources={"cpu": ({"a": 2.0, "b": 2.0}, {0: 3.0, 1: 1.0})},
+        )
+        with pytest.raises(InfeasibleProblemError, match="'cpu' budget"):
+            repair_capacity(Placement(p, np.array([0, 0])))
+
+    def test_lprr_takes_greedy_where_repair_cannot_swap(self):
+        # Each node holds two objects.  Repair of the rounded draw leaves
+        # x and y together (cpu 4 over 3.15) and cannot part them: any
+        # single move overflows the other node.  Greedy pairs x with z
+        # and y with w, which meets every budget.
+        cpu = {"x": 2.0, "y": 2.0, "z": 1.0, "w": 1.0}
+        pairs = {("x", "y"): 1.0, ("x", "z"): 0.4, ("y", "w"): 0.4, ("z", "w"): 0.3}
+        p = PlacementProblem.build(
+            dict.fromkeys(cpu, 1.0), {0: 2.0, 1: 2.0}, pairs, resources={"cpu": (cpu, 3.0)}
+        )
+        with pytest.raises(InfeasibleProblemError, match="'cpu' budget"):
+            repair_capacity(Placement(p, np.array([0, 0, 1, 1])), tolerance=0.05)
+        result = plan(p, "lprr", PlanConfig(capacity_factor=None))
+        assert result.diagnostics["repaired"]
+        assert result.placement.is_feasible()
+        assert result.placement.resource_loads("cpu").tolist() == [3.0, 3.0]
+        # Without the cross pairs greedy also puts x with y, and the
+        # repair error stands.
+        unbridged = PlacementProblem.build(
+            dict.fromkeys(cpu, 1.0),
+            {0: 2.0, 1: 2.0},
+            {("x", "y"): 1.0, ("z", "w"): 0.3},
+            resources={"cpu": (cpu, 3.0)},
+        )
+        with pytest.raises(InfeasibleProblemError, match="'cpu' budget"):
+            plan(unbridged, "lprr", PlanConfig(capacity_factor=None))
 
     def test_infeasible_resource_budget_raises_in_lp(self):
         p = PlacementProblem.build(

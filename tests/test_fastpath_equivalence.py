@@ -9,8 +9,9 @@ heap-based Space-Saving eviction folded per batch, correlation mining
 through one vectorized reduction of distinct operations (of a trace
 or of a compiled profile), the first-appearance importance order,
 problem construction from one ``np.unique`` merge, the scalar
-streaming-partitioner pass, index-array scoping, and the
-selector-free virtual-time loop.  Each one promises
+streaming-partitioner pass, index-array scoping, online replans that
+plan only the paired objects, and the selector-free virtual-time
+loop.  Each one promises
 *byte-identical* output to the legacy per-item loop under fixed seeds;
 these hypothesis suites hold them to it, including dict insertion
 order and the miner's type gate, which sends every trace whose ids
@@ -43,7 +44,7 @@ from repro.core.importance import importance_ranking, importance_scores, top_imp
 from repro.core.hashing import hash_node
 from repro.core.lp import build_placement_lp
 from repro.core.migration import Migration, MigrationPlan, select_migrations
-from repro.core.partial import scoped_placement
+from repro.core.partial import scoped_capacities, scoped_placement
 from repro.core.problem import (
     PlacementProblem,
     min_size_pair_cost,
@@ -53,13 +54,16 @@ from repro.core.problem import (
 from repro.core.repair import repair_capacity
 from repro.core.replication import ReplicatedPlacement
 from repro.core.resources import ResourceSpec
+from repro.core.strategies import PlanConfig, PlanScope
 from repro.core.streampart import streaming_greedy_placement
 from repro.exceptions import InfeasibleProblemError, ProblemDefinitionError
+from repro.online.controller import _replan_target, heavy_hitter_plan
 from repro.online.sketch import (
     CountMinSketch,
     SketchCorrelationEstimator,
     SpaceSavingPairs,
 )
+from repro.pg.aggregate import aggregate_problem, build_grouping
 from repro import obs
 from repro.core.placement import Placement
 from repro.search.documents import Corpus, Document
@@ -77,6 +81,8 @@ from repro.search.simulation import TimingModel, simulate_latencies
 from repro.serve.router import QueryRouter, ServeConfig
 from repro.serve.snapshot import PlanHandle, PlanSnapshot
 from repro.serve.vtime import VirtualTimeLoop, run_virtual
+
+from tests.helpers import estimator_state
 
 # ----------------------------------------------------------------------
 # Shared strategies
@@ -217,7 +223,7 @@ class TestMiningEquivalence:
         batched.observe_trace(trace)
         reference = SketchCorrelationEstimator(**kwargs)
         _observe_reference(reference, trace)
-        assert json.dumps(batched.to_dict()) == json.dumps(reference.to_dict())
+        assert json.dumps(estimator_state(batched)) == json.dumps(estimator_state(reference))
 
     @settings(max_examples=50, deadline=None)
     @given(case=_ingest_cases())
@@ -272,7 +278,7 @@ class TestTypeGate:
         assert batched.observe_trace(make()) == len(make())
         loop = SketchCorrelationEstimator(**kwargs)
         _observe_reference(loop, make())
-        assert json.dumps(batched.to_dict()) == json.dumps(loop.to_dict())
+        assert json.dumps(estimator_state(batched)) == json.dumps(estimator_state(loop))
         exact, exact_loop = CorrelationEstimator(mode, sizes), CorrelationEstimator(mode, sizes)
         exact.observe_trace(make())
         _observe_reference(exact_loop, make())
@@ -296,10 +302,10 @@ class TestSketchIngestEquivalence:
             assert batched.observe_trace(iter(batch)) == len(batch)
             reference.decay(factor)
             batched.decay(factor)
-        # Full serialized state: sketch table, heavy-hitter entries
-        # (including dict order), and the operation total.
-        assert json.dumps(batched.to_dict(), sort_keys=False) == json.dumps(
-            reference.to_dict(), sort_keys=False
+        # Full state: sketch table, heavy-hitter entries and the
+        # operation total.
+        assert json.dumps(estimator_state(batched)) == json.dumps(
+            estimator_state(reference)
         )
         _assert_same_mapping(batched.correlations(), reference.correlations())
 
@@ -409,9 +415,7 @@ class _SpaceSavingScan:
     """The linear-scan Space-Saving tracker: two passes per eviction.
 
     Victim = the first entry in insertion order among those minimal by
-    ``(count, repr)``.  ``round_trip`` applies what ``to_dict`` then
-    ``from_dict`` (optionally through JSON) does to the state: entries
-    come back as tuples, in ``items()`` order.
+    ``(count, repr)``.
     """
 
     def __init__(self, capacity):
@@ -455,12 +459,6 @@ class _SpaceSavingScan:
             key=lambda row: (-row[1], repr(row[0])),
         )
 
-    def round_trip(self, via_json):
-        rows = [[list(p), c, e] for p, c, e in self.items()]
-        if via_json:
-            rows = json.loads(json.dumps(rows))
-        self.entries = {tuple(p): [float(c), float(e)] for p, c, e in rows}
-
 
 class _Faceless(str):
     """An object id with an empty repr.
@@ -468,8 +466,7 @@ class _Faceless(str):
     Every pair of them has the repr ``"(, )"``, which sorts before the
     repr of every pair of ints, so faceless pairs are the victims
     whenever their count is lowest and ties among them fall through to
-    insertion order.  A JSON round trip turns them into plain strings;
-    a round trip without JSON keeps them.
+    insertion order.
     """
 
     def __repr__(self):
@@ -483,14 +480,12 @@ _SS_UNIVERSE = [(0, 1), (0, 2), (1, 2), (2, 3)] + [
 
 @st.composite
 def _ss_steps(draw):
-    kind = draw(st.sampled_from(["add"] * 8 + ["scale", "round_trip"]))
+    kind = draw(st.sampled_from(["add"] * 8 + ["scale"]))
     if kind == "add":
         return kind, draw(st.sampled_from(_SS_UNIVERSE)), draw(
             st.sampled_from([0.5, 1.0, 2.0])
         )
-    if kind == "scale":
-        return kind, draw(st.sampled_from([0.0, 0.5, 0.7, 1.0]))
-    return kind, draw(st.booleans())
+    return kind, draw(st.sampled_from([0.0, 0.5, 0.7, 1.0]))
 
 
 @st.composite
@@ -510,7 +505,7 @@ def _ss_fold_steps(draw):
 
 
 def _ss_step(tracker, reference, step):
-    """Apply ``step`` to both trackers; returns the (maybe restored) tracker."""
+    """Apply ``step`` to both trackers and compare them."""
     if step[0] == "add":
         tracker.add(step[1], step[2])
         reference.add(step[1], step[2])
@@ -519,15 +514,9 @@ def _ss_step(tracker, reference, step):
         tracker._fold(pairs, counts, [repr(pair) for pair in pairs] if with_reprs else None)
         for pair, count in zip(pairs, [1.0] * len(pairs) if counts is None else counts):
             reference.add(pair, count)
-    elif step[0] == "scale":
+    else:
         tracker.scale(step[1])
         reference.scale(step[1])
-    else:
-        doc = tracker.to_dict()
-        if step[1]:
-            doc = json.loads(json.dumps(doc))
-        tracker = SpaceSavingPairs.from_dict(doc)
-        reference.round_trip(step[1])
     assert tracker.items() == reference.items()
     assert tracker.evictions == reference.evictions
     assert tracker.max_tracked == reference.max_tracked
@@ -536,7 +525,6 @@ def _ss_step(tracker, reference, step):
         entry = reference.entries.get(pair, [0.0, 0.0])
         assert tracker.count(pair) == entry[0]
         assert tracker.error(pair) == entry[1]
-    return tracker
 
 
 class TestSpaceSavingEquivalence:
@@ -549,7 +537,7 @@ class TestSpaceSavingEquivalence:
         tracker = SpaceSavingPairs(capacity)
         reference = _SpaceSavingScan(capacity)
         for step in steps:
-            tracker = _ss_step(tracker, reference, step)
+            _ss_step(tracker, reference, step)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -560,7 +548,7 @@ class TestSpaceSavingEquivalence:
         tracker = SpaceSavingPairs(capacity)
         reference = _SpaceSavingScan(capacity)
         for step in steps:
-            tracker = _ss_step(tracker, reference, step)
+            _ss_step(tracker, reference, step)
 
 
 # ----------------------------------------------------------------------
@@ -705,7 +693,11 @@ class TestLPAssemblyEquivalence:
 
 def _repair_reference(placement, capacities=None, tolerance=0.0):
     """The pre-cache repair loop: every move rebuilds the whole
-    (member × destination) candidate heap and recomputes each delta."""
+    (member × destination) candidate heap and recomputes each delta.
+
+    Once the bytes fit, the node and resource with the largest
+    load-to-budget ratio over a budget give up a member with a positive
+    load there, ranked per unit of that load."""
     problem = placement.problem
     caps = problem.capacities if capacities is None else np.asarray(capacities, float)
     limits = caps * (1.0 + tolerance)
@@ -719,10 +711,24 @@ def _repair_reference(placement, capacities=None, tolerance=0.0):
     resource_limits = [
         spec.budgets * (1.0 + tolerance) for spec in problem.resources
     ]
-    if np.all(loads <= limits + 1e-9):
+
+    def worst_budget():
+        worst = None
+        for r, (rl, rlim) in enumerate(zip(resource_loads, resource_limits)):
+            for k in range(problem.num_nodes):
+                if rl[k] > rlim[k] + 1e-9:
+                    ratio = math.inf if rlim[k] == 0 else rl[k] / rlim[k]
+                    if worst is None or ratio > worst[0]:
+                        worst = (ratio, r, k)
+        return worst
+
+    bytes_fit = np.all(loads <= limits + 1e-9)
+    if bytes_fit and worst_budget() is None:
         return placement
-    if problem.total_size > np.sum(limits[np.isfinite(limits)]) and np.all(
-        np.isfinite(limits)
+    if (
+        not bytes_fit
+        and problem.total_size > np.sum(limits[np.isfinite(limits)])
+        and np.all(np.isfinite(limits))
     ):
         raise InfeasibleProblemError(
             "repair impossible: total object size exceeds total allowed load"
@@ -748,15 +754,24 @@ def _repair_reference(placement, capacities=None, tolerance=0.0):
     moves = 0
     while True:
         overloaded = np.where(loads > limits + 1e-9)[0]
-        if overloaded.size == 0:
-            break
+        if overloaded.size:
+            src = int(overloaded[np.argmax(loads[overloaded] - limits[overloaded])])
+            members = np.where(assignment == src)[0]
+            relief = problem.sizes
+            what = "overloaded node index"
+        else:
+            worst = worst_budget()
+            if worst is None:
+                break
+            spec, src = problem.resources[worst[1]], worst[2]
+            members = [i for i in np.where(assignment == src)[0] if spec.loads[i] > 0]
+            relief = spec.loads
+            what = f"node index over its {spec.name!r} budget"
         moves += 1
         if moves > max_moves:
             raise InfeasibleProblemError(
                 "capacity repair did not converge; capacities may be too tight"
             )
-        src = int(overloaded[np.argmax(loads[overloaded] - limits[overloaded])])
-        members = np.where(assignment == src)[0]
         candidates = []
         for obj in members:
             size = problem.sizes[obj]
@@ -771,11 +786,13 @@ def _repair_reference(placement, capacities=None, tolerance=0.0):
                 ):
                     continue
                 delta = move_delta(int(obj), src, dst)
-                heapq.heappush(candidates, (delta / size, -size, int(obj), dst))
+                heapq.heappush(
+                    candidates, (delta / relief[obj], -relief[obj], int(obj), dst)
+                )
         if not candidates:
             raise InfeasibleProblemError(
                 f"capacity repair stuck: no destination can absorb any "
-                f"object of overloaded node index {src}"
+                f"object of {what} {src}"
             )
         _, _, obj, dst = heapq.heappop(candidates)
         assignment[obj] = dst
@@ -987,6 +1004,86 @@ class TestMigrationEquivalence:
         # Move order included; repr also tells a float from a numpy scalar.
         assert fast == reference
         assert repr(fast) == repr(reference)
+
+
+# ----------------------------------------------------------------------
+# Online replan targets
+# ----------------------------------------------------------------------
+
+def _replan_target_reference(problem, current, config):
+    """Plan the whole problem, then pin every object outside the pairs
+    back to its current node."""
+    result = heavy_hitter_plan(problem, config=config)
+    heavy = {problem.object_ids[int(i)] for pair in problem.pair_index for i in pair}
+    target = current.copy()
+    for i, obj in enumerate(problem.object_ids):
+        if obj in heavy:
+            target[i] = result.placement.assignment[i]
+    return target
+
+
+@st.composite
+def _replan_cases(draw):
+    """Sketch-like estimates over part of the objects.
+
+    At least one object is left out of every pair; the paired ones are
+    a random subset, so paired and unpaired indices interleave.  Scopes
+    are uncapped or cap the paired objects, and seeds vary the rounding
+    draws.
+    """
+    t = draw(st.integers(3, 30))
+    n = draw(st.integers(2, 5))
+    ids = [f"w{i:02d}" for i in range(t)]
+    members = draw(st.permutations(range(t)))[: draw(st.integers(2, t - 1))]
+    edges = draw(
+        st.lists(
+            st.tuples(st.sampled_from(members), st.sampled_from(members), st.integers(1, 40)),
+            min_size=1,
+            max_size=2 * t,
+        ).filter(lambda edges: any(i != j for i, j, _ in edges))
+    )
+    correlations = {
+        (ids[min(i, j)], ids[max(i, j)]): w / 100 for i, j, w in edges if i != j
+    }
+    sizes = draw(st.lists(st.integers(1, 20), min_size=t, max_size=t))
+    problem = PlacementProblem.build(dict(zip(ids, map(float, sizes))), n, correlations)
+    current = np.array(draw(st.lists(st.integers(0, n - 1), min_size=t, max_size=t)))
+    config = PlanConfig(scope=draw(st.none() | st.integers(1, t)), seed=draw(st.integers(0, 5)))
+    return problem, current, config
+
+
+class TestReplanTargetEquivalence:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_replan_cases())
+    def test_paired_subproblem_matches_whole_problem_plan(self, case):
+        problem, current, config = case
+        assert np.unique(problem.pair_index).size < problem.num_objects
+        _result, target = _replan_target(problem, current, config)
+        assert np.array_equal(target, _replan_target_reference(problem, current, config))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_replan_cases(), groups=st.integers(1, 6), important=st.integers(0, 3))
+    def test_pg_scope_moves_only_paired_objects_within_capacity(
+        self, case, groups, important
+    ):
+        # Under a pg scope the replan groups only the paired objects, so
+        # it has no whole-problem reference; it must still pin every
+        # unpaired object and keep its coarse plan's capacities.
+        problem, current, config = case
+        config = config.with_options(scope=PlanScope.pg(groups, important))
+        result, target = _replan_target(problem, current, config)
+        assert result.diagnostics["groups"] == groups
+        paired = np.unique(problem.pair_index)
+        unpaired = np.setdiff1d(np.arange(problem.num_objects), paired)
+        assert np.array_equal(target[unpaired], current[unpaired])
+        sub = result.placement
+        assert list(sub.problem.object_ids) == [problem.object_ids[i] for i in paired.tolist()]
+        assert np.array_equal(target[paired], sub.assignment)
+        coarse = aggregate_problem(sub.problem, build_grouping(sub.problem, groups, important))
+        limits = scoped_capacities(
+            coarse, np.arange(coarse.num_objects), config.capacity_factor
+        ) * (1.0 + config.capacity_tolerance)
+        assert np.all(sub.node_loads() <= limits + 1e-9)
 
 
 # ----------------------------------------------------------------------

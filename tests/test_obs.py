@@ -10,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import LPRRPlanner, PlacementProblem, obs, round_best_of, solve_placement_lp
-from repro.obs.export import (
-    metrics_to_dict,
-    render_span_tree,
-    to_json,
-    to_prometheus,
-)
+from repro.obs.export import metrics_to_dict, render_span_tree, to_json
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.span import NULL_SPAN, Tracer
 
@@ -224,17 +219,6 @@ class TestExporters:
     def test_metrics_to_dict_groups_by_kind(self):
         grouped = metrics_to_dict(self._populated().metrics)
         assert set(grouped) == {"counters", "gauges", "histograms"}
-
-    def test_prometheus_format(self):
-        text = to_prometheus(self._populated().metrics)
-        assert "# TYPE engine_queries_total counter" in text
-        assert "engine_queries_total 3" in text
-        assert "# TYPE lp_num_variables gauge" in text
-        assert "# TYPE engine_query_bytes summary" in text
-        assert 'engine_query_bytes{quantile="0.5"} 100' in text
-        assert "engine_query_bytes_sum 300" in text
-        assert "engine_query_bytes_count 3" in text
-        assert "." not in text.split()[2]  # names are sanitized
 
     def test_console_tree_renders_nesting(self):
         inst = self._populated()
@@ -492,34 +476,6 @@ class TestLabels:
             "runs{case=a}": 1.0,
             "runs{case=b}": 2.0,
         }
-
-    def test_prometheus_renders_labels(self):
-        registry = MetricsRegistry()
-        registry.gauge("speedup", labels={"case": "lp", "tag": "plan"}).set(3)
-        text = to_prometheus(registry)
-        assert 'speedup{case="lp",tag="plan"} 3' in text
-
-    def test_prometheus_escapes_hostile_label_values(self):
-        from repro.obs.export import escape_label_value
-
-        hostile = 'quote:" backslash:\\ newline:\nend'
-        assert escape_label_value(hostile) == (
-            'quote:\\" backslash:\\\\ newline:\\nend'
-        )
-        registry = MetricsRegistry()
-        registry.counter("evil", labels={"v": hostile}).inc()
-        text = to_prometheus(registry)
-        # The exposition format is line-oriented: an unescaped newline
-        # would split the sample across lines and corrupt the scrape.
-        sample_lines = [l for l in text.splitlines() if l.startswith("evil")]
-        assert len(sample_lines) == 1
-        assert '\\n' in sample_lines[0]
-        assert '\\"' in sample_lines[0]
-        assert '\\\\' in sample_lines[0]
-        hist = MetricsRegistry()
-        hist.histogram("h", labels={"v": 'a"b'}).observe(1.0)
-        hist_text = to_prometheus(hist)
-        assert 'v="a\\"b",quantile="0.5"' in hist_text
 
 
 class TestSpanPayloads:

@@ -1,9 +1,8 @@
 """Tests for placement-group indirection (repro.pg).
 
-Covers the ISSUE-7 acceptance properties: same-seed determinism
-(byte-identical maps), minimal remap on node membership changes,
-aggregation/expansion feasibility preservation, the ``PlacementMap``
-protocol, and the PG-granular migration/repair composition.
+Covers same-seed determinism (byte-identical maps), the map document
+that ``repro pg`` writes, aggregation/expansion feasibility
+preservation and the planner's registry integration.
 """
 
 import json
@@ -11,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.placement import Placement, PlacementMap
+from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.core.strategies import (
     PlanConfig,
@@ -28,8 +27,6 @@ from repro.pg import (
     pg_group,
     plan_with_groups,
     rendezvous_node,
-    repair_lost_groups,
-    select_group_migrations,
 )
 from repro.resilience import plan_with_fallbacks, synthetic_scenario
 
@@ -81,36 +78,23 @@ class TestHashing:
 
 
 # ----------------------------------------------------------------------
-# PlacementMap protocol
+# The map document ``repro pg`` writes
 # ----------------------------------------------------------------------
-class TestPlacementMapProtocol:
-    def test_placement_and_pg_map_satisfy_protocol(self, problem):
-        result = plan(problem, "lprr:pg", PG_CONFIG)
-        assert isinstance(result.placement, PlacementMap)
-        assert isinstance(result.details, PlacementMap)
-
+class TestPGMapDocument:
     def test_pg_map_round_trip(self, problem):
-        pg_map = plan(problem, "lprr:pg", PG_CONFIG).details
+        result = plan(problem, "lprr:pg", PG_CONFIG)
+        pg_map = result.details
         doc = json.loads(json.dumps(pg_map.to_dict()))
-        assert doc["schema"] == "repro/pg-map/v1"
+        assert doc["schema"] == "repro/pg-map/v2"
+        assert "retired" not in doc
         assert doc["num_groups"] == pg_map.num_groups
         assert doc["nodes"] == [str(node) for node in pg_map.node_ids]
-        # The document alone answers every lookup as the map does: the
-        # synthetic scenario's ids are strings already.
+        # The document alone answers every lookup as the expanded plan
+        # does: the synthetic scenario's ids are strings already.
         for obj in problem.object_ids:
             group = pg_group(obj, doc["num_groups"], doc["salt"])
             node = doc["exact"].get(str(obj), doc["group_nodes"][group])
-            assert node == pg_map.assign(obj)
-
-    def test_placement_round_trip(self, problem):
-        placement = plan(problem, "greedy").placement
-        restored = Placement.from_dict(placement.to_dict(), problem)
-        assert np.array_equal(restored.assignment, placement.assignment)
-        for obj in problem.object_ids[:5]:
-            assert placement.locate(obj) == placement.node_of(obj)
-            assert placement.assign(obj) == int(
-                placement.assignment[problem.object_index(obj)]
-            )
+            assert node == result.placement.assignment[problem.object_index(obj)]
 
 
 # ----------------------------------------------------------------------
@@ -138,77 +122,6 @@ class TestDeterminism:
         assert np.array_equal(a.object_groups, b.object_groups)
         assert a.exact_ids == b.exact_ids
         assert a.coarse_ids == b.coarse_ids
-
-
-# ----------------------------------------------------------------------
-# Minimal remap on membership changes
-# ----------------------------------------------------------------------
-class TestMembershipChanges:
-    def test_remove_node_remaps_only_its_entries(self, problem):
-        pg_map = plan(problem, "lprr:pg", PG_CONFIG).details
-        victim_index = int(pg_map.group_nodes[0])
-        victim = pg_map.node_ids[victim_index]
-        after = pg_map.remove_node(victim)
-        for g in range(pg_map.num_groups):
-            if int(pg_map.group_nodes[g]) == victim_index:
-                assert int(after.group_nodes[g]) != victim_index
-            else:
-                assert int(after.group_nodes[g]) == int(pg_map.group_nodes[g])
-        for obj, k in pg_map.exact_nodes.items():
-            if int(k) == victim_index:
-                assert after.exact_nodes[obj] != victim_index
-            else:
-                assert after.exact_nodes[obj] == k
-        assert victim_index in after.retired
-
-    def test_add_node_moves_only_groups_it_wins(self, problem):
-        pg_map = plan(problem, "lprr:pg", PG_CONFIG).details
-        after = pg_map.add_node("nodeX")
-        added = after.node_index("nodeX")
-        moved = [
-            g
-            for g in range(pg_map.num_groups)
-            if int(after.group_nodes[g]) != int(pg_map.group_nodes[g])
-        ]
-        # Every moved group moved *onto* the new node, and exactly the
-        # groups whose rendezvous draw the new node wins moved.
-        for g in moved:
-            assert int(after.group_nodes[g]) == added
-        for g in range(pg_map.num_groups):
-            winner = rendezvous_node(
-                f"g{g}", after.live_nodes, after.node_ids, after.salt
-            )
-            assert (winner == added) == (int(after.group_nodes[g]) == added)
-        # Exact objects never move on an add.
-        assert after.exact_nodes == pg_map.exact_nodes
-
-    def test_remove_then_add_back_is_stable(self, problem):
-        pg_map = plan(problem, "lprr:pg", PG_CONFIG).details
-        victim = pg_map.node_ids[int(pg_map.group_nodes[0])]
-        back = pg_map.remove_node(victim).add_node(victim)
-        assert back.retired == pg_map.retired
-        assert back.node_ids == pg_map.node_ids
-        # The round trip touches only groups the victim hosted or wins
-        # by rendezvous; every other group keeps its planned node.
-        victim_index = pg_map.node_index(victim)
-        for g in range(pg_map.num_groups):
-            winner = rendezvous_node(
-                f"g{g}", back.live_nodes, back.node_ids, back.salt
-            )
-            if (
-                int(pg_map.group_nodes[g]) != victim_index
-                and winner != victim_index
-            ):
-                assert int(back.group_nodes[g]) == int(pg_map.group_nodes[g])
-        assert back.exact_nodes.keys() == pg_map.exact_nodes.keys()
-
-    def test_remove_errors(self, problem):
-        pg_map = plan(problem, "lprr:pg", PG_CONFIG).details
-        with pytest.raises(PlacementError):
-            pg_map.remove_node("no-such-node")
-        victim = pg_map.node_ids[0]
-        with pytest.raises(PlacementError):
-            pg_map.remove_node(victim).remove_node(victim)
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +172,14 @@ class TestAggregation:
         pg_map = result.details
         grouping = build_grouping(problem, 16, important=8)
         fast = expand_assignment(grouping, pg_map)
-        slow = np.array([pg_map.assign(obj) for obj in problem.object_ids])
+        slow = np.array(
+            [
+                pg_map.exact_nodes[obj]
+                if obj in pg_map.exact_nodes
+                else pg_map.group_nodes[pg_group(obj, pg_map.num_groups, pg_map.salt)]
+                for obj in problem.object_ids
+            ]
+        )
         assert np.array_equal(fast, slow)
         assert np.array_equal(result.placement.assignment, fast)
 
@@ -306,98 +226,11 @@ class TestPlannerIntegration:
         with pytest.raises(ValueError):
             PlanScope.exact(top=-1)
 
-    def test_int_scope_normalizes_to_exact(self, problem):
+    def test_int_scope_normalizes_to_exact(self):
         assert PlanConfig(scope=5).scope_spec == PlanScope.exact(5)
         assert PlanConfig().scope_spec == PlanScope.exact()
-        assert PlanConfig(scope=5).scope_limit(problem) == 5
-        assert PlanConfig().scope_limit(problem) is None
-
-
-# ----------------------------------------------------------------------
-# PG-granular migration and repair
-# ----------------------------------------------------------------------
-class TestMigrationAndRepair:
-    def test_zero_budget_moves_nothing(self, problem):
-        grouping = build_grouping(problem, 16, important=8)
-        current = plan(problem, "lprr:pg", PG_CONFIG).details
-        target = plan(
-            problem,
-            "lprr:pg",
-            PlanConfig(scope=PlanScope.pg(groups=16, important=8), seed=9),
-        ).details
-        new_map, migration = select_group_migrations(
-            problem, grouping, current, target, budget_bytes=0.0
-        )
-        assert migration.num_moves == 0
-        for obj in problem.object_ids:
-            assert new_map.assign(obj) == current.assign(obj)
-
-    def test_unbounded_budget_moves_toward_target(self, problem):
-        grouping = build_grouping(problem, 16, important=8)
-        current = plan(problem, "lprr:pg", PG_CONFIG).details
-        target = plan(
-            problem,
-            "lprr:pg",
-            PlanConfig(scope=PlanScope.pg(groups=16, important=8), seed=9),
-        ).details
-        new_map, migration = select_group_migrations(
-            problem, grouping, current, target
-        )
-        # Selection is greedy by nonnegative marginal gain: every
-        # object ends at its current or its target node, never a third
-        # place, and whole groups move together (PG granularity).
-        for obj in problem.object_ids:
-            assert new_map.assign(obj) in (
-                current.assign(obj),
-                target.assign(obj),
-            )
-        if migration.num_moves:
-            assert migration.bytes_moved > 0
-
-    def test_incompatible_maps_rejected(self, problem):
-        grouping = build_grouping(problem, 16, important=8)
-        current = plan(problem, "lprr:pg", PG_CONFIG).details
-        other = plan(
-            problem,
-            "lprr:pg",
-            PlanConfig(scope=PlanScope.pg(groups=8, important=8), seed=3),
-        ).details
-        with pytest.raises(ValueError):
-            select_group_migrations(problem, grouping, current, other)
-
-    def test_repair_moves_only_the_failed_nodes_objects(
-        self, problem, scenario
-    ):
-        _, operations = scenario
-        pg_map = plan(problem, "lprr:pg", PG_CONFIG).details
-        before = pg_map.expand(problem)
-        failed = pg_map.node_ids[int(pg_map.group_nodes[0])]
-        outcome = repair_lost_groups(
-            problem, pg_map, {failed}, operations=operations
-        )
-        lost = set(outcome.lost_objects)
-        assert lost == {
-            obj for obj in problem.object_ids if before.node_of(obj) == failed
-        }
-        for obj in problem.object_ids:
-            if obj in lost:
-                assert outcome.placement.node_of(obj) != failed
-            else:
-                assert outcome.placement.node_of(obj) == before.node_of(obj)
-        assert outcome.failed_nodes == (failed,)
-        assert 0.0 <= outcome.availability_after <= 1.0
-        assert outcome.plan.num_moves == len(lost)
-
-    def test_repair_with_no_failures_is_a_noop(self, problem):
-        pg_map = plan(problem, "lprr:pg", PG_CONFIG).details
-        outcome = repair_lost_groups(problem, pg_map, set())
-        assert outcome.plan.num_moves == 0
-        assert outcome.availability_before == 1.0
-
-    def test_repair_of_unknown_node_raises(self, problem):
-        pg_map = plan(problem, "lprr:pg", PG_CONFIG).details
-        with pytest.raises(PlacementError, match="unknown node"):
-            repair_lost_groups(problem, pg_map, {"ghost"})
+        assert PlanConfig(scope=5).scope_limit() == 5
+        assert PlanConfig().scope_limit() is None
 
 
 # ----------------------------------------------------------------------

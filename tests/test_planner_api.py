@@ -1,7 +1,6 @@
 """Tests for the Planner API."""
 
 import dataclasses
-import json
 
 import pytest
 
@@ -38,8 +37,9 @@ class TestPlanConfig:
 
     def test_fields(self):
         # 2.0 dropped the solver knobs (backend, lp_time_limit,
-        # lp_iteration_limit, decompose, warm_start), 3.0 dropped jobs
-        # and 10.0 the plan cache's two fields; none added any.
+        # lp_iteration_limit, decompose, warm_start), 3.0 dropped jobs,
+        # 10.0 the plan cache's two fields and 11.0 repair, which no
+        # caller set; none added any.
         assert [f.name for f in dataclasses.fields(PlanConfig)] == [
             "scope",
             "seed",
@@ -47,7 +47,6 @@ class TestPlanConfig:
             "capacity_factor",
             "capacity_tolerance",
             "hash_salt",
-            "repair",
             "replicas",
             "topology",
         ]
@@ -109,50 +108,3 @@ class TestPlanResults:
     def test_config_threads_through(self, problem):
         result = plan(problem, "lprr", PlanConfig(seed=0, rounding_trials=3))
         assert result.details.rounding.trials == 3
-
-    def test_to_dict(self, problem):
-        doc = plan(problem, "lprr", PlanConfig(seed=0)).to_dict()
-        assert doc["schema"] == "repro/plan-result/v1"
-        assert doc["planner"] == "lprr"
-        assert len(doc["assignment"]) == problem.num_objects
-        assert doc["objects"] == [str(o) for o in problem.object_ids]
-        assert "details" in doc
-
-
-class TestSerializationUnification:
-    def test_rounding_result_round_trip(self, problem):
-        from repro.core.lp import solve_placement_lp
-        from repro.core.rounding import round_best_of
-
-        result = round_best_of(solve_placement_lp(problem), trials=3, rng=0)
-        doc = json.loads(json.dumps(result.to_dict()))
-        assert doc["schema"] == "repro/rounding-result/v1"
-        assert doc["cost"] == pytest.approx(result.cost)
-        assert tuple(doc["trial_costs"]) == result.trial_costs
-        assert doc["objects"] == [str(o) for o in problem.object_ids]
-        assert doc["assignment"] == result.placement.assignment.tolist()
-
-    def test_lprr_result_round_trip(self, problem):
-        from repro.core.lprr import LPRRPlanner
-
-        result = LPRRPlanner(seed=0).plan(problem)
-        doc = json.loads(json.dumps(result.to_dict()))
-        assert doc["schema"] == "repro/lprr-result/v1"
-        assert tuple(
-            problem.object_ids[i] for i in doc["scope_indices"]
-        ) == result.scope_objects
-        assert doc["lp_lower_bound"] == pytest.approx(result.lp_lower_bound)
-        assert doc["assignment"] == result.placement.assignment.tolist()
-        assert doc["rounding"] == result.rounding.to_dict()
-
-    def test_evaluation_summary_round_trip(self):
-        from repro.search.engine import EvaluationSummary
-
-        summary = EvaluationSummary(
-            queries=10,
-            total_bytes=1234,
-            total_hops=7,
-            local_fraction=0.4,
-            mean_bytes_per_query=123.4,
-        )
-        assert EvaluationSummary.from_dict(summary.to_dict()) == summary

@@ -9,11 +9,10 @@ from repro.core.decompose import correlation_components
 from repro.core.local_search import local_search_placement
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
-from repro.core.replication import (
-    greedy_replicated_placement,
-    hash_replicated_placement,
-)
+from repro.core.replication import greedy_replicated_placement
 from repro.core.spectral import spectral_placement
+
+from tests.helpers import flat_hash
 
 
 @st.composite
@@ -39,8 +38,8 @@ class TestReplicationProperties:
     @settings(max_examples=25, deadline=None)
     @given(problem=problems(), replicas=st.integers(1, 2))
     def test_hash_replication_valid_and_deterministic(self, problem, replicas):
-        a = hash_replicated_placement(problem, replicas)
-        b = hash_replicated_placement(problem, replicas)
+        a = flat_hash(problem, replicas)
+        b = flat_hash(problem, replicas)
         assert np.array_equal(a.assignment, b.assignment)
         assert a.replication_factor == replicas
         # Any-copy cost never exceeds the primary's single-copy cost.
@@ -58,7 +57,7 @@ class TestReplicationProperties:
     @settings(max_examples=25, deadline=None)
     @given(problem=problems())
     def test_replica_loads_sum_to_copies_times_size(self, problem):
-        replicated = hash_replicated_placement(problem, replicas=2)
+        replicated = flat_hash(problem, 2)
         assert replicated.node_loads().sum() == pytest.approx(
             2 * problem.total_size
         )

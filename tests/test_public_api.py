@@ -34,7 +34,7 @@ class TestExports:
     def test_top_level_version(self):
         import repro
 
-        assert repro.__version__ == "10.0.0"
+        assert repro.__version__ == "11.0.0"
 
     def test_core_reexports_through_top_level(self):
         import repro

@@ -53,10 +53,6 @@ class TestFaultEvents:
         with pytest.raises(ValueError, match="nonnegative"):
             FaultEvent(-1, "crash", (0,))
 
-    def test_round_trip(self):
-        event = FaultEvent(3, "partition", (0, 2))
-        assert FaultEvent.from_dict(event.to_dict()) == event
-
 
 class TestFaultSchedule:
     def test_random_is_deterministic(self):
@@ -105,10 +101,6 @@ class TestFaultSchedule:
         epochs = list(schedule.epochs(10))
         assert len(epochs) == 1
         assert epochs[0].view.healthy
-
-    def test_schedule_round_trip(self):
-        schedule = FaultSchedule.random(4, 30, seed=2, events=5)
-        assert FaultSchedule.from_dict(schedule.to_dict()).events == schedule.events
 
     def test_fault_state_counts_events(self):
         inst = obs.enable(obs.Instrumentation())
@@ -503,16 +495,10 @@ class TestDomainFaults:
         a = FaultSchedule.random_domains(topo, 60, seed=11, events=8)
         b = FaultSchedule.random_domains(topo, 60, seed=11, events=8)
         assert a.to_dict() == b.to_dict()
+        assert any(e.domain for e in a.events)
         max_down = topo.num_nodes // 2
         for epoch in a.epochs(60):
             assert len(epoch.view.down) <= max_down
-
-    def test_random_domains_round_trips_through_json(self):
-        topo = self._topology()
-        schedule = FaultSchedule.random_domains(topo, 60, seed=4, events=6)
-        clone = FaultSchedule.from_dict(schedule.to_dict())
-        assert clone.to_dict() == schedule.to_dict()
-        assert any(e.domain for e in schedule.events)
 
 
 class TestReReplicate:
