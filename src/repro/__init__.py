@@ -20,7 +20,6 @@ Quick start::
 """
 
 from repro.core import (
-    CorrelationEstimator,
     ExactSolution,
     FractionalPlacement,
     LPRRPlanner,
@@ -39,7 +38,6 @@ from repro.core import (
     ResourceSpec,
     RoundingResult,
     available_planners,
-    best_fit_decreasing_placement,
     build_placement_lp,
     cooccurrence_correlations,
     get_planner,
@@ -56,7 +54,6 @@ from repro.core import (
     repair_capacity,
     round_best_of,
     round_fractional,
-    round_robin_placement,
     scoped_placement,
     select_migrations,
     solve_exact,
@@ -78,10 +75,9 @@ from repro.exceptions import (
     TraceFormatError,
 )
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 __all__ = [
-    "CorrelationEstimator",
     "ExactSolution",
     "FractionalPlacement",
     "InfeasibleProblemError",
@@ -109,7 +105,6 @@ __all__ = [
     "Topology",
     "TraceFormatError",
     "available_planners",
-    "best_fit_decreasing_placement",
     "build_placement_lp",
     "cooccurrence_correlations",
     "get_planner",
@@ -127,7 +122,6 @@ __all__ = [
     "repair_capacity",
     "round_best_of",
     "round_fractional",
-    "round_robin_placement",
     "scoped_placement",
     "select_migrations",
     "solve_exact",

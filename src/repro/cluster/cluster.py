@@ -53,14 +53,13 @@ class Cluster:
     Args:
         placement: Object placement to materialize; node capacities
             come from the placement's problem.
-        enforce_capacity: Forwarded to :class:`StorageNode`.
     """
 
-    def __init__(self, placement: Placement, enforce_capacity: bool = False):
+    def __init__(self, placement: Placement):
         problem = placement.problem
         self.placement = placement
         self.nodes: dict[NodeId, StorageNode] = {
-            node_id: StorageNode(node_id, float(cap), enforce_capacity)
+            node_id: StorageNode(node_id, float(cap))
             for node_id, cap in zip(problem.node_ids, problem.capacities)
         }
         self.network = NetworkModel(list(problem.node_ids))

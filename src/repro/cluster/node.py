@@ -12,25 +12,20 @@ ObjectId = Hashable
 class StorageNode:
     """One node: bounded space holding named objects.
 
+    A store past the capacity is recorded, not refused (the paper
+    tolerates slight overruns under conservative capacities); see
+    :attr:`is_overloaded`.
+
     Args:
         node_id: Identifier within the cluster.
         capacity: Space capacity (same unit as object sizes).
-        enforce_capacity: When True, :meth:`store` raises on overflow;
-            when False it records the overflow (the paper tolerates
-            slight overruns under conservative capacities).
     """
 
-    def __init__(
-        self,
-        node_id: Hashable,
-        capacity: float = float("inf"),
-        enforce_capacity: bool = False,
-    ):
+    def __init__(self, node_id: Hashable, capacity: float = float("inf")):
         if capacity < 0:
             raise ValueError("capacity must be nonnegative")
         self.node_id = node_id
         self.capacity = capacity
-        self.enforce_capacity = enforce_capacity
         self._objects: dict[ObjectId, float] = {}
 
     @property
@@ -52,16 +47,10 @@ class StorageNode:
         """Store an object of the given size.
 
         Raises:
-            PlacementError: On duplicate store, or on overflow when
-                capacity enforcement is on.
+            PlacementError: On duplicate store.
         """
         if obj in self._objects:
             raise PlacementError(f"object {obj!r} already on node {self.node_id!r}")
-        if self.enforce_capacity and self.used + size > self.capacity + 1e-9:
-            raise PlacementError(
-                f"node {self.node_id!r} cannot fit object {obj!r} "
-                f"({size} > free {self.free})"
-            )
         self._objects[obj] = float(size)
 
     def evict(self, obj: ObjectId) -> float:

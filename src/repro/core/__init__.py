@@ -11,7 +11,6 @@ NP-hardness reduction from minimum multiway cut is executable in
 """
 
 from repro.core.correlation import (
-    CorrelationEstimator,
     cooccurrence_correlations,
     two_smallest_correlations,
     union_largest_correlations,
@@ -54,22 +53,18 @@ from repro.core.rounding import (
     round_best_of,
     round_fractional,
 )
-from repro.core.spectral import spectral_placement
 from repro.core.strategies import (
     PlanConfig,
     Planner,
     PlanResult,
     PlanScope,
     available_planners,
-    best_fit_decreasing_placement,
     get_planner,
     plan,
     register_planner,
-    round_robin_placement,
 )
 
 __all__ = [
-    "CorrelationEstimator",
     "ExactSolution",
     "FractionalPlacement",
     "LPRRPlanner",
@@ -88,7 +83,6 @@ __all__ = [
     "ReplicatedPlacement",
     "ResourceSpec",
     "available_planners",
-    "best_fit_decreasing_placement",
     "component_groups",
     "correlation_components",
     "build_placement_lp",
@@ -110,14 +104,12 @@ __all__ = [
     "replicate_hash",
     "round_best_of",
     "round_fractional",
-    "round_robin_placement",
     "scoped_placement",
     "select_migrations",
     "RoundingResult",
     "UnionFind",
     "solve_exact",
     "solve_placement_lp",
-    "spectral_placement",
     "spread_replicated_placement",
     "spread_violations",
     "top_important",

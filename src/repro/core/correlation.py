@@ -27,12 +27,10 @@ path ran.
 
 The three ``*_correlations`` functions sum the pairs into a dict
 mapping canonical id pairs to empirical probabilities (pair count /
-number of operations counted).  The :class:`PairEstimator` protocol is
-the incremental surface, shared by the exact
-:class:`CorrelationEstimator` here and the memory-bounded sketch
-backend in :mod:`repro.online.sketch`; both ingest the trace's pair
-stream through :meth:`~PairEstimator.observe_trace`.  The reduction of
-a single operation is exposed as :func:`operation_pairs`.
+number of operations counted).  The incremental, memory-bounded
+estimator of :mod:`repro.online.sketch` ingests the same trace's pair
+stream through :func:`_trace_pairs`.  The reduction of a single
+operation is exposed as :func:`operation_pairs`.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from itertools import chain, compress
-from typing import Hashable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +46,9 @@ ObjectId = Hashable
 Operation = Sequence[ObjectId]
 Pair = tuple[ObjectId, ObjectId]
 PairProbabilities = dict[tuple[ObjectId, ObjectId], float]
+
+# The Section 3.2 pair-reduction modes.
+MODES = ("cooccurrence", "two_smallest", "union_largest")
 
 
 def _canonical(a: ObjectId, b: ObjectId) -> tuple[ObjectId, ObjectId]:
@@ -87,7 +88,7 @@ def operation_pairs(
     Args:
         operation: One operation as an iterable of object ids
             (duplicates ignored).
-        mode: One of :attr:`CorrelationEstimator.MODES`.
+        mode: One of :data:`MODES`.
         sizes: Object sizes; required for the size-aware modes, where
             objects missing from the mapping are ignored.
 
@@ -100,10 +101,8 @@ def operation_pairs(
 
 def _check_mode(mode: str, sizes: Mapping[ObjectId, float] | None) -> None:
     """Reject an unknown mode, or a size-aware one without sizes."""
-    if mode not in CorrelationEstimator.MODES:
-        raise ValueError(
-            f"unknown mode {mode!r}; expected one of {CorrelationEstimator.MODES}"
-        )
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode != "cooccurrence" and sizes is None:
         raise ValueError(f"mode {mode!r} requires object sizes")
 
@@ -322,7 +321,7 @@ def _trace_pairs(
     """The trace's :func:`operation_pairs` stream, and its operation count.
 
     Every pair of every operation, duplicates kept, in trace order: the
-    one ingest of both :class:`PairEstimator` backends.
+    ingest of :class:`~repro.online.sketch.SketchCorrelationEstimator`.
     """
     operations, mined = _mine_trace(trace, mode, sizes)
     if mined is None:
@@ -419,31 +418,6 @@ def union_largest_correlations(
     return _count_pairs(trace, "union_largest", sizes, min_support)
 
 
-@runtime_checkable
-class PairEstimator(Protocol):
-    """Anything that estimates pair correlations from an operation stream.
-
-    Implemented exactly by :class:`CorrelationEstimator` and in bounded
-    memory by
-    :class:`~repro.online.sketch.SketchCorrelationEstimator`; the
-    online controller accepts either, and feeds it one
-    :meth:`observe_trace` batch per period.
-    """
-
-    @property
-    def num_operations(self) -> int: ...
-
-    def observe(self, operation: Operation) -> None: ...
-
-    def observe_trace(self, trace: Iterable[Operation]) -> int: ...
-
-    def correlations(self, min_support: int = 1) -> PairProbabilities: ...
-
-    def top_pairs(self, k: int) -> list[tuple[Pair, float]]: ...
-
-    def decay(self, factor: float) -> None: ...
-
-
 def _add_ones(total: float, n: int) -> float:
     """``total`` after ``n`` sequential ``total += 1.0`` steps, bit for bit.
 
@@ -456,86 +430,3 @@ def _add_ones(total: float, n: int) -> float:
     for _ in range(n):
         total += 1.0
     return total
-
-
-class CorrelationEstimator:
-    """Incremental pair-correlation estimation over a stream of operations.
-
-    Useful when the trace does not fit in memory or arrives online.
-    The estimation mode mirrors the module-level functions.  Memory
-    grows with the number of *distinct* pairs; for a bounded-memory
-    backend with the same :class:`PairEstimator` surface see
-    :class:`~repro.online.sketch.SketchCorrelationEstimator`.
-
-    Example:
-        >>> est = CorrelationEstimator(mode="cooccurrence")
-        >>> est.observe_trace([["a", "b"], ["a", "b", "c"]])
-        2
-        >>> est.correlations()[("a", "b")]
-        1.0
-    """
-
-    MODES = ("cooccurrence", "two_smallest", "union_largest")
-
-    def __init__(
-        self,
-        mode: str = "cooccurrence",
-        sizes: Mapping[ObjectId, float] | None = None,
-    ):
-        _check_mode(mode, sizes)
-        self.mode = mode
-        self.sizes = sizes
-        self._counts: Counter = Counter()
-        self._total = 0.0
-
-    @property
-    def num_operations(self) -> int:
-        """Operations observed so far (discounted after :meth:`decay`)."""
-        return int(self._total)
-
-    def observe(self, operation: Operation) -> None:
-        """Fold one operation into the estimate (a one-operation trace)."""
-        self.observe_trace((operation,))
-
-    def observe_trace(self, trace: Iterable[Operation]) -> int:
-        """Fold a trace into the estimate in one pass; returns ops ingested.
-
-        Pairs enter the counter in :func:`operation_pairs` stream order,
-        so dict insertion order is that of one ``Counter.update`` per
-        operation, and the total grows by one ``+= 1`` per operation.
-        """
-        pairs, ops = _trace_pairs(trace, self.mode, self.sizes)
-        self._counts.update(pairs)
-        self._total = _add_ones(self._total, ops)
-        return ops
-
-    def decay(self, factor: float) -> None:
-        """Exponentially age the history: scale every count by ``factor``.
-
-        Probabilities (count / total) are unchanged by a decay, but the
-        *support* of old pairs shrinks, so correlations that stop being
-        observed fade below ``min_support`` and eventually vanish.
-
-        Args:
-            factor: Multiplier in ``[0, 1]``; 1 is a no-op, 0 forgets
-                everything.
-        """
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError("decay factor must be in [0, 1]")
-        if factor == 1.0:
-            return
-        self._total *= factor
-        if factor == 0.0:
-            self._counts.clear()
-            return
-        for pair in self._counts:
-            self._counts[pair] *= factor
-
-    def correlations(self, min_support: int = 1) -> PairProbabilities:
-        """Current pair-probability estimates."""
-        return _finalize(self._counts, self._total, min_support)
-
-    def top_pairs(self, k: int) -> list[tuple[tuple[ObjectId, ObjectId], float]]:
-        """The ``k`` most correlated pairs, descending."""
-        probs = self.correlations()
-        return sorted(probs.items(), key=lambda item: (-item[1], repr(item[0])))[:k]

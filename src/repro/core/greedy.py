@@ -16,40 +16,22 @@ import numpy as np
 
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
-from repro.exceptions import InfeasibleProblemError
 
 
-def greedy_placement(
-    problem: PlacementProblem,
-    by_weight: bool = False,
-    strict_capacity: bool = False,
-    node_choice: str = "first_fit",
-) -> Placement:
+def greedy_placement(problem: PlacementProblem) -> Placement:
     """Greedily co-locate the most correlated pairs.
 
-    Args:
-        problem: The CCA instance.
-        by_weight: Order pairs by objective weight ``r * w`` instead of
-            raw correlation ``r`` (the paper orders by correlation; the
-            weight ordering is offered for ablations).
-        strict_capacity: When True, raise
-            :class:`InfeasibleProblemError` if the best-fit completion
-            cannot respect capacities; when False (default), overflow
-            objects go to the least-loaded node, mirroring the paper's
-            tolerance of slight capacity overruns.
-        node_choice: Where a fresh (both-unplaced) pair goes:
-            ``"first_fit"`` (default) takes the lowest-indexed node
-            with room — the paper's heuristic places the pair "as long
-            as the node capacity permits it", with no placement
-            optimization; ``"most_free"`` is an enhanced variant that
-            keeps space available for later group extensions and is
-            used as an ablation baseline.
+    Pairs are examined in descending order of correlation ``r``; a
+    fresh (both-unplaced) pair goes to the lowest-indexed node with
+    room for both, as the paper's heuristic places the pair "as long
+    as the node capacity permits it", with no placement optimization.
+    Objects left over are placed best-fit-decreasing, and an object
+    that fits nowhere goes to the freest node, mirroring the paper's
+    tolerance of slight capacity overruns.
 
     Returns:
         A total placement.
     """
-    if node_choice not in ("first_fit", "most_free"):
-        raise ValueError(f"unknown node_choice {node_choice!r}")
     t, n = problem.num_objects, problem.num_nodes
     assignment = -np.ones(t, dtype=np.int64)
     free = problem.capacities.astype(float).copy()
@@ -72,9 +54,11 @@ def greedy_placement(
         for rf, loads in zip(resource_free, resource_loads):
             rf[k] -= loads[obj]
 
-    keys = problem.pair_weights if by_weight else problem.correlations
-    # Stable deterministic order: descending key, then pair index order.
-    order = np.lexsort((problem.pair_index[:, 1], problem.pair_index[:, 0], -keys))
+    # Stable deterministic order: descending correlation, then pair
+    # index order.
+    order = np.lexsort(
+        (problem.pair_index[:, 1], problem.pair_index[:, 0], -problem.correlations)
+    )
 
     for p in order:
         i, j = problem.pair_index[p]
@@ -98,20 +82,13 @@ def greedy_placement(
                 for rf, loads in zip(resource_free, resource_loads)
             )
 
-        if node_choice == "most_free":
-            k = int(np.argmax(free))
-            if not pair_fits(k):
-                continue
-        else:  # first_fit
-            k = next((c for c in range(n) if pair_fits(c)), -1)
-            if k < 0:
-                continue
+        k = next((c for c in range(n) if pair_fits(c)), -1)
+        if k < 0:
+            continue
         commit(int(i), k)
         commit(int(j), k)
 
-    _complete_best_fit(
-        problem, assignment, free, strict_capacity, resource_free
-    )
+    _complete_best_fit(problem, assignment, free, resource_free)
     return Placement(problem, assignment)
 
 
@@ -119,14 +96,12 @@ def _complete_best_fit(
     problem: PlacementProblem,
     assignment: np.ndarray,
     free: np.ndarray,
-    strict_capacity: bool,
-    resource_free: list[np.ndarray] | None = None,
+    resource_free: list[np.ndarray],
 ) -> None:
     """Place leftover objects best-fit-decreasing, in place."""
     remaining = np.where(assignment < 0)[0]
     if remaining.size == 0:
         return
-    resource_free = resource_free or []
     resource_loads = [spec.loads for spec in problem.resources]
     for i in sorted(remaining, key=lambda i: -problem.sizes[i]):
         feasible = free >= problem.sizes[i]
@@ -136,10 +111,6 @@ def _complete_best_fit(
         if candidates.size:
             # Best fit: the feasible node with least leftover space.
             k = int(candidates[np.argmin(free[candidates])])
-        elif strict_capacity:
-            raise InfeasibleProblemError(
-                f"greedy completion cannot fit object {problem.object_ids[i]!r}"
-            )
         else:
             k = int(np.argmax(free))
         assignment[i] = k

@@ -22,8 +22,9 @@ def hash_node(obj: Hashable, num_nodes: int, salt: str = "") -> int:
     Args:
         obj: Object id; hashed via ``repr`` for non-string ids.
         num_nodes: Number of nodes (``n >= 1``).
-        salt: Optional salt, giving independent hash placements for
-            repeated randomized trials.
+        salt: Prefix of the hashed text; replicated hashing gives
+            each replica its own (see
+            :func:`~repro.core.replication.replicate_hash`).
 
     Returns:
         An integer in ``[0, num_nodes)``.
@@ -35,7 +36,7 @@ def hash_node(obj: Hashable, num_nodes: int, salt: str = "") -> int:
     return int.from_bytes(digest, "big") % num_nodes
 
 
-def random_hash_placement(problem: PlacementProblem, salt: str = "") -> Placement:
+def random_hash_placement(problem: PlacementProblem) -> Placement:
     """Place every object by MD5-mod-n hashing (correlation-oblivious).
 
     Note that hash placement ignores capacities entirely; with enough
@@ -44,7 +45,7 @@ def random_hash_placement(problem: PlacementProblem, salt: str = "") -> Placemen
     """
     n = problem.num_nodes
     assignment = np.fromiter(
-        (hash_node(obj, n, salt) for obj in problem.object_ids),
+        (hash_node(obj, n) for obj in problem.object_ids),
         dtype=np.int64,
         count=problem.num_objects,
     )

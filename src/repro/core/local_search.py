@@ -4,7 +4,7 @@ The related-work section notes that task-assignment problems "typically
 have heuristic solutions that focus on online efficiency".  This module
 provides that family's standard representative as a further baseline:
 steepest-descent local search over single-object moves and pair swaps,
-starting from any placement, under strict capacity feasibility.
+starting from the greedy placement, under strict capacity feasibility.
 
 It is stronger than the greedy pass (it can undo early mistakes) but
 has no optimality guarantee; the ablation benches use it to triangulate
@@ -19,42 +19,33 @@ from repro.core.greedy import greedy_placement
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 
+# Upper bound on improvement sweeps.
+_MAX_PASSES = 20
+
 
 def local_search_placement(
     problem: PlacementProblem,
-    start: Placement | None = None,
-    max_passes: int = 20,
-    allow_swaps: bool = True,
     rng: np.random.Generator | int | None = 0,
 ) -> Placement:
-    """Improve a placement by moves and swaps until a local optimum.
+    """Improve the greedy placement by moves and swaps to a local optimum.
 
     Each pass visits objects in random order; for each object the best
-    capacity-feasible relocation (and optionally the best swap with an
-    object on another node) is applied when it strictly lowers the
-    cost.  Terminates at a local optimum or after ``max_passes``.
+    capacity-feasible relocation, else the best swap with an object on
+    another node, is applied when it strictly lowers the cost.
+    Terminates at a local optimum or after ``_MAX_PASSES`` passes.
 
     Args:
         problem: The CCA instance (capacities enforced strictly for
-            moves; an infeasible start keeps its overloads unless moves
-            fix them).
-        start: Starting placement; defaults to the greedy heuristic.
-        max_passes: Upper bound on improvement sweeps.
-        allow_swaps: Also consider exchanging two objects across nodes
-            (escapes capacity-locked local optima that moves cannot).
+            moves; an infeasible greedy start keeps its overloads unless
+            moves fix them).
         rng: Seed for the visit order.
 
     Returns:
-        A placement at least as cheap as the start.
+        A placement at least as cheap as the greedy heuristic's.
     """
-    if max_passes < 0:
-        raise ValueError("max_passes must be nonnegative")
     rng = np.random.default_rng(rng)
-    if start is None:
-        start = greedy_placement(problem)
-
     t, n = problem.num_objects, problem.num_nodes
-    assignment = start.assignment.copy()
+    assignment = greedy_placement(problem).assignment.copy()
     loads = np.bincount(assignment, weights=problem.sizes, minlength=n).astype(float)
     caps = problem.capacities
 
@@ -76,7 +67,7 @@ def local_search_placement(
         src = assignment[obj]
         return weights[dst] - (weights[src] if dst != src else weights[src])
 
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         improved = False
         for obj in rng.permutation(t):
             obj = int(obj)
@@ -98,8 +89,6 @@ def local_search_placement(
                 improved = True
                 continue
 
-            if not allow_swaps:
-                continue
             # Best swap with an object elsewhere (sizes exchange).
             best_partner, best_gain = -1, 1e-12
             for partner in _swap_candidates(adjacency, assignment, obj):

@@ -122,11 +122,9 @@ def pack_components(problem: PlacementProblem) -> FractionalPlacement:
         InfeasibleProblemError: If a total demand exceeds its total
             capacity (no fractional placement fits).
     """
-    if problem.is_trivially_infeasible():
-        raise InfeasibleProblemError(
-            f"total object size {problem.total_size:.6g} exceeds "
-            f"total capacity {problem.total_capacity:.6g}"
-        )
+    overrun = problem.capacity_overrun()
+    if overrun is not None:
+        raise InfeasibleProblemError(overrun)
     t, n = problem.num_objects, problem.num_nodes
     with obs.timed("lp.pack", objects=t, nodes=n) as span:
         groups = component_groups(problem)
@@ -286,11 +284,9 @@ def solve_placement_lp(problem: PlacementProblem) -> FractionalPlacement:
     """
     from scipy.optimize import OptimizeResult, linprog
 
-    if problem.is_trivially_infeasible():
-        raise InfeasibleProblemError(
-            f"total object size {problem.total_size:.6g} exceeds "
-            f"total capacity {problem.total_capacity:.6g}"
-        )
+    overrun = problem.capacity_overrun()
+    if overrun is not None:
+        raise InfeasibleProblemError(overrun)
     t, n = problem.num_objects, problem.num_nodes
     with obs.span("lp", objects=t, nodes=n):
         with obs.span("lp.build"):

@@ -92,7 +92,6 @@ class LPRRPlanner:
             trial feasible (Theorem 3 only bounds the *expected* load);
             must be finite and nonnegative.
         seed: Seed for the rounding randomness.
-        hash_salt: Salt for the out-of-scope hash placement.
 
     Example:
         >>> import numpy as np
@@ -113,7 +112,6 @@ class LPRRPlanner:
         rounding_trials: int = 10,
         capacity_tolerance: float = 0.05,
         seed: int | None = None,
-        hash_salt: str = "",
     ):
         if scope is not None and scope < 1:
             raise ValueError("scope must be positive (or None for full scope)")
@@ -129,7 +127,6 @@ class LPRRPlanner:
         self.rounding_trials = rounding_trials
         self.capacity_tolerance = capacity_tolerance
         self.seed = seed
-        self.hash_salt = hash_salt
 
     def plan(self, problem: PlacementProblem) -> LPRRResult:
         """Compute a correlation-aware placement for ``problem``."""
@@ -145,7 +142,7 @@ class LPRRPlanner:
             with obs.span("lprr.scope"):
                 scoped, rest = split_scope(problem, scope)
             with obs.span("lprr.hash", out_of_scope=len(rest)):
-                assignment = hash_rest(problem, rest, self.hash_salt)
+                assignment = hash_rest(problem, rest)
 
             capacities = self._effective_capacities(problem, scoped)
             subproblem = scoped_subproblem(problem, scoped, capacities)

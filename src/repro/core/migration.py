@@ -125,7 +125,6 @@ def select_migrations(
     current: Placement,
     target: Placement,
     budget_bytes: float | None = None,
-    respect_capacity: bool = True,
 ) -> MigrationPlan:
     """The most profitable budget-respecting subset of a full plan.
 
@@ -133,16 +132,14 @@ def select_migrations(
     communication saving per byte moved, re-evaluated after every move
     (moving one member of a pair changes the gain of moving the other).
     Selection stops when the budget is exhausted or no remaining move
-    helps.
+    helps.  A move whose destination lacks space at that point of the
+    plan is skipped, and retried as space frees up.
 
     Args:
         current: Where objects are now.
         target: Where the (re-)optimizer wants them.
         budget_bytes: Maximum total migration traffic; None = unlimited
             (but still only moves with nonnegative marginal gain).
-        respect_capacity: Skip moves whose destination lacks space at
-            that point of the plan (deferred moves retry as space frees
-            up).
 
     Returns:
         A :class:`MigrationPlan` evaluated under ``target.problem``.
@@ -162,7 +159,7 @@ def select_migrations(
         current.assignment, weights=problem.sizes, minlength=problem.num_nodes
     ).tolist()
     limits = (problem.capacities + 1e-9).tolist()
-    bounded = [respect_capacity and math.isfinite(c) for c in problem.capacities.tolist()]
+    bounded = [math.isfinite(c) for c in problem.capacities.tolist()]
     budget_limit = None if budget_bytes is None else budget_bytes + 1e-9
 
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(problem.num_objects)]

@@ -35,16 +35,14 @@ def split_scope(
     return order[:scope], order[scope:]
 
 
-def hash_rest(
-    problem: PlacementProblem, rest: np.ndarray, hash_salt: str
-) -> np.ndarray:
+def hash_rest(problem: PlacementProblem, rest: np.ndarray) -> np.ndarray:
     """An assignment array with the ``rest`` objects MD5-hashed.
 
     Entries of objects outside ``rest`` are left for the caller to fill.
     """
     assignment = np.empty(problem.num_objects, dtype=np.int64)
     ids, n = problem.object_ids, problem.num_nodes
-    assignment[rest] = [hash_node(ids[i], n, hash_salt) for i in rest.tolist()]
+    assignment[rest] = [hash_node(ids[i], n) for i in rest.tolist()]
     return assignment
 
 
@@ -79,7 +77,6 @@ def scoped_placement(
     scope: int | None,
     place_subproblem: Callable[[PlacementProblem], Placement],
     capacity_factor: float | None = 2.0,
-    hash_salt: str = "",
 ) -> Placement:
     """Optimize the top-``scope`` objects with a strategy, hash the rest.
 
@@ -92,7 +89,6 @@ def scoped_placement(
         capacity_factor: Conservative per-node capacity for the
             subproblem, as a multiple of the scoped objects' average
             per-node load; ``None`` keeps the problem's capacities.
-        hash_salt: Salt for the out-of-scope hash placement.
 
     Returns:
         A total placement over the full problem.
@@ -101,7 +97,7 @@ def scoped_placement(
         raise ValueError("scope must be nonnegative (or None)")
     scope = problem.num_objects if scope is None else min(scope, problem.num_objects)
     scoped, rest = split_scope(problem, scope)
-    assignment = hash_rest(problem, rest, hash_salt)
+    assignment = hash_rest(problem, rest)
     if scoped.size:
         capacities = scoped_capacities(problem, scoped, capacity_factor)
         subproblem = scoped_subproblem(problem, scoped, capacities)

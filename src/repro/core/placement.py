@@ -138,12 +138,12 @@ class Placement:
                 }
         return result
 
-    def is_feasible(self, tolerance: float = 0.0, include_resources: bool = True) -> bool:
-        """Whether constraint (2) — and, by default, every Section 3.3
-        resource budget — holds up to a relative tolerance."""
+    def is_feasible(self, tolerance: float = 0.0) -> bool:
+        """Whether constraint (2) and every Section 3.3 resource budget
+        hold up to a relative tolerance."""
         if self.capacity_violations(tolerance):
             return False
-        return not (include_resources and self.resource_violations(tolerance))
+        return not self.resource_violations(tolerance)
 
     def load_imbalance(self) -> float:
         """Max node load divided by mean node load (1.0 = perfectly even)."""

@@ -305,9 +305,27 @@ class PlacementProblem:
 
     def is_trivially_infeasible(self) -> bool:
         """True when any total demand exceeds its total capacity."""
+        return self.capacity_overrun() is not None
+
+    def capacity_overrun(self) -> str | None:
+        """Why no placement can fit, or ``None`` when every total fits.
+
+        Names the first dimension whose total demand exceeds its total
+        capacity, bytes first and then each Section 3.3 resource in
+        order, with its demand and capacity.
+        """
         if self.total_size > self.total_capacity + 1e-9:
-            return True
-        return any(spec.is_trivially_infeasible() for spec in self.resources)
+            return (
+                f"total object size {self.total_size:.6g} exceeds "
+                f"total capacity {self.total_capacity:.6g}"
+            )
+        for spec in self.resources:
+            if spec.is_trivially_infeasible():
+                return (
+                    f"total {spec.name!r} load {spec.total_load:.6g} exceeds "
+                    f"total {spec.name!r} budget {spec.total_budget:.6g}"
+                )
+        return None
 
     def resource(self, name: str) -> ResourceSpec:
         """Look up a resource spec by name."""

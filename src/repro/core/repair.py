@@ -37,19 +37,14 @@ from repro.core.placement import Placement, check_tolerance
 from repro.exceptions import InfeasibleProblemError
 
 
-def repair_capacity(
-    placement: Placement,
-    capacities: np.ndarray | None = None,
-    tolerance: float = 0.0,
-) -> Placement:
+def repair_capacity(placement: Placement, tolerance: float = 0.0) -> Placement:
     """Return a placement whose node loads respect the capacities and
     every Section 3.3 resource budget.
 
     Args:
-        placement: The (possibly overloaded) placement to repair.
-        capacities: Capacity vector to enforce, one entry per node;
-            defaults to the problem's own capacities.  Infinite entries
-            are never considered overloaded.
+        placement: The (possibly overloaded) placement to repair,
+            against its problem's capacities; infinite capacities are
+            never overloaded.
         tolerance: Relative slack — loads up to
             ``capacity * (1 + tolerance)`` are acceptable.
 
@@ -58,8 +53,7 @@ def repair_capacity(
         new repaired placement.
 
     Raises:
-        ValueError: If ``tolerance`` is NaN or infinite, or the
-            capacities are not one value per node or contain NaN.
+        ValueError: If ``tolerance`` is NaN or infinite.
         InfeasibleProblemError: If the objects cannot fit even in
             principle (total size exceeds total allowed load, or an
             object is larger than every node's allowance), or no
@@ -67,14 +61,7 @@ def repair_capacity(
     """
     problem = placement.problem
     check_tolerance(tolerance)
-    caps = problem.capacities if capacities is None else np.asarray(capacities, float)
-    if caps.shape != (problem.num_nodes,):
-        raise ValueError(
-            f"capacities have shape {caps.shape}, expected ({problem.num_nodes},)"
-        )
-    if np.isnan(caps).any():
-        raise ValueError("capacities contain NaN")
-    limits = caps * (1.0 + tolerance)
+    limits = problem.capacities * (1.0 + tolerance)
 
     assignment = placement.assignment.copy()
     loads = np.bincount(assignment, weights=problem.sizes, minlength=problem.num_nodes)

@@ -205,11 +205,10 @@ def replicate_hash(
     problem: PlacementProblem,
     topology: "Topology",
     replicas: int = 2,
-    salt: str = "",
 ) -> ReplicatedPlacement:
     """Domain-aware hash baseline: each copy in a fresh failure domain.
 
-    Replica ``r`` hashes with salt ``salt + str(r)`` and probes forward
+    Replica ``r`` hashes with salt ``str(r)`` and probes forward
     (ring order) until it lands on a node whose spread-level domain
     holds no earlier copy of the object.  Correlation-oblivious but
     spread-correct — the fair baseline for ``lprr:rep``.
@@ -218,7 +217,6 @@ def replicate_hash(
         problem: The CCA instance.
         topology: Failure-domain membership of the node indices.
         replicas: Copies per object.
-        salt: Extra salt mixed into every replica's hash.
     """
     _check_replicas(problem, replicas, topology)
     n = problem.num_nodes
@@ -229,7 +227,7 @@ def replicate_hash(
         chosen: list[int] = []
         used_domains: set[int] = set()
         for r in range(replicas):
-            k = hash_node(obj, n, salt=f"{salt}{r}")
+            k = hash_node(obj, n, salt=str(r))
             while int(ids[k]) in used_domains or k in chosen:
                 k = (k + 1) % n
             chosen.append(k)
@@ -313,7 +311,6 @@ def spread_replicated_placement(
     topology: "Topology",
     replicas: int = 2,
     primary_strategy: Callable[[PlacementProblem], Placement] | None = None,
-    spread: str | None = None,
 ) -> ReplicatedPlacement:
     """Correlation-aware replication under hard domain-spread constraints.
 
@@ -322,8 +319,8 @@ def spread_replicated_placement(
     and places the new copy on a node in a *fresh* failure domain —
     one holding no earlier copy of the object — preferring, among
     feasible fresh-domain nodes, the one covering the most still-split
-    pair weight, then the least-loaded.  The spread level defaults to
-    the widest the topology can hold for ``replicas`` copies
+    pair weight, then the least-loaded.  The spread level is the
+    widest the topology can hold for ``replicas`` copies
     (:meth:`Topology.spread_level`), so the constraint is always
     satisfiable and the result validates clean.
 
@@ -332,22 +329,14 @@ def spread_replicated_placement(
         topology: Failure-domain membership of the node indices.
         replicas: Total copies per object (``>= 1``).
         primary_strategy: Strategy for the first copy.
-        spread: Override the spread level (``"zone"``/``"rack"``/
-            ``"node"``); must have at least ``replicas`` domains.
 
     Returns:
         A spread-valid :class:`ReplicatedPlacement` (feasible when
         capacity allows; spread is the hard constraint).
     """
     _check_replicas(problem, replicas, topology)
-    spread = spread or topology.spread_level(replicas)
+    spread = topology.spread_level(replicas)
     ids = topology.domain_ids(spread)
-    num_domains = int(np.unique(ids).size)
-    if num_domains < replicas:
-        raise ReplicationError(
-            f"cannot spread {replicas} copies across {num_domains} "
-            f"{spread} domains"
-        )
     primary_strategy = primary_strategy or greedy_placement
     primary = primary_strategy(problem)
 
@@ -377,7 +366,8 @@ def spread_replicated_placement(
                 [k for k in range(n) if int(ids[k]) not in used[i]],
                 dtype=np.int64,
             )
-            # num_domains >= replicas guarantees a fresh domain exists.
+            # The spread level has at least ``replicas`` domains, so a
+            # fresh one exists.
             feasible = fresh[
                 problem.capacities[fresh] - loads[fresh] >= size
             ]

@@ -12,10 +12,10 @@ unified planning surface:
 * :class:`Planner` — the protocol every planner satisfies:
   ``planner(problem, *, config) -> PlanResult``.
 
-Besides the paper's three strategies (random hashing, greedy, LPRR),
-two classic correlation-oblivious controls are registered — round-robin
-and best-fit-decreasing — so experiments can separate "correlation
-awareness" from mere "load balancing".
+The registry holds the paper's three strategies (random hashing,
+greedy, LPRR), the streaming greedy tier that serving hot-swaps with,
+LPRR at placement-group granularity, the replica-aware planners and the
+``resilient`` fallback chain.
 """
 
 from __future__ import annotations
@@ -24,15 +24,12 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Protocol
 
-import numpy as np
-
 from repro import obs
 from repro.core.greedy import greedy_placement
 from repro.core.hashing import random_hash_placement
 from repro.core.partial import scoped_placement
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
-from repro.exceptions import InfeasibleProblemError
 
 
 # ----------------------------------------------------------------------
@@ -105,9 +102,8 @@ class PlanConfig:
 
     The defaults reproduce the paper's evaluation setup (conservative
     2x-average capacities, 10 rounding trials, 5% capacity tolerance).
-    Planners ignore knobs they have no use for — ``hash`` reads only
-    ``hash_salt``, the classic controls read nothing — so one config
-    can drive a whole strategy comparison.
+    Planners ignore knobs they have no use for — ``hash`` reads
+    nothing — so one config can drive a whole strategy comparison.
 
     Attributes:
         scope: What to optimize exactly: an ``int`` (the top-``scope``
@@ -128,7 +124,6 @@ class PlanConfig:
             uses 2.0); ``None`` keeps the problem's own capacities.
         capacity_tolerance: Relative slack when judging feasibility;
             must be finite and nonnegative (``ValueError`` otherwise).
-        hash_salt: Salt for hash placements (baseline and out-of-scope).
         replicas: Copies per object for replication-aware planners
             (``lprr:rep`` and friends); ``1`` keeps the single-copy
             behavior everywhere, including the resilient fallback
@@ -144,7 +139,6 @@ class PlanConfig:
     rounding_trials: int = 10
     capacity_factor: float | None = 2.0
     capacity_tolerance: float = 0.05
-    hash_salt: str = ""
     replicas: int = 1
     topology: Any | None = None
 
@@ -294,9 +288,7 @@ def _simple_planner(name: str, place: Callable[[PlacementProblem, PlanConfig], P
 # ----------------------------------------------------------------------
 # Built-in planners
 # ----------------------------------------------------------------------
-_simple_planner(
-    "hash", lambda problem, config: random_hash_placement(problem, config.hash_salt)
-)
+_simple_planner("hash", lambda problem, config: random_hash_placement(problem))
 
 _simple_planner(
     "greedy",
@@ -305,74 +297,8 @@ _simple_planner(
         config.scope_limit(),
         greedy_placement,
         capacity_factor=config.capacity_factor,
-        hash_salt=config.hash_salt,
     ),
 )
-
-
-def round_robin_placement(problem: PlacementProblem) -> Placement:
-    """Assign objects cyclically: object ``i`` to node ``i mod n``."""
-    assignment = np.arange(problem.num_objects, dtype=np.int64) % problem.num_nodes
-    return Placement(problem, assignment)
-
-
-_simple_planner(
-    "round_robin", lambda problem, config: round_robin_placement(problem)
-)
-
-
-def best_fit_decreasing_placement(
-    problem: PlacementProblem, strict_capacity: bool = False
-) -> Placement:
-    """Classic bin-packing heuristic: biggest objects first, best fit.
-
-    Args:
-        problem: The CCA instance.
-        strict_capacity: When True, raise
-            :class:`InfeasibleProblemError` instead of overflowing the
-            least-loaded node.
-    """
-    assignment = np.empty(problem.num_objects, dtype=np.int64)
-    free = problem.capacities.astype(float).copy()
-    for i in np.argsort(-problem.sizes, kind="stable"):
-        fits = np.where(free >= problem.sizes[i])[0]
-        if fits.size:
-            k = int(fits[np.argmin(free[fits])])
-        elif strict_capacity:
-            raise InfeasibleProblemError(
-                f"best-fit cannot place object {problem.object_ids[i]!r}"
-            )
-        else:
-            k = int(np.argmax(free))
-        assignment[i] = k
-        free[k] -= problem.sizes[i]
-    return Placement(problem, assignment)
-
-
-_simple_planner(
-    "best_fit_decreasing",
-    lambda problem, config: best_fit_decreasing_placement(problem),
-)
-
-
-def _spectral(problem: PlacementProblem, config: PlanConfig) -> Placement:
-    # Imported lazily: spectral pulls in dense linear algebra.
-    from repro.core.spectral import spectral_placement
-
-    return spectral_placement(problem)
-
-
-_simple_planner("spectral", _spectral)
-
-
-def _local_search(problem: PlacementProblem, config: PlanConfig) -> Placement:
-    # Imported lazily: local_search composes greedy as its start.
-    from repro.core.local_search import local_search_placement
-
-    return local_search_placement(problem, rng=config.seed)
-
-
-_simple_planner("local_search", _local_search)
 
 
 def _stream_greedy(problem: PlacementProblem, config: PlanConfig) -> Placement:
@@ -384,7 +310,6 @@ def _stream_greedy(problem: PlacementProblem, config: PlanConfig) -> Placement:
         config.scope_limit(),
         streaming_greedy_placement,
         capacity_factor=config.capacity_factor,
-        hash_salt=config.hash_salt,
     )
 
 
@@ -411,7 +336,6 @@ def _lprr_planner(
         rounding_trials=config.rounding_trials,
         capacity_tolerance=config.capacity_tolerance,
         seed=config.seed,
-        hash_salt=config.hash_salt,
     )
     with obs.timed("plan", planner="lprr") as span:
         result = planner.plan(problem)
@@ -544,7 +468,6 @@ def _rep_greedy_planner(
                 config.scope_limit(),
                 greedy_placement,
                 capacity_factor=config.capacity_factor,
-                hash_salt=config.hash_salt,
             ),
         )
     return _finish_replicated("rep:greedy", replicated, span.duration)
@@ -560,9 +483,7 @@ def _rep_hash_planner(
     topology = _rep_topology(problem, config)
     replicas = max(1, int(config.replicas))
     with obs.timed("plan", planner="rep:hash") as span:
-        replicated = replicate_hash(
-            problem, topology, replicas=replicas, salt=config.hash_salt
-        )
+        replicated = replicate_hash(problem, topology, replicas=replicas)
     return _finish_replicated("rep:hash", replicated, span.duration)
 
 
@@ -574,14 +495,3 @@ def _resilient_planner(
     from repro.resilience.healing import plan_with_fallbacks
 
     return plan_with_fallbacks(problem, config=config)
-
-
-@register_planner("online")
-def _online_planner(
-    problem: PlacementProblem, *, config: PlanConfig = PlanConfig()
-) -> PlanResult:
-    # Imported lazily to avoid a cycle (the controller plans via this
-    # registry's machinery).
-    from repro.online.controller import heavy_hitter_plan
-
-    return heavy_hitter_plan(problem, config=config)

@@ -1,8 +1,8 @@
 """repro.obs — spans, metrics, journal, and exportable run reports.
 
 The observability layer for the LPRR pipeline: a nesting span tracer,
-a metrics registry (counters, gauges, histograms with exact or
-reservoir percentiles), a bounded deterministic flight-recorder
+a metrics registry (counters, gauges, histograms with exact
+percentiles), a bounded deterministic flight-recorder
 journal, and exporters (JSON, Chrome ``trace_event``, console
 tree).  Stdlib-only, thread-safe, and free
 when disabled — instrumented code pays one global read per call site

@@ -118,31 +118,17 @@ def _fmt_attr(value: Any) -> str:
     return str(value)
 
 
-def render_span_tree(tracer: Tracer, min_duration: float = 0.0) -> str:
-    """The span forest as an indented console tree.
-
-    Args:
-        tracer: The tracer whose roots to render.
-        min_duration: Hide spans shorter than this many seconds
-            (children of hidden spans are hidden too).
-    """
+def render_span_tree(tracer: Tracer) -> str:
+    """The span forest as an indented console tree."""
     lines: list[str] = []
     for root in tracer.roots:
-        _render(root, "", "", lines, min_duration)
+        _render(root, "", "", lines)
     if not lines:
         return "(no spans recorded)"
     return "\n".join(lines)
 
 
-def _render(
-    span: Span,
-    lead: str,
-    child_lead: str,
-    lines: list[str],
-    min_duration: float,
-) -> None:
-    if span.duration < min_duration:
-        return
+def _render(span: Span, lead: str, child_lead: str, lines: list[str]) -> None:
     attrs = " ".join(
         f"{k}={_fmt_attr(v)}" for k, v in sorted(span.attributes.items())
     )
@@ -152,9 +138,8 @@ def _render(
     if attrs:
         line += f"  {attrs}"
     lines.append(line)
-    visible = [c for c in span.children if c.duration >= min_duration]
-    for i, child in enumerate(visible):
-        last = i == len(visible) - 1
+    for i, child in enumerate(span.children):
+        last = i == len(span.children) - 1
         branch = "└─ " if last else "├─ "
         extend = "   " if last else "│  "
-        _render(child, child_lead + branch, child_lead + extend, lines, min_duration)
+        _render(child, child_lead + branch, child_lead + extend, lines)

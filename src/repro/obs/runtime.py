@@ -169,19 +169,9 @@ def gauge(name: str, labels: dict[str, str] | None = None) -> Gauge:
     return active.metrics.gauge(name, labels=labels)
 
 
-def histogram(
-    name: str,
-    reservoir: int | None = None,
-    labels: dict[str, str] | None = None,
-) -> Histogram:
-    """The named histogram (shared no-op when disabled).
-
-    ``reservoir`` bounds retained observations for long-running loops
-    (exact until full, then reservoir sampling); it applies only when
-    this call creates the histogram — see
-    :meth:`~repro.obs.metrics.MetricsRegistry.histogram`.
-    """
+def histogram(name: str, labels: dict[str, str] | None = None) -> Histogram:
+    """The named histogram (shared no-op when disabled)."""
     active = _active
     if active is None:
         return NULL_INSTRUMENT  # type: ignore[return-value]
-    return active.metrics.histogram(name, reservoir=reservoir, labels=labels)
+    return active.metrics.histogram(name, labels=labels)

@@ -4,9 +4,9 @@
 continuously-running daemon over timestamped operation streams:
 
 1. **Ingest** — tumbling periods of operations are folded into a
-   memory-bounded correlation estimate
-   (:class:`~repro.online.sketch.SketchCorrelationEstimator` by
-   default), aged exponentially so old correlations fade.
+   memory-bounded co-occurrence estimate
+   (:class:`~repro.online.sketch.SketchCorrelationEstimator`), aged
+   exponentially so old correlations fade.
 2. **Detect** — each period ends with a
    :class:`~repro.online.drift.DriftDetector` verdict: top-K pair
    churn and estimated-cost inflation against the last replan.
@@ -38,12 +38,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
 from repro import obs
-from repro.core.correlation import PairEstimator
 from repro.core.migration import select_migrations
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
@@ -62,9 +61,9 @@ def heavy_hitter_plan(
 ) -> PlanResult:
     """Plan a problem scoped to the objects of its correlated pairs.
 
-    This is the ``"online"`` planner of the registry: the problem's
-    pair set is assumed already pruned to the heavy hitters (that is
-    what the sketch estimate *is*), so the optimization scope is
+    This is the controller's planner: the problem's pair set is assumed
+    already pruned to the heavy hitters (that is what the sketch
+    estimate *is*), so the optimization scope is
     exactly the objects appearing in some pair — out-of-scope objects
     are hashed by the inner planner, which is how the controller's
     bootstrap gives cold objects their first node (its replans pass
@@ -133,10 +132,8 @@ class OnlineConfig:
         num_nodes: Placement nodes (uniform, capacity-unconstrained;
             the planner's ``capacity_factor`` still balances load).
         window_s: Tumbling period length in seconds.
-        mode: Pair-reduction mode (see
-            :attr:`~repro.core.correlation.CorrelationEstimator.MODES`).
-        sketch_width: Count-Min row width of the default estimator.
-        sketch_depth: Count-Min rows of the default estimator.
+        sketch_width: Count-Min row width of the estimator.
+        sketch_depth: Count-Min rows of the estimator.
         heavy_hitters: Space-Saving capacity (the top-K pair budget).
         decay: Per-period history multiplier in ``(0, 1]``, applied to
             the estimator after each period; 1 never forgets.
@@ -148,13 +145,10 @@ class OnlineConfig:
         budget_fraction: Per-replan migration budget as a fraction of
             total object size.
         planning: Knobs forwarded to the fallback-chain planner.
-        bootstrap_operations: Observed operations required before the
-            initial placement is planned.
     """
 
     num_nodes: int
     window_s: float = 3600.0
-    mode: str = "cooccurrence"
     sketch_width: int = 1024
     sketch_depth: int = 4
     heavy_hitters: int = 256
@@ -164,7 +158,6 @@ class OnlineConfig:
     thresholds: DriftThresholds = field(default_factory=DriftThresholds)
     budget_fraction: float = 0.05
     planning: PlanConfig = field(default_factory=PlanConfig)
-    bootstrap_operations: int = 1
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -177,8 +170,6 @@ class OnlineConfig:
             raise ValueError("decay must be in (0, 1]")
         if self.budget_fraction < 0:
             raise ValueError("budget_fraction must be nonnegative")
-        if self.bootstrap_operations < 1:
-            raise ValueError("bootstrap_operations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -335,18 +326,10 @@ class OnlinePlanner:
     Args:
         sizes: Object id -> size; the placement universe is fixed for
             the run.  Objects outside it are dropped from incoming
-            operations before estimation, and correlations referencing
-            them (e.g. from a pre-loaded custom estimator) never reach
-            the placement problem — out-of-universe traffic is
-            ignored, not fatal.
-        config: The control-loop configuration.
-        estimator: Optional estimator backend implementing
-            :class:`~repro.core.correlation.PairEstimator`; defaults
-            to a :class:`SketchCorrelationEstimator` built from the
-            config's sketch knobs.  Exact estimation (unbounded
-            memory) is one
-            :class:`~repro.core.correlation.CorrelationEstimator`
-            away.
+            operations before estimation, so out-of-universe traffic
+            is ignored, not fatal.
+        config: The control-loop configuration; its sketch knobs build
+            the :class:`SketchCorrelationEstimator`.
 
     Example:
         >>> planner = OnlinePlanner({"a": 1.0, "b": 1.0}, OnlineConfig(
@@ -357,33 +340,17 @@ class OnlinePlanner:
         'bootstrap'
     """
 
-    def __init__(
-        self,
-        sizes: Mapping[ObjectId, float],
-        config: OnlineConfig,
-        estimator: PairEstimator | None = None,
-        on_publish: "Callable[[int, dict[ObjectId, int]], None] | None" = None,
-    ):
+    def __init__(self, sizes: Mapping[ObjectId, float], config: OnlineConfig):
         self.sizes = dict(sizes)
         if not self.sizes:
             raise ValueError("sizes must cover at least one object")
         self.config = config
-        # Plan-publication hook: called with (period_index, mapping)
-        # after every period that changed the assignment (bootstrap,
-        # replan, migrate).  The serving layer uses this to hot-swap a
-        # router's PlanSnapshot (see repro.serve.snapshot); the mapping
-        # passed is a fresh copy, safe to freeze.
-        self.on_publish = on_publish
-        if estimator is None:
-            estimator = SketchCorrelationEstimator(
-                mode=config.mode,
-                sizes=self.sizes if config.mode != "cooccurrence" else None,
-                width=config.sketch_width,
-                depth=config.sketch_depth,
-                heavy_hitters=config.heavy_hitters,
-                seed=config.seed,
-            )
-        self.estimator = estimator
+        self.estimator = SketchCorrelationEstimator(
+            width=config.sketch_width,
+            depth=config.sketch_depth,
+            heavy_hitters=config.heavy_hitters,
+            seed=config.seed,
+        )
         self._detector = DriftDetector(config.thresholds)
         self._assignment: dict[ObjectId, int] | None = None
         self._pending_target: dict[ObjectId, int] | None = None
@@ -405,22 +372,8 @@ class OnlinePlanner:
 
     @property
     def memory_cells(self) -> int:
-        """Bounded estimator state, when the backend reports it (else 0)."""
-        return int(getattr(self.estimator, "memory_cells", 0))
-
-    def _in_universe(self, correlations: Mapping) -> dict:
-        """Drop correlations referencing objects outside ``sizes``.
-
-        The default estimator never produces such pairs (operations
-        are filtered before observation), but a custom backend may
-        arrive pre-loaded with them — they must not reach
-        :meth:`PlacementProblem.build`, which rejects unknown objects.
-        """
-        return {
-            pair: r
-            for pair, r in correlations.items()
-            if pair[0] in self.sizes and pair[1] in self.sizes
-        }
+        """Bounded estimator state: sketch cells plus tracker capacity."""
+        return self.estimator.memory_cells
 
     def _problem(self, correlations: Mapping) -> PlacementProblem:
         return PlacementProblem.build(
@@ -436,9 +389,7 @@ class OnlinePlanner:
     # ------------------------------------------------------------------
     # Control loop
     # ------------------------------------------------------------------
-    def run(
-        self, stream: Iterable, window_s: float | None = None
-    ) -> OnlineReport:
+    def run(self, stream: Iterable) -> OnlineReport:
         """Drive the loop over a whole stream and report every decision.
 
         Args:
@@ -447,12 +398,11 @@ class OnlinePlanner:
                 operations
                 (:class:`~repro.online.windows.TimedOperation`) in
                 non-decreasing time order.
-            window_s: Override the config's period length.
 
         Returns:
             The run's byte-reproducible :class:`OnlineReport`.
         """
-        window = self.config.window_s if window_s is None else window_s
+        window = self.config.window_s
         decisions: list[PeriodDecision] = []
         with obs.span("online.run", nodes=self.config.num_nodes):
             obs.record(
@@ -517,9 +467,7 @@ class OnlinePlanner:
             obs.counter("online.operations").inc(period.num_operations)
             obs.gauge("online.sketch_cells").set(self.memory_cells)
 
-            correlations = self._in_universe(
-                self.estimator.correlations(config.min_support)
-            )
+            correlations = self.estimator.correlations(config.min_support)
             if self._assignment is None:
                 decision = self._maybe_bootstrap(period, correlations)
             else:
@@ -536,12 +484,6 @@ class OnlinePlanner:
             )
             if config.decay < 1.0:
                 self.estimator.decay(config.decay)
-        if self.on_publish is not None and decision.action in (
-            "bootstrap",
-            "replan",
-            "migrate",
-        ):
-            self.on_publish(period.index, self.placement_mapping)
         return decision
 
     # ------------------------------------------------------------------
@@ -550,12 +492,7 @@ class OnlinePlanner:
     def _maybe_bootstrap(
         self, period: StreamPeriod, correlations: Mapping
     ) -> PeriodDecision:
-        config = self.config
-        enough = (
-            self.estimator.num_operations >= config.bootstrap_operations
-            and correlations
-        )
-        if not enough:
+        if self.estimator.num_operations < 1 or not correlations:
             return PeriodDecision(
                 period=period.index,
                 start_s=period.start_s,

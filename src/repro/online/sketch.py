@@ -16,12 +16,12 @@ streaming summaries, both seeded and fully deterministic:
   ``N / capacity`` is guaranteed to be tracked, and each tracked count
   overcounts by at most its recorded ``error``.
 
-:class:`SketchCorrelationEstimator` combines the two behind the
-:class:`~repro.core.correlation.PairEstimator` protocol: Space-Saving
+:class:`SketchCorrelationEstimator` combines the two: Space-Saving
 supplies *which* pairs are heavy, the Count-Min estimate tightens
 *how* heavy, and the pair stream comes from the same miner as the
-exact estimators' (:mod:`repro.core.correlation`).  Memory is
-O(width x depth + capacity) cells regardless of stream length.
+exact ``*_correlations`` functions (:mod:`repro.core.correlation`).
+Memory is O(width x depth + capacity) cells regardless of stream
+length.
 """
 
 from __future__ import annotations
@@ -339,20 +339,19 @@ class SpaceSavingPairs:
 
 
 class SketchCorrelationEstimator:
-    """Memory-bounded :class:`~repro.core.correlation.PairEstimator`.
+    """Memory-bounded incremental pair-correlation estimation.
 
-    Drop-in replacement for the exact
-    :class:`~repro.core.correlation.CorrelationEstimator`: same modes,
-    same pair stream, same ``correlations`` /
-    ``top_pairs`` surface — but state is a Count-Min sketch plus a
-    Space-Saving tracker, so memory stays O(width x depth + capacity)
-    no matter how many distinct pairs the stream contains.  Reported
-    counts are ``min(space-saving count, count-min estimate)``, the
-    tighter of the two overestimates.
+    Reads the same pair stream as the exact ``*_correlations``
+    functions of :mod:`repro.core.correlation`, in the same modes, but
+    its state is a Count-Min sketch plus a Space-Saving tracker, so
+    memory stays O(width x depth + capacity) no matter how many
+    distinct pairs the stream contains.  Reported counts are
+    ``min(space-saving count, count-min estimate)``, the tighter of the
+    two overestimates.
 
     Args:
-        mode: Pair-reduction mode (see
-            :attr:`CorrelationEstimator.MODES`).
+        mode: Pair-reduction mode (one of
+            :data:`~repro.core.correlation.MODES`).
         sizes: Object sizes (required for the size-aware modes).
         width: Count-Min row width.
         depth: Count-Min rows.
@@ -376,17 +375,10 @@ class SketchCorrelationEstimator:
         self.heavy = SpaceSavingPairs(capacity=heavy_hitters)
         self._total_ops = 0.0
 
-    # ------------------------------------------------------------------
-    # PairEstimator protocol
-    # ------------------------------------------------------------------
     @property
     def num_operations(self) -> int:
         """Operations observed so far (discounted after :meth:`decay`)."""
         return int(self._total_ops)
-
-    def observe(self, operation: Operation) -> None:
-        """Fold one operation into both summaries (a one-operation trace)."""
-        self.observe_trace((operation,))
 
     def observe_trace(self, trace: Iterable[Operation]) -> int:
         """Fold a trace into both summaries in one pass; returns ops ingested.
@@ -430,11 +422,6 @@ class SketchCorrelationEstimator:
             if tightened >= min_support:
                 result[pair] = tightened / self._total_ops
         return result
-
-    def top_pairs(self, k: int) -> list[tuple[Pair, float]]:
-        """The ``k`` most correlated tracked pairs, descending."""
-        probs = self.correlations()
-        return sorted(probs.items(), key=lambda item: (-item[1], repr(item[0])))[:k]
 
     # ------------------------------------------------------------------
     # Memory accounting

@@ -3,7 +3,7 @@
 The online control loop consumes traffic over *time*: the stream is cut
 into tumbling (fixed-length, non-overlapping) periods.  After each
 period the controller decays its correlation estimate by the config's
-factor (:meth:`~repro.core.correlation.PairEstimator.decay`), so
+factor (:meth:`~repro.online.sketch.SketchCorrelationEstimator.decay`), so
 correlations that stop occurring age out instead of haunting the
 placement forever.
 
@@ -76,7 +76,6 @@ class StreamPeriod:
 def tumbling_periods(
     stream: Iterable["TimedQuery | TimedOperation"],
     window_s: float,
-    origin_s: float | None = None,
 ) -> Iterator[StreamPeriod]:
     """Cut a timestamped stream into consecutive fixed-length periods.
 
@@ -91,23 +90,16 @@ def tumbling_periods(
         stream: Timestamped queries or operations in non-decreasing
             time order.
         window_s: Period length in seconds.
-        origin_s: Explicit start of period 0, overriding the
-            first-timestamp anchor; every timestamp must be at or
-            after it.
 
     Raises:
         ValueError: On a window that is not positive and finite, on a
-            NaN or infinite ``origin_s`` or timestamp, when a timestamp
-            runs backwards (the slicing would silently misfile
-            operations), or when a timestamp precedes an explicit
-            ``origin_s``.
+            NaN or infinite timestamp, or when a timestamp runs
+            backwards (the slicing would silently misfile operations).
     """
     if not (math.isfinite(window_s) and window_s > 0):
         raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
-    if origin_s is not None and not math.isfinite(origin_s):
-        raise ValueError(f"origin_s must be finite, got {origin_s!r}")
     index = 0
-    boundary: float | None = None if origin_s is None else origin_s + window_s
+    boundary = 0.0
     current: list[Operation] = []
     last_time: float | None = None
     for item in stream:
@@ -115,13 +107,7 @@ def tumbling_periods(
         if not math.isfinite(timed.time_s):
             raise ValueError(f"stream timestamp {timed.time_s!r} is not finite")
         if last_time is None:
-            if origin_s is not None and timed.time_s < origin_s:
-                raise ValueError(
-                    f"timestamp {timed.time_s:g}s precedes the stream "
-                    f"origin {origin_s:g}s"
-                )
-            if boundary is None:
-                boundary = math.floor(timed.time_s / window_s) * window_s + window_s
+            boundary = math.floor(timed.time_s / window_s) * window_s + window_s
         elif timed.time_s < last_time:
             raise ValueError(
                 "stream timestamps must be non-decreasing: got "

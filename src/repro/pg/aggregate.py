@@ -42,7 +42,6 @@ class Grouping:
 
     Attributes:
         num_groups: Requested group count ``K``.
-        salt: Hash salt the grouping was drawn with.
         exact_ids: Object ids kept exact, in importance order.
         exact_index: Their indices in the problem's object order.
         object_groups: ``(t,)`` group id per object, ``-1`` for exact
@@ -54,7 +53,6 @@ class Grouping:
     """
 
     num_groups: int
-    salt: str
     exact_ids: tuple
     exact_index: np.ndarray
     object_groups: np.ndarray
@@ -75,13 +73,12 @@ def build_grouping(
     problem: PlacementProblem,
     groups: int,
     important: int = 0,
-    salt: str = "",
 ) -> Grouping:
     """Split a problem into exact objects and hashed placement groups.
 
     The top-``important`` objects by the paper's importance ranking
     (:func:`~repro.core.importance.top_important`) stay exact; every
-    other object lands in ``pg_group(obj, groups, salt)``.  Groups
+    other object lands in ``pg_group(obj, groups)``.  Groups
     that end up empty are dropped from the coarse space (the coarse
     problem requires positive sizes) but keep their ids in the PG map.
     """
@@ -96,7 +93,7 @@ def build_grouping(
             count=len(exact_ids),
         )
         object_groups = np.fromiter(
-            (pg_group(obj, groups, salt) for obj in problem.object_ids),
+            (pg_group(obj, groups) for obj in problem.object_ids),
             dtype=np.int64,
             count=t,
         )
@@ -124,7 +121,6 @@ def build_grouping(
         )
     return Grouping(
         num_groups=groups,
-        salt=salt,
         exact_ids=exact_ids,
         exact_index=exact_index,
         object_groups=object_groups,
@@ -233,7 +229,6 @@ def map_from_coarse(
     problem: PlacementProblem,
     grouping: Grouping,
     coarse_assignment: np.ndarray,
-    salt: str = "",
 ) -> PGMap:
     """A :class:`PGMap` from a coarse placement's assignment array.
 
@@ -248,9 +243,7 @@ def map_from_coarse(
         if coarse >= 0:
             group_nodes[g] = coarse_assignment[coarse]
         else:
-            group_nodes[g] = rendezvous_node(
-                _group_key(g), all_nodes, problem.node_ids, salt
-            )
+            group_nodes[g] = rendezvous_node(_group_key(g), all_nodes, problem.node_ids)
     offset = grouping.nonempty_groups
     exact_nodes = {
         obj: int(coarse_assignment[offset + m])
@@ -258,7 +251,6 @@ def map_from_coarse(
     }
     return PGMap(
         num_groups=grouping.num_groups,
-        salt=salt,
         node_ids=problem.node_ids,
         group_nodes=group_nodes,
         exact_nodes=exact_nodes,

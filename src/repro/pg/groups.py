@@ -3,7 +3,7 @@
 A million-object placement serialized per object is megabytes of state
 that every replan rewrites.  The PG layer (Ceph/CRUSH-style) instead
 hashes the long tail of objects into ``K`` placement groups with the
-same seeded MD5 idiom as :mod:`repro.core.hashing`, keeps the top-M
+same MD5 idiom as :mod:`repro.core.hashing`, keeps the top-M
 important objects exact, and stores only ``K`` group→node entries plus
 the exact entries — a map whose size is independent of the object
 count.  Groups no object hashes into still get a node, by
@@ -25,32 +25,25 @@ def _text(value) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
-def pg_group(obj: ObjectId, num_groups: int, salt: str = "") -> int:
-    """The placement group of ``obj`` under seeded MD5-mod-K hashing.
+def pg_group(obj: ObjectId, num_groups: int) -> int:
+    """The placement group of ``obj`` under MD5-mod-K hashing.
 
     Same idiom as :func:`repro.core.hashing.hash_node` with a ``pg``
     namespace prefix, so group membership is a pure function of
-    ``(obj, num_groups, salt)`` — stable across processes and runs.
+    ``(obj, num_groups)`` — stable across processes and runs.
     """
     if num_groups < 1:
         raise ValueError("num_groups must be at least 1")
-    digest = hashlib.md5(f"{salt}|pg|{_text(obj)}".encode("utf-8")).digest()
+    digest = hashlib.md5(f"|pg|{_text(obj)}".encode("utf-8")).digest()
     return int.from_bytes(digest, "big") % num_groups
 
 
-def _hrw_score(salt: str, key: str, node: NodeId) -> int:
-    digest = hashlib.md5(
-        f"{salt}|pg-hrw|{key}|{_text(node)}".encode("utf-8")
-    ).digest()
+def _hrw_score(key: str, node: NodeId) -> int:
+    digest = hashlib.md5(f"|pg-hrw|{key}|{_text(node)}".encode("utf-8")).digest()
     return int.from_bytes(digest, "big")
 
 
-def rendezvous_node(
-    key: str,
-    candidates,
-    node_ids,
-    salt: str = "",
-) -> int:
+def rendezvous_node(key: str, candidates, node_ids) -> int:
     """Highest-random-weight winner among candidate node indices.
 
     Scores are keyed on node *ids* (not indices), so a node's score
@@ -60,7 +53,6 @@ def rendezvous_node(
         key: Hash key of the thing being placed (group or object).
         candidates: Iterable of eligible node indices.
         node_ids: The map's node-id tuple the indices point into.
-        salt: The map's salt.
 
     Returns:
         The winning node index.
@@ -68,7 +60,7 @@ def rendezvous_node(
     best = -1
     best_score = -1
     for k in candidates:
-        score = _hrw_score(salt, key, node_ids[k])
+        score = _hrw_score(key, node_ids[k])
         if score > best_score or (score == best_score and k < best):
             best, best_score = int(k), score
     if best < 0:
@@ -80,7 +72,7 @@ def _group_key(group: int) -> str:
     return f"g{group}"
 
 
-PG_MAP_SCHEMA = "repro/pg-map/v2"
+PG_MAP_SCHEMA = "repro/pg-map/v3"
 
 
 class PGMap:
@@ -88,7 +80,6 @@ class PGMap:
 
     Attributes:
         num_groups: Placement-group count ``K``.
-        salt: Hash salt shared by grouping and rendezvous draws.
         node_ids: Node identifiers, in index order.
         group_nodes: ``(K,)`` int array; ``group_nodes[g]`` is the node
             index hosting group ``g``.
@@ -99,13 +90,11 @@ class PGMap:
     def __init__(
         self,
         num_groups: int,
-        salt: str,
         node_ids,
         group_nodes: np.ndarray,
         exact_nodes: dict,
     ):
         self.num_groups = int(num_groups)
-        self.salt = salt
         self.node_ids: tuple[NodeId, ...] = tuple(node_ids)
         self.group_nodes = np.asarray(group_nodes, dtype=np.int64)
         self.exact_nodes: dict[ObjectId, int] = dict(exact_nodes)
@@ -128,7 +117,6 @@ class PGMap:
         return {
             "schema": PG_MAP_SCHEMA,
             "num_groups": self.num_groups,
-            "salt": self.salt,
             "nodes": [str(node) for node in self.node_ids],
             "group_nodes": [int(k) for k in self.group_nodes],
             "exact": {

@@ -64,17 +64,10 @@ def plan_with_groups(
     """
     spec = resolve_pg_scope(problem, config)
     with obs.timed("plan", planner="lprr:pg") as span:
-        grouping = build_grouping(
-            problem, spec.groups, spec.important, config.hash_salt
-        )
+        grouping = build_grouping(problem, spec.groups, spec.important)
         coarse = aggregate_problem(problem, grouping)
         inner = plan(coarse, "lprr", config.with_options(scope=None))
-        pg_map = map_from_coarse(
-            problem,
-            grouping,
-            inner.placement.assignment,
-            salt=config.hash_salt,
-        )
+        pg_map = map_from_coarse(problem, grouping, inner.placement.assignment)
         diagnostics = {
             "groups": spec.groups,
             "nonempty_groups": grouping.nonempty_groups,

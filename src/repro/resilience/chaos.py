@@ -81,8 +81,6 @@ class ChaosConfig:
         repair: Run incremental repair after epochs that lose objects
             (domain mode: re-replication into the cheapest valid
             domain).
-        capacity_tolerance: Slack allowed when repair re-places onto
-            survivors.
         topology: Failure-domain membership of the node indices; when
             set the run switches to *domain mode* — replicated LPRR vs
             replicated hash under domain-correlated faults.
@@ -93,7 +91,6 @@ class ChaosConfig:
     plan_config: PlanConfig = field(default_factory=PlanConfig)
     mode: str = "intersection"
     repair: bool = True
-    capacity_tolerance: float = 0.05
     topology: "Topology | None" = None
 
 
@@ -269,10 +266,7 @@ def run_chaos(
                 if config.repair and stranded:
                     failed_ids = [node_ids[k] for k in sorted(view.down)]
                     outcome = replace_lost_objects(
-                        current,
-                        failed_ids,
-                        operations=chunk,
-                        capacity_tolerance=config.capacity_tolerance,
+                        current, failed_ids, operations=chunk
                     )
                     for move in outcome.plan.migrations:
                         cluster.migrate(move.obj, move.destination)
@@ -521,22 +515,14 @@ def _run_domain_chaos(
                     or (np.isin(baseline.assignment, sorted(down))).any()
                 )
                 if config.repair and stranded:
-                    outcome = re_replicate(
-                        optimized,
-                        view,
-                        operations=chunk,
-                        capacity_tolerance=config.capacity_tolerance,
-                    )
+                    outcome = re_replicate(optimized, view, operations=chunk)
                     optimized = outcome.placement
                     repair_doc = outcome.to_dict()
                     repair_moves += outcome.moves
                     repair_bytes += outcome.bytes_moved
                     # The baseline heals too — the contest stays fair.
                     baseline = re_replicate(
-                        baseline,
-                        view,
-                        operations=chunk,
-                        capacity_tolerance=config.capacity_tolerance,
+                        baseline, view, operations=chunk
                     ).placement
 
                 obs.record(

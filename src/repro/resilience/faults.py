@@ -45,6 +45,9 @@ FAULT_KINDS = (
     HEAL_DOMAIN,
 )
 
+# Ceiling on the share of nodes a drawn schedule has down at once.
+MAX_DOWN_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -259,15 +262,14 @@ class FaultSchedule:
         *,
         seed: int = 0,
         events: int = 6,
-        max_down_fraction: float = 0.5,
     ) -> "FaultSchedule":
         """Draw a schedule deterministically from a seed.
 
         Event kinds are weighted toward crashes (the interesting case),
         recoveries follow crashes, and a partition appears only while
-        none is active.  At most ``max_down_fraction`` of the nodes are
-        ever down at once, so the cluster always retains surviving
-        capacity to repair onto.
+        none is active.  At most ``MAX_DOWN_FRACTION`` of the nodes
+        (and at least one) are ever down at once, so the cluster always
+        retains surviving capacity to repair onto.
 
         Args:
             num_nodes: Cluster size.
@@ -275,14 +277,13 @@ class FaultSchedule:
                 inside ``(0, horizon)``.
             seed: Root seed; same seed, same schedule, always.
             events: Number of events to draw.
-            max_down_fraction: Ceiling on simultaneously crashed nodes.
         """
         if horizon < 2:
             raise ValueError("horizon must be at least 2 operations")
         if events < 0:
             raise ValueError("events must be nonnegative")
         rng = np.random.default_rng(seed)
-        max_down = max(1, int(max_down_fraction * num_nodes))
+        max_down = max(1, int(MAX_DOWN_FRACTION * num_nodes))
         count = min(events, horizon - 1)
         times = sorted(
             int(t) for t in rng.choice(np.arange(1, horizon), size=count, replace=False)
@@ -354,7 +355,6 @@ class FaultSchedule:
         *,
         seed: int = 0,
         events: int = 6,
-        max_down_fraction: float = 0.5,
     ) -> "FaultSchedule":
         """Draw a *domain-correlated* schedule deterministically.
 
@@ -363,7 +363,7 @@ class FaultSchedule:
         loss, zone outage), ``heal_domain`` brings a crashed domain
         back, and an occasional ``partition`` isolates one zone from
         the rest of the network.  As with :meth:`random`, at most
-        ``max_down_fraction`` of the nodes are ever down at once, so
+        ``MAX_DOWN_FRACTION`` of the nodes are ever down at once, so
         surviving capacity always exists to repair onto.
 
         Args:
@@ -373,7 +373,6 @@ class FaultSchedule:
                 inside ``(0, horizon)``.
             seed: Root seed; same seed, same schedule, always.
             events: Number of events to draw.
-            max_down_fraction: Ceiling on simultaneously crashed nodes.
         """
         if horizon < 2:
             raise ValueError("horizon must be at least 2 operations")
@@ -381,7 +380,7 @@ class FaultSchedule:
             raise ValueError("events must be nonnegative")
         num_nodes = topology.num_nodes
         rng = np.random.default_rng(seed)
-        max_down = max(1, int(max_down_fraction * num_nodes))
+        max_down = max(1, int(MAX_DOWN_FRACTION * num_nodes))
         count = min(events, horizon - 1)
         times = sorted(
             int(t) for t in rng.choice(np.arange(1, horizon), size=count, replace=False)

@@ -38,6 +38,10 @@ NodeId = Hashable
 ObjectId = Hashable
 Operation = Sequence[ObjectId]
 
+# Relative slack over a node's capacity when judging whether a repair
+# candidate has room.
+CAPACITY_TOLERANCE = 0.05
+
 
 @dataclass(frozen=True)
 class RepairOutcome:
@@ -83,14 +87,13 @@ def replace_lost_objects(
     placement: Placement,
     failed: Iterable[NodeId],
     operations: Iterable[Operation] = (),
-    capacity_tolerance: float = 0.05,
 ) -> RepairOutcome:
     """Re-place every object stranded on failed nodes.
 
     Lost objects are handled largest-first; each goes to the surviving
     node where it restores the most correlation weight toward already
     (re-)placed neighbors, subject to remaining capacity with
-    ``capacity_tolerance`` slack.  When nothing fits, the least-loaded
+    ``CAPACITY_TOLERANCE`` slack.  When nothing fits, the least-loaded
     surviving node takes the object anyway — repair never strands data
     to preserve a capacity preference.
 
@@ -99,8 +102,6 @@ def replace_lost_objects(
         failed: Node ids that are down (validated against the problem).
         operations: Optional trace used for the availability numbers in
             the outcome.
-        capacity_tolerance: Relative slack when judging whether a
-            candidate node has room.
 
     Returns:
         A :class:`RepairOutcome`; its plan is empty when nothing was
@@ -161,7 +162,7 @@ def replace_lost_objects(
                 k
                 for k in survivors
                 if loads[k] + problem.sizes[i]
-                <= problem.capacities[k] * (1.0 + capacity_tolerance) + 1e-9
+                <= problem.capacities[k] * (1.0 + CAPACITY_TOLERANCE) + 1e-9
             ]
             pool = fits or survivors
             # Most restored locality wins; ties go to the emptier node.
@@ -235,7 +236,6 @@ def re_replicate(
     replicated: "ReplicatedPlacement",
     view: "ClusterView",
     operations: Iterable[Operation] = (),
-    capacity_tolerance: float = 0.05,
 ) -> ReplicaRepairOutcome:
     """Re-create every replica stranded on a down node.
 
@@ -247,14 +247,13 @@ def re_replicate(
     node in a fresh domain exists (e.g. a whole zone is down), the
     spread constraint is relaxed to distinct live nodes rather than
     leaving the object under-replicated; when even distinct live nodes
-    run out, the copy stays unrepaired and is counted.
+    run out, the copy stays unrepaired and is counted.  A candidate has
+    room up to ``CAPACITY_TOLERANCE`` over its capacity.
 
     Args:
         replicated: The replicated placement at fault time.
         view: Cluster health (``view.down`` are the dead node indices).
         operations: Optional trace used for the availability numbers.
-        capacity_tolerance: Relative slack when judging whether a
-            candidate node has room.
 
     Returns:
         A :class:`ReplicaRepairOutcome`; ``moves == 0`` when no copy
@@ -339,7 +338,7 @@ def re_replicate(
                     k
                     for k in candidates
                     if loads[k] + size
-                    <= problem.capacities[k] * (1.0 + capacity_tolerance) + 1e-9
+                    <= problem.capacities[k] * (1.0 + CAPACITY_TOLERANCE) + 1e-9
                 ]
                 pool = fits or candidates
                 best = max(pool, key=lambda k: (gains[k], -loads[k], -k))

@@ -1,7 +1,7 @@
 """Immutable placement snapshots behind an atomically swappable handle.
 
-The router must keep answering queries while the online planner
-publishes new placements.  The classic lock-free recipe: a *snapshot*
+The router must keep answering queries while a replan publishes new
+placements.  The classic lock-free recipe: a *snapshot*
 is a fully immutable view of one placement (frozen assignment arrays
 plus the routing engine built over them), and a *handle* is a single
 mutable cell holding the current snapshot.  Swapping the handle is one
@@ -77,9 +77,10 @@ class PlanSnapshot:
     ) -> "PlanSnapshot":
         """Snapshot an unreplicated object→node mapping (R = 1).
 
-        This is the adapter between :class:`~repro.online.OnlinePlanner`
-        (whose published plans are plain mappings) and the replicated
-        routing engine: each object gets a single-copy column.
+        This is the adapter between a single-copy plan's object→node
+        indices (what each loadgen hot swap publishes) and the
+        replicated routing engine: each object gets a single-copy
+        column.
         """
         column = np.array(
             [int(mapping[obj]) for obj in problem.object_ids], dtype=np.int64

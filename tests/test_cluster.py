@@ -37,11 +37,6 @@ class TestStorageNode:
         assert node.is_overloaded
         assert node.free == -3.0
 
-    def test_enforced_overflow_raises(self):
-        node = StorageNode("n", capacity=2.0, enforce_capacity=True)
-        with pytest.raises(PlacementError, match="cannot fit"):
-            node.store("big", 5.0)
-
     def test_size_of(self):
         node = StorageNode("n")
         node.store("a", 3.0)

@@ -1,4 +1,4 @@
-"""Tests for hash, greedy, and control placement strategies."""
+"""Tests for the hash and greedy placement strategies and the registry."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ import pytest
 from repro.core.greedy import greedy_placement
 from repro.core.hashing import hash_node, random_hash_placement
 from repro.core.problem import PlacementProblem
-from repro.core.strategies import (
-    available_planners,
-    best_fit_decreasing_placement,
-    get_planner,
-    plan,
-    round_robin_placement,
-)
-from repro.exceptions import InfeasibleProblemError
+from repro.core.strategies import available_planners, get_planner, plan
 
 
 @pytest.fixture
@@ -94,31 +87,12 @@ class TestGreedyPlacement:
         placement = greedy_placement(p)
         assert placement.communication_cost() == 0.0
 
-    def test_strict_capacity_raises_when_impossible(self):
-        p = PlacementProblem.build(
-            {"a": 3.0, "b": 3.0, "c": 3.0}, {0: 3.0, 1: 3.0}, {("a", "b"): 1.0}
-        )
-        with pytest.raises(InfeasibleProblemError):
-            greedy_placement(p, strict_capacity=True)
-
     def test_soft_capacity_overflows_instead(self):
         p = PlacementProblem.build(
             {"a": 3.0, "b": 3.0, "c": 3.0}, {0: 3.0, 1: 3.0}, {("a", "b"): 1.0}
         )
         placement = greedy_placement(p)
         assert placement.assignment.shape == (3,)
-
-    def test_by_weight_ordering_differs(self):
-        # High-r low-w pair vs low-r high-w pair on conflicting nodes.
-        p = PlacementProblem.build(
-            {"a": 1.0, "b": 1.0, "c": 100.0, "d": 100.0},
-            {0: 202.0, 1: 202.0},
-            {("a", "b"): 0.9, ("c", "d"): 0.5},
-        )
-        by_r = greedy_placement(p, by_weight=False)
-        by_w = greedy_placement(p, by_weight=True)
-        # Both should co-locate both pairs here (sanity); orders must not crash.
-        assert by_r.is_feasible() and by_w.is_feasible()
 
     def test_deterministic(self, clustered_problem):
         a = greedy_placement(clustered_problem)
@@ -127,36 +101,18 @@ class TestGreedyPlacement:
 
 
 class TestControls:
-    def test_round_robin_cycles(self):
-        p = PlacementProblem.build({f"o{i}": 1.0 for i in range(6)}, 3, {})
-        placement = round_robin_placement(p)
-        assert placement.node_object_counts().tolist() == [2, 2, 2]
-
-    def test_best_fit_decreasing_feasible(self):
-        p = PlacementProblem.build(
-            {"a": 5.0, "b": 4.0, "c": 3.0, "d": 2.0, "e": 1.0},
-            {0: 8.0, 1: 7.0},
-            {},
-        )
-        placement = best_fit_decreasing_placement(p)
-        assert placement.is_feasible()
-
-    def test_best_fit_strict_raises(self):
-        p = PlacementProblem.build({"a": 5.0, "b": 5.0}, {0: 5.0, 1: 4.0}, {})
-        with pytest.raises(InfeasibleProblemError):
-            best_fit_decreasing_placement(p, strict_capacity=True)
-
     def test_registry_contains_all(self):
-        names = available_planners()
-        for expected in (
-            "hash",
+        assert available_planners() == [
             "greedy",
+            "hash",
             "lprr",
+            "lprr:pg",
+            "lprr:rep",
+            "rep:greedy",
+            "rep:hash",
             "resilient",
-            "round_robin",
-            "best_fit_decreasing",
-        ):
-            assert expected in names
+            "stream:greedy",
+        ]
 
     def test_registry_lookup(self, clustered_problem):
         from repro.core.strategies import PlanConfig

@@ -1,4 +1,5 @@
-"""Tests for correlation estimators (repro.core.correlation)."""
+"""Tests for correlation estimators (repro.core.correlation and the
+sketch estimator that ingests its pair stream)."""
 
 import os
 import subprocess
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 
 from repro.core import correlation
 from repro.core.correlation import (
-    CorrelationEstimator,
     _trace_pairs,
     cooccurrence_correlations,
     operation_pairs,
     two_smallest_correlations,
     union_largest_correlations,
 )
+from repro.online.sketch import CountMinSketch, SketchCorrelationEstimator
 
 
 class TestCooccurrence:
@@ -97,9 +98,11 @@ class TestUnionLargest:
 
 
 class TestEstimator:
+    """The sketch estimator is exact while it tracks every pair."""
+
     def test_incremental_matches_batch(self):
         trace = [("a", "b"), ("a", "b", "c"), ("b", "c"), ("d",)]
-        est = CorrelationEstimator(mode="cooccurrence")
+        est = SketchCorrelationEstimator(mode="cooccurrence")
         est.observe_trace(trace)
         assert est.correlations() == cooccurrence_correlations(trace)
         assert est.num_operations == 4
@@ -107,31 +110,24 @@ class TestEstimator:
     def test_two_smallest_mode_matches_batch(self):
         sizes = {"a": 1.0, "b": 2.0, "c": 3.0}
         trace = [("a", "b", "c"), ("b", "c")]
-        est = CorrelationEstimator(mode="two_smallest", sizes=sizes)
+        est = SketchCorrelationEstimator(mode="two_smallest", sizes=sizes)
         est.observe_trace(trace)
         assert est.correlations() == two_smallest_correlations(trace, sizes)
 
     def test_union_mode_matches_batch(self):
         sizes = {"a": 1.0, "b": 2.0, "c": 3.0}
         trace = [("a", "b", "c")]
-        est = CorrelationEstimator(mode="union_largest", sizes=sizes)
+        est = SketchCorrelationEstimator(mode="union_largest", sizes=sizes)
         est.observe_trace(trace)
         assert est.correlations() == union_largest_correlations(trace, sizes)
 
-    def test_top_pairs_sorted_descending(self):
-        est = CorrelationEstimator()
-        est.observe_trace([("a", "b"), ("a", "b"), ("c", "d")])
-        top = est.top_pairs(2)
-        assert top[0][0] == ("a", "b")
-        assert top[0][1] > top[1][1]
-
     def test_sizes_required_for_size_modes(self):
         with pytest.raises(ValueError, match="requires object sizes"):
-            CorrelationEstimator(mode="two_smallest")
+            SketchCorrelationEstimator(mode="two_smallest")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
-            CorrelationEstimator(mode="bogus")
+            SketchCorrelationEstimator(mode="bogus")
 
     def test_mode_checked_before_the_trace_is_read(self):
         # An empty trace raises like a non-empty one, and a trace that
@@ -275,7 +271,7 @@ class TestCooccurrencePairs:
 
 class TestDecay:
     def test_probabilities_survive_support_shrinks(self):
-        est = CorrelationEstimator()
+        est = SketchCorrelationEstimator()
         est.observe_trace([("a", "b")] * 4)
         est.decay(0.5)
         assert est.correlations()[("a", "b")] == 1.0
@@ -283,34 +279,32 @@ class TestDecay:
         assert est.correlations(min_support=3) == {}
 
     def test_decay_zero_forgets(self):
-        est = CorrelationEstimator()
-        est.observe(("a", "b"))
+        est = SketchCorrelationEstimator()
+        est.observe_trace([("a", "b")])
         est.decay(0.0)
         assert est.correlations() == {}
         assert est.num_operations == 0
 
     def test_decay_one_is_noop(self):
-        est = CorrelationEstimator()
-        est.observe(("a", "b"))
+        est = SketchCorrelationEstimator()
+        est.observe_trace([("a", "b")])
         before = est.correlations()
         est.decay(1.0)
         assert est.correlations() == before
 
     def test_invalid_factor(self):
         with pytest.raises(ValueError, match="decay factor"):
-            CorrelationEstimator().decay(1.5)
+            SketchCorrelationEstimator().decay(1.5)
 
     def test_total_after_decay_grows_one_step_per_operation(self):
         # 1 * 0.7 * 0.7 = 0.48999999999999994; two steps of += 1 give
         # 2.49, one += 2 gives 2.4899999999999998.
-        from repro.online.sketch import CountMinSketch, SketchCorrelationEstimator
-
-        for est in (CorrelationEstimator(), SketchCorrelationEstimator(width=8, depth=2)):
-            est.observe(("a", "b"))
-            est.decay(0.7)
-            est.decay(0.7)
-            est.observe_trace([("a", "b"), ("a", "c")])
-            assert est.correlations()[("a", "c")] == 1 / 2.49
+        est = SketchCorrelationEstimator(width=8, depth=2)
+        est.observe_trace([("a", "b")])
+        est.decay(0.7)
+        est.decay(0.7)
+        est.observe_trace([("a", "b"), ("a", "c")])
+        assert est.correlations()[("a", "c")] == 1 / 2.49
         sketch = CountMinSketch(width=8, depth=2)
         sketch.add("a")
         sketch.scale(0.7)

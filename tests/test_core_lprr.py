@@ -78,12 +78,12 @@ class TestFullScope:
 class TestPartialScope:
     def test_out_of_scope_objects_are_hash_placed(self):
         problem = clustered_problem(num_clusters=3, cluster_size=3)
-        planner = LPRRPlanner(scope=4, seed=0, hash_salt="salted")
+        planner = LPRRPlanner(scope=4, seed=0)
         result = planner.plan(problem)
         scoped = set(result.scope_objects)
         for obj in problem.object_ids:
             if obj not in scoped:
-                expected = hash_node(obj, problem.num_nodes, "salted")
+                expected = hash_node(obj, problem.num_nodes)
                 assert result.placement.assignment[problem.object_index(obj)] == expected
 
     def test_scope_limits_lp_size(self):

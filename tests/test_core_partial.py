@@ -30,12 +30,10 @@ class TestScopedPlacement:
         assert placement.node_of("h2") == placement.node_of("h3")
 
     def test_out_of_scope_objects_hash_placed(self, problem):
-        placement = scoped_placement(
-            problem, 4, greedy_placement, hash_salt="s"
-        )
+        placement = scoped_placement(problem, 4, greedy_placement)
         # The light objects are out of scope -> hash positions.
         for obj in ("l2", "l3", "l4", "l5"):
-            expected = hash_node(obj, problem.num_nodes, "s")
+            expected = hash_node(obj, problem.num_nodes)
             assert placement.assignment[problem.object_index(obj)] == expected
 
     def test_scope_zero_is_pure_hash(self, problem):
@@ -92,8 +90,8 @@ class TestScopedPlacement:
         objects to the same nodes (they share the ranking and hashing)."""
         from repro.core.lprr import LPRRPlanner
 
-        lprr = LPRRPlanner(scope=4, seed=0, hash_salt="x").plan(problem)
-        scoped = scoped_placement(problem, 4, greedy_placement, hash_salt="x")
+        lprr = LPRRPlanner(scope=4, seed=0).plan(problem)
+        scoped = scoped_placement(problem, 4, greedy_placement)
         in_scope = set(lprr.scope_objects)
         for i, obj in enumerate(problem.object_ids):
             if obj not in in_scope:

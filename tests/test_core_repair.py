@@ -62,13 +62,6 @@ class TestRepairCapacity:
         repaired = repair_capacity(placement, tolerance=0.05)
         assert repaired is placement
 
-    def test_explicit_capacities_override(self):
-        p = uniform_problem([1.0, 1.0], capacity=1.0)
-        placement = Placement(p, np.array([0, 0]))
-        # Looser explicit capacities: nothing to do.
-        repaired = repair_capacity(placement, capacities=np.array([5.0, 5.0]))
-        assert repaired is placement
-
     def test_impossible_total_size_raises(self):
         p = uniform_problem([2.0, 2.0], capacity=1.5)
         placement = Placement(p, np.array([0, 0]))
@@ -112,17 +105,3 @@ class TestRepairValidation:
         with pytest.raises(ValueError, match="tolerance must be finite"):
             repair_capacity(placement, tolerance=tolerance)
 
-    @pytest.mark.parametrize("capacities", [[2.0], [2.0, 2.0, 2.0, 2.0], [[2.0, 2.0, 2.0]]])
-    def test_capacities_of_another_shape_rejected(self, capacities):
-        # A length-1 vector used to broadcast to every node.
-        p = uniform_problem([1.0, 1.0, 1.0], capacity=2.0, nodes=3)
-        placement = Placement(p, np.array([0, 0, 0]))
-        with pytest.raises(ValueError, match=r"expected \(3,\)"):
-            repair_capacity(placement, capacities=np.array(capacities))
-
-    def test_nan_capacity_rejected(self):
-        # A NaN limit never counts as overloaded, so node 0 kept load 3.
-        p = uniform_problem([1.0, 1.0, 1.0], capacity=2.0, nodes=3)
-        placement = Placement(p, np.array([0, 0, 0]))
-        with pytest.raises(ValueError, match="NaN"):
-            repair_capacity(placement, capacities=np.array([np.nan, 2.0, 2.0]))

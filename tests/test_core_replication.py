@@ -6,6 +6,7 @@ import pytest
 from repro.cluster import synthetic_topology
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
+from repro.core.hashing import hash_node
 from repro.core.replication import (
     ReplicatedPlacement,
     greedy_replicated_placement,
@@ -246,9 +247,12 @@ class TestReplicateHash:
         problem, topology = zoned
         a = replicate_hash(problem, topology, replicas=2)
         b = replicate_hash(problem, topology, replicas=2)
-        salted = replicate_hash(problem, topology, replicas=2, salt="x")
         assert np.array_equal(a.assignment, b.assignment)
-        assert not np.array_equal(a.assignment, salted.assignment)
+        # Replica r hashes with salt str(r); the first copy never probes.
+        n = problem.num_nodes
+        assert a.assignment[:, 0].tolist() == [
+            hash_node(obj, n, salt="0") for obj in problem.object_ids
+        ]
 
     def test_too_many_replicas_for_topology(self, zoned):
         problem, topology = zoned

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.core import correlation, importance, streampart
 from repro.core.correlation import (
-    CorrelationEstimator,
+    MODES,
     cooccurrence_correlations,
     operation_pairs,
     two_smallest_correlations,
@@ -120,20 +120,15 @@ def _mine_reference(trace, mode="cooccurrence", sizes=None, min_support=1):
 def _observe_reference(estimator, trace):
     """The per-operation ingest, the reference for ``observe_trace``.
 
-    ``operation_pairs`` feeds ``Counter.update`` (exact) or
-    ``CountMinSketch.add`` plus ``SpaceSavingPairs.add`` (sketch), and
-    the operation total grows by 1 per operation.
+    ``operation_pairs`` feeds ``CountMinSketch.add`` plus
+    ``SpaceSavingPairs.add``, and the operation total grows by 1 per
+    operation.
     """
     for operation in trace:
-        pairs = operation_pairs(operation, estimator.mode, estimator.sizes)
-        if isinstance(estimator, SketchCorrelationEstimator):
-            estimator._total_ops += 1
-            for pair in pairs:
-                estimator.sketch.add(pair)
-                estimator.heavy.add(pair)
-        else:
-            estimator._total += 1
-            estimator._counts.update(pairs)
+        estimator._total_ops += 1
+        for pair in operation_pairs(operation, estimator.mode, estimator.sizes):
+            estimator.sketch.add(pair)
+            estimator.heavy.add(pair)
 
 
 _MINERS = {
@@ -147,7 +142,7 @@ _MINERS = {
 def _ingest_cases(draw, max_ops=15):
     """(mode, sizes, batches, decay factor) over fast or gate ids."""
     ids = draw(st.sampled_from([FAST_IDS, GATE_IDS]))
-    mode = draw(st.sampled_from(CorrelationEstimator.MODES))
+    mode = draw(st.sampled_from(MODES))
     seed = draw(st.integers(0, 2**31 - 1))
     sizes = None if mode == "cooccurrence" else _sizes_for(ids, None, np.random.default_rng(seed))
     batches = draw(st.lists(_traces(ids, max_ops=max_ops), min_size=1, max_size=3))
@@ -225,24 +220,6 @@ class TestMiningEquivalence:
         _observe_reference(reference, trace)
         assert json.dumps(estimator_state(batched)) == json.dumps(estimator_state(reference))
 
-    @settings(max_examples=50, deadline=None)
-    @given(case=_ingest_cases())
-    def test_exact_estimator_observe_trace(self, case):
-        mode, sizes, batches, factor = case
-        reference = CorrelationEstimator(mode, sizes)
-        batched = CorrelationEstimator(mode, sizes)
-        for batch in batches:
-            _observe_reference(reference, batch)
-            assert batched.observe_trace(iter(batch)) == len(batch)
-            reference.decay(factor)
-            batched.decay(factor)
-        # repr tells 1 from True and 0.0 from -0.0; order is compared too.
-        assert repr(list(batched._counts.items())) == repr(
-            list(reference._counts.items())
-        )
-        assert batched._total == reference._total
-        _assert_same_mapping(batched.correlations(), reference.correlations())
-
 
 # Traces the miner's one type scan must send to the per-operation loop,
 # or group exactly: ``True`` after an equal ``1`` (grouped with it, the
@@ -260,7 +237,7 @@ _GATE_TRACES = {
 
 
 class TestTypeGate:
-    @pytest.mark.parametrize("mode", CorrelationEstimator.MODES)
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("case", sorted(_GATE_TRACES))
     def test_miner_and_ingest_match_the_loop(self, case, mode):
         make = _GATE_TRACES[case]
@@ -279,10 +256,6 @@ class TestTypeGate:
         loop = SketchCorrelationEstimator(**kwargs)
         _observe_reference(loop, make())
         assert json.dumps(estimator_state(batched)) == json.dumps(estimator_state(loop))
-        exact, exact_loop = CorrelationEstimator(mode, sizes), CorrelationEstimator(mode, sizes)
-        exact.observe_trace(make())
-        _observe_reference(exact_loop, make())
-        assert repr(list(exact._counts.items())) == repr(list(exact_loop._counts.items()))
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +360,7 @@ class TestChunkSeams:
     @given(
         prefix=_traces(FAST_IDS, max_ops=15),
         ids=st.sampled_from([FAST_IDS, GATE_IDS]),
-        mode=st.sampled_from(CorrelationEstimator.MODES),
+        mode=st.sampled_from(MODES),
         seed=st.integers(0, 2**31 - 1),
         data=st.data(),
     )
@@ -691,7 +664,7 @@ class TestLPAssemblyEquivalence:
 # Capacity repair
 # ----------------------------------------------------------------------
 
-def _repair_reference(placement, capacities=None, tolerance=0.0):
+def _repair_reference(placement, tolerance=0.0):
     """The pre-cache repair loop: every move rebuilds the whole
     (member × destination) candidate heap and recomputes each delta.
 
@@ -699,8 +672,7 @@ def _repair_reference(placement, capacities=None, tolerance=0.0):
     load-to-budget ratio over a budget give up a member with a positive
     load there, ranked per unit of that load."""
     problem = placement.problem
-    caps = problem.capacities if capacities is None else np.asarray(capacities, float)
-    limits = caps * (1.0 + tolerance)
+    limits = problem.capacities * (1.0 + tolerance)
 
     assignment = placement.assignment.copy()
     loads = np.bincount(assignment, weights=problem.sizes, minlength=problem.num_nodes)
@@ -813,8 +785,7 @@ def _repair_cases(draw):
     """Small integer instances, so ratio and size ties are common.
 
     Objects start on the first ``spread`` nodes, which overloads them
-    often; capacities mix finite and infinite values, and some cases
-    pass an explicit ``capacities=`` vector over a problem of its own.
+    often; capacities mix finite and infinite values.
     """
     t = draw(st.integers(1, 40))
     n = draw(st.integers(2, 6))
@@ -843,16 +814,13 @@ def _repair_cases(draw):
     )
     spread = draw(st.integers(1, n))
     assignment = draw(st.lists(st.integers(0, spread - 1), min_size=t, max_size=t))
-    explicit = draw(
-        st.none() | st.lists(_CAPACITY, min_size=n, max_size=n).map(np.array)
-    )
     tolerance = draw(st.sampled_from([0.0, 0.05]))
-    return Placement(problem, np.array(assignment)), explicit, tolerance
+    return Placement(problem, np.array(assignment)), tolerance
 
 
-def _repair_outcome(repair, placement, capacities, tolerance):
+def _repair_outcome(repair, placement, tolerance):
     try:
-        result = repair(placement, capacities=capacities, tolerance=tolerance)
+        result = repair(placement, tolerance=tolerance)
     except InfeasibleProblemError as exc:
         return type(exc), str(exc)
     return result is placement, result.assignment.tolist()
@@ -862,10 +830,10 @@ class TestRepairEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(case=_repair_cases())
     def test_cached_deltas_match_heap_loop(self, case):
-        placement, capacities, tolerance = case
+        placement, tolerance = case
         assert _repair_outcome(
-            repair_capacity, placement, capacities, tolerance
-        ) == _repair_outcome(_repair_reference, placement, capacities, tolerance)
+            repair_capacity, placement, tolerance
+        ) == _repair_outcome(_repair_reference, placement, tolerance)
 
     def test_delta_sums_follow_pair_order(self):
         # a's delta sums 0.1 + 0.2 + 0.3 in pair order, one ulp above
@@ -888,9 +856,7 @@ class TestRepairEquivalence:
 # Migration selection
 # ----------------------------------------------------------------------
 
-def _select_migrations_reference(
-    current, target, budget_bytes=None, respect_capacity=True
-):
+def _select_migrations_reference(current, target, budget_bytes=None):
     """The re-scoring loop: every candidate's gain through numpy scalars
     after each move.  Candidates are scanned in set order and a strictly
     better gain per byte wins."""
@@ -928,7 +894,7 @@ def _select_migrations_reference(
             if budget_bytes is not None and moved_bytes + size > budget_bytes + 1e-9:
                 continue
             dst = target.assignment[obj]
-            if respect_capacity and np.isfinite(capacities[dst]):
+            if np.isfinite(capacities[dst]):
                 if loads[dst] + size > capacities[dst] + 1e-9:
                     continue
             g = gain(int(obj))
@@ -991,16 +957,16 @@ def _migration_cases(draw):
         st.sampled_from([None, 0.0])
         | st.integers(0, 2 * sum(sizes)).map(lambda half: half / 2)
     )
-    return current, target, budget, draw(st.booleans())
+    return current, target, budget
 
 
 class TestMigrationEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(case=_migration_cases())
     def test_memoized_gains_match_rescoring_loop(self, case):
-        current, target, budget, respect_capacity = case
-        fast = select_migrations(current, target, budget, respect_capacity)
-        reference = _select_migrations_reference(current, target, budget, respect_capacity)
+        current, target, budget = case
+        fast = select_migrations(current, target, budget)
+        reference = _select_migrations_reference(current, target, budget)
         # Move order included; repr also tells a float from a numpy scalar.
         assert fast == reference
         assert repr(fast) == repr(reference)
@@ -1979,9 +1945,7 @@ def _streaming_greedy_reference(problem: PlacementProblem) -> Placement:
     return Placement(problem, assignment)
 
 
-def _scoped_placement_reference(
-    problem, scope, place_subproblem, capacity_factor=2.0, hash_salt=""
-):
+def _scoped_placement_reference(problem, scope, place_subproblem, capacity_factor=2.0):
     """Scoping by ids: ``top_important``, a set-membership hash loop,
     sizes by ``size_of`` and an id-by-id scatter back."""
     scope = problem.num_objects if scope is None else min(scope, problem.num_objects)
@@ -1991,7 +1955,7 @@ def _scoped_placement_reference(
     assignment = np.empty(problem.num_objects, dtype=np.int64)
     for i, obj in enumerate(problem.object_ids):
         if obj not in scoped_set:
-            assignment[i] = hash_node(obj, problem.num_nodes, hash_salt)
+            assignment[i] = hash_node(obj, problem.num_nodes)
 
     if scoped_ids:
         if capacity_factor is None:
@@ -2081,16 +2045,13 @@ class TestStreamingEquivalence:
         problem=_stream_problems(),
         scope=st.none() | st.integers(0, 13),
         capacity_factor=st.sampled_from([2.0, 1.0, None]),
-        salt=st.sampled_from(["", "x"]),
     )
-    def test_index_scoping_matches_id_scoping(self, problem, scope, capacity_factor, salt):
+    def test_index_scoping_matches_id_scoping(self, problem, scope, capacity_factor):
         fast = scoped_placement(
-            problem, scope, streaming_greedy_placement,
-            capacity_factor=capacity_factor, hash_salt=salt,
+            problem, scope, streaming_greedy_placement, capacity_factor=capacity_factor
         )
         reference = _scoped_placement_reference(
-            problem, scope, _streaming_greedy_reference,
-            capacity_factor=capacity_factor, hash_salt=salt,
+            problem, scope, _streaming_greedy_reference, capacity_factor=capacity_factor
         )
         assert fast.assignment.tobytes() == reference.assignment.tobytes()
 

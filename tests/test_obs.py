@@ -348,24 +348,17 @@ class TestSpanExceptions:
 
 
 class TestHistogramReservoir:
-    """Capped-reservoir mode: bounded memory, exact aggregates."""
+    """The percentile sample keeps every observation; aggregates are exact."""
 
     def test_exact_mode_is_default_and_unbounded(self):
         hist = Histogram("h")
         for i in range(5000):
             hist.observe(i)
-        assert hist.reservoir is None
-        assert hist.retained == 5000
-
-    def test_reservoir_bounds_retained_observations(self):
-        hist = Histogram("h", reservoir=100)
-        for i in range(100_000):
-            hist.observe(float(i))
-        assert hist.retained == 100  # the memory-bound regression check
-        assert hist.count == 100_000
+        assert hist.count == 5000
+        assert (hist.percentile(0), hist.percentile(100)) == (0.0, 4999.0)
 
     def test_aggregates_stay_exact_past_the_cap(self):
-        hist = Histogram("h", reservoir=10)
+        hist = Histogram("h")
         values = [float(i) for i in range(1000)]
         for v in values:
             hist.observe(v)
@@ -376,7 +369,7 @@ class TestHistogramReservoir:
         assert hist.mean == pytest.approx(sum(values) / 1000)
 
     def test_exact_until_the_cap_is_reached(self):
-        hist = Histogram("h", reservoir=50)
+        hist = Histogram("h")
         values = list(np.random.default_rng(0).normal(size=50))
         for v in values:
             hist.observe(float(v))
@@ -384,25 +377,9 @@ class TestHistogramReservoir:
             float(np.percentile(values, 50))
         )
 
-    def test_reservoir_percentiles_are_reasonable_estimates(self):
-        hist = Histogram("h", reservoir=500)
-        for v in np.random.default_rng(1).uniform(0, 100, size=50_000):
-            hist.observe(float(v))
-        assert hist.percentile(50) == pytest.approx(50.0, abs=10.0)
-        assert hist.percentile(90) == pytest.approx(90.0, abs=10.0)
-
-    def test_reservoir_is_deterministic_per_name(self):
-        def fill(name):
-            hist = Histogram(name, reservoir=20)
-            for i in range(2000):
-                hist.observe(float(i))
-            return hist.summary()
-
-        assert fill("same") == fill("same")
-
     def test_observe_many_matches_repeated_observe(self):
-        one = Histogram("h", reservoir=16)
-        many = Histogram("h", reservoir=16)
+        one = Histogram("h")
+        many = Histogram("h")
         for v in (1.0, 2.0, 3.0):
             for _ in range(100):
                 one.observe(v)
@@ -421,18 +398,17 @@ class TestHistogramReservoir:
             ),
             max_size=4,
         ),
-        reservoir=st.sampled_from([None, 1, 5]),
     )
-    def test_observe_counts_matches_observe_many_loop(self, batches, reservoir):
-        loop = Histogram("h", reservoir=reservoir)
-        batched = Histogram("h", reservoir=reservoir)
+    def test_observe_counts_matches_observe_many_loop(self, batches):
+        loop = Histogram("h")
+        batched = Histogram("h")
         for batch in batches:
             for value, count in batch:
                 loop.observe_many(value, count)
             values = [value for value, _ in batch]
             batched.observe_counts(values, [count for _, count in batch])
         # Sum, min and max bit for bit, and the same retained sample in
-        # the same order (so the same reservoir draws).
+        # the same order.
         for name in ("count", "sum", "min", "max"):
             assert repr(getattr(batched, name)) == repr(getattr(loop, name)), name
         assert batched._values == loop._values
@@ -446,17 +422,6 @@ class TestHistogramReservoir:
         with pytest.raises(ValueError, match="one length"):
             hist.observe_counts([1.0, 2.0], [1])
         assert hist.count == 0
-
-    def test_reservoir_validation(self):
-        with pytest.raises(ValueError):
-            Histogram("h", reservoir=0)
-
-    def test_runtime_helper_passes_reservoir_through(self):
-        inst = obs.enable(obs.Instrumentation())
-        hist = obs.histogram("bounded", reservoir=5)
-        for i in range(50):
-            hist.observe(i)
-        assert inst.metrics.histogram("bounded").retained == 5
 
 
 class TestLabels:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.correlation import CorrelationEstimator, PairEstimator
+from repro.core.correlation import cooccurrence_correlations
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
-from repro.core.strategies import PlanConfig, available_planners, plan
+from repro.core.strategies import PlanConfig, plan
 from repro.online import (
     CountMinSketch,
     DriftDetector,
@@ -217,23 +217,16 @@ class TestSpaceSavingPairs:
 
 
 class TestSketchCorrelationEstimator:
-    def test_satisfies_protocol(self):
-        assert isinstance(SketchCorrelationEstimator(), PairEstimator)
-        assert isinstance(CorrelationEstimator(), PairEstimator)
-
     def test_matches_exact_on_sparse_stream(self):
         trace = [("a", "b"), ("a", "b", "c"), ("b", "c"), ("a", "b")]
-        exact = CorrelationEstimator()
         sketched = SketchCorrelationEstimator(width=1024, depth=4)
-        exact.observe_trace(trace)
         sketched.observe_trace(trace)
-        assert sketched.correlations() == exact.correlations()
-        assert sketched.top_pairs(2) == exact.top_pairs(2)
+        assert sketched.correlations() == cooccurrence_correlations(trace)
 
     def test_size_aware_mode(self):
         sizes = {"a": 1.0, "b": 2.0, "c": 3.0}
         sketched = SketchCorrelationEstimator(mode="two_smallest", sizes=sizes)
-        sketched.observe(("a", "b", "c"))
+        sketched.observe_trace([("a", "b", "c")])
         assert sketched.correlations() == {("a", "b"): 1.0}
 
     def test_mode_requires_sizes(self):
@@ -242,15 +235,13 @@ class TestSketchCorrelationEstimator:
 
     def test_memory_cells(self):
         est = SketchCorrelationEstimator(width=128, depth=3, heavy_hitters=16)
-        for i in range(1000):
-            est.observe((f"x{i}", f"y{i}"))
+        est.observe_trace([(f"x{i}", f"y{i}") for i in range(1000)])
         assert est.memory_cells == 128 * 3 + 16
         assert len(est.heavy) <= 16
 
     def test_decay(self):
         est = SketchCorrelationEstimator(width=64, depth=2)
-        est.observe(("a", "b"))
-        est.observe(("a", "b"))
+        est.observe_trace([("a", "b"), ("a", "b")])
         est.decay(0.5)
         # Probabilities survive decay; support shrinks below min_support.
         assert est.correlations()[("a", "b")] == pytest.approx(1.0)
@@ -268,13 +259,15 @@ class TestEstimatorIngest:
             tuple(rng.choice(words, size=rng.integers(1, 5)))
             for _ in range(400)
         ]
-        planner = OnlinePlanner(
-            {obj: 1.0 for op in trace for obj in op},
-            OnlineConfig(num_nodes=2, window_s=10.0, decay=0.5),
-            estimator=SketchCorrelationEstimator(seed=0),
-        )
+        config = OnlineConfig(num_nodes=2, window_s=10.0, decay=0.5)
+        planner = OnlinePlanner({obj: 1.0 for op in trace for obj in op}, config)
         planner.observe_period(StreamPeriod(0, 0.0, 10.0, tuple(trace)))
-        standalone = SketchCorrelationEstimator(seed=0)
+        standalone = SketchCorrelationEstimator(
+            width=config.sketch_width,
+            depth=config.sketch_depth,
+            heavy_hitters=config.heavy_hitters,
+            seed=config.seed,
+        )
         assert standalone.observe_trace(trace) == len(trace)
         standalone.decay(0.5)
         assert sketch_state(planner.estimator.sketch) == sketch_state(standalone.sketch)
@@ -327,29 +320,11 @@ class TestWindows:
         assert periods[0].start_s == (base // 3600.0) * 3600.0
         assert periods[0].start_s <= base + 10.0 < periods[0].end_s
 
-    def test_explicit_origin(self):
-        stream = [TimedOperation(25.0, ("a", "b"))]
-        periods = list(tumbling_periods(stream, 10.0, origin_s=5.0))
-        assert [p.num_operations for p in periods] == [0, 0, 1]
-        assert periods[0].start_s == 5.0
-
     @pytest.mark.parametrize("window", [float("inf"), float("nan")])
     def test_non_finite_window_raises(self, window):
         stream = [TimedOperation(1.0, ("a", "b"))]
         with pytest.raises(ValueError, match="window_s must be positive and finite"):
             list(tumbling_periods(stream, window))
-
-    @pytest.mark.parametrize("origin", [float("-inf"), float("inf"), float("nan")])
-    def test_non_finite_origin_raises(self, origin):
-        # next(), not list(): the error must come before any period.
-        stream = [TimedOperation(1.0, ("a", "b"))]
-        with pytest.raises(ValueError, match="origin_s must be finite"):
-            next(tumbling_periods(stream, 10.0, origin_s=origin))
-
-    def test_timestamp_before_origin_raises(self):
-        stream = [TimedOperation(1.0, ("a", "b"))]
-        with pytest.raises(ValueError, match="precedes the stream origin"):
-            list(tumbling_periods(stream, 10.0, origin_s=5.0))
 
     def test_empty_stream_no_periods(self):
         assert list(tumbling_periods([], 10.0)) == []
@@ -368,35 +343,19 @@ class TestWindows:
 
     def test_decaying_estimator(self):
         # The controller decays its estimator by config.decay after
-        # every period, and never when decay is 1.
-        class Recording(CorrelationEstimator):
-            def __init__(self):
-                super().__init__()
-                self.factors = []
-                self.counts_seen = []
-
-            def correlations(self, min_support=1):
-                self.counts_seen.append(self._counts[("a", "b")])
-                return super().correlations(min_support)
-
-            def decay(self, factor):
-                self.factors.append(factor)
-                super().decay(factor)
-
+        # every period, and never when decay is 1: the first (a, b)
+        # weighs `decay` next to the second, and both decay once more.
         stream = [TimedOperation(0.0, ("a", "b")), TimedOperation(10.0, ("a", "b"))]
-        for decay, factors, seen in ((0.5, [0.5, 0.5], [1.0, 1.5]), (1.0, [], [1.0, 2.0])):
-            inner = Recording()
-            OnlinePlanner(
+        for decay, count in ((0.5, 0.75), (1.0, 2.0)):
+            planner = OnlinePlanner(
                 {"a": 1.0, "b": 1.0},
                 OnlineConfig(num_nodes=2, window_s=10.0, decay=decay),
-                estimator=inner,
-            ).run(stream)
-            assert inner.factors == factors
-            # The old observation weighs `decay` next to the fresh one.
-            assert inner.counts_seen == pytest.approx(seen)
-            assert inner._counts[("a", "b")] == pytest.approx(seen[-1] * decay)
+            )
+            planner.run(stream)
+            assert planner.estimator.heavy.count(("a", "b")) == pytest.approx(count)
+            assert planner.estimator.num_operations == int(count)
             # Probabilities survive the decay; only support shrinks.
-            assert inner.correlations(0)[("a", "b")] == pytest.approx(1.0)
+            assert planner.estimator.correlations(0)[("a", "b")] == pytest.approx(1.0)
 
 
 class TestDrift:
@@ -526,9 +485,9 @@ class TestOnlinePlanner:
             op.objects for op in shifting_stream()
             if op.time_s >= SHIFT_PERIOD * WINDOW_S
         ]
-        exact = CorrelationEstimator()
-        exact.observe_trace(post_trace)
-        problem = PlacementProblem.build(SIZES, 4, exact.correlations())
+        problem = PlacementProblem.build(
+            SIZES, 4, cooccurrence_correlations(post_trace)
+        )
         offline = plan(problem, "lprr", PlanConfig(seed=0))
         online_placement = Placement.from_mapping(
             problem, {obj: report.final_placement[obj] for obj in problem.object_ids}
@@ -567,16 +526,6 @@ class TestOnlinePlanner:
         with pytest.raises(RuntimeError, match="not bootstrapped"):
             planner.placement_mapping
 
-    def test_exact_estimator_backend(self):
-        # The controller accepts any PairEstimator; the exact one gives
-        # an unbounded-memory but drift-equivalent run.
-        planner = OnlinePlanner(
-            SIZES, online_config(), estimator=CorrelationEstimator()
-        )
-        report = planner.run(shifting_stream())
-        assert report.periods[SHIFT_PERIOD].action == "replan"
-        assert report.memory_cells == 0  # exact backend reports no bound
-
     def test_out_of_universe_objects_are_ignored(self):
         # Objects missing from `sizes` must never crash the loop; a
         # stream of entirely unknown partners just keeps observing.
@@ -601,20 +550,6 @@ class TestOnlinePlanner:
         assert set(report.final_placement) == {"a", "b"}
         # The colocatable pair ends up colocated despite the noise.
         assert report.final_cost_estimate == 0.0
-
-    def test_preloaded_estimator_with_foreign_pairs(self):
-        # A custom backend may arrive already tracking pairs outside
-        # the placement universe; they must be filtered, not fatal.
-        exact = CorrelationEstimator()
-        exact.observe_trace([("x", "y")] * 5)
-        planner = OnlinePlanner(
-            {"a": 1.0, "b": 1.0},
-            OnlineConfig(num_nodes=2, window_s=10.0),
-            estimator=exact,
-        )
-        report = planner.run([TimedOperation(0.0, ("a", "b"))] * 30)
-        assert report.periods[0].action == "bootstrap"
-        assert set(report.final_placement) == {"a", "b"}
 
     def test_budget_truncated_replan_resumes_in_stable_periods(self):
         # A tight budget truncates the replan's migration; the
@@ -651,9 +586,6 @@ class TestOnlinePlanner:
 
 
 class TestOnlinePlannerRegistry:
-    def test_online_planner_registered(self):
-        assert "online" in available_planners()
-
     def test_heavy_hitter_plan_scopes_to_paired_objects(self):
         sizes = {f"o{i}": 1.0 for i in range(8)}
         correlations = {("o0", "o1"): 0.5, ("o2", "o3"): 0.25}
@@ -662,13 +594,6 @@ class TestOnlinePlannerRegistry:
         assert result.planner == "online"
         assert result.diagnostics["heavy_objects"] == 4
         assert result.placement.assignment.shape == (8,)
-
-    def test_registry_dispatch(self):
-        sizes = {"a": 1.0, "b": 1.0}
-        problem = PlacementProblem.build(sizes, 2, {("a", "b"): 1.0})
-        result = plan(problem, "online", PlanConfig(seed=0))
-        assert result.planner == "online"
-        assert result.cost == 0.0
 
 
 class TestOnlineConfigValidation:

@@ -5,6 +5,7 @@ that ``repro pg`` writes, aggregation/expansion feasibility
 preservation and the planner's registry integration.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -57,9 +58,14 @@ class TestHashing:
             assert pg_group(obj, 16) == g
 
     def test_pg_group_salt_changes_grouping(self):
-        groups_a = [pg_group(f"o{i}", 16) for i in range(200)]
-        groups_b = [pg_group(f"o{i}", 16, salt="s1") for i in range(200)]
-        assert groups_a != groups_b
+        # Groups hash "|pg|" + id, a namespace apart from the bare-id
+        # digest that hash_node takes.
+        def digest(text):
+            return int.from_bytes(hashlib.md5(text.encode()).digest(), "big") % 16
+
+        groups = [pg_group(f"o{i}", 16) for i in range(200)]
+        assert groups == [digest(f"|pg|o{i}") for i in range(200)]
+        assert groups != [digest(f"o{i}") for i in range(200)]
 
     def test_pg_group_rejects_empty_universe(self):
         with pytest.raises(ValueError):
@@ -85,14 +91,14 @@ class TestPGMapDocument:
         result = plan(problem, "lprr:pg", PG_CONFIG)
         pg_map = result.details
         doc = json.loads(json.dumps(pg_map.to_dict()))
-        assert doc["schema"] == "repro/pg-map/v2"
-        assert "retired" not in doc
+        assert doc["schema"] == "repro/pg-map/v3"
+        assert "retired" not in doc and "salt" not in doc
         assert doc["num_groups"] == pg_map.num_groups
         assert doc["nodes"] == [str(node) for node in pg_map.node_ids]
         # The document alone answers every lookup as the expanded plan
         # does: the synthetic scenario's ids are strings already.
         for obj in problem.object_ids:
-            group = pg_group(obj, doc["num_groups"], doc["salt"])
+            group = pg_group(obj, doc["num_groups"])
             node = doc["exact"].get(str(obj), doc["group_nodes"][group])
             assert node == result.placement.assignment[problem.object_index(obj)]
 
@@ -176,7 +182,7 @@ class TestAggregation:
             [
                 pg_map.exact_nodes[obj]
                 if obj in pg_map.exact_nodes
-                else pg_map.group_nodes[pg_group(obj, pg_map.num_groups, pg_map.salt)]
+                else pg_map.group_nodes[pg_group(obj, pg_map.num_groups)]
                 for obj in problem.object_ids
             ]
         )

@@ -38,15 +38,14 @@ class TestPlanConfig:
     def test_fields(self):
         # 2.0 dropped the solver knobs (backend, lp_time_limit,
         # lp_iteration_limit, decompose, warm_start), 3.0 dropped jobs,
-        # 10.0 the plan cache's two fields and 11.0 repair, which no
-        # caller set; none added any.
+        # 10.0 the plan cache's two fields, 11.0 repair and 12.0
+        # hash_salt, which no caller set; none added any.
         assert [f.name for f in dataclasses.fields(PlanConfig)] == [
             "scope",
             "seed",
             "rounding_trials",
             "capacity_factor",
             "capacity_tolerance",
-            "hash_salt",
             "replicas",
             "topology",
         ]
@@ -64,15 +63,7 @@ class TestPlanConfig:
 class TestRegistry:
     def test_builtins_registered(self):
         names = available_planners()
-        assert {
-            "hash",
-            "greedy",
-            "lprr",
-            "round_robin",
-            "best_fit_decreasing",
-            "spectral",
-            "local_search",
-        } <= set(names)
+        assert {"hash", "greedy", "lprr", "stream:greedy"} <= set(names)
         assert names == sorted(names)
         assert "lprr:fo" not in names
 

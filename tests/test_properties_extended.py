@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decompose import correlation_components
+from repro.core.greedy import greedy_placement
 from repro.core.local_search import local_search_placement
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.core.replication import greedy_replicated_placement
-from repro.core.spectral import spectral_placement
 
 from tests.helpers import flat_hash
 
@@ -63,32 +63,12 @@ class TestReplicationProperties:
         )
 
 
-class TestSpectralProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(problem=problems())
-    def test_spectral_total_and_deterministic(self, problem):
-        a = spectral_placement(problem)
-        b = spectral_placement(problem)
-        assert np.array_equal(a.assignment, b.assignment)
-        assert np.all(a.assignment >= 0)
-        assert np.all(a.assignment < problem.num_nodes)
-
-    @settings(max_examples=20, deadline=None)
-    @given(problem=problems(max_nodes=3))
-    def test_spectral_cost_bounded(self, problem):
-        placement = spectral_placement(problem)
-        assert placement.communication_cost() <= problem.total_pair_weight + 1e-9
-
-
 class TestLocalSearchProperties:
     @settings(max_examples=20, deadline=None)
     @given(problem=problems(max_objects=8, max_nodes=3), seed=st.integers(0, 500))
     def test_monotone_improvement(self, problem, seed):
-        rng = np.random.default_rng(seed)
-        start = Placement(
-            problem, rng.integers(0, problem.num_nodes, problem.num_objects)
-        )
-        improved = local_search_placement(problem, start=start, rng=seed)
+        start = greedy_placement(problem)
+        improved = local_search_placement(problem, rng=seed)
         assert (
             improved.communication_cost() <= start.communication_cost() + 1e-12
         )
@@ -96,11 +76,19 @@ class TestLocalSearchProperties:
     @settings(max_examples=20, deadline=None)
     @given(problem=problems(max_objects=8, max_nodes=3))
     def test_local_optimum_fixed_point(self, problem):
-        first = local_search_placement(problem, rng=0)
-        second = local_search_placement(problem, start=first, rng=0)
-        assert second.communication_cost() == pytest.approx(
-            first.communication_cost()
-        )
+        # No capacity-feasible single move lowers the cost any further.
+        placement = local_search_placement(problem, rng=0)
+        cost = placement.communication_cost()
+        loads = placement.node_loads()
+        for i in range(problem.num_objects):
+            src = int(placement.assignment[i])
+            for dst in range(problem.num_nodes):
+                size = problem.sizes[i]
+                if dst == src or loads[dst] + size > problem.capacities[dst] + 1e-9:
+                    continue
+                moved = placement.assignment.copy()
+                moved[i] = dst
+                assert Placement(problem, moved).communication_cost() >= cost - 1e-9
 
 
 class TestDecomposeProperties:

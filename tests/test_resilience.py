@@ -75,9 +75,7 @@ class TestFaultSchedule:
             FaultSchedule(2, (FaultEvent(1, "crash", (7,)),))
 
     def test_never_crashes_more_than_half(self):
-        schedule = FaultSchedule.random(
-            4, 200, seed=3, events=40, max_down_fraction=0.5
-        )
+        schedule = FaultSchedule.random(4, 200, seed=3, events=40)
         down = set()
         for event in schedule.events:
             if event.kind == "crash":
@@ -292,8 +290,9 @@ class TestRepair:
             {("x", "y"): 1.0},
         )
         placement = Placement(problem, np.array([0, 1, 2]))
-        outcome = replace_lost_objects(placement, ["n0"], capacity_tolerance=0.0)
-        # x (4.0) cannot join y on n1 (4.0/4.5 used): goes to n2 instead.
+        outcome = replace_lost_objects(placement, ["n0"])
+        # x (4.0) cannot join y on n1 (4.0 of 4.5 used, 5% slack): goes
+        # to n2 instead.
         assert outcome.placement.to_mapping()["x"] == "n2"
 
     def test_all_nodes_failed_raises(self, placement):

@@ -32,6 +32,7 @@ from repro.serve import (
     run_virtual,
 )
 from repro.serve.admission import DRAINING, QUEUE_FULL, THROTTLED
+from repro.serve.router import DISPATCH_OVERHEAD_S, PER_QUERY_S
 
 
 # ----------------------------------------------------------------------
@@ -292,10 +293,7 @@ class TestRouterBatching:
         assert router.batches == 1
         assert {r.batch_seq for r in results} == {1}
         # Dispatched at max_delay, then one service interval.
-        service = (
-            router.config.dispatch_overhead_s
-            + router.config.per_query_s * 2
-        )
+        service = DISPATCH_OVERHEAD_S + PER_QUERY_S * 2
         for r in results:
             assert r.completion_t == pytest.approx(0.01 + service)
 
@@ -310,9 +308,7 @@ class TestRouterBatching:
         router, results = run_virtual(main())
         assert router.batches == 1
         # No delay: only the service time (one distinct query).
-        service = (
-            router.config.dispatch_overhead_s + router.config.per_query_s
-        )
+        service = DISPATCH_OVERHEAD_S + PER_QUERY_S
         assert results[0].completion_t == pytest.approx(service)
 
     def test_repeats_in_batch_share_one_execution(self, index):
@@ -339,9 +335,7 @@ class TestRouterBatching:
         router, results = run_virtual(main())
         assert router.batches == 3
         completions = sorted(r.completion_t for r in results)
-        service = (
-            router.config.dispatch_overhead_s + router.config.per_query_s
-        )
+        service = DISPATCH_OVERHEAD_S + PER_QUERY_S
         for i, t in enumerate(completions, start=1):
             assert t == pytest.approx(i * service)
 

@@ -1,5 +1,5 @@
-"""Tests for deterministic load generation (repro.serve.loadgen), the
-OnlinePlanner publication hook, and the serve/loadgen CLI."""
+"""Tests for deterministic load generation (repro.serve.loadgen) and the
+loadgen CLI."""
 
 import json
 from dataclasses import replace
@@ -8,8 +8,6 @@ import pytest
 
 from repro.cli import main
 from repro.core.strategies import PlanConfig, plan
-from repro.online import OnlineConfig, OnlinePlanner
-from repro.online.windows import TimedOperation, tumbling_periods
 from repro.search.engine import build_placement_problem
 from repro.search.query import QueryLog
 from repro.serve import (
@@ -152,37 +150,6 @@ class TestBuildScenario:
         report = run_loadgen(config)
         assert report.completed + sum(report.shed.values()) == report.offered
         assert report.swaps == config.swaps
-
-
-class TestOnPublishHook:
-    def test_hook_feeds_snapshots(self):
-        published = []
-        planner = OnlinePlanner(
-            {"a": 1.0, "b": 1.0},
-            OnlineConfig(num_nodes=2, window_s=10.0),
-            on_publish=lambda period, mapping: published.append(
-                (period, dict(mapping))
-            ),
-        )
-        planner.run([TimedOperation(0.0, ("a", "b"))] * 30)
-        assert published, "bootstrap must publish a plan"
-        period, mapping = published[0]
-        assert set(mapping) == {"a", "b"}
-        assert all(node in (0, 1) for node in mapping.values())
-
-    def test_no_publication_without_plan_change(self):
-        published = []
-        planner = OnlinePlanner(
-            {"a": 1.0, "b": 1.0},
-            OnlineConfig(num_nodes=2, window_s=10.0),
-            on_publish=lambda *args: published.append(args),
-        )
-        # Too few operations to bootstrap: pure observation.
-        period = next(
-            iter(tumbling_periods([TimedOperation(0.0, ("a",))], window_s=10.0))
-        )
-        planner.observe_period(period)
-        assert published == []
 
 
 CLI_ARGS = [

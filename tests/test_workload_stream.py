@@ -87,17 +87,15 @@ def timed(*times):
 
 
 def windows(stream, window_s=10.0):
-    """Each window's operations, windows anchored at time 0."""
-    return [
-        period.operations
-        for period in tumbling_periods(stream, window_s, origin_s=0.0)
-    ]
+    """Each window's operations; every stream here starts in window 0."""
+    return [period.operations for period in tumbling_periods(stream, window_s)]
 
 
 class TestSplitStream:
     def test_windows_cover_stream(self, model):
         stream = generate_stream(model, duration_s=100, base_qps=5.0, seed=6)
-        periods = list(tumbling_periods(stream, 10.0, origin_s=0.0))
+        periods = list(tumbling_periods(stream, 10.0))
+        assert stream[0].time_s < 10.0
         assert [op for p in periods for op in p.operations] == [
             tuple(tq.query.keywords) for tq in stream
         ]
