@@ -13,7 +13,8 @@ writes one file at exit.  The script runs the system drives first:
 * every CI smoke command at its CI arguments (chaos in both forms,
   online at sketch widths 512 and 61, loadgen with
   ``perfbench/check_loadgen.py``, pg, gap at 12 x 3 and 24 x 4, the
-  hash-seed place/evaluate commands), ``analyze``, ``experiment fig6``,
+  hash-seed place/evaluate commands and one ``place --strategy`` per
+  registered planner), ``analyze``, ``experiment fig6``,
   ``fig7`` and ``all --nodes 10 20 40``, and ``repro trace`` on each
   journal (online also with ``--period 3``) and on a metrics document;
 * every example under ``examples/``;
@@ -93,6 +94,11 @@ def drive_stages(root: Path) -> list[list[tuple[list[str], Path]]]:
     """The system drives as stages of ``(argv, cwd)``; a stage needs the
     artifacts of the stages before it."""
     work = root / "reach-work"
+    planners = subprocess.run(
+        [sys.executable, "-c", "import repro; print(*repro.available_planners())"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
     first = [
         (CLI + ["chaos", "--objects", "30", "--nodes", "5", "--operations", "60",
                 "--events", "6", "--seed", "7", "--out", "chaos-a.json",
@@ -140,6 +146,11 @@ def drive_stages(root: Path) -> list[list[tuple[list[str], Path]]]:
     second = [
         (CLI + ["place", "q.txt", "p.json", "--nodes", "4", "--scope", "50"] + SMALL,
          work),
+        *(
+            (CLI + ["place", "q.txt", f"place-{name.replace(':', '_')}.json",
+                    "--strategy", name, "--nodes", "4", "--scope", "50"] + SMALL, work)
+            for name in planners
+        ),
         (CLI + ["evaluate", "q.txt", "--nodes", "4", "--scope", "50", "--journal",
                 "j.jsonl", "--metrics-out", "m.json"] + SMALL, work),
         (CLI + ["analyze", "q.txt"], work),

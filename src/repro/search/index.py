@@ -81,11 +81,17 @@ class InvertedIndex:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "InvertedIndex":
-        """Index every distinct word of every document in ``corpus``."""
+        """Index every distinct word of every document in ``corpus``.
+
+        Each document's words are inserted in sorted order, so the
+        keyword order (and with it every problem built on the index)
+        does not follow the iteration order of a ``frozenset`` of
+        strings, which changes with ``PYTHONHASHSEED``.
+        """
         lists: dict[str, list[int]] = {}
         for doc in corpus:
             pid = page_id(doc.doc_id)
-            for word in doc.words:
+            for word in sorted(doc.words):
                 lists.setdefault(word, []).append(pid)
         return cls(lists)
 

@@ -1,5 +1,10 @@
 """Tests for documents and inverted indices (repro.search)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,3 +186,33 @@ class TestInvertedIndex:
             expected.append(int(result.size))
         assert idx.prefix_counts(words) == expected
         assert idx.union_count(words) == len(idx.union(words))
+
+
+class TestIndexOrderAcrossHashSeeds:
+    # Builds one generated corpus's index in a fresh interpreter per
+    # string-hash seed.  Documents hold their words as a frozenset,
+    # whose iteration order follows the seed.
+    SCRIPT = """
+from repro.search.index import InvertedIndex
+from repro.workloads.corpus_gen import generate_corpus
+corpus = generate_corpus(num_documents=150, vocabulary_size=300, seed=1)
+print(list(InvertedIndex.from_corpus(corpus).sizes_bytes().items()))
+"""
+
+    @classmethod
+    def _keys(cls, hash_seed: str) -> str:
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        out = subprocess.run(
+            [sys.executable, "-c", cls.SCRIPT],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        return out.stdout
+
+    def test_sizes_bytes_order_does_not_depend_on_the_hash_seed(self):
+        first = self._keys("1")
+        assert first.count("\n") == 1 and len(first) > 1000
+        assert first == self._keys("2")
